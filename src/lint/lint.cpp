@@ -74,31 +74,25 @@ ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed
   out.value.assign(count, -1);
   if (count == 0) return out;
 
-  // Signature pass: 64 free-input/free-state patterns per round. A net
-  // whose word never leaves all-zeros / all-ones across every round is a
-  // const candidate; everything else is refuted for free.
+  // Signature pass: 64 free-input/free-state patterns per round, one
+  // free-state evaluation of the lane-parallel simulator each, the cut
+  // points drawn from one stream in net order. A net whose word never
+  // leaves all-zeros / all-ones across every round is a const candidate;
+  // everything else is refuted for free.
   verif::Rng rng{seed};
-  std::vector<std::uint64_t> sig(count, 0);
+  std::vector<Net> cuts;
+  for (std::size_t i = 0; i < count; ++i) {
+    const GateKind k = n.gate(static_cast<Net>(i)).kind;
+    if (k == GateKind::input || k == GateKind::dff) cuts.push_back(static_cast<Net>(i));
+  }
+  rtl::Simulator sim{n};
   std::vector<signed char> cand(count, -2);  // -2 unseen, -1 refuted, 0/1 value
   for (int r = 0; r < rounds; ++r) {
+    for (const Net cut : cuts) sim.set_word(cut, rng.next());  // free variables
+    sim.eval();
     for (std::size_t i = 0; i < count; ++i) {
-      const Gate& g = n.gate(static_cast<Net>(i));
-      switch (g.kind) {
-        case GateKind::const0: sig[i] = 0; break;
-        case GateKind::const1: sig[i] = ~0ull; break;
-        case GateKind::input:
-        case GateKind::dff: sig[i] = rng.next(); break;  // free variables
-        case GateKind::and_gate: sig[i] = sig[g.a] & sig[g.b]; break;
-        case GateKind::or_gate: sig[i] = sig[g.a] | sig[g.b]; break;
-        case GateKind::xor_gate: sig[i] = sig[g.a] ^ sig[g.b]; break;
-        case GateKind::not_gate: sig[i] = ~sig[g.a]; break;
-        case GateKind::mux:
-          sig[i] = (sig[g.a] & sig[g.b]) | (~sig[g.a] & sig[g.c]);
-          break;
-      }
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const signed char v = sig[i] == 0 ? 0 : sig[i] == ~0ull ? 1 : -1;
+      const std::uint64_t w = sim.word(static_cast<Net>(i));
+      const signed char v = w == 0 ? 0 : w == ~0ull ? 1 : -1;
       if (cand[i] == -2) {
         cand[i] = v;
       } else if (cand[i] >= 0 && cand[i] != v) {

@@ -10,13 +10,11 @@ namespace symbad::mc {
 namespace {
 
 struct Exploration {
-  const rtl::Netlist& netlist;
   rtl::Simulator sim;
   const std::uint64_t input_combos;
 
   explicit Exploration(const rtl::Netlist& n, const ExplicitOptions& options)
-      : netlist{n},
-        sim{n},
+      : sim{n},
         input_combos{std::uint64_t{1} << n.inputs().size()} {
     if (static_cast<int>(n.inputs().size()) > options.max_input_bits) {
       throw std::invalid_argument{
@@ -29,18 +27,17 @@ struct Exploration {
 
   /// Successor of `state` under `inputs` (also leaves sim evaluated there).
   std::uint64_t successor(std::uint64_t state, std::uint64_t inputs) {
-    sim.force_state(state);
     sim.force_inputs(inputs);
+    sim.force_state(state);  // evaluates, so step() is latch plus one eval
     sim.step();
     return sim.state_bits();
   }
 
   /// Evaluates an expression at (state, inputs) without clocking.
-  bool eval_at(const Expr& e, std::uint64_t state, std::uint64_t inputs) {
-    sim.force_state(state);
+  bool eval_at(const CompiledExpr& e, std::uint64_t state, std::uint64_t inputs) {
     sim.force_inputs(inputs);
-    sim.eval();
-    return e.eval(sim, netlist);
+    sim.force_state(state);  // evaluates
+    return (e.eval(sim) & 1) != 0;
   }
 
   std::uint64_t reset_state() {
@@ -58,6 +55,8 @@ ExplicitResult check_explicit(const rtl::Netlist& netlist, const Property& prope
     return result;  // unsupported by this engine
   }
   Exploration ex{netlist, options};
+  const CompiledExpr p_expr = property.antecedent.compile(netlist);
+  const CompiledExpr q_expr = property.consequent.compile(netlist);
 
   std::unordered_set<std::uint64_t> visited;
   std::deque<std::uint64_t> frontier;
@@ -72,7 +71,7 @@ ExplicitResult check_explicit(const rtl::Netlist& netlist, const Property& prope
 
     for (std::uint64_t in = 0; in < ex.input_combos; ++in) {
       ++result.edges_explored;
-      const bool p = ex.eval_at(property.antecedent, state, in);
+      const bool p = ex.eval_at(p_expr, state, in);
       if (property.kind == PropertyKind::invariant && !p) {
         result.status = CheckStatus::falsified;
         return result;
@@ -81,7 +80,7 @@ ExplicitResult check_explicit(const rtl::Netlist& netlist, const Property& prope
       if (property.kind == PropertyKind::next_implication && p) {
         // X q: q must hold at the successor under every next input.
         for (std::uint64_t in2 = 0; in2 < ex.input_combos; ++in2) {
-          if (!ex.eval_at(property.consequent, next, in2)) {
+          if (!ex.eval_at(q_expr, next, in2)) {
             result.status = CheckStatus::falsified;
             return result;
           }

@@ -95,13 +95,51 @@ Lit Expr::encode(rtl::CnfEncoder& encoder, std::size_t frame_index,
   return out;
 }
 
+CompiledExpr Expr::compile(const rtl::Netlist& netlist) const {
+  CompiledExpr compiled;
+  (void)compiled.add(*this, netlist);
+  return compiled;
+}
+
 bool Expr::eval(const rtl::Simulator& sim, const rtl::Netlist& netlist) const {
-  switch (kind_) {
-    case Kind::signal: return sim.value(netlist.output(name_));
-    case Kind::constant: return value_;
-    case Kind::not_op: return !lhs_->eval(sim, netlist);
-    case Kind::and_op: return lhs_->eval(sim, netlist) && rhs_->eval(sim, netlist);
-    case Kind::or_op: return lhs_->eval(sim, netlist) || rhs_->eval(sim, netlist);
+  return (compile(netlist).eval(sim) & 1) != 0;
+}
+
+std::size_t CompiledExpr::add(const Expr& e, const rtl::Netlist& netlist) {
+  Node node;
+  switch (e.kind_) {
+    case Expr::Kind::signal:
+      node.op = Op::net;
+      node.net = netlist.output(e.name_);
+      break;
+    case Expr::Kind::constant:
+      node.op = Op::constant;
+      node.value = e.value_;
+      break;
+    case Expr::Kind::not_op:
+      node.op = Op::not_op;
+      node.lhs = add(*e.lhs_, netlist);
+      break;
+    case Expr::Kind::and_op:
+    case Expr::Kind::or_op:
+      node.op = e.kind_ == Expr::Kind::and_op ? Op::and_op : Op::or_op;
+      node.lhs = add(*e.lhs_, netlist);
+      node.rhs = add(*e.rhs_, netlist);
+      break;
+  }
+  nodes_.push_back(node);
+  return nodes_.size() - 1;
+}
+
+rtl::Simulator::LaneWord CompiledExpr::eval_node(std::size_t i,
+                                                 const rtl::Simulator& sim) const {
+  const Node& node = nodes_[i];
+  switch (node.op) {
+    case Op::net: return sim.word(node.net);
+    case Op::constant: return node.value ? rtl::Simulator::kAllLanes : 0;
+    case Op::not_op: return ~eval_node(node.lhs, sim);
+    case Op::and_op: return eval_node(node.lhs, sim) & eval_node(node.rhs, sim);
+    case Op::or_op: return eval_node(node.lhs, sim) | eval_node(node.rhs, sim);
   }
   throw std::logic_error{"mc: bad expression"};
 }

@@ -45,6 +45,8 @@ struct EncodeCache {
   std::map<std::pair<const void*, std::size_t>, sat::Lit> lits;
 };
 
+class CompiledExpr;
+
 /// Boolean expression over named netlist outputs.
 class Expr {
 public:
@@ -62,19 +64,53 @@ public:
   /// per cache, so re-encoding at deeper bounds adds nothing.
   [[nodiscard]] sat::Lit encode(rtl::CnfEncoder& encoder, std::size_t frame_index,
                                 EncodeCache& cache) const;
-  /// Evaluates against a simulator snapshot.
+  /// This expression with every signal resolved to its output net in
+  /// `netlist` (throws std::out_of_range on an unknown output) — compile
+  /// once, then evaluate every cycle without a name lookup.
+  [[nodiscard]] CompiledExpr compile(const rtl::Netlist& netlist) const;
+  /// Evaluates against a simulator snapshot (lane 0); one-shot convenience
+  /// for `compile(netlist).eval(sim)`.
   [[nodiscard]] bool eval(const rtl::Simulator& sim, const rtl::Netlist& netlist) const;
   /// Appends the output names this expression observes (with duplicates).
   void collect_signals(std::vector<std::string>& out) const;
   [[nodiscard]] std::string to_string() const;
 
 private:
+  friend class CompiledExpr;
   enum class Kind { signal, constant, not_op, and_op, or_op };
   Kind kind_ = Kind::constant;
   bool value_ = false;
   std::string name_;
   std::shared_ptr<const Expr> lhs_;
   std::shared_ptr<const Expr> rhs_;
+};
+
+/// An Expr compiled against one netlist: a flat node array over output net
+/// indices, evaluated over all 64 simulator lanes at once. The only
+/// simulation-side evaluator of property expressions (PCC's pre-pass,
+/// explicit-state checking and `Expr::eval` all go through it).
+class CompiledExpr {
+public:
+  /// Bit j = the expression's value in simulator lane j.
+  [[nodiscard]] rtl::Simulator::LaneWord eval(const rtl::Simulator& sim) const {
+    return eval_node(nodes_.size() - 1, sim);
+  }
+
+private:
+  friend class Expr;
+  CompiledExpr() = default;  // only Expr::compile builds one (never empty)
+  enum class Op : std::uint8_t { net, constant, not_op, and_op, or_op };
+  struct Node {
+    Op op = Op::constant;
+    rtl::Net net = -1;             ///< Op::net: the output net
+    bool value = false;            ///< Op::constant
+    std::size_t lhs = 0, rhs = 0;  ///< operand nodes (always earlier)
+  };
+  std::size_t add(const Expr& e, const rtl::Netlist& netlist);
+  [[nodiscard]] rtl::Simulator::LaneWord eval_node(std::size_t i,
+                                                   const rtl::Simulator& sim) const;
+
+  std::vector<Node> nodes_;  ///< post-order; the root is last
 };
 
 enum class PropertyKind { invariant, next_implication, bounded_response };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "rtl/cnf.hpp"
 #include "sat/solver.hpp"
@@ -10,7 +11,6 @@
 
 namespace symbad::opt {
 
-using rtl::Gate;
 using rtl::GateKind;
 using rtl::Net;
 
@@ -44,56 +44,24 @@ std::vector<SatSweeper::Merge> SatSweeper::find_merges() {
   // ---- random-pattern signatures (64 parallel patterns per word) --------
   // Cut points (inputs, flip-flop outputs) draw one independent Rng stream
   // each, so the signature of every net is a pure function of (netlist,
-  // seed) — independent of evaluation order or platform.
+  // seed) — independent of evaluation order or platform. Each round is one
+  // free-state evaluation of the lane-parallel simulator: the cut-point
+  // words are written directly, the gate walk fills in the rest.
   std::vector<std::uint64_t> sig(count * rounds, 0);
   verif::Rng base{options_.seed};
   const auto words = [&](std::size_t i) { return &sig[i * rounds]; };
+  std::vector<std::pair<Net, verif::Rng>> cuts;
   for (std::size_t i = 0; i < count; ++i) {
-    const Gate& g = n.gate(static_cast<Net>(i));
-    std::uint64_t* w = words(i);
-    switch (g.kind) {
-      case GateKind::const0:
-        break;  // already zero
-      case GateKind::const1:
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = ~std::uint64_t{0};
-        break;
-      case GateKind::input:
-      case GateKind::dff: {
-        auto stream = base.fork(static_cast<std::uint64_t>(i));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = stream.next();
-        break;
-      }
-      case GateKind::and_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* b = words(static_cast<std::size_t>(g.b));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = a[r] & b[r];
-        break;
-      }
-      case GateKind::or_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* b = words(static_cast<std::size_t>(g.b));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = a[r] | b[r];
-        break;
-      }
-      case GateKind::xor_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* b = words(static_cast<std::size_t>(g.b));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = a[r] ^ b[r];
-        break;
-      }
-      case GateKind::not_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = ~a[r];
-        break;
-      }
-      case GateKind::mux: {
-        const std::uint64_t* s = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* t = words(static_cast<std::size_t>(g.b));
-        const std::uint64_t* e = words(static_cast<std::size_t>(g.c));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = (s[r] & t[r]) | (~s[r] & e[r]);
-        break;
-      }
+    const GateKind k = n.gate(static_cast<Net>(i)).kind;
+    if (k == GateKind::input || k == GateKind::dff) {
+      cuts.emplace_back(static_cast<Net>(i), base.fork(static_cast<std::uint64_t>(i)));
     }
+  }
+  rtl::Simulator sim{n};
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (auto& [net, stream] : cuts) sim.set_word(net, stream.next());
+    sim.eval();
+    for (std::size_t i = 0; i < count; ++i) words(i)[r] = sim.word(static_cast<Net>(i));
   }
 
   // ---- candidate classes: equal-or-complement signatures ----------------

@@ -1,6 +1,8 @@
 #include "pcc/pcc.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <optional>
 #include <utility>
 
@@ -13,60 +15,155 @@ namespace symbad::pcc {
 
 namespace {
 
-/// Runs random stimulus against the faulty simulator and reports the first
-/// property violated, if any.
-const mc::Property* simulate_detects(const rtl::Netlist& netlist,
-                                     const std::vector<mc::Property>& properties,
-                                     rtl::Net fault_net, bool stuck_to,
-                                     const PccOptions& options, verif::Rng& rng) {
-  rtl::Simulator sim{netlist};
-  for (int run = 0; run < options.simulation_runs; ++run) {
-    sim.reset();
-    sim.clear_faults();
-    sim.inject_stuck_at(fault_net, stuck_to);
-    // Sliding windows for next-implication / bounded-response checks.
-    std::vector<bool> prev_p(properties.size(), false);
-    std::vector<std::deque<int>> pending(properties.size());  // response deadlines
-    bool first_cycle = true;
+using LaneWord = rtl::Simulator::LaneWord;
 
-    for (int cycle = 0; cycle < options.simulation_cycles; ++cycle) {
-      for (const rtl::Net in : netlist.inputs()) {
-        sim.set_input(in, (rng.next() & 1) != 0);
+/// One property's simulation check, word-parallel over the simulator's
+/// lanes, with the per-fault semantics: an invariant fails in a cycle where
+/// p is false; a next-implication where p held in the previous cycle of the
+/// run and q is false now; a bounded response where q is false and the
+/// oldest deadline opened since q last held (by a cycle with p and !q) is
+/// more than `bound` cycles old.
+class LaneCheck {
+public:
+  LaneCheck(const mc::Property& property, const rtl::Netlist& netlist)
+      : kind_{property.kind},
+        bound_{property.response_bound},
+        p_{property.antecedent.compile(netlist)},
+        q_{property.consequent.compile(netlist)} {}
+
+  /// Clears the windows at the start of a run.
+  void restart() noexcept {
+    prev_ = 0;
+    pending_ = 0;
+  }
+
+  /// Lanes among `live` that violate the property at `cycle` of the run,
+  /// with the simulator evaluated there; advances the windows.
+  [[nodiscard]] LaneWord violations(const rtl::Simulator& sim, int cycle, LaneWord live) {
+    const LaneWord p = p_.eval(sim);
+    switch (kind_) {
+      case mc::PropertyKind::invariant:
+        return ~p & live;
+      case mc::PropertyKind::next_implication: {
+        const LaneWord violated = prev_ & ~q_.eval(sim) & live;
+        prev_ = p;
+        return violated;
       }
-      sim.eval();
-      for (std::size_t i = 0; i < properties.size(); ++i) {
-        const auto& prop = properties[i];
-        const bool p = prop.antecedent.eval(sim, netlist);
-        switch (prop.kind) {
-          case mc::PropertyKind::invariant:
-            if (!p) return &prop;
-            break;
-          case mc::PropertyKind::next_implication: {
-            const bool q = prop.consequent.eval(sim, netlist);
-            if (!first_cycle && prev_p[i] && !q) return &prop;
-            prev_p[i] = p;
-            break;
-          }
-          case mc::PropertyKind::bounded_response: {
-            const bool q = prop.consequent.eval(sim, netlist);
-            auto& deadlines = pending[i];
-            if (q) {
-              deadlines.clear();
-            } else {
-              for (int& d : deadlines) {
-                if (--d < 0) return &prop;
-              }
-            }
-            if (p && !q) deadlines.push_back(prop.response_bound);
-            break;
+      case mc::PropertyKind::bounded_response: {
+        const LaneWord q = q_.eval(sim);
+        pending_ &= ~q;  // a response retires every open deadline
+        LaneWord violated = 0;
+        for (LaneWord open = pending_ & live; open != 0; open &= open - 1) {
+          const int lane = std::countr_zero(open);
+          if (cycle - opened_[static_cast<std::size_t>(lane)] > bound_) {
+            violated |= LaneWord{1} << lane;
           }
         }
+        const LaneWord fresh = p & ~q & ~pending_ & live;
+        for (LaneWord f = fresh; f != 0; f &= f - 1) {
+          opened_[static_cast<std::size_t>(std::countr_zero(f))] = cycle;
+        }
+        pending_ |= fresh;
+        return violated;
       }
-      first_cycle = false;
-      sim.step();
+    }
+    return 0;
+  }
+
+private:
+  mc::PropertyKind kind_;
+  int bound_;
+  mc::CompiledExpr p_;
+  mc::CompiledExpr q_;
+  LaneWord prev_ = 0;     // next_implication: lanes where p held last cycle
+  LaneWord pending_ = 0;  // bounded_response: lanes with an open deadline
+  std::array<int, rtl::Simulator::kLanes> opened_{};  // cycle of the oldest one
+};
+
+/// Random-simulation pre-pass: for each fault, whether random stimulus
+/// violates some property on the faulty design.
+///
+/// Faults are graded up to 64 per pass, one per simulator lane, on the one
+/// sequential stimulus stream a per-fault loop would draw. That loop draws
+/// D = runs x cycles x |inputs| bits for an undetected fault and stops at
+/// the detecting cycle of a detected one, so lane j reads the stream at
+/// offset j·D — exact as long as every lane below j goes undetected. When
+/// the lowest detecting lane j* fires, lanes 0..j* are exact and committed;
+/// lanes above j* read the wrong offsets, stop drawing, and are re-graded
+/// by the next pass, which starts where the per-fault loop would: j*·D plus
+/// the draws j* used.
+std::vector<char> simulate_detects(const rtl::Netlist& netlist,
+                                   const std::vector<mc::Property>& properties,
+                                   const std::vector<std::pair<rtl::Net, bool>>& faults,
+                                   const PccOptions& options, std::uint64_t& passes) {
+  OBS_SPAN("pcc.simulate");
+  std::vector<char> detected(faults.size(), 0);
+  const auto& inputs = netlist.inputs();
+  const int runs = std::max(0, options.simulation_runs);
+  const int cycles = std::max(0, options.simulation_cycles);
+  const std::uint64_t draws_per_cycle = inputs.size();
+  const std::uint64_t draws_per_fault = static_cast<std::uint64_t>(runs) *
+                                        static_cast<std::uint64_t>(cycles) * draws_per_cycle;
+
+  rtl::Simulator sim{netlist};
+  std::vector<LaneCheck> checks;
+  checks.reserve(properties.size());
+  for (const auto& prop : properties) checks.emplace_back(prop, netlist);
+  verif::Rng rng{options.seed};
+
+  for (std::size_t first = 0; first < faults.size();) {
+    ++passes;
+    const std::size_t lanes =
+        std::min<std::size_t>(rtl::Simulator::kLanes, faults.size() - first);
+    sim.clear_faults();
+    for (std::size_t j = 0; j < lanes; ++j) {
+      sim.inject_stuck_at(faults[first + j].first, faults[first + j].second,
+                          LaneWord{1} << j);
+    }
+    // Lanes still drawing: undetected, and below the lowest detection.
+    LaneWord live = lanes == rtl::Simulator::kLanes ? rtl::Simulator::kAllLanes
+                                                    : (LaneWord{1} << lanes) - 1;
+    std::size_t hit_lane = lanes;  // lowest detecting lane; `lanes` = none
+    std::uint64_t hit_draws = 0;  // stream draws the hit lane used
+    for (int run = 0; run < runs && live != 0; ++run) {
+      sim.reset();
+      for (auto& check : checks) check.restart();
+      for (int cycle = 0; cycle < cycles && live != 0; ++cycle) {
+        const std::uint64_t drawn =
+            (static_cast<std::uint64_t>(run) * static_cast<std::uint64_t>(cycles) +
+             static_cast<std::uint64_t>(cycle)) *
+            draws_per_cycle;
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+          LaneWord bits = 0;
+          for (LaneWord l = live; l != 0; l &= l - 1) {
+            const int j = std::countr_zero(l);
+            bits |= (rng.at(static_cast<std::uint64_t>(j) * draws_per_fault + drawn + k) & 1)
+                    << j;
+          }
+          sim.set_word(inputs[k], bits);
+        }
+        sim.eval();
+        LaneWord violated = 0;
+        for (auto& check : checks) violated |= check.violations(sim, cycle, live);
+        if (violated != 0) {
+          const int j = std::countr_zero(violated);
+          hit_lane = static_cast<std::size_t>(j);
+          hit_draws = drawn + draws_per_cycle;
+          live &= (LaneWord{1} << j) - 1;
+        }
+        sim.step();
+      }
+    }
+    if (hit_lane == lanes) {
+      rng.discard(lanes * draws_per_fault);
+      first += lanes;
+    } else {
+      detected[first + hit_lane] = 1;
+      rng.discard(hit_lane * draws_per_fault + hit_draws);
+      first += hit_lane + 1;
     }
   }
-  return nullptr;
+  return detected;
 }
 
 }  // namespace
@@ -99,7 +196,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
 
   PccReport report;
   report.total_faults = faults.size();
-  verif::Rng rng{options.seed};
   const mc::ModelChecker checker{netlist};
   mc::ModelChecker::Options mc_opts;
   mc_opts.max_bound = options.bmc_bound;
@@ -142,20 +238,20 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   }
   bool good_design_probed = false;
 
-  for (const auto& [net, stuck_to] : faults) {
-    FaultOutcome outcome;
-    outcome.net = net;
-    outcome.stuck_to = stuck_to;
-
-    if (const mc::Property* by_sim =
-            simulate_detects(netlist, properties, net, stuck_to, options, rng)) {
-      outcome.detected = true;
-      outcome.detected_by = by_sim->name;
-      outcome.detected_by_simulation = true;
+  std::uint64_t sim_passes = 0;
+  const std::vector<char> by_sim =
+      simulate_detects(netlist, properties, faults, options, sim_passes);
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    if (by_sim[k] != 0) {
       ++report.detected;
       ++report.detected_by_simulation;
       continue;
     }
+    const auto [net, stuck_to] = faults[k];
+    FaultOutcome outcome;
+    outcome.net = net;
+    outcome.stuck_to = stuck_to;
+
     if (pruner && pruner->undetectable(net, stuck_to)) {
       if (!good_design_probed) {
         good_design_probed = true;
@@ -209,7 +305,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     obs::Counter campaigns, faults_total, detected, detected_by_simulation,
         detected_by_bmc, lint_pruned, encoded_vars, encoded_clauses,
         opt_gates_before, opt_gates_after, incremental_reopts, full_rebuilds,
-        baseline_sweep_proofs;
+        baseline_sweep_proofs, sim_passes;
   };
   auto& registry = obs::Registry::instance();
   static const PccObs counters{
@@ -226,6 +322,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
       registry.counter("pcc.incremental_reopts"),
       registry.counter("pcc.full_rebuilds"),
       registry.counter("pcc.baseline_sweep_proofs"),
+      registry.counter("pcc.sim_passes"),
   };
   counters.campaigns.inc();
   counters.faults_total.add(report.total_faults);
@@ -240,6 +337,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   counters.incremental_reopts.add(report.incremental_reopts);
   counters.full_rebuilds.add(report.full_rebuilds);
   counters.baseline_sweep_proofs.add(report.baseline_sweep_proofs);
+  counters.sim_passes.add(sim_passes);
   return report;
 }
 

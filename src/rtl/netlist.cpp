@@ -232,23 +232,39 @@ void Netlist::validate() const {
 
 Simulator::Simulator(const Netlist& netlist) : netlist_{&netlist} {
   netlist.validate();
-  values_.assign(netlist.gate_count(), 0);
-  fault_.assign(netlist.gate_count(), -1);
+  const std::size_t n = netlist.gate_count();
+  std::vector<std::uint32_t> slot(n, 0);
   const auto& dffs = netlist.flip_flops();
-  state_.assign(dffs.size(), 0);
-  for (std::size_t i = 0; i < dffs.size(); ++i) dff_slot_[dffs[i]] = i;
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    const Gate& g = netlist.gate(dffs[i]);
+    slot[static_cast<std::size_t>(dffs[i])] = static_cast<std::uint32_t>(i);
+    next_.push_back(static_cast<std::uint32_t>(g.a));
+    init_.push_back(g.init ? kAllLanes : 0);
+  }
   const auto& ins = netlist.inputs();
-  input_vals_.assign(ins.size(), 0);
-  for (std::size_t i = 0; i < ins.size(); ++i) input_slot_[ins[i]] = i;
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    slot[static_cast<std::size_t>(ins[i])] = static_cast<std::uint32_t>(i);
+  }
+  // Unused operand slots (-1) read net 0; the gate switch never looks.
+  const auto operand = [](Net x) { return x < 0 ? 0u : static_cast<std::uint32_t>(x); };
+  ops_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Gate& g = netlist.gate(static_cast<Net>(i));
+    if (g.kind == GateKind::input || g.kind == GateKind::dff) {
+      ops_.push_back(Op{g.kind, slot[i], 0, 0});
+    } else {
+      ops_.push_back(Op{g.kind, operand(g.a), operand(g.b), operand(g.c)});
+    }
+  }
+  values_.assign(n, 0);
+  state_.assign(dffs.size(), 0);
+  inputs_.assign(ins.size(), 0);
   reset();
 }
 
 void Simulator::reset() {
-  const auto& dffs = netlist_->flip_flops();
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    state_[i] = netlist_->gate(dffs[i]).init ? 1 : 0;
-  }
-  std::fill(input_vals_.begin(), input_vals_.end(), 0);
+  state_ = init_;
+  std::fill(inputs_.begin(), inputs_.end(), LaneWord{0});
   cycles_ = 0;
   eval();
 }
@@ -258,57 +274,65 @@ void Simulator::set_input(const std::string& name, bool value) {
 }
 
 void Simulator::set_input(Net input_net, bool value) {
-  const auto it = input_slot_.find(input_net);
-  if (it == input_slot_.end()) throw std::invalid_argument{"rtl: not an input net"};
-  input_vals_[it->second] = value ? 1 : 0;
+  if (input_net < 0 || static_cast<std::size_t>(input_net) >= ops_.size() ||
+      ops_[static_cast<std::size_t>(input_net)].kind != GateKind::input) {
+    throw std::invalid_argument{"rtl: not an input net"};
+  }
+  inputs_[ops_[static_cast<std::size_t>(input_net)].a] = value ? kAllLanes : 0;
+  stale_ = true;
+}
+
+void Simulator::set_word(Net cut, LaneWord lanes) {
+  if (cut < 0 || static_cast<std::size_t>(cut) >= ops_.size()) {
+    throw std::invalid_argument{"rtl: set_word on unknown net"};
+  }
+  const Op& op = ops_[static_cast<std::size_t>(cut)];
+  if (op.kind == GateKind::input) {
+    inputs_[op.a] = lanes;
+  } else if (op.kind == GateKind::dff) {
+    state_[op.a] = lanes;
+  } else {
+    throw std::invalid_argument{"rtl: set_word on a net that is neither input nor flip-flop"};
+  }
+  stale_ = true;
 }
 
 void Simulator::eval() {
-  const std::size_t n = netlist_->gate_count();
+  // The one gate switch of the repository's simulation paths. Faulted nets
+  // are visited in net order alongside the walk, so a fault-free netlist
+  // pays one compare per gate.
+  const std::size_t n = ops_.size();
+  LaneWord* const v = values_.data();
+  const StuckAt* fault = faults_.data();
+  const StuckAt* const fault_end = fault + faults_.size();
+  std::size_t next_fault = fault != fault_end ? fault->net : n;
   for (std::size_t i = 0; i < n; ++i) {
-    const Gate& g = netlist_->gate(static_cast<Net>(i));
-    char v = 0;
-    switch (g.kind) {
-      case GateKind::const0: v = 0; break;
-      case GateKind::const1: v = 1; break;
-      case GateKind::input: v = input_vals_[input_slot_.at(static_cast<Net>(i))]; break;
-      case GateKind::and_gate:
-        v = static_cast<char>(values_[static_cast<std::size_t>(g.a)] &
-                              values_[static_cast<std::size_t>(g.b)]);
-        break;
-      case GateKind::or_gate:
-        v = static_cast<char>(values_[static_cast<std::size_t>(g.a)] |
-                              values_[static_cast<std::size_t>(g.b)]);
-        break;
-      case GateKind::xor_gate:
-        v = static_cast<char>(values_[static_cast<std::size_t>(g.a)] ^
-                              values_[static_cast<std::size_t>(g.b)]);
-        break;
-      case GateKind::not_gate:
-        v = static_cast<char>(1 - values_[static_cast<std::size_t>(g.a)]);
-        break;
-      case GateKind::mux:
-        v = values_[static_cast<std::size_t>(g.a)] != 0
-                ? values_[static_cast<std::size_t>(g.b)]
-                : values_[static_cast<std::size_t>(g.c)];
-        break;
-      case GateKind::dff: v = state_[dff_slot_.at(static_cast<Net>(i))]; break;
+    const Op& op = ops_[i];
+    LaneWord w = 0;
+    switch (op.kind) {
+      case GateKind::const0: w = 0; break;
+      case GateKind::const1: w = kAllLanes; break;
+      case GateKind::input: w = inputs_[op.a]; break;
+      case GateKind::dff: w = state_[op.a]; break;
+      case GateKind::and_gate: w = v[op.a] & v[op.b]; break;
+      case GateKind::or_gate: w = v[op.a] | v[op.b]; break;
+      case GateKind::xor_gate: w = v[op.a] ^ v[op.b]; break;
+      case GateKind::not_gate: w = ~v[op.a]; break;
+      case GateKind::mux: w = (v[op.a] & v[op.b]) | (~v[op.a] & v[op.c]); break;
     }
-    if (fault_count_ > 0) {
-      const signed char f = fault_[i];
-      if (f >= 0) v = f;
+    if (i == next_fault) {
+      w = (w & fault->keep) | fault->force;
+      ++fault;
+      next_fault = fault != fault_end ? fault->net : n;
     }
-    values_[i] = v;
+    v[i] = w;
   }
+  stale_ = false;
 }
 
 void Simulator::step() {
-  eval();
-  const auto& dffs = netlist_->flip_flops();
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const Gate& g = netlist_->gate(dffs[i]);
-    state_[i] = values_[static_cast<std::size_t>(g.a)];
-  }
+  if (stale_) eval();
+  for (std::size_t i = 0; i < state_.size(); ++i) state_[i] = values_[next_[i]];
   ++cycles_;
   eval();  // outputs reflect the new state
 }
@@ -317,17 +341,22 @@ bool Simulator::output(const std::string& name) const {
   return value(netlist_->output(name));
 }
 
-void Simulator::inject_stuck_at(Net net, bool value) {
-  if (net < 0 || static_cast<std::size_t>(net) >= fault_.size()) {
+void Simulator::inject_stuck_at(Net net, bool value, LaneWord lanes) {
+  if (net < 0 || static_cast<std::size_t>(net) >= ops_.size()) {
     throw std::out_of_range{"rtl: fault on unknown net"};
   }
-  if (fault_[static_cast<std::size_t>(net)] < 0) ++fault_count_;
-  fault_[static_cast<std::size_t>(net)] = value ? 1 : 0;
+  const auto at = static_cast<std::size_t>(net);
+  auto it = std::lower_bound(faults_.begin(), faults_.end(), at,
+                             [](const StuckAt& f, std::size_t x) { return f.net < x; });
+  if (it == faults_.end() || it->net != at) it = faults_.insert(it, StuckAt{at, kAllLanes, 0});
+  it->keep &= ~lanes;
+  it->force = value ? it->force | lanes : it->force & ~lanes;
+  stale_ = true;
 }
 
 void Simulator::clear_faults() {
-  std::fill(fault_.begin(), fault_.end(), static_cast<signed char>(-1));
-  fault_count_ = 0;
+  faults_.clear();
+  stale_ = true;
 }
 
 std::uint64_t Simulator::state_bits() const {
@@ -336,7 +365,7 @@ std::uint64_t Simulator::state_bits() const {
   }
   std::uint64_t bits = 0;
   for (std::size_t i = 0; i < state_.size(); ++i) {
-    if (state_[i] != 0) bits |= std::uint64_t{1} << i;
+    bits |= (state_[i] & 1) << i;
   }
   return bits;
 }
@@ -346,15 +375,16 @@ void Simulator::force_state(std::uint64_t bits) {
     throw std::logic_error{"rtl: force_state requires <= 64 flip-flops"};
   }
   for (std::size_t i = 0; i < state_.size(); ++i) {
-    state_[i] = ((bits >> i) & 1) != 0 ? 1 : 0;
+    state_[i] = ((bits >> i) & 1) != 0 ? kAllLanes : 0;
   }
   eval();
 }
 
 void Simulator::force_inputs(std::uint64_t bits) {
-  for (std::size_t i = 0; i < input_vals_.size(); ++i) {
-    input_vals_[i] = ((bits >> i) & 1) != 0 ? 1 : 0;
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    inputs_[i] = i < 64 && ((bits >> i) & 1) != 0 ? kAllLanes : 0;
   }
+  stale_ = true;
 }
 
 }  // namespace symbad::rtl

@@ -150,29 +150,47 @@ private:
   std::map<Net, std::string> names_;
 };
 
-/// Two-valued cycle-accurate simulator for a Netlist, with stuck-at fault
-/// injection (used by PCC and SAT-ATPG fault grading).
+/// Two-valued cycle-accurate simulator for a Netlist, 64 lanes wide: every
+/// net holds one word whose bit j is its value in lane j, so one gate walk
+/// simulates 64 independent patterns (or 64 differently-faulted copies of
+/// the design). This is the repository's one gate evaluator — PCC's fault
+/// pre-pass, the SAT sweeper's and lint's signature passes, explicit-state
+/// model checking and every test simulate through it.
+///
+/// The scalar API is the one-lane case: `set_input`/`force_*` and the
+/// two-argument `inject_stuck_at` broadcast to every lane, `value`/`output`/
+/// `state_bits` read lane 0. The lane API (`word`, `set_word`, the masked
+/// `inject_stuck_at`) addresses lanes individually.
 class Simulator {
 public:
+  /// One bit per lane.
+  using LaneWord = std::uint64_t;
+  static constexpr int kLanes = 64;
+  static constexpr LaneWord kAllLanes = ~LaneWord{0};
+
   explicit Simulator(const Netlist& netlist);
 
-  /// Returns flip-flops to their reset values and clears input values.
+  /// Returns flip-flops to their reset values and clears input values
+  /// (injected faults stay).
   void reset();
   void set_input(const std::string& name, bool value);
   void set_input(Net input_net, bool value);
   /// Evaluates the combinational logic with current inputs/state.
   void eval();
-  /// `eval()` then clocks all flip-flops once.
+  /// Clocks every flip-flop on the current values, then re-evaluates:
+  /// latch plus one eval, with a leading eval only when an input, state
+  /// word or fault changed since the last one.
   void step();
 
-  [[nodiscard]] bool value(Net n) const { return values_.at(static_cast<std::size_t>(n)); }
+  [[nodiscard]] bool value(Net n) const { return (word(n) & 1) != 0; }
   [[nodiscard]] bool output(const std::string& name) const;
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
 
-  /// Forces `net` to `value` during every evaluation until cleared.
-  void inject_stuck_at(Net net, bool value);
+  /// Forces `net` to `value` in every lane during every evaluation until
+  /// cleared.
+  void inject_stuck_at(Net net, bool value) { inject_stuck_at(net, value, kAllLanes); }
   void clear_faults();
-  [[nodiscard]] bool has_faults() const noexcept { return fault_count_ > 0; }
+  [[nodiscard]] bool has_faults() const noexcept { return !faults_.empty(); }
 
   /// Flip-flop state packed LSB-first in flip-flop declaration order
   /// (explicit-state model checking). Requires <= 64 flip-flops.
@@ -182,16 +200,40 @@ public:
   /// Drives all primary inputs from packed bits (declaration order).
   void force_inputs(std::uint64_t bits);
 
+  // ------------------------------------------------------- lane API
+  /// All 64 lanes of `n` as of the last evaluation.
+  [[nodiscard]] LaneWord word(Net n) const { return values_.at(static_cast<std::size_t>(n)); }
+  /// Writes one word to a cut point: an input's value per lane, or — the
+  /// free-state mode the signature passes use — a flip-flop's current state
+  /// per lane, bypassing reset and latching. Takes effect at the next eval.
+  void set_word(Net cut, LaneWord lanes);
+  /// Forces `net` to `value` in the lanes set in `lanes`; other lanes keep
+  /// whatever they were forced to before.
+  void inject_stuck_at(Net net, bool value, LaneWord lanes);
+
 private:
+  /// One gate of the flat walk. For inputs and flip-flops `a` is the slot
+  /// in `inputs_` / `state_` rather than a net.
+  struct Op {
+    GateKind kind;
+    std::uint32_t a, b, c;
+  };
+  /// Per-lane stuck-at masks of one net: value = (value & keep) | force.
+  struct StuckAt {
+    std::size_t net;
+    LaneWord keep, force;
+  };
+
   const Netlist* netlist_;
-  std::vector<char> values_;
-  std::vector<char> state_;        // dff current values (indexed by dff order)
-  std::vector<char> input_vals_;   // indexed by input order
-  std::vector<signed char> fault_; // -1 none, 0/1 stuck value, per net
-  std::map<Net, std::size_t> dff_slot_;
-  std::map<Net, std::size_t> input_slot_;
+  std::vector<Op> ops_;
+  std::vector<std::uint32_t> next_;  // per flip-flop slot: next-state net
+  std::vector<LaneWord> init_;       // per flip-flop slot: reset word
+  std::vector<LaneWord> values_;     // per net
+  std::vector<LaneWord> state_;      // per flip-flop slot, declaration order
+  std::vector<LaneWord> inputs_;     // per input slot, declaration order
+  std::vector<StuckAt> faults_;      // sorted by net, one entry per net
   std::uint64_t cycles_ = 0;
-  int fault_count_ = 0;
+  bool stale_ = false;  // an input, state word or fault changed since eval
 };
 
 }  // namespace symbad::rtl

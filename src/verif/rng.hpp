@@ -16,12 +16,19 @@ public:
   explicit constexpr Rng(std::uint64_t seed) noexcept : state_{seed} {}
 
   constexpr std::uint64_t next() noexcept {
-    state_ += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    state_ += kGamma;
+    return mix(state_);
   }
+
+  /// The value the (k+1)-th `next()` call from here would return, without
+  /// advancing. SplitMix64 is counter-based (the k-th state is the seed plus
+  /// k gammas), so any offset costs O(1).
+  [[nodiscard]] constexpr std::uint64_t at(std::uint64_t k) const noexcept {
+    return mix(state_ + (k + 1) * kGamma);
+  }
+
+  /// Advances the stream as if `next()` had been called `n` times.
+  constexpr void discard(std::uint64_t n) noexcept { state_ += n * kGamma; }
 
   /// Uniform in [0, bound) (bound > 0).
   constexpr std::uint64_t below(std::uint64_t bound) noexcept {
@@ -49,6 +56,14 @@ public:
   }
 
 private:
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+
+  static constexpr std::uint64_t mix(std::uint64_t z) noexcept {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+
   std::uint64_t state_;
 };
 

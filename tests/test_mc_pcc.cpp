@@ -4,14 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <optional>
+#include <sstream>
 
 #include "app/rtl_blocks.hpp"
 #include "gen/gen.hpp"
+#include "lint/lint.hpp"
 #include "mc/mc.hpp"
+#include "opt/optimizer.hpp"
+#include "opt/session.hpp"
 #include "pcc/pcc.hpp"
 #include "rtl/wordops.hpp"
 #include "sat/solver.hpp"
 #include "support/test_util.hpp"
+#include "verif/rng.hpp"
 
 namespace gen = symbad::gen;
 namespace mc = symbad::mc;
@@ -796,4 +803,334 @@ TEST(Pcc, FaultSamplingCapRespected) {
   options.bmc_bound = 4;
   const auto report = pcc::check_property_coverage(n, properties, options);
   EXPECT_EQ(report.total_faults, 20u);
+}
+
+// ------------------------------------------- PCC simulation pre-pass
+
+namespace {
+
+/// The per-fault simulation pre-pass the word-parallel one replaced, kept as
+/// the test reference: a fresh one-lane simulator per fault, random
+/// stimulus from one stream shared sequentially across the fault list, and
+/// the first property violated (or nullptr).
+const mc::Property* reference_simulate_detects(const rtl::Netlist& netlist,
+                                               const std::vector<mc::Property>& properties,
+                                               rtl::Net fault_net, bool stuck_to,
+                                               const pcc::PccOptions& options,
+                                               symbad::verif::Rng& rng) {
+  rtl::Simulator sim{netlist};
+  for (int run = 0; run < options.simulation_runs; ++run) {
+    sim.reset();
+    sim.clear_faults();
+    sim.inject_stuck_at(fault_net, stuck_to);
+    std::vector<bool> prev_p(properties.size(), false);
+    std::vector<std::deque<int>> pending(properties.size());  // response deadlines
+    bool first_cycle = true;
+    for (int cycle = 0; cycle < options.simulation_cycles; ++cycle) {
+      for (const rtl::Net in : netlist.inputs()) sim.set_input(in, (rng.next() & 1) != 0);
+      sim.eval();
+      for (std::size_t i = 0; i < properties.size(); ++i) {
+        const auto& prop = properties[i];
+        const bool p = prop.antecedent.eval(sim, netlist);
+        switch (prop.kind) {
+          case mc::PropertyKind::invariant:
+            if (!p) return &prop;
+            break;
+          case mc::PropertyKind::next_implication: {
+            const bool q = prop.consequent.eval(sim, netlist);
+            if (!first_cycle && prev_p[i] && !q) return &prop;
+            prev_p[i] = p;
+            break;
+          }
+          case mc::PropertyKind::bounded_response: {
+            const bool q = prop.consequent.eval(sim, netlist);
+            auto& deadlines = pending[i];
+            if (q) {
+              deadlines.clear();
+            } else {
+              for (int& d : deadlines) {
+                if (--d < 0) return &prop;
+              }
+            }
+            if (p && !q) deadlines.push_back(prop.response_bound);
+            break;
+          }
+        }
+      }
+      first_cycle = false;
+      sim.step();
+    }
+  }
+  return nullptr;
+}
+
+/// pcc::check_property_coverage with the per-fault pre-pass above in place
+/// of the word-parallel one; the fault list, prune, good-design probe and
+/// BMC stage are the production code's, line for line.
+pcc::PccReport reference_coverage(const rtl::Netlist& netlist,
+                                  const std::vector<mc::Property>& properties,
+                                  const pcc::PccOptions& options) {
+  std::vector<std::pair<rtl::Net, bool>> faults;
+  for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
+    const auto kind = netlist.gate(static_cast<rtl::Net>(i)).kind;
+    if (kind == rtl::GateKind::const0 || kind == rtl::GateKind::const1 ||
+        kind == rtl::GateKind::input) {
+      continue;
+    }
+    faults.emplace_back(static_cast<rtl::Net>(i), false);
+    faults.emplace_back(static_cast<rtl::Net>(i), true);
+  }
+  if (options.max_faults > 0 && faults.size() > options.max_faults) {
+    std::vector<std::pair<rtl::Net, bool>> sampled;
+    const double stride = static_cast<double>(faults.size()) /
+                          static_cast<double>(options.max_faults);
+    for (std::size_t k = 0; k < options.max_faults; ++k) {
+      sampled.push_back(faults[static_cast<std::size_t>(k * stride)]);
+    }
+    faults = std::move(sampled);
+  }
+
+  pcc::PccReport report;
+  report.total_faults = faults.size();
+  symbad::verif::Rng rng{options.seed};
+  const mc::ModelChecker checker{netlist};
+  mc::ModelChecker::Options mc_opts;
+  mc_opts.max_bound = options.bmc_bound;
+  mc_opts.canonical_counterexample = false;
+  mc_opts.optimize = options.optimize;
+  std::optional<symbad::opt::PreprocessSession> session;
+  if (options.optimize) {
+    symbad::opt::OptimizerOptions oo = symbad::opt::OptimizerOptions::from_env();
+    if (oo.enabled) {
+      oo.preserve_outputs = mc::observed_outputs({properties.data(), properties.size()});
+      session.emplace(netlist, std::move(oo));
+      mc_opts.preprocess_session = &*session;
+      report.baseline_sweep_proofs = session->baseline().sweep_proofs();
+    }
+  }
+  namespace lint = symbad::lint;
+  std::optional<lint::FaultPruner> pruner;
+  if (options.lint_prune && lint::mode_from_env() != lint::Mode::off) {
+    lint::FaultPruner::Options po;
+    po.semantic = lint::mode_from_env() == lint::Mode::semantic;
+    pruner.emplace(netlist, mc::observed_outputs({properties.data(), properties.size()}),
+                   po);
+  }
+  bool good_design_probed = false;
+
+  for (const auto& [net, stuck_to] : faults) {
+    pcc::FaultOutcome outcome;
+    outcome.net = net;
+    outcome.stuck_to = stuck_to;
+    if (const mc::Property* by_sim =
+            reference_simulate_detects(netlist, properties, net, stuck_to, options, rng)) {
+      outcome.detected = true;
+      outcome.detected_by = by_sim->name;
+      outcome.detected_by_simulation = true;
+      ++report.detected;
+      ++report.detected_by_simulation;
+      continue;
+    }
+    if (pruner && pruner->undetectable(net, stuck_to)) {
+      if (!good_design_probed) {
+        good_design_probed = true;
+        const auto probe = checker.check_all_with_faults(properties, {}, mc_opts);
+        for (const auto& r : probe.results) {
+          if (r.status == mc::CheckStatus::falsified) {
+            pruner.reset();
+            break;
+          }
+        }
+      }
+      if (pruner) {
+        ++report.lint_pruned_faults;
+        report.undetected.push_back(outcome);
+        continue;
+      }
+    }
+    std::map<rtl::Net, bool> fault_map{{net, stuck_to}};
+    const auto multi = checker.check_all_with_faults(properties, fault_map, mc_opts);
+    report.opt_gates_before += multi.opt_gates_before;
+    report.opt_gates_after += multi.opt_gates_after;
+    report.encoded_vars += static_cast<std::size_t>(multi.solver_variables);
+    report.encoded_clauses += multi.solver_clauses;
+    if (multi.opt_incremental) {
+      ++report.incremental_reopts;
+    } else if (multi.opt_gates_before > 0) {
+      ++report.full_rebuilds;
+    }
+    for (std::size_t i = 0; i < properties.size(); ++i) {
+      if (multi.results[i].status == mc::CheckStatus::falsified) {
+        outcome.detected = true;
+        outcome.detected_by = properties[i].name;
+        ++report.detected;
+        ++report.detected_by_bmc;
+        break;
+      }
+    }
+    if (!outcome.detected) report.undetected.push_back(outcome);
+  }
+  return report;
+}
+
+/// Every PccReport field, the undetected list element by element.
+void expect_same_report(const pcc::PccReport& got, const pcc::PccReport& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.total_faults, want.total_faults) << what;
+  EXPECT_EQ(got.detected, want.detected) << what;
+  EXPECT_EQ(got.detected_by_simulation, want.detected_by_simulation) << what;
+  EXPECT_EQ(got.detected_by_bmc, want.detected_by_bmc) << what;
+  EXPECT_EQ(got.lint_pruned_faults, want.lint_pruned_faults) << what;
+  EXPECT_EQ(got.opt_gates_before, want.opt_gates_before) << what;
+  EXPECT_EQ(got.opt_gates_after, want.opt_gates_after) << what;
+  EXPECT_EQ(got.encoded_vars, want.encoded_vars) << what;
+  EXPECT_EQ(got.encoded_clauses, want.encoded_clauses) << what;
+  EXPECT_EQ(got.incremental_reopts, want.incremental_reopts) << what;
+  EXPECT_EQ(got.full_rebuilds, want.full_rebuilds) << what;
+  EXPECT_EQ(got.baseline_sweep_proofs, want.baseline_sweep_proofs) << what;
+  ASSERT_EQ(got.undetected.size(), want.undetected.size()) << what;
+  for (std::size_t i = 0; i < got.undetected.size(); ++i) {
+    const auto& g = got.undetected[i];
+    const auto& w = want.undetected[i];
+    EXPECT_EQ(g.net, w.net) << what << " undetected[" << i << "]";
+    EXPECT_EQ(g.stuck_to, w.stuck_to) << what << " undetected[" << i << "]";
+    EXPECT_EQ(g.detected, w.detected) << what << " undetected[" << i << "]";
+    EXPECT_EQ(g.detected_by, w.detected_by) << what << " undetected[" << i << "]";
+    EXPECT_EQ(g.detected_by_simulation, w.detected_by_simulation)
+        << what << " undetected[" << i << "]";
+  }
+}
+
+/// Simulation shapes the pre-pass must reproduce: the default 4x64, the
+/// flow bench's 1x8, short odd shapes that end runs mid-window, and none.
+constexpr std::pair<int, int> kRunsByCycles[] = {{4, 64}, {1, 8}, {2, 5}, {3, 33}, {0, 8}};
+constexpr std::uint64_t kPrepassSeeds[] = {0x9CC5EEDULL, 1, 0xDEADBEEFCAFEULL};
+
+/// Grades `properties` both ways over every simulation shape and seed.
+void expect_matches_reference(const rtl::Netlist& netlist,
+                              const std::vector<mc::Property>& properties,
+                              pcc::PccOptions options, const std::string& what) {
+  for (const auto& [runs, cycles] : kRunsByCycles) {
+    for (const std::uint64_t seed : kPrepassSeeds) {
+      options.simulation_runs = runs;
+      options.simulation_cycles = cycles;
+      options.seed = seed;
+      std::ostringstream tag;
+      tag << what << " " << runs << "x" << cycles << " seed " << seed;
+      expect_same_report(pcc::check_property_coverage(netlist, properties, options),
+                         reference_coverage(netlist, properties, options), tag.str());
+    }
+  }
+}
+
+/// Bounded-response properties the wrapper meets fault-free (bounds 0, 1, 2
+/// and a long 40-cycle window), mixed with one invariant and one
+/// next-implication so every window kind runs side by side.
+std::vector<mc::Property> wrapper_response_properties() {
+  const auto sig = [](const char* name) { return mc::Expr::signal(name); };
+  std::vector<mc::Property> props;
+  props.push_back(mc::Property::respond("exec_done_leaves_exec",
+                                        sig("dev_start") && sig("dev_done_in"),
+                                        !sig("dev_start"), 0));
+  props.push_back(mc::Property::respond("load_xfer_reaches_exec",
+                                        sig("bus_req") && !sig("state[1]") &&
+                                            sig("xfer_done_in"),
+                                        sig("dev_start"), 1));
+  props.push_back(mc::Property::invariant("ack_implies_busy",
+                                          sig("ack").implies(sig("busy"))));
+  props.push_back(mc::Property::respond("ack_then_idle", sig("ack"), !sig("busy"), 2));
+  props.push_back(mc::Property::next("store_exit_goes_idle", sig("ack"), !sig("busy")));
+  props.push_back(mc::Property::respond("start_served", sig("start_in") && !sig("busy"),
+                                        sig("ack"), 40));
+  return props;
+}
+
+}  // namespace
+
+TEST(PccPrepass, WrapperPlansMatchPerFaultReference) {
+  // The paper's two wrapper plans: detections sparse (initial) and dense
+  // (extended) across one 60-lane batch, every shape and seed.
+  const auto fsm = app::build_wrapper_fsm();
+  pcc::PccOptions options;
+  options.bmc_bound = 4;
+  expect_matches_reference(fsm, app::wrapper_properties_initial(), options, "initial");
+  expect_matches_reference(fsm, app::wrapper_properties_extended(), options, "extended");
+}
+
+TEST(PccPrepass, BoundedResponseSetMatchesPerFaultReference) {
+  const auto fsm = app::build_wrapper_fsm();
+  pcc::PccOptions options;
+  options.bmc_bound = 3;
+  expect_matches_reference(fsm, wrapper_response_properties(), options, "response");
+}
+
+TEST(PccPrepass, DetectionHeavySetMatchesPerFaultReference) {
+  // "never busy" fails fault-free within a few cycles, so nearly every lane
+  // detects and most passes commit a single fault: the re-grading path.
+  const std::vector<mc::Property> never_busy{
+      mc::Property::invariant("never_busy", !mc::Expr::signal("busy"))};
+  pcc::PccOptions options;
+  options.bmc_bound = 2;
+  expect_matches_reference(app::build_wrapper_fsm(), never_busy, options, "wrapper !busy");
+  options.max_faults = 150;
+  expect_matches_reference(app::build_root_rtl(), never_busy, options, "root !busy");
+}
+
+TEST(PccPrepass, RootCampaignMatchesPerFaultReference) {
+  // The flow bench's ROOT campaign: the full 1,760-fault list at 1x8 (28
+  // batches) for every seed, and a sampled list across every shape.
+  const auto root = app::build_root_rtl();
+  const std::vector<mc::Property> exclusive{mc::Property::invariant(
+      "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")))};
+  pcc::PccOptions options;
+  options.bmc_bound = 4;
+  options.simulation_runs = 1;
+  options.simulation_cycles = 8;
+  for (const std::uint64_t seed : kPrepassSeeds) {
+    options.seed = seed;
+    expect_same_report(pcc::check_property_coverage(root, exclusive, options),
+                       reference_coverage(root, exclusive, options),
+                       "root full seed " + std::to_string(seed));
+  }
+  options.bmc_bound = 2;
+  options.max_faults = 200;
+  expect_matches_reference(root, exclusive, options, "root sampled");
+}
+
+TEST(PccPrepass, PaperFiguresArePinned) {
+  // Goldens recorded from the per-fault pre-pass: the paper's 11.7% ->
+  // 86.7% wrapper coverage with its 8 uncovered (net, polarity) sites, and
+  // the flow bench's ROOT campaign figures.
+  const auto fsm = app::build_wrapper_fsm();
+  pcc::PccOptions options;
+  options.bmc_bound = 8;
+  const auto initial =
+      pcc::check_property_coverage(fsm, app::wrapper_properties_initial(), options);
+  EXPECT_EQ(initial.total_faults, 60u);
+  EXPECT_EQ(initial.detected, 7u);
+  const auto extended =
+      pcc::check_property_coverage(fsm, app::wrapper_properties_extended(), options);
+  EXPECT_EQ(extended.total_faults, 60u);
+  EXPECT_EQ(extended.detected, 52u);
+  EXPECT_EQ(extended.detected_by_simulation, 52u);
+  std::vector<std::pair<rtl::Net, bool>> uncovered;
+  for (const auto& f : extended.undetected) uncovered.emplace_back(f.net, f.stuck_to);
+  const std::vector<std::pair<rtl::Net, bool>> golden{
+      {16, false}, {17, false}, {18, true},  {24, false},
+      {25, false}, {26, false}, {27, false}, {28, false}};
+  EXPECT_EQ(uncovered, golden);
+
+  const std::vector<mc::Property> exclusive{mc::Property::invariant(
+      "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")))};
+  pcc::PccOptions root_options;
+  root_options.bmc_bound = 4;
+  root_options.simulation_runs = 1;
+  root_options.simulation_cycles = 8;
+  const auto root = pcc::check_property_coverage(app::build_root_rtl(), exclusive, root_options);
+  EXPECT_EQ(root.total_faults, 1760u);
+  if (symbad::lint::mode_from_env() == symbad::lint::Mode::structural) {
+    EXPECT_EQ(root.lint_pruned_faults, 1670u);  // the default tier's prune
+  }
+  EXPECT_EQ(root.detected, 4u);
+  EXPECT_EQ(root.detected_by_simulation, 4u);
 }

@@ -605,6 +605,33 @@ TEST(ObsBridge, PccReportMatchesRegistry) {
             report.baseline_sweep_proofs);
 }
 
+TEST(ObsBridge, PccSimPassesCountsLaneBatches) {
+  // pcc.sim_passes lives in the registry only. With no stimulus nothing is
+  // detected, so every pass grades a full 64-lane batch; a property the
+  // fault-free design already violates makes passes commit short batches.
+  const LevelGuard guard;
+  auto& registry = obs::Registry::instance();
+  registry.set_level(1);
+  registry.reset();
+
+  const auto n = saturating_counter();
+  pcc::PccOptions options;
+  options.bmc_bound = 2;
+  options.simulation_runs = 0;
+  const std::vector<mc::Property> never_max{
+      mc::Property::invariant("never_max", !mc::Expr::signal("at_max"))};
+  const auto quiet = pcc::check_property_coverage(n, never_max, options);
+  ASSERT_GT(quiet.total_faults, 0u);
+  EXPECT_EQ(quiet.detected_by_simulation, 0u);
+  EXPECT_EQ(registry.snapshot().counter("pcc.sim_passes"), (quiet.total_faults + 63) / 64);
+
+  registry.reset();
+  options.simulation_runs = 4;
+  const auto busy = pcc::check_property_coverage(n, never_max, options);
+  EXPECT_GT(busy.detected_by_simulation, 0u);
+  EXPECT_GT(registry.snapshot().counter("pcc.sim_passes"), (busy.total_faults + 63) / 64);
+}
+
 TEST(ObsBridge, KernelAndHostMetricsMatchReports) {
   const LevelGuard guard;
   auto& registry = obs::Registry::instance();

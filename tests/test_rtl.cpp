@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
+#include "gen/gen.hpp"
 #include "rtl/cnf.hpp"
 #include "rtl/cone.hpp"
 #include "rtl/netlist.hpp"
@@ -12,6 +14,7 @@
 #include "sat/solver.hpp"
 #include "support/test_util.hpp"
 
+namespace gen = symbad::gen;
 namespace rtl = symbad::rtl;
 namespace sat = symbad::sat;
 using rtl::Net;
@@ -95,14 +98,16 @@ TEST(Simulator, MuxSelects) {
   const Net e = n.add_input("e");
   n.set_output("y", n.add_mux(s, t, e));
   Simulator sim{n};
-  sim.set_input("s", true);
-  sim.set_input("t", true);
-  sim.set_input("e", false);
-  sim.eval();
-  EXPECT_TRUE(sim.output("y"));
-  sim.set_input("s", false);
-  sim.eval();
-  EXPECT_FALSE(sim.output("y"));
+  for (int bits = 0; bits < 8; ++bits) {
+    const bool vs = (bits & 1) != 0;
+    const bool vt = (bits & 2) != 0;
+    const bool ve = (bits & 4) != 0;
+    sim.set_input("s", vs);
+    sim.set_input("t", vt);
+    sim.set_input("e", ve);
+    sim.eval();
+    EXPECT_EQ(sim.output("y"), vs ? vt : ve) << bits;
+  }
 }
 
 namespace {
@@ -168,9 +173,153 @@ TEST(Simulator, StuckAtFaultOverridesValue) {
   sim.eval();
   EXPECT_FALSE(sim.output("y"));
   EXPECT_TRUE(sim.has_faults());
+  sim.inject_stuck_at(g, true);  // re-injecting a net replaces its fault
+  sim.inject_stuck_at(g, false);
+  sim.eval();
+  EXPECT_FALSE(sim.output("y"));
   sim.clear_faults();
   sim.eval();
   EXPECT_TRUE(sim.output("y"));
+  // Per lane: the latest injection into a lane wins, other lanes keep theirs.
+  sim.inject_stuck_at(g, true, 0b0010);
+  sim.inject_stuck_at(g, false, 0b0011);
+  sim.inject_stuck_at(b, false, 0b0100);
+  sim.eval();
+  EXPECT_EQ(sim.word(g) & 0b1111, Simulator::LaneWord{0b1000});
+}
+
+// ------------------------------------------------ lane-parallel simulator
+
+namespace {
+
+using LaneWord = Simulator::LaneWord;
+
+constexpr gen::SizeTier kTiers[] = {gen::SizeTier::small, gen::SizeTier::medium,
+                                    gen::SizeTier::large};
+
+/// Fault sites the lane tests draw from: primary inputs, flip-flops and mux
+/// selects — the nets the input load, the latch and the mux arm choice
+/// each read first.
+std::vector<Net> lane_fault_sites(const Netlist& n) {
+  std::vector<Net> sites(n.inputs().begin(), n.inputs().end());
+  sites.insert(sites.end(), n.flip_flops().begin(), n.flip_flops().end());
+  for (std::size_t i = 0; i < n.gate_count(); ++i) {
+    const rtl::Gate& g = n.gate(static_cast<Net>(i));
+    if (g.kind == rtl::GateKind::mux) sites.push_back(g.a);
+  }
+  return sites;
+}
+
+/// Lane j of `lanes` equals `single`'s lane-0 value on every net.
+::testing::AssertionResult lane_matches(const Simulator& lanes, int j, const Simulator& single,
+                                        std::size_t nets) {
+  for (std::size_t i = 0; i < nets; ++i) {
+    const Net net = static_cast<Net>(i);
+    if (((lanes.word(net) >> j) & 1) != (single.value(net) ? 1u : 0u)) {
+      return ::testing::AssertionFailure() << "lane " << j << " differs at net " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(LaneSimulator, MatchesOneLaneRunsUnderPerLaneFaults) {
+  // Every lane of one 64-lane run — its own stimulus and its own random
+  // stuck-at faults — must equal a one-lane run of that lane, on every net
+  // after every eval and every clock, on generated netlists of all tiers.
+  auto rng = symbad::test::rng("lane_simulator_faults");
+  for (const auto tier : kTiers) {
+    const Netlist n = gen::generate_netlist(rng.next(), tier);
+    const auto sites = lane_fault_sites(n);
+    ASSERT_FALSE(sites.empty());
+    Simulator lanes{n};
+    std::vector<Simulator> singles(Simulator::kLanes, Simulator{n});
+    for (int j = 0; j < Simulator::kLanes; ++j) {
+      const auto count = rng.below(3);  // 0..2 faults; a repeated site's last write wins
+      for (std::uint64_t f = 0; f < count; ++f) {
+        const Net site = sites[rng.below(sites.size())];
+        const bool stuck_to = (rng.next() & 1) != 0;
+        lanes.inject_stuck_at(site, stuck_to, LaneWord{1} << j);
+        singles[static_cast<std::size_t>(j)].inject_stuck_at(site, stuck_to);
+      }
+    }
+    EXPECT_TRUE(lanes.has_faults());
+    for (int cycle = 0; cycle < 12; ++cycle) {
+      for (const Net in : n.inputs()) {
+        const LaneWord w = rng.next();
+        lanes.set_word(in, w);
+        for (int j = 0; j < Simulator::kLanes; ++j) {
+          singles[static_cast<std::size_t>(j)].set_input(in, ((w >> j) & 1) != 0);
+        }
+      }
+      lanes.eval();
+      for (auto& single : singles) single.eval();
+      for (int j = 0; j < Simulator::kLanes; ++j) {
+        ASSERT_TRUE(lane_matches(lanes, j, singles[static_cast<std::size_t>(j)], n.gate_count()))
+            << gen::to_string(tier) << " cycle " << cycle << " after eval";
+      }
+      lanes.step();
+      for (auto& single : singles) single.step();
+      for (int j = 0; j < Simulator::kLanes; ++j) {
+        ASSERT_TRUE(lane_matches(lanes, j, singles[static_cast<std::size_t>(j)], n.gate_count()))
+            << gen::to_string(tier) << " cycle " << cycle << " after step";
+      }
+    }
+    lanes.clear_faults();
+    EXPECT_FALSE(lanes.has_faults());
+  }
+}
+
+TEST(LaneSimulator, FreeStateWordsMatchForcedOneLaneRuns) {
+  // Free-state mode: input and flip-flop words written directly, bypassing
+  // reset and latching. Lane j must equal a one-lane simulator forced to
+  // lane j's inputs and state, both after the eval and after one clock.
+  auto rng = symbad::test::rng("lane_simulator_free_state");
+  for (const auto tier : kTiers) {
+    const Netlist n = gen::generate_netlist(rng.next(), tier);
+    Simulator lanes{n};
+    Simulator single{n};
+    for (int round = 0; round < 3; ++round) {
+      std::vector<LaneWord> in_words;
+      std::vector<LaneWord> ff_words;
+      for (const Net in : n.inputs()) lanes.set_word(in, in_words.emplace_back(rng.next()));
+      for (const Net ff : n.flip_flops()) lanes.set_word(ff, ff_words.emplace_back(rng.next()));
+      const auto lane_bits = [](const std::vector<LaneWord>& words, int j) {
+        std::uint64_t bits = 0;
+        for (std::size_t i = 0; i < words.size(); ++i) bits |= ((words[i] >> j) & 1) << i;
+        return bits;
+      };
+      lanes.eval();
+      for (int j = 0; j < Simulator::kLanes; ++j) {
+        single.force_inputs(lane_bits(in_words, j));
+        single.force_state(lane_bits(ff_words, j));
+        ASSERT_TRUE(lane_matches(lanes, j, single, n.gate_count()))
+            << gen::to_string(tier) << " round " << round;
+      }
+      lanes.step();
+      for (int j = 0; j < Simulator::kLanes; ++j) {
+        single.force_inputs(lane_bits(in_words, j));
+        single.force_state(lane_bits(ff_words, j));
+        single.step();
+        ASSERT_TRUE(lane_matches(lanes, j, single, n.gate_count()))
+            << gen::to_string(tier) << " round " << round << " after step";
+      }
+    }
+  }
+}
+
+TEST(LaneSimulator, SetWordRejectsNetsThatAreNotCutPoints) {
+  Netlist n;
+  const Net a = n.add_input("a");
+  const Net g = n.add_not(a);
+  Simulator sim{n};
+  EXPECT_THROW(sim.set_word(g, 1), std::invalid_argument);
+  EXPECT_THROW(sim.set_word(99, 1), std::invalid_argument);
+  sim.set_word(a, 0b10);
+  sim.eval();
+  EXPECT_EQ(sim.word(g), ~LaneWord{0b10});
+  EXPECT_TRUE(sim.value(g));  // lane 0 reads a = 0
 }
 
 // ---------------------------------------------------- word-op properties

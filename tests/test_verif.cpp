@@ -226,6 +226,50 @@ TEST(Fault, RngStreamsAreCrossPlatformPinned) {
   EXPECT_NE(forked.next(), verif::Rng{0}.next());
 }
 
+TEST(Rng, AtMatchesSequentialNextWithoutAdvancing) {
+  // at(k) is the value the (k+1)-th next() returns; reading it leaves the
+  // stream where it was (k = 0 is the next value).
+  const verif::Rng origin{0x9CC5EEDULL};
+  verif::Rng walk = origin;
+  for (std::uint64_t k = 0; k < 1000; ++k) ASSERT_EQ(origin.at(k), walk.next()) << k;
+  verif::Rng probe = origin;
+  const std::uint64_t peeked = probe.at(0);
+  EXPECT_EQ(probe.at(0), peeked);
+  EXPECT_EQ(probe.next(), peeked);
+  EXPECT_EQ(probe.at(0), origin.at(1));
+}
+
+TEST(Rng, AtAndDiscardJumpPast32Bits) {
+  // An offset above 2^32 must not truncate. k sequential next() calls move
+  // the SplitMix64 state by k gammas (mod 2^64), so a generator seeded k
+  // gammas ahead continues the sequential walk from offset k.
+  constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+  constexpr std::uint64_t k = (std::uint64_t{1} << 32) + 12345;
+  constexpr std::uint64_t seed = 7;
+  verif::Rng ahead{seed + k * kGamma};
+  verif::Rng jumped{seed};
+  jumped.discard(k);
+  const verif::Rng origin{seed};
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const std::uint64_t expected = ahead.next();
+    EXPECT_EQ(origin.at(k + i), expected) << i;
+    EXPECT_EQ(jumped.next(), expected) << i;
+  }
+  EXPECT_EQ(verif::Rng{0}.at(k), 0xF90E66B458EFE888ULL);  // cross-platform golden
+}
+
+TEST(Rng, DiscardZeroIsANoOpAndDiscardMatchesNext) {
+  verif::Rng a{42};
+  verif::Rng b{42};
+  a.discard(0);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.next(), b.next()) << i;
+  verif::Rng skipped{42};
+  skipped.discard(5);
+  verif::Rng walked{42};
+  for (int i = 0; i < 5; ++i) (void)walked.next();
+  EXPECT_EQ(skipped.next(), walked.next());
+}
+
 // ---------------------------------------------------------- tmp-dir use
 
 class CoverageArtifacts : public symbad::test::TmpDirTest {};
