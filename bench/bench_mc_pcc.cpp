@@ -16,44 +16,33 @@ using namespace symbad;
 
 /// The fault-grading benches export hard-gated gates_*/encoded_* counters,
 /// which must not wobble with ambient SYMBAD_OPT* knobs — scrub them before
-/// any benchmark runs (the incremental toggle is set per-bench below).
+/// any benchmark runs.
 const bool kEnvScrubbed = [] {
   for (const char* knob : {"SYMBAD_OPT", "SYMBAD_OPT_SWEEP",
                            "SYMBAD_OPT_SWEEP_ROUNDS",
-                           "SYMBAD_OPT_SWEEP_MAX_PROOFS",
-                           "SYMBAD_OPT_INCREMENTAL"}) {
+                           "SYMBAD_OPT_SWEEP_MAX_PROOFS"}) {
     ::unsetenv(knob);
   }
   return true;
 }();
 
 /// Shared body of the multi-fault grading benches: runs the PCC campaign
-/// with the session's per-fault mode pinned by SYMBAD_OPT_INCREMENTAL
-/// (Arg 0 = full rebuild per fault, Arg 1 = incremental cone splice) and
-/// exports the deterministic formal-grading footprint. gates_before /
+/// and exports the deterministic formal-grading footprint. gates_before /
 /// gates_after / encoded_vars / encoded_clauses are hard-gated by
-/// scripts/bench_compare.py; reopt_* split the BMC-graded faults by which
-/// path served them.
+/// scripts/bench_compare.py.
 void run_fault_grading(benchmark::State& state, const rtl::Netlist& n,
                        const std::vector<mc::Property>& properties,
                        pcc::PccOptions options) {
-  const bool incremental = state.range(0) != 0;
-  ::setenv("SYMBAD_OPT_INCREMENTAL", incremental ? "1" : "0", 1);
   pcc::PccReport report;
   for (auto _ : state) {
     report = pcc::check_property_coverage(n, properties, options);
     benchmark::DoNotOptimize(report.detected);
   }
-  ::unsetenv("SYMBAD_OPT_INCREMENTAL");
-  state.counters["incremental"] = incremental ? 1.0 : 0.0;
   state.counters["coverage_pct"] = report.coverage_percent();
   state.counters["gates_before"] = static_cast<double>(report.opt_gates_before);
   state.counters["gates_after"] = static_cast<double>(report.opt_gates_after);
   state.counters["encoded_vars"] = static_cast<double>(report.encoded_vars);
   state.counters["encoded_clauses"] = static_cast<double>(report.encoded_clauses);
-  state.counters["sweep_proofs"] = static_cast<double>(report.baseline_sweep_proofs);
-  state.counters["reopt_incremental"] = static_cast<double>(report.incremental_reopts);
-  state.counters["reopt_full"] = static_cast<double>(report.full_rebuilds);
 }
 
 void BM_Mc_WrapperPropertySuite(benchmark::State& state) {
@@ -148,10 +137,9 @@ void BM_Pcc_DistancePeSampledFaults(benchmark::State& state) {
 BENCHMARK(BM_Pcc_DistancePeSampledFaults)->Arg(24)->Unit(benchmark::kMillisecond);
 
 void BM_Pcc_WrapperFaultGrading(benchmark::State& state) {
-  // The tentpole measurement: a wrapper-FSM fault campaign where random
-  // simulation is kept deliberately weak, so most faults reach BMC grading
-  // and pay the per-fault preprocessing path under test — full rebuild
-  // (Arg 0) vs incremental cone splice off the cached baseline (Arg 1).
+  // A wrapper-FSM fault campaign where random simulation is kept
+  // deliberately weak, so most faults reach BMC grading and pay for their
+  // per-fault optimizer rebuild.
   const auto n = app::build_wrapper_fsm();
   pcc::PccOptions options;
   options.bmc_bound = 6;
@@ -159,14 +147,12 @@ void BM_Pcc_WrapperFaultGrading(benchmark::State& state) {
   options.simulation_cycles = 8;
   run_fault_grading(state, n, app::wrapper_properties_initial(), options);
 }
-BENCHMARK(BM_Pcc_WrapperFaultGrading)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Pcc_WrapperFaultGrading)->Unit(benchmark::kMillisecond);
 
 void BM_Pcc_RootFaultCampaign(benchmark::State& state) {
   // ROOT-core campaign: the control property survives random simulation on
   // nearly every sampled fault, so the campaign is BMC-bound and the
-  // per-fault optimization dominates — the case the cached session's cone
-  // splice is built for (the baseline sweep runs once, each fault re-derives
-  // only its forward cone).
+  // per-fault optimizer rebuild dominates.
   const auto n = app::build_root_rtl();
   std::vector<mc::Property> properties;
   properties.push_back(mc::Property::invariant(
@@ -179,7 +165,7 @@ void BM_Pcc_RootFaultCampaign(benchmark::State& state) {
   options.max_faults = 12;
   run_fault_grading(state, n, properties, options);
 }
-BENCHMARK(BM_Pcc_RootFaultCampaign)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Pcc_RootFaultCampaign)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

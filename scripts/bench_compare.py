@@ -66,10 +66,8 @@ def main() -> int:
                              "lint_pruned_faults figures and the obs layer's "
                              "obs_allocs/obs_span_drops/obs_spans_recorded/"
                              "obs_snapshot_entries zero-or-fixed contracts; "
-                             "sweep_proofs and the "
-                             "reopt_incremental/reopt_full split are deliberately "
-                             "ungated because those gates are one-sided — more "
-                             "proofs and more splice-served faults are better)")
+                             "sweep_proofs is deliberately ungated because that "
+                             "gate is one-sided — more proofs are better)")
     args = parser.parse_args()
 
     baseline = load(args.baseline)

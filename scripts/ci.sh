@@ -28,8 +28,10 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "==> [2/8] parallel-safety: ctest -L unit -j (suites must tolerate"
-echo "    concurrent siblings — shared fixtures, tmp dirs, env)"
+echo "    concurrent siblings — shared fixtures, tmp dirs, env), then every"
+echo "    unit suite again with telemetry spans on"
 ctest --test-dir build --output-on-failure -L unit -j "$((JOBS * 2))"
+SYMBAD_OBS=2 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 
 echo "==> [3/8] perf regression: SAT/MC/opt/kernel/lint/obs benches vs BENCH_BASELINE.json"
 BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_opt bench_level2_sim bench_gen bench_lint bench_obs" \
@@ -45,13 +47,10 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "==> [5/8] threaded campaign runner + SAT arena under ASan (4 workers;"
 echo "    step 4's full ctest already covers every suite sanitized — these"
-echo "    re-runs exist for the non-default worker count, for the"
-echo "    compaction paths forced through every reduction, and for the"
-echo "    incremental-optimizer splice with the fallback knob exercised)"
+echo "    re-runs exist for the non-default worker count and for the"
+echo "    compaction paths forced through every reduction)"
 SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_exec
 SYMBAD_SAT_COMPACT=2 ./build-asan/test_sat
-./build-asan/test_opt_incremental
-SYMBAD_OPT_INCREMENTAL=0 ./build-asan/test_opt_incremental
 # Generator + generative differential sweeps sanitized (coroutine traffic
 # replay and the campaign worker pool both allocate aggressively).
 ./build-asan/test_gen

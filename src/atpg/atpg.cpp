@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <optional>
-#include <stdexcept>
 
 #include "opt/optimizer.hpp"
-#include "opt/session.hpp"
 #include "rtl/cnf.hpp"
 #include "sat/solver.hpp"
 
@@ -212,26 +210,9 @@ SatEngine::SatEngine(const rtl::Netlist& netlist, Options options)
   // from the optimized netlist when preprocessing is on, with every frame
   // translated back to original-net indexing through the (total) NetMap.
   // Only the translated literals outlive construction; the optimized
-  // netlist copy and its map are released here. With a campaign session
-  // the optimization itself is cached too: reoptimize({}) hands back a
-  // copy of the already-swept baseline instead of a fresh pipeline run.
-  std::optional<opt::OptimizeResult> optimized;
-  if (options_.session != nullptr) {
-    const opt::PreprocessSession& session = *options_.session;
-    if (&session.original() != &netlist) {
-      throw std::invalid_argument{
-          "atpg: preprocess session was built over a different netlist"};
-    }
-    if (session.enabled()) {
-      optimized = session.reoptimize({});
-      if (!optimized->map.total()) {
-        throw std::invalid_argument{
-            "atpg: preprocess session must keep all nets (keep_all_nets)"};
-      }
-    }
-  } else {
-    optimized = preprocess_good(netlist, options_.optimize);
-  }
+  // netlist copy and its map are released here.
+  const std::optional<opt::OptimizeResult> optimized =
+      preprocess_good(netlist, options_.optimize);
   std::optional<rtl::CnfEncoder> good_encoder;
   std::vector<rtl::Frame> good_opt;  // optimized indexing, for chaining only
   if (optimized) good_encoder.emplace(optimized->netlist, solver_);
@@ -342,9 +323,8 @@ std::optional<SatTest> sat_generate_test(const rtl::Netlist& netlist, rtl::Net f
   // the header) because the pipeline — the SAT sweep in particular — costs
   // more than the single solve it would shrink. The `optimize` parameter
   // makes that policy explicit and overridable instead of silent; fault
-  // LISTS should not flip it per call but construct SatEngine directly
-  // (or share an opt::PreprocessSession), where the one-time optimization
-  // cost amortizes across the faults.
+  // LISTS should not flip it per call but construct SatEngine directly,
+  // where the one-time optimization cost amortizes across the faults.
   SatEngine engine{netlist, {unroll, optimize}};
   return engine.generate(fault_net, stuck_to);
 }

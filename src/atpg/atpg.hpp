@@ -33,10 +33,6 @@
 #include "verif/fault.hpp"
 #include "verif/rng.hpp"
 
-namespace symbad::opt {
-class PreprocessSession;
-}  // namespace symbad::opt
-
 namespace symbad::atpg {
 
 /// One stimulus frame: the acquisition parameters of a captured face.
@@ -117,8 +113,7 @@ private:
 /// one solve, and the optimizer pipeline (the SAT sweep in particular)
 /// costs more than the single solve it would shrink; preprocessing only
 /// pays when its one-time cost amortizes over a fault list. Multi-fault
-/// callers should construct SatEngine directly (optimize on, or an
-/// opt::PreprocessSession shared with the rest of the campaign) instead of
+/// callers should construct SatEngine directly (optimize on) instead of
 /// flipping this flag per fault.
 struct SatTest {
   std::vector<std::map<std::string, bool>> frames;  ///< input name -> value
@@ -152,15 +147,6 @@ public:
     /// with preprocessing on or off. Tuned/disabled globally by the
     /// SYMBAD_OPT* environment knobs.
     bool optimize = true;
-    /// Campaign-cached preprocessing: when set, the good-circuit
-    /// optimization comes from this session's cached baseline instead of a
-    /// fresh pipeline run per engine, so a campaign holding many engines
-    /// (or one engine next to PCC grading) optimizes the netlist once.
-    /// The session must be built over the same netlist with
-    /// keep_all_nets (total map) — validated at construction; `optimize`
-    /// is ignored in favour of the session's enabled() state. Non-owning;
-    /// must outlive the engine.
-    const opt::PreprocessSession* session = nullptr;
   };
 
   struct FaultResult {

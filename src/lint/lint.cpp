@@ -795,12 +795,11 @@ void enforce(const LintReport& report) {
   throw std::logic_error{msg};
 }
 
-void check_netlist(const rtl::Netlist& netlist, const char* where,
-                   bool allow_semantic) {
+void check_netlist(const rtl::Netlist& netlist, const char* where) {
   const Mode mode = mode_from_env();
   if (mode == Mode::off) return;
   Options o;
-  o.semantic = allow_semantic && mode == Mode::semantic;
+  o.semantic = mode == Mode::semantic;
   LintReport report = Linter{std::move(o)}.analyze(netlist);
   report.subject = std::string{where} + ": " + report.subject;
   enforce(report);

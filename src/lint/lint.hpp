@@ -4,12 +4,12 @@
 // (core::TaskGraph) — in the spirit of CrocoPat's relational structural
 // analysis (Beyer & Noack), specialised to the Symbad IR.
 //
-// The generator emits thousands of netlists, the optimizer rewrites them
-// and the incremental preprocessing session splices per-fault cones into
-// cached baselines; until this module the only thing standing between a
-// malformed netlist and a wrong verdict was dynamic fuzzing (PR 7's splice
-// bug surfaced as an out-of-range `.at` at runtime). The linter turns that
-// defect class into a cheap deterministic pre-check with two rule tiers:
+// The generator emits thousands of netlists and the optimizer rewrites
+// them, once per graded fault in a campaign; until this module the only
+// thing standing between a malformed netlist and a wrong verdict was
+// dynamic fuzzing (an out-of-range operand surfaced as an `.at` throw at
+// runtime). The linter turns that defect class into a cheap deterministic
+// pre-check with two rule tiers:
 //
 //  * structural — pure graph analysis: operand range/arity violations per
 //    GateKind (the PR 7 bug class), bad kind encodings, combinational
@@ -31,11 +31,10 @@
 //
 // Wiring (SYMBAD_LINT = 0 off / 1 structural / 2 +semantic, default 1,
 // strict core::parse_env_int): every generated netlist and platform graph
-// lints clean before entering a campaign (gen), every optimizer output and
-// every PreprocessSession splice lints clean (opt), and mc/pcc run the
-// fault-site prune. Error-severity findings throw at those boundaries;
-// warnings (expected-by-construction structure like the generator's
-// dangling pool nets) do not.
+// lints clean before entering a campaign (gen), every optimizer output
+// lints clean (opt), and mc/pcc run the fault-site prune. Error-severity
+// findings throw at those boundaries; warnings (expected-by-construction
+// structure like the generator's dangling pool nets) do not.
 
 #include <cstddef>
 #include <cstdint>
@@ -241,11 +240,8 @@ void enforce(const LintReport& report);
 
 /// The default-on IR-boundary self-check: analyzes under the SYMBAD_LINT
 /// mode (no-op when off) and throws on error findings. `where` names the
-/// boundary in the exception ("gen", "opt", "opt.splice"). Hot boundaries
-/// (the per-fault splice) pass `allow_semantic = false` so mode 2 does not
-/// re-prove campaign-invariant facts thousands of times.
-void check_netlist(const rtl::Netlist& netlist, const char* where,
-                   bool allow_semantic = true);
+/// boundary in the exception ("gen", "opt").
+void check_netlist(const rtl::Netlist& netlist, const char* where);
 void check_graph(const core::TaskGraph& graph, const char* where);
 
 }  // namespace symbad::lint

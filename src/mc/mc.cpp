@@ -9,7 +9,6 @@
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
-#include "opt/session.hpp"
 
 namespace symbad::mc {
 
@@ -226,7 +225,8 @@ std::vector<std::string> collect_observed(std::span<const Property> properties,
 /// (or not) leaves the encoded behaviour identical, which is what makes the
 /// prune exact. Returns the input map untouched when pruning is disabled,
 /// nothing prunes, or everything would prune (a fully-invisible fault map
-/// still runs, keeping the splice-vs-baseline session shape intact).
+/// still runs as a per-fault rebuild, sweep off, instead of becoming a
+/// fault-free check that pays for the sweep).
 std::map<rtl::Net, bool> pruned_faults(const rtl::Netlist& netlist,
                                        std::span<const Property> properties,
                                        const std::map<rtl::Net, bool>& faults,
@@ -270,34 +270,16 @@ struct Session {
       const rtl::Netlist& n, std::span<const Property> properties,
       const std::map<rtl::Net, bool>& faults, const ModelChecker::Options& options) {
     if (!options.optimize) return std::nullopt;
-    if (const opt::PreprocessSession* session = options.preprocess_session) {
-      // Campaign-cached path: the baseline pipeline (sweep included — it
-      // amortizes across the campaign now) already ran at session
-      // construction; this check pays only for the fault's cone splice.
-      if (!session->enabled()) return std::nullopt;
-      if (&session->original() != &n) {
-        throw std::invalid_argument{
-            "mc: preprocess session was built over a different netlist"};
-      }
-      for (const auto& name : collect_observed(properties)) {
-        if (!session->baseline().netlist.outputs().contains(name)) {
-          throw std::invalid_argument{
-              "mc: preprocess session does not preserve output '" + name + "'"};
-        }
-      }
-      return session->reoptimize(faults);
-    }
     opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
     if (!oo.enabled) return std::nullopt;
     if (options.cone_of_influence) oo.preserve_outputs = collect_observed(properties);
     if (!faults.empty()) {
       oo.faults = &faults;
-      // Session-free fault checks are one netlist rebuild per fault:
-      // sweeping would re-prove the same fault-independent merges for
-      // every fault and cannot amortize (hold an opt::PreprocessSession
-      // across the fault list to get the swept baseline back). The
-      // structural pass still folds the cone downstream of the baked
-      // fault constant, which is where the per-fault reduction comes from.
+      // A faulty check is one netlist rebuild per fault: sweeping would
+      // re-prove the same fault-independent merges for every fault and
+      // cannot amortize. The structural pass still folds the cone
+      // downstream of the baked fault constant, which is where the
+      // per-fault reduction comes from.
       oo.sweep = false;
     }
     return opt::optimize(n, oo);
@@ -569,7 +551,6 @@ void finalize_solver_stats(const Session& s, ResultT& result) {
   if (s.optimized) {
     result.opt_gates_before = s.optimized->gates_before();
     result.opt_gates_after = s.optimized->gates_after();
-    result.opt_incremental = s.optimized->incremental();
   }
   // Every exit of check_with_faults / check_all_with_faults funnels through
   // here exactly once, so publishing at this point can never double-count.

@@ -30,10 +30,6 @@
 #include "rtl/cnf.hpp"
 #include "rtl/netlist.hpp"
 
-namespace symbad::opt {
-class PreprocessSession;
-}  // namespace symbad::opt
-
 namespace symbad::mc {
 
 /// Memo of property encodings: one literal per (expression node, frame).
@@ -172,12 +168,9 @@ struct CheckResult {
   std::uint64_t solver_compactions = 0;
   /// Preprocessing footprint of this check's session: gate counts of the
   /// encoded netlist before/after the opt:: pipeline (both 0 when
-  /// preprocessing was off), and whether that netlist came from a cached
-  /// opt::PreprocessSession cone splice instead of a full per-fault
-  /// rebuild (Options::preprocess_session).
+  /// preprocessing was off).
   std::size_t opt_gates_before = 0;
   std::size_t opt_gates_after = 0;
-  bool opt_incremental = false;
 };
 
 /// Outcome of a multi-property portfolio check (ModelChecker::check_all):
@@ -205,7 +198,6 @@ struct MultiCheckResult {
   /// Preprocessing footprint of the shared session (see CheckResult).
   std::size_t opt_gates_before = 0;
   std::size_t opt_gates_after = 0;
-  bool opt_incremental = false;
 
   [[nodiscard]] std::size_t count(CheckStatus status) const noexcept {
     std::size_t n = 0;
@@ -257,29 +249,17 @@ public:
     /// verdicts, bound_used and canonical counterexamples are invariant
     /// under memory management.
     sat::Solver::ReduceOptions sat_reduce{};
-    /// Campaign-cached preprocessing: when set (and `optimize` is on and
-    /// the session is enabled), the per-check pipeline run is replaced by
-    /// the session's cached baseline — for a faulty check only the fault's
-    /// forward cone is re-optimized and spliced (opt::PreprocessSession).
-    /// Holders grading many faults (pcc::check_property_coverage, ATPG
-    /// campaigns) construct one session and pass it to every
-    /// check_all_with_faults call. The session must be built over the SAME
-    /// netlist handed to the ModelChecker and must preserve every output
-    /// the checked properties observe (mc::observed_outputs) — both are
-    /// validated, violations throw. Exact: verdicts, bound_used and
-    /// canonical counterexamples are bit-identical to the session-free
-    /// path. Non-owning; single-threaded use, must outlive the check.
-    const opt::PreprocessSession* preprocess_session = nullptr;
     /// Drop fault-map entries the lint fault prune proves invisible to the
     /// checked properties (outside the backward cone of influence of every
     /// observed output — the closure crosses registers, so the fault cannot
     /// change an observed output at ANY frame). Exact: the faulty netlist's
     /// observed behaviour is identical with or without the dropped
     /// constants, so verdicts, bound_used and canonical counterexamples are
-    /// unchanged — only the preprocessing splice and encoding shrink. A
-    /// fault map that would prune to empty runs unfiltered, keeping the
-    /// splice-vs-baseline session shape observable to its tests. Gated by
-    /// SYMBAD_LINT=0 globally (lint::Mode::off disables the prune too).
+    /// unchanged — only the per-fault rebuild and encoding shrink. A
+    /// fault map that would prune to empty runs unfiltered, so the check
+    /// stays a per-fault rebuild with the sweep off instead of turning into
+    /// a fault-free check that pays for the sweep. Gated by SYMBAD_LINT=0
+    /// globally (lint::Mode::off disables the prune too).
     bool lint_prune_faults = true;
   };
 
@@ -319,8 +299,8 @@ private:
 };
 
 /// Output names a property set observes (sorted, deduplicated) — the
-/// preserve set a campaign-level opt::PreprocessSession must keep so it
-/// can serve sessions checking these properties.
+/// preserve set of a check over these properties, and the observed set a
+/// lint::FaultPruner proves fault invisibility against.
 [[nodiscard]] std::vector<std::string> observed_outputs(
     std::span<const Property> properties);
 

@@ -147,6 +147,10 @@ bool is_host_metric(std::string_view name) { return name.starts_with("host."); }
 
 ThreadState* Registry::Impl::register_this_thread() {
   auto state = std::make_unique<ThreadState>();
+  // Sized up front so recording a span never allocates: a thread's first
+  // span can land inside a measured steady state (a span opened before the
+  // registry existed is skipped, so the first recorded one comes later).
+  state->pending_spans.reserve(kSpanFlushBatch);
   {
     const std::lock_guard<std::mutex> lock{mu};
     state->thread_index = next_thread_index++;

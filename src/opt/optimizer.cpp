@@ -171,7 +171,6 @@ OptimizerOptions OptimizerOptions::from_env() {
   if (const auto v = core::parse_env_int("SYMBAD_OPT_SWEEP_MAX_PROOFS", 0, 1'000'000'000)) {
     o.sweep_max_proofs = static_cast<std::size_t>(*v);
   }
-  if (const auto v = core::parse_env_flag("SYMBAD_OPT_INCREMENTAL")) o.incremental = *v;
   return o;
 }
 

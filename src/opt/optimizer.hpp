@@ -63,7 +63,7 @@ struct NetMap {
 
 /// Per-pass accounting, reported in pipeline order.
 struct PassStats {
-  std::string pass;  ///< "rewrite", "sweep", "incremental", or "disabled"
+  std::string pass;  ///< "rewrite", "sweep", or "disabled"
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
   // Sweep-only figures (zero for rewrite passes):
@@ -104,13 +104,6 @@ struct OptimizerOptions {
   /// constant, exactly like the CnfEncoder fault override. The pointee
   /// must outlive the optimize() call.
   const std::map<rtl::Net, bool>* faults = nullptr;
-  /// Serve per-fault re-optimization from a cached optimized baseline
-  /// (opt::PreprocessSession): only the fault's forward cone is rebuilt
-  /// and spliced onto a copy of the baseline. When false the session falls
-  /// back to a full per-fault rebuild (sweep off — it cannot amortize),
-  /// exactly the pre-session behaviour (SYMBAD_OPT_INCREMENTAL). Exact
-  /// either way; this knob trades nothing but time.
-  bool incremental = true;
 
   /// Defaults overridden by the SYMBAD_OPT_* environment knobs
   /// (documented in the README). Parsing is strict: garbage throws
@@ -139,11 +132,6 @@ struct OptimizeResult {
     for (const auto& p : passes) n += p.sweep_conflicts;
     return n;
   }
-  /// True when this result came from a PreprocessSession cone splice (the
-  /// final pass is the per-fault "incremental" delta, not a full rebuild).
-  [[nodiscard]] bool incremental() const {
-    return !passes.empty() && passes.back().pass == "incremental";
-  }
 };
 
 /// Deterministic pass pipeline: rewrite (hash + fold + dead elimination),
@@ -168,8 +156,7 @@ private:
 
 /// Map composition: `first` is A->B, `second` is B->C; the result is A->C
 /// (a dead image at either hop stays dead). The pipeline chains its pass
-/// maps with this, and the incremental session composes its delta map over
-/// the cached baseline map the same way.
+/// maps with this.
 [[nodiscard]] NetMap compose(const NetMap& first, const NetMap& second);
 
 }  // namespace symbad::opt

@@ -1,21 +1,9 @@
 #pragma once
 // Shared netlist-construction core of the optimizer: the structurally
-// hashing, rewriting Builder that every rebuild in src/opt goes through.
-// Split out of optimizer.cpp so the full-pipeline rebuilds (Optimizer::run)
-// and the per-fault *delta* rebuilds (opt::PreprocessSession) use the same
-// rewrite rules — the exactness argument is made once, here.
-//
-// Two construction modes:
-//  * fresh: the Builder starts an empty netlist and hashes every gate it
-//    materialises (the pipeline rebuild passes);
-//  * delta: the Builder starts from a COPY of an already-optimized baseline
-//    netlist and consults that baseline's structural hash (scanned once per
-//    PreprocessSession, read-only) before its own, so gates rebuilt inside
-//    a fault cone hash-hit identical baseline structure instead of growing
-//    a duplicate. A baseline hash hit is sound exactly because the baseline
-//    copy still computes the *good* circuit: a key matches only when every
-//    operand is a baseline net, and the baseline gate applies the same
-//    function to those same nets.
+// hashing, rewriting Builder that every rebuild pass in src/opt goes
+// through, so the rewrite rules — and the exactness argument for them —
+// live in one place. The Builder starts an empty netlist and hashes every
+// gate it materialises.
 
 #include <array>
 #include <map>
@@ -32,51 +20,7 @@ namespace symbad::opt::detail {
 /// a gate is materialised at most once per (kind, operands).
 class Builder {
 public:
-  /// (kind, a, b, c) -> net of the gate materialised for that shape.
-  using HashKey = std::array<int, 4>;
-  using HashMap = std::map<HashKey, rtl::Net>;
-
   explicit Builder(std::string name) : out_{std::move(name)} {}
-
-  /// Delta mode: extend `base` (a copy of a netlist previously produced by
-  /// a Builder — hash-canonical, every (kind, operands) at most once).
-  /// `base_hash` and `base_consts` describe the copied prefix; both are
-  /// scanned once per baseline with `scan_hash` and consulted read-only.
-  Builder(rtl::Netlist base, const HashMap* base_hash,
-          std::array<rtl::Net, 2> base_consts)
-      : out_{std::move(base)}, const_net_{base_consts}, base_hash_{base_hash} {}
-
-  /// Reconstructs the structural hash (and const-net slots) of a netlist a
-  /// Builder produced, keyed by that netlist's own net ids. Valid because
-  /// Builder output is hash-canonical; done once per cached baseline.
-  [[nodiscard]] static HashMap scan_hash(const rtl::Netlist& built,
-                                         std::array<rtl::Net, 2>& consts) {
-    HashMap hash;
-    consts = {-1, -1};
-    for (std::size_t i = 0; i < built.gate_count(); ++i) {
-      const rtl::Net n = static_cast<rtl::Net>(i);
-      const rtl::Gate& g = built.gate(n);
-      switch (g.kind) {
-        case rtl::GateKind::const0:
-          if (consts[0] < 0) consts[0] = n;
-          break;
-        case rtl::GateKind::const1:
-          if (consts[1] < 0) consts[1] = n;
-          break;
-        case rtl::GateKind::and_gate:
-        case rtl::GateKind::or_gate:
-        case rtl::GateKind::xor_gate:
-        case rtl::GateKind::not_gate:
-        case rtl::GateKind::mux:
-          hash.emplace(HashKey{static_cast<int>(g.kind), g.a, g.b, g.c}, n);
-          break;
-        case rtl::GateKind::input:
-        case rtl::GateKind::dff:
-          break;
-      }
-    }
-    return hash;
-  }
 
   rtl::Net constant(bool value) {
     rtl::Net& slot = const_net_[value ? 1 : 0];
@@ -90,9 +34,6 @@ public:
     return out_.add_dff(init, std::move(name));
   }
   void connect_next(rtl::Net dff_net, rtl::Net next) { out_.connect_next(dff_net, next); }
-  void reconnect_next(rtl::Net dff_net, rtl::Net next) {
-    out_.reconnect_next(dff_net, next);
-  }
   void set_output(const std::string& name, rtl::Net net) { out_.set_output(name, net); }
 
   rtl::Net mk_not(rtl::Net a) {
@@ -158,9 +99,11 @@ public:
   }
 
   [[nodiscard]] rtl::Netlist take() { return std::move(out_); }
-  [[nodiscard]] const rtl::Netlist& netlist() const noexcept { return out_; }
 
 private:
+  /// (kind, a, b, c) -> net of the gate materialised for that shape.
+  using HashKey = std::array<int, 4>;
+
   [[nodiscard]] const rtl::Gate& gate(rtl::Net n) const { return out_.gate(n); }
   [[nodiscard]] rtl::GateKind kind_of(rtl::Net n) const { return gate(n).kind; }
   [[nodiscard]] bool is_const(rtl::Net n, bool value) const {
@@ -173,11 +116,6 @@ private:
 
   rtl::Net hashed(rtl::GateKind kind, rtl::Net a, rtl::Net b, rtl::Net c) {
     const HashKey key{static_cast<int>(kind), a, b, c};
-    if (base_hash_ != nullptr) {
-      if (const auto it = base_hash_->find(key); it != base_hash_->end()) {
-        return it->second;
-      }
-    }
     const auto it = hash_.find(key);
     if (it != hash_.end()) return it->second;
     rtl::Net n = -1;
@@ -195,8 +133,7 @@ private:
 
   rtl::Netlist out_{"opt"};
   std::array<rtl::Net, 2> const_net_{-1, -1};
-  HashMap hash_;
-  const HashMap* base_hash_ = nullptr;  ///< delta mode only; not owned
+  std::map<HashKey, rtl::Net> hash_;
 };
 
 }  // namespace symbad::opt::detail

@@ -8,7 +8,6 @@
 
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "opt/session.hpp"
 #include "verif/rng.hpp"
 
 namespace symbad::pcc {
@@ -203,21 +202,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // the traces are discarded, so skip counterexample canonicalisation.
   mc_opts.canonical_counterexample = false;
   mc_opts.optimize = options.optimize;
-  // One cached preprocess session for the whole campaign: the good netlist
-  // runs the full pipeline (sweep included) exactly once, preserving the
-  // outputs the property set observes; every BMC-graded fault then pays
-  // only for re-optimizing its own forward cone against that baseline.
-  std::optional<opt::PreprocessSession> session;
-  if (options.optimize) {
-    opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
-    if (oo.enabled) {
-      oo.preserve_outputs =
-          mc::observed_outputs({properties.data(), properties.size()});
-      session.emplace(netlist, std::move(oo));
-      mc_opts.preprocess_session = &*session;
-      report.baseline_sweep_proofs = session->baseline().sweep_proofs();
-    }
-  }
 
   // A-priori fault prune (PccOptions::lint_prune): faults the FaultPruner
   // proves cannot change any observed output skip the BMC stage. The sim
@@ -281,11 +265,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     report.opt_gates_after += multi.opt_gates_after;
     report.encoded_vars += static_cast<std::size_t>(multi.solver_variables);
     report.encoded_clauses += multi.solver_clauses;
-    if (multi.opt_incremental) {
-      ++report.incremental_reopts;
-    } else if (multi.opt_gates_before > 0) {
-      ++report.full_rebuilds;
-    }
     for (std::size_t i = 0; i < properties.size(); ++i) {
       if (multi.results[i].status == mc::CheckStatus::falsified) {
         outcome.detected = true;
@@ -304,8 +283,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   struct PccObs {
     obs::Counter campaigns, faults_total, detected, detected_by_simulation,
         detected_by_bmc, lint_pruned, encoded_vars, encoded_clauses,
-        opt_gates_before, opt_gates_after, incremental_reopts, full_rebuilds,
-        baseline_sweep_proofs, sim_passes;
+        opt_gates_before, opt_gates_after, sim_passes;
   };
   auto& registry = obs::Registry::instance();
   static const PccObs counters{
@@ -319,9 +297,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
       registry.counter("pcc.encoded_clauses"),
       registry.counter("pcc.opt_gates_before"),
       registry.counter("pcc.opt_gates_after"),
-      registry.counter("pcc.incremental_reopts"),
-      registry.counter("pcc.full_rebuilds"),
-      registry.counter("pcc.baseline_sweep_proofs"),
       registry.counter("pcc.sim_passes"),
   };
   counters.campaigns.inc();
@@ -334,9 +309,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   counters.encoded_clauses.add(report.encoded_clauses);
   counters.opt_gates_before.add(report.opt_gates_before);
   counters.opt_gates_after.add(report.opt_gates_after);
-  counters.incremental_reopts.add(report.incremental_reopts);
-  counters.full_rebuilds.add(report.full_rebuilds);
-  counters.baseline_sweep_proofs.add(report.baseline_sweep_proofs);
   counters.sim_passes.add(sim_passes);
   return report;
 }

@@ -42,20 +42,12 @@ struct PccReport {
 
   // Formal-grading footprint, summed over the faults that reached BMC (the
   // ones random simulation missed). Deterministic — the opt_/encoded_
-  // figures are hard-gated as bench counters. incremental_reopts vs
-  // full_rebuilds splits those faults by whether the campaign's cached
-  // opt::PreprocessSession served them with a fault-cone splice
-  // (SYMBAD_OPT_INCREMENTAL=1, the default) or a full per-fault rebuild;
-  // both are zero with preprocessing off.
+  // figures are hard-gated as bench counters; the opt_ figures are zero
+  // with preprocessing off.
   std::size_t opt_gates_before = 0;  ///< gates entering the per-fault pipeline
   std::size_t opt_gates_after = 0;   ///< gates actually handed to the encoder
   std::size_t encoded_vars = 0;      ///< solver variables, summed per fault
   std::size_t encoded_clauses = 0;   ///< solver clauses, summed per fault
-  std::size_t incremental_reopts = 0;
-  std::size_t full_rebuilds = 0;
-  /// SAT-sweep merge proofs of the one cached baseline optimization (the
-  /// sweep the per-fault path could never amortize before the session).
-  std::size_t baseline_sweep_proofs = 0;
 
   [[nodiscard]] double coverage_percent() const noexcept {
     return total_faults == 0
@@ -72,12 +64,10 @@ struct PccOptions {
   std::size_t max_faults = 0;
   std::uint64_t seed = 0x9CC5EEDULL;
   /// Preprocess the faulty netlists through the opt:: pass pipeline before
-  /// BMC grading. The campaign holds ONE cached opt::PreprocessSession:
-  /// the good netlist is optimized once (SAT sweep included, amortized
-  /// across the fault list) and each graded fault re-optimizes only its
-  /// forward cone against that baseline — or, with
-  /// SYMBAD_OPT_INCREMENTAL=0, falls back to a full rebuild per fault.
-  /// Detection verdicts are identical in every mode.
+  /// BMC grading: each graded fault gets one optimizer rebuild with the
+  /// fault baked in as a constant and the SAT sweep off (a per-fault sweep
+  /// would re-prove the same fault-independent merges every time).
+  /// Detection verdicts are identical with preprocessing on or off.
   bool optimize = true;
   /// Skip the BMC stage for faults a lint::FaultPruner proves undetectable
   /// (outside every observed-output cone; under SYMBAD_LINT=2 also sites

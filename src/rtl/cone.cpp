@@ -64,32 +64,4 @@ std::vector<std::vector<char>> ConeTracer::fault_cones(Net fault_net, int frames
   return cone;
 }
 
-std::vector<char> ConeTracer::fault_cone_closure(
-    const std::vector<Net>& fault_sites) const {
-  std::vector<char> marks(netlist_->gate_count(), 0);
-  std::vector<Net> frontier;
-  const auto mark = [&](Net n) {
-    auto& m = marks[static_cast<std::size_t>(n)];
-    if (m == 0) {
-      m = 1;
-      frontier.push_back(n);
-    }
-  };
-  for (const Net seed : fault_sites) mark(seed);
-  // Interleave the combinational BFS with the register crossings until
-  // neither grows the set: a marked next-state net corrupts its flip-flop
-  // from the following frame on, and the flip-flop's readers after that.
-  while (!frontier.empty()) {
-    while (!frontier.empty()) {
-      const Net net = frontier.back();
-      frontier.pop_back();
-      for (const Net reader : comb_fanout_[static_cast<std::size_t>(net)]) mark(reader);
-    }
-    for (const auto& [next_net, dff_net] : dff_edges_) {
-      if (marks[static_cast<std::size_t>(next_net)] != 0) mark(dff_net);
-    }
-  }
-  return marks;
-}
-
 }  // namespace symbad::rtl

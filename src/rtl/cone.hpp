@@ -35,16 +35,6 @@ public:
   [[nodiscard]] std::vector<std::vector<char>> fault_cones(Net fault_net,
                                                            int frames) const;
 
-  /// Frame-independent fixpoint of `fault_cones`: closure[net] != 0 iff
-  /// `net` can differ from the good circuit at *some* frame of *any*
-  /// unrolling — the forward closure of the fault sites under combinational
-  /// fanout AND register crossing (a flip-flop whose next-state net is in
-  /// the closure joins it, and its own readers follow). This is the set of
-  /// nets the incremental optimizer must re-optimize per fault; everything
-  /// outside keeps its image in the cached optimized baseline.
-  [[nodiscard]] std::vector<char> fault_cone_closure(
-      const std::vector<Net>& fault_sites) const;
-
   [[nodiscard]] const Netlist& netlist() const noexcept { return *netlist_; }
 
 private:

@@ -79,14 +79,6 @@ void Netlist::connect_next(Net dff, Net next) {
   g.a = next;
 }
 
-void Netlist::reconnect_next(Net dff, Net next) {
-  check_operand(dff);
-  check_operand(next);
-  auto& g = gates_[static_cast<std::size_t>(dff)];
-  if (g.kind != GateKind::dff) throw std::invalid_argument{"rtl: reconnect_next on non-dff"};
-  g.a = next;
-}
-
 void Netlist::set_output(const std::string& name, Net net) {
   check_operand(net);
   outputs_[name] = net;

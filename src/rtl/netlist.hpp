@@ -92,12 +92,6 @@ public:
   /// connected later with `connect_next` (allowing sequential loops).
   [[nodiscard]] Net add_dff(bool init, std::string name = {});
   void connect_next(Net dff, Net next);
-  /// Re-points an already-connected flip-flop's next-state input. Unlike
-  /// `connect_next` this tolerates (and expects) a previous connection —
-  /// it exists for the incremental optimizer, which splices a re-optimized
-  /// fault cone into a copy of an optimized baseline by redirecting the
-  /// in-cone flip-flops' next-state nets at the spliced logic.
-  void reconnect_next(Net dff, Net next);
 
   /// Registers `net` as a named primary output.
   void set_output(const std::string& name, Net net);

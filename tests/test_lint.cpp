@@ -1,6 +1,6 @@
 // Tests for the static-analysis engine (src/lint): per-rule positive
 // detection with exact rule IDs, lint-cleanliness of every seed design and
-// generated tier, optimizer/splice output cleanliness, the FaultPruner and
+// generated tier, per-fault optimizer output cleanliness, the FaultPruner and
 // its mc/pcc campaign wiring (verdict/coverage identity), and the strict
 // SYMBAD_LINT environment knob.
 
@@ -18,7 +18,6 @@
 #include "lint/lint.hpp"
 #include "mc/mc.hpp"
 #include "opt/optimizer.hpp"
-#include "opt/session.hpp"
 #include "pcc/pcc.hpp"
 #include "rtl/netlist.hpp"
 #include "support/test_util.hpp"
@@ -441,33 +440,28 @@ TEST(LintClean, GeneratedTaskGraphsHaveNoErrorFindings) {
   }
 }
 
-TEST(LintClean, OptimizerAndSpliceOutputsBothIncrementalModes) {
-  // Optimizer outputs and PreprocessSession splices lint error-free with
-  // SYMBAD_OPT_INCREMENTAL in both positions. The boundary self-checks
-  // inside opt:: already throw on errors; this pins the reports directly.
+TEST(LintClean, OptimizerPerFaultOutputsHaveNoErrorFindings) {
+  // The per-fault rebuild a fault campaign runs (fault baked in, sweep off)
+  // lints error-free. The boundary self-check inside opt:: already throws
+  // on errors; this pins the reports directly.
   const lint::Linter linter{};
-  for (const char* incremental : {"1", "0"}) {
-    EnvGuard guard{"SYMBAD_OPT_INCREMENTAL", incremental};
-    for (int i = 0; i < 4; ++i) {
-      const auto n = gen::generate_netlist(gen::SweepConfig{}.seed_at(i),
-                                           gen::SizeTier::medium);
-      const opt::PreprocessSession session{n, opt::OptimizerOptions::from_env()};
-      ASSERT_TRUE(session.enabled());
-      EXPECT_EQ(linter.analyze(session.baseline().netlist).error_count(), 0u);
-      // A handful of fault sites spread across the netlist.
-      for (std::size_t site = 5; site < n.gate_count(); site += n.gate_count() / 3) {
-        const auto kind = n.gate(static_cast<rtl::Net>(site)).kind;
-        if (kind == rtl::GateKind::input || kind == rtl::GateKind::const0 ||
-            kind == rtl::GateKind::const1) {
-          continue;
-        }
-        const std::map<rtl::Net, bool> faults{{static_cast<rtl::Net>(site), true}};
-        const auto spliced = session.reoptimize(faults);
-        const auto report = linter.analyze(spliced.netlist);
-        EXPECT_EQ(report.error_count(), 0u)
-            << "site " << site << " incremental=" << incremental << "\n"
-            << report.to_string();
+  for (int i = 0; i < 4; ++i) {
+    const auto n = gen::generate_netlist(gen::SweepConfig{}.seed_at(i),
+                                         gen::SizeTier::medium);
+    // A handful of fault sites spread across the netlist.
+    for (std::size_t site = 5; site < n.gate_count(); site += n.gate_count() / 3) {
+      const auto kind = n.gate(static_cast<rtl::Net>(site)).kind;
+      if (kind == rtl::GateKind::input || kind == rtl::GateKind::const0 ||
+          kind == rtl::GateKind::const1) {
+        continue;
       }
+      const std::map<rtl::Net, bool> faults{{static_cast<rtl::Net>(site), true}};
+      auto options = opt::OptimizerOptions::from_env();
+      options.faults = &faults;
+      options.sweep = false;
+      const auto report = linter.analyze(opt::optimize(n, options).netlist);
+      EXPECT_EQ(report.error_count(), 0u) << "site " << site << "\n"
+                                          << report.to_string();
     }
   }
 }
@@ -555,8 +549,9 @@ TEST(LintMcPrune, VerdictAndCounterexampleIdenticalWithPrunedInputFault) {
 }
 
 TEST(LintMcPrune, FullyPrunedMapStillRuns) {
-  // A fault map that would prune to nothing runs unfiltered — the splice
-  // still happens, opt_incremental still reports it.
+  // A fault map that would prune to nothing runs unfiltered — the check
+  // stays a per-fault rebuild (sweep off) instead of becoming a fault-free
+  // check that pays for the sweep, so its preprocessing footprint matches.
   const auto n = two_cone_netlist();
   const mc::ModelChecker checker{n};
   const auto prop = mc::Property::invariant("o_never", !mc::Expr::signal("o"));

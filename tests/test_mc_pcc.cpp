@@ -12,8 +12,6 @@
 #include "gen/gen.hpp"
 #include "lint/lint.hpp"
 #include "mc/mc.hpp"
-#include "opt/optimizer.hpp"
-#include "opt/session.hpp"
 #include "pcc/pcc.hpp"
 #include "rtl/wordops.hpp"
 #include "sat/solver.hpp"
@@ -805,6 +803,35 @@ TEST(Pcc, FaultSamplingCapRespected) {
   EXPECT_EQ(report.total_faults, 20u);
 }
 
+TEST(Pcc, CoverageVerdictsIdenticalOptOnVsOff) {
+  // Every BMC-graded fault gets its own optimizer rebuild (fault baked in,
+  // sweep off); the coverage verdicts must match preprocessing off exactly.
+  const auto fsm = app::build_wrapper_fsm();
+  const auto props = app::wrapper_properties_initial();
+  pcc::PccOptions options;
+  options.bmc_bound = 6;
+  // Keep simulation weak so a healthy share of faults reaches BMC grading.
+  options.simulation_runs = 1;
+  options.simulation_cycles = 16;
+  const auto on = pcc::check_property_coverage(fsm, props, options);
+  options.optimize = false;
+  const auto off = pcc::check_property_coverage(fsm, props, options);
+
+  EXPECT_EQ(on.total_faults, off.total_faults);
+  EXPECT_EQ(on.detected, off.detected);
+  EXPECT_EQ(on.detected_by_simulation, off.detected_by_simulation);
+  EXPECT_EQ(on.detected_by_bmc, off.detected_by_bmc);
+  ASSERT_EQ(on.undetected.size(), off.undetected.size());
+  for (std::size_t i = 0; i < on.undetected.size(); ++i) {
+    EXPECT_EQ(on.undetected[i].net, off.undetected[i].net);
+    EXPECT_EQ(on.undetected[i].stuck_to, off.undetected[i].stuck_to);
+  }
+  // Preprocessing shrinks the per-fault encodings it graded.
+  EXPECT_GT(on.opt_gates_before, on.opt_gates_after);
+  EXPECT_LT(on.encoded_vars, off.encoded_vars);
+  EXPECT_EQ(off.opt_gates_before, 0u);
+}
+
 // ------------------------------------------- PCC simulation pre-pass
 
 namespace {
@@ -898,16 +925,6 @@ pcc::PccReport reference_coverage(const rtl::Netlist& netlist,
   mc_opts.max_bound = options.bmc_bound;
   mc_opts.canonical_counterexample = false;
   mc_opts.optimize = options.optimize;
-  std::optional<symbad::opt::PreprocessSession> session;
-  if (options.optimize) {
-    symbad::opt::OptimizerOptions oo = symbad::opt::OptimizerOptions::from_env();
-    if (oo.enabled) {
-      oo.preserve_outputs = mc::observed_outputs({properties.data(), properties.size()});
-      session.emplace(netlist, std::move(oo));
-      mc_opts.preprocess_session = &*session;
-      report.baseline_sweep_proofs = session->baseline().sweep_proofs();
-    }
-  }
   namespace lint = symbad::lint;
   std::optional<lint::FaultPruner> pruner;
   if (options.lint_prune && lint::mode_from_env() != lint::Mode::off) {
@@ -954,11 +971,6 @@ pcc::PccReport reference_coverage(const rtl::Netlist& netlist,
     report.opt_gates_after += multi.opt_gates_after;
     report.encoded_vars += static_cast<std::size_t>(multi.solver_variables);
     report.encoded_clauses += multi.solver_clauses;
-    if (multi.opt_incremental) {
-      ++report.incremental_reopts;
-    } else if (multi.opt_gates_before > 0) {
-      ++report.full_rebuilds;
-    }
     for (std::size_t i = 0; i < properties.size(); ++i) {
       if (multi.results[i].status == mc::CheckStatus::falsified) {
         outcome.detected = true;
@@ -985,9 +997,6 @@ void expect_same_report(const pcc::PccReport& got, const pcc::PccReport& want,
   EXPECT_EQ(got.opt_gates_after, want.opt_gates_after) << what;
   EXPECT_EQ(got.encoded_vars, want.encoded_vars) << what;
   EXPECT_EQ(got.encoded_clauses, want.encoded_clauses) << what;
-  EXPECT_EQ(got.incremental_reopts, want.incremental_reopts) << what;
-  EXPECT_EQ(got.full_rebuilds, want.full_rebuilds) << what;
-  EXPECT_EQ(got.baseline_sweep_proofs, want.baseline_sweep_proofs) << what;
   ASSERT_EQ(got.undetected.size(), want.undetected.size()) << what;
   for (std::size_t i = 0; i < got.undetected.size(); ++i) {
     const auto& g = got.undetected[i];

@@ -599,10 +599,6 @@ TEST(ObsBridge, PccReportMatchesRegistry) {
   EXPECT_EQ(snap.counter("pcc.encoded_clauses"), report.encoded_clauses);
   EXPECT_EQ(snap.counter("pcc.opt_gates_before"), report.opt_gates_before);
   EXPECT_EQ(snap.counter("pcc.opt_gates_after"), report.opt_gates_after);
-  EXPECT_EQ(snap.counter("pcc.incremental_reopts"), report.incremental_reopts);
-  EXPECT_EQ(snap.counter("pcc.full_rebuilds"), report.full_rebuilds);
-  EXPECT_EQ(snap.counter("pcc.baseline_sweep_proofs"),
-            report.baseline_sweep_proofs);
 }
 
 TEST(ObsBridge, PccSimPassesCountsLaneBatches) {

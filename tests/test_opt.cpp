@@ -377,8 +377,10 @@ TEST(OptFuzz, McVerdictsIdenticalUnderInjectedFaults) {
     auto rng = symbad::test::rng(6000 + seed);
     const auto n = random_netlist(rng, 4, 3, 40, 2);
     const mc::ModelChecker checker{n};
-    const auto prop = mc::Property::invariant(
-        "inv", !(mc::Expr::signal("o0") && mc::Expr::signal("o1")));
+    const auto o0 = mc::Expr::signal("o0");
+    const auto o1 = mc::Expr::signal("o1");
+    const auto inv = mc::Property::invariant("inv", !(o0 && o1));
+    const auto next = mc::Property::next("next_imp", o0, o1);
     std::vector<rtl::Net> sites;
     for (std::size_t i = 0; i < n.gate_count() && sites.size() < 3; ++i) {
       const auto kind = n.gate(static_cast<rtl::Net>(i)).kind;
@@ -389,7 +391,8 @@ TEST(OptFuzz, McVerdictsIdenticalUnderInjectedFaults) {
     }
     for (const auto site : sites) {
       for (const bool stuck_to : {false, true}) {
-        expect_opt_equivalent(checker, prop, {{site, stuck_to}}, {6, 3});
+        expect_opt_equivalent(checker, inv, {{site, stuck_to}}, {6, 3});
+        expect_opt_equivalent(checker, next, {{site, stuck_to}}, {6, 3});
       }
     }
   }
@@ -418,7 +421,9 @@ TEST(OptGenerative, TieredNetlistsSimulateIdenticallyAfterOptimization) {
 TEST(OptGenerative, TieredMcVerdictsIdenticalOptOnVsOff) {
   // The opt-on/off differential gate over the generated corpus: for every
   // tier, N generated netlists, one invariant and one next property each —
-  // verdict / bound_used / canonical counterexample bit-identical.
+  // verdict / bound_used / canonical counterexample bit-identical — plus
+  // the invariant with a stuck-at on the first internal net, both
+  // polarities (the per-fault rebuild a PCC campaign runs).
   const auto cfg = gen::SweepConfig::from_env();
   for (const auto tier : cfg.tiers()) {
     for (int i = 0; i < cfg.count; ++i) {
@@ -427,10 +432,19 @@ TEST(OptGenerative, TieredMcVerdictsIdenticalOptOnVsOff) {
       const mc::ModelChecker checker{n};
       const auto o0 = mc::Expr::signal("o0");
       const auto o1 = mc::Expr::signal("o1");
-      expect_opt_equivalent(checker, mc::Property::invariant("inv_nand", !(o0 && o1)),
-                            {}, {4, 2});
+      const auto inv = mc::Property::invariant("inv_nand", !(o0 && o1));
+      expect_opt_equivalent(checker, inv, {}, {4, 2});
       expect_opt_equivalent(checker, mc::Property::next("next_imp", o0, o1), {},
                             {4, 2});
+      rtl::Net site = 0;
+      while (n.gate(site).kind == rtl::GateKind::input ||
+             n.gate(site).kind == rtl::GateKind::const0 ||
+             n.gate(site).kind == rtl::GateKind::const1) {
+        ++site;
+      }
+      for (const bool stuck_to : {false, true}) {
+        expect_opt_equivalent(checker, inv, {{site, stuck_to}}, {4, 2});
+      }
     }
   }
 }
