@@ -3,11 +3,33 @@
 #include <algorithm>
 #include <optional>
 
+#include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 #include "rtl/cnf.hpp"
 #include "sat/solver.hpp"
 
 namespace symbad::atpg {
+
+namespace {
+
+/// Registry-only work counters of the Laerte engine, each added once per
+/// call: front-end runs from BAY (evaluated frames and distinct GA
+/// stimuli) and (fault, frame) pairs whose fault simulation resumed.
+struct AtpgObs {
+  obs::Counter front_end_runs;
+  obs::Counter fault_frames_resumed;
+};
+
+const AtpgObs& atpg_obs() {
+  auto& registry = obs::Registry::instance();
+  static const AtpgObs counters{
+      registry.counter("atpg.front_end_runs"),
+      registry.counter("atpg.fault_frames_resumed"),
+  };
+  return counters;
+}
+
+}  // namespace
 
 media::Pose Stimulus::to_pose() const {
   media::Pose pose;
@@ -39,13 +61,15 @@ Laerte::Laerte(Config config)
       db_{media::FaceDatabase::enroll(config_.identities, config_.poses_per_identity,
                                       config_.image_size, config_.pipeline)} {}
 
+media::Image Laerte::capture(const Stimulus& s) const {
+  return media::camera_capture(media::FaceParams::for_identity(s.identity), s.to_pose(),
+                               config_.image_size);
+}
+
 media::RecognitionResult Laerte::run_frame(const Stimulus& s,
                                            const media::PipelineConfig& cfg,
-                                           const verif::BitFault* fault,
                                            media::FrontEndState* state) const {
-  const auto capture = media::camera_capture(
-      media::FaceParams::for_identity(s.identity), s.to_pose(), config_.image_size);
-  return media::recognize(capture, db_, cfg, nullptr, fault, state);
+  return media::recognize(capture(s), db_, cfg, nullptr, nullptr, state);
 }
 
 std::vector<verif::BitFault> Laerte::bit_fault_list() const {
@@ -74,30 +98,39 @@ std::vector<verif::BitFault> Laerte::bit_fault_list() const {
 Estimate Laerte::evaluate(const Testbench& tb, bool grade_bit_faults) {
   Estimate estimate;
   verif::CoverageDb cov;
+  // The coverage runs double as the grading's golden runs: instrumentation
+  // does not change what a kernel computes.
+  std::vector<media::GoldenRun> golden;
   {
     verif::CoverageDb::Scope scope{cov};
-    for (const auto& s : tb.frames) (void)run_frame(s, config_.pipeline, nullptr, nullptr);
+    for (const auto& s : tb.frames) {
+      auto run = media::golden_run(capture(s), db_, config_.pipeline);
+      if (grade_bit_faults) golden.push_back(std::move(run));
+    }
   }
+  atpg_obs().front_end_runs.add(tb.frames.size());
   estimate.coverage = cov.report();
   estimate.fitness = estimate.coverage.overall_percent();
+  if (!grade_bit_faults) return estimate;
 
-  if (grade_bit_faults) {
-    const auto faults = bit_fault_list();
-    estimate.bit_faults.total = faults.size();
-    for (const auto& fault : faults) {
-      for (const auto& s : tb.frames) {
-        const auto golden = run_frame(s, config_.pipeline, nullptr, nullptr);
-        const auto faulty = run_frame(s, config_.pipeline, &fault, nullptr);
-        const bool differs = golden.winner.index != faulty.winner.index ||
-                             golden.distances != faulty.distances ||
-                             golden.traces.features != faulty.traces.features;
-        if (differs) {
-          ++estimate.bit_faults.detected;
-          break;
-        }
+  const auto faults = bit_fault_list();
+  estimate.bit_faults.total = faults.size();
+  std::uint64_t resumed = 0;
+  for (const auto& fault : faults) {
+    for (const auto& g : golden) {
+      const auto faulty = media::simulate_fault(g, db_, config_.pipeline, fault);
+      if (!faulty) continue;  // not excited: this frame's outputs stay golden
+      ++resumed;
+      const bool differs = g.result.winner.index != faulty->winner.index ||
+                           g.result.distances != faulty->distances ||
+                           g.result.traces.features != faulty->traces.features;
+      if (differs) {
+        ++estimate.bit_faults.detected;
+        break;
       }
     }
   }
+  atpg_obs().fault_frames_resumed.add(resumed);
   return estimate;
 }
 
@@ -121,7 +154,23 @@ Testbench Laerte::genetic_testbench(int frames, int population, int generations,
   for (int i = 0; i < population; ++i) {
     pool.push_back(Individual{random_testbench(frames, rng.next()), -1.0});
   }
-  auto fitness_of = [this](Testbench& tb) { return evaluate(tb).fitness; };
+  // Each distinct stimulus is simulated once, under its own coverage
+  // database; a testbench's fitness is the merge of its frames' databases.
+  // That equals evaluate(tb).fitness: the kernels are pure, no frame carries
+  // state into the next, and per-frame hits add.
+  std::map<Stimulus, verif::CoverageDb> frame_cov;
+  auto fitness_of = [&](const Testbench& tb) {
+    verif::CoverageDb merged;
+    for (const auto& s : tb.frames) {
+      const auto [it, fresh] = frame_cov.try_emplace(s);
+      if (fresh) {
+        verif::CoverageDb::Scope scope{it->second};
+        (void)run_frame(s, config_.pipeline, nullptr);
+      }
+      merged.merge_from(it->second);
+    }
+    return merged.report().overall_percent();
+  };
   for (auto& ind : pool) ind.fitness = fitness_of(ind.tb);
 
   auto tournament = [&]() -> const Individual& {
@@ -165,6 +214,7 @@ Testbench Laerte::genetic_testbench(int frames, int population, int generations,
   }
   std::sort(pool.begin(), pool.end(),
             [](const Individual& a, const Individual& b) { return a.fitness > b.fitness; });
+  atpg_obs().front_end_runs.add(frame_cov.size());
   return pool.front().tb;
 }
 
@@ -173,8 +223,8 @@ bool Laerte::detects_seeded_memory_bug(const Testbench& tb) const {
   buggy.seeded_memory_bug = true;
   media::FrontEndState state;
   for (const auto& s : tb.frames) {
-    const auto golden = run_frame(s, config_.pipeline, nullptr, nullptr);
-    const auto faulty = run_frame(s, buggy, nullptr, &state);
+    const auto golden = run_frame(s, config_.pipeline, nullptr);
+    const auto faulty = run_frame(s, buggy, &state);
     if (golden.traces.window != faulty.traces.window ||
         golden.winner.index != faulty.winner.index) {
       return true;

@@ -14,6 +14,7 @@
 //  * `sat_generate_test`     — formal engine: stuck-at test generation on a
 //    gate netlist via a miter (shared-input good/faulty unrolling).
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -48,6 +49,8 @@ struct Stimulus {
 
   [[nodiscard]] media::Pose to_pose() const;
   [[nodiscard]] static Stimulus random(verif::Rng& rng, int identities);
+
+  auto operator<=>(const Stimulus&) const = default;
 };
 
 struct Testbench {
@@ -75,11 +78,16 @@ public:
   explicit Laerte(Config config);
 
   /// Coverage estimation (and optional bit-coverage grading) of a testbench.
+  /// Grading is fault simulation: each frame runs its golden pipeline once,
+  /// and each fault either leaves a frame's faulted word unchanged (skip) or
+  /// resumes the frame below the faulted stage boundary.
   [[nodiscard]] Estimate evaluate(const Testbench& tb, bool grade_bit_faults = false);
 
   /// Simulation-based engine 1: random stimuli.
   [[nodiscard]] Testbench random_testbench(int frames, std::uint64_t seed) const;
-  /// Simulation-based engine 2: genetic optimisation of coverage.
+  /// Simulation-based engine 2: genetic optimisation of coverage. Each
+  /// distinct stimulus is simulated once per call; a testbench's coverage is
+  /// the merge of its frames' coverage.
   [[nodiscard]] Testbench genetic_testbench(int frames, int population, int generations,
                                             std::uint64_t seed);
 
@@ -94,9 +102,9 @@ public:
   [[nodiscard]] const media::FaceDatabase& database() const noexcept { return db_; }
 
 private:
+  [[nodiscard]] media::Image capture(const Stimulus& s) const;
   [[nodiscard]] media::RecognitionResult run_frame(const Stimulus& s,
                                                    const media::PipelineConfig& cfg,
-                                                   const verif::BitFault* fault,
                                                    media::FrontEndState* state) const;
 
   Config config_;

@@ -1,6 +1,7 @@
 #include "media/pipeline.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "media/database.hpp"
 
@@ -11,25 +12,29 @@ namespace {
 using verif::BitFault;
 using verif::PortDirection;
 
-/// Applies a bit fault to an image if it targets `stage_name`/`port`.
-void maybe_fault_image(Image& image, const char* stage_name, PortDirection port,
+/// Applies a bit fault to an image if it targets `stage_name`/`port`;
+/// returns whether the patched pixel changed. Words index modulo the pixel
+/// count.
+bool maybe_fault_image(Image& image, const char* stage_name, PortDirection port,
                        const BitFault* fault) {
-  if (fault == nullptr || fault->stage != stage_name || fault->port != port) return;
+  if (fault == nullptr || fault->stage != stage_name || fault->port != port) return false;
   const auto n = image.pixel_count();
-  if (n == 0) return;
+  if (n == 0) return false;
   const auto idx = static_cast<std::size_t>(fault->word_index) % n;
-  auto pixels = image.data();
-  pixels[idx] = static_cast<std::uint16_t>(
-      verif::apply_bit_fault(pixels[idx], fault->word_index % static_cast<int>(n),
-                             BitFault{fault->stage, fault->port,
-                                      fault->word_index % static_cast<int>(n), fault->bit,
-                                      fault->stuck_to}));
+  auto& pixel = image.data()[idx];
+  const auto patched = static_cast<std::uint16_t>(verif::apply_bit_fault(
+      pixel, static_cast<int>(idx),
+      BitFault{fault->stage, fault->port, static_cast<int>(idx), fault->bit, fault->stuck_to}));
+  const bool changed = patched != pixel;
+  pixel = patched;
+  return changed;
 }
 
-void maybe_fault_features(FeatureVec& f, const char* stage_name, PortDirection port,
+/// The feature-vector counterpart of maybe_fault_image (bits modulo 16).
+bool maybe_fault_features(FeatureVec& f, const char* stage_name, PortDirection port,
                           const BitFault* fault) {
-  if (fault == nullptr || fault->stage != stage_name || fault->port != port) return;
-  if (f.v.empty()) return;
+  if (fault == nullptr || fault->stage != stage_name || fault->port != port) return false;
+  if (f.v.empty()) return false;
   const auto idx = static_cast<std::size_t>(fault->word_index) % f.v.size();
   const std::uint32_t raw = static_cast<std::uint16_t>(f.v[idx]);
   const std::uint32_t patched = verif::apply_bit_fault(
@@ -37,6 +42,7 @@ void maybe_fault_features(FeatureVec& f, const char* stage_name, PortDirection p
       BitFault{fault->stage, fault->port, static_cast<int>(idx), fault->bit % 16,
                fault->stuck_to});
   f.v[idx] = static_cast<std::int16_t>(static_cast<std::uint16_t>(patched));
+  return patched != raw;
 }
 
 media::Ctx stage_ctx(const char* stage_name, PipelineProfile* profile,
@@ -45,6 +51,27 @@ media::Ctx stage_ctx(const char* stage_name, PipelineProfile* profile,
   ctx.cov = verif::CoverageDb::active_module(stage_name);
   if (profile != nullptr) ctx.ops = ops_slot;
   return ctx;
+}
+
+/// DISTANCE over the database + WINNER on `result.features`.
+void match(RecognitionResult& result, const FaceDatabase& db, PipelineProfile* profile) {
+  std::uint64_t ops = 0;
+  media::Ctx dist_ctx = stage_ctx(stage::distance, profile, &ops);
+  result.distances.reserve(db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    result.distances.push_back(
+        calc_distance(result.features, db.entry(i).features, dist_ctx));
+  }
+  if (profile != nullptr) profile->add(stage::distance, ops);
+  ops = 0;
+
+  media::Ctx win_ctx = stage_ctx(stage::winner, profile, &ops);
+  result.winner = pick_winner(result.distances, win_ctx);
+  if (profile != nullptr) profile->add(stage::winner, ops);
+
+  if (result.winner.index >= 0) {
+    result.identity = db.identity_of(static_cast<std::size_t>(result.winner.index));
+  }
 }
 
 }  // namespace
@@ -62,71 +89,97 @@ std::vector<std::string> PipelineProfile::ranking() const {
   return names;
 }
 
-FeatureVec extract_features(const Image& bayer, const PipelineConfig& config,
-                            PipelineProfile* profile, StageTraces* traces,
-                            const verif::BitFault* fault, FrontEndState* state,
-                            EllipseFit* fit_out) {
+void run_front_end(FrontEndValues& values, Boundary from, const PipelineConfig& config,
+                   PipelineProfile* profile, StageTraces* traces,
+                   const verif::BitFault* fault, FrontEndState* state) {
   std::uint64_t ops = 0;
   auto commit_ops = [&](const char* stage_name) {
     if (profile != nullptr) profile->add(stage_name, ops);
     ops = 0;
   };
 
-  Image input = bayer;
-  maybe_fault_image(input, stage::bay, PortDirection::input, fault);
-
-  Image luma = bay_demosaic_luma(input, stage_ctx(stage::bay, profile, &ops));
-  commit_ops(stage::bay);
-  maybe_fault_image(luma, stage::bay, PortDirection::output, fault);
-  if (traces != nullptr) traces->bay = luma.checksum();
-
-  Image eroded = erode3x3(luma, stage_ctx(stage::erosion, profile, &ops));
-  commit_ops(stage::erosion);
-  maybe_fault_image(eroded, stage::erosion, PortDirection::output, fault);
-  if (traces != nullptr) traces->erosion = eroded.checksum();
-
-  Image rooted = root_transform(eroded, stage_ctx(stage::root, profile, &ops));
-  commit_ops(stage::root);
-  maybe_fault_image(rooted, stage::root, PortDirection::output, fault);
-  if (traces != nullptr) traces->root = rooted.checksum();
-
-  EdgeResult edges =
-      sobel_edge(rooted, config.edge_threshold, stage_ctx(stage::edge, profile, &ops));
-  commit_ops(stage::edge);
-  maybe_fault_image(edges.binary, stage::edge, PortDirection::output, fault);
-  if (traces != nullptr) traces->edge = edges.binary.checksum();
-
-  EllipseFit fit = fit_ellipse(edges.binary, stage_ctx(stage::ellipse, profile, &ops));
-  commit_ops(stage::ellipse);
-  if (fit_out != nullptr) *fit_out = fit;
-
-  Image window =
-      crop_border(luma, fit, config.window_size, stage_ctx(stage::crtbord, profile, &ops));
-  commit_ops(stage::crtbord);
-  if (config.seeded_memory_bug && state != nullptr) {
-    // BUG (seeded, see PipelineConfig): the window buffer is recycled from
-    // the previous frame without re-initialisation; its first row leaks.
-    Image& stale = state->stale_window();
-    if (!stale.empty() && stale.width() == window.width() &&
-        stale.height() == window.height()) {
-      const int mid = stale.height() / 2;
-      for (int x = 0; x < window.width(); ++x) window.px(x, 0) = stale.px(x, mid);
-    }
-    stale = window;
+  if (from == Boundary::frame) {
+    maybe_fault_image(values.bayer, stage::bay, PortDirection::input, fault);
+    values.luma = bay_demosaic_luma(values.bayer, stage_ctx(stage::bay, profile, &ops));
+    commit_ops(stage::bay);
   }
-  maybe_fault_image(window, stage::crtbord, PortDirection::output, fault);
-  if (traces != nullptr) traces->window = window.checksum();
+  if (from <= Boundary::bay) {
+    maybe_fault_image(values.luma, stage::bay, PortDirection::output, fault);
+    if (traces != nullptr) traces->bay = values.luma.checksum();
+  }
 
-  LineProfiles profiles = create_lines(window, stage_ctx(stage::crtline, profile, &ops));
-  commit_ops(stage::crtline);
+  if (from < Boundary::erosion) {
+    values.eroded = erode3x3(values.luma, stage_ctx(stage::erosion, profile, &ops));
+    commit_ops(stage::erosion);
+  }
+  if (from <= Boundary::erosion) {
+    maybe_fault_image(values.eroded, stage::erosion, PortDirection::output, fault);
+    if (traces != nullptr) traces->erosion = values.eroded.checksum();
+  }
 
-  FeatureVec features =
-      calc_line_features(profiles, stage_ctx(stage::calcline, profile, &ops));
-  commit_ops(stage::calcline);
-  maybe_fault_features(features, stage::calcline, PortDirection::output, fault);
-  if (traces != nullptr) traces->features = features.checksum();
+  if (from < Boundary::root) {
+    values.rooted = root_transform(values.eroded, stage_ctx(stage::root, profile, &ops));
+    commit_ops(stage::root);
+  }
+  if (from <= Boundary::root) {
+    maybe_fault_image(values.rooted, stage::root, PortDirection::output, fault);
+    if (traces != nullptr) traces->root = values.rooted.checksum();
+  }
 
-  return features;
+  if (from < Boundary::edge) {
+    values.edges = sobel_edge(values.rooted, config.edge_threshold,
+                              stage_ctx(stage::edge, profile, &ops))
+                       .binary;
+    commit_ops(stage::edge);
+  }
+  if (from <= Boundary::edge) {
+    maybe_fault_image(values.edges, stage::edge, PortDirection::output, fault);
+    if (traces != nullptr) traces->edge = values.edges.checksum();
+  }
+
+  if (from < Boundary::crtbord) {
+    values.fit = fit_ellipse(values.edges, stage_ctx(stage::ellipse, profile, &ops));
+    commit_ops(stage::ellipse);
+    values.window = crop_border(values.luma, values.fit, config.window_size,
+                                stage_ctx(stage::crtbord, profile, &ops));
+    commit_ops(stage::crtbord);
+    if (config.seeded_memory_bug && state != nullptr) {
+      // BUG (seeded, see PipelineConfig): the window buffer is recycled from
+      // the previous frame without re-initialisation; its first row leaks.
+      Image& stale = state->stale_window();
+      if (!stale.empty() && stale.width() == values.window.width() &&
+          stale.height() == values.window.height()) {
+        const int mid = stale.height() / 2;
+        for (int x = 0; x < values.window.width(); ++x) {
+          values.window.px(x, 0) = stale.px(x, mid);
+        }
+      }
+      stale = values.window;
+    }
+  }
+  if (from <= Boundary::crtbord) {
+    maybe_fault_image(values.window, stage::crtbord, PortDirection::output, fault);
+    if (traces != nullptr) traces->window = values.window.checksum();
+  }
+
+  if (from < Boundary::calcline) {
+    const LineProfiles lines =
+        create_lines(values.window, stage_ctx(stage::crtline, profile, &ops));
+    commit_ops(stage::crtline);
+    values.features = calc_line_features(lines, stage_ctx(stage::calcline, profile, &ops));
+    commit_ops(stage::calcline);
+  }
+  maybe_fault_features(values.features, stage::calcline, PortDirection::output, fault);
+  if (traces != nullptr) traces->features = values.features.checksum();
+}
+
+FeatureVec extract_features(const Image& bayer, const PipelineConfig& config,
+                            PipelineProfile* profile, StageTraces* traces,
+                            const verif::BitFault* fault, FrontEndState* state) {
+  FrontEndValues values;
+  values.bayer = bayer;
+  run_front_end(values, Boundary::frame, config, profile, traces, fault, state);
+  return std::move(values.features);
 }
 
 RecognitionResult recognize(const Image& bayer, const FaceDatabase& db,
@@ -135,26 +188,52 @@ RecognitionResult recognize(const Image& bayer, const FaceDatabase& db,
   RecognitionResult result;
   result.features =
       extract_features(bayer, config, profile, &result.traces, fault, state);
+  match(result, db, profile);
+  return result;
+}
 
-  std::uint64_t ops = 0;
-  media::Ctx dist_ctx = stage_ctx(stage::distance, profile, &ops);
-  result.distances.reserve(db.size());
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    result.distances.push_back(
-        calc_distance(result.features, db.entry(i).features, dist_ctx));
+GoldenRun golden_run(Image bayer, const FaceDatabase& db, const PipelineConfig& config) {
+  GoldenRun golden;
+  golden.values.bayer = std::move(bayer);
+  run_front_end(golden.values, Boundary::frame, config, nullptr, &golden.result.traces);
+  golden.result.features = golden.values.features;
+  match(golden.result, db, nullptr);
+  return golden;
+}
+
+std::optional<RecognitionResult> simulate_fault(const GoldenRun& golden,
+                                                const FaceDatabase& db,
+                                                const PipelineConfig& config,
+                                                const verif::BitFault& fault) {
+  // The kernels are pure and grading runs without a FrontEndState, so the
+  // stages above the faulted boundary would recompute their golden values,
+  // and an unchanged word leaves every stage below it golden too.
+  FrontEndValues values = golden.values;
+  const BitFault* f = &fault;
+  const auto out = PortDirection::output;
+  Boundary from{};
+  if (maybe_fault_image(values.bayer, stage::bay, PortDirection::input, f)) {
+    from = Boundary::frame;
+  } else if (maybe_fault_image(values.luma, stage::bay, out, f)) {
+    from = Boundary::bay;
+  } else if (maybe_fault_image(values.eroded, stage::erosion, out, f)) {
+    from = Boundary::erosion;
+  } else if (maybe_fault_image(values.rooted, stage::root, out, f)) {
+    from = Boundary::root;
+  } else if (maybe_fault_image(values.edges, stage::edge, out, f)) {
+    from = Boundary::edge;
+  } else if (maybe_fault_image(values.window, stage::crtbord, out, f)) {
+    from = Boundary::crtbord;
+  } else if (maybe_fault_features(values.features, stage::calcline, out, f)) {
+    from = Boundary::calcline;
+  } else {
+    return std::nullopt;  // not excited
   }
-  if (profile != nullptr) profile->add(stage::distance, ops);
-  ops = 0;
-
-  media::Ctx win_ctx = stage_ctx(stage::winner, profile, &ops);
-  result.winner = pick_winner(result.distances, win_ctx);
-  if (profile != nullptr) profile->add(stage::winner, ops);
-
-  if (result.winner.index >= 0 && result.winner.confident) {
-    result.identity = db.identity_of(static_cast<std::size_t>(result.winner.index));
-  } else if (result.winner.index >= 0) {
-    result.identity = db.identity_of(static_cast<std::size_t>(result.winner.index));
-  }
+  RecognitionResult result;
+  result.traces = golden.result.traces;
+  run_front_end(values, from, config, nullptr, &result.traces);
+  result.features = std::move(values.features);
+  match(result, db, nullptr);
   return result;
 }
 

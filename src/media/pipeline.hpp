@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,16 +73,43 @@ private:
   Image stale_window_;
 };
 
-/// Runs the front end (BAY .. CALCLINE) on one raw Bayer frame and returns
-/// the feature vector. `fault`, when non-null, injects one bit fault at the
-/// named stage boundary (the ATPG's bit-coverage fault model).
+/// Every stage-boundary value of one front-end run, from the raw frame (BAY
+/// input) to the feature vector (CALCLINE output). A staged run can restart
+/// below any of them, taking the values above as given.
+struct FrontEndValues {
+  Image bayer;          ///< BAY input: the raw frame
+  Image luma;           ///< BAY output
+  Image eroded;         ///< EROSION output
+  Image rooted;         ///< ROOT output
+  Image edges;          ///< EDGE output (the binary edge map)
+  EllipseFit fit;       ///< ELLIPSE output
+  Image window;         ///< CRTBORD output
+  FeatureVec features;  ///< CALCLINE output
+};
+
+/// The boundaries a staged run can start at, in dataflow order: the raw
+/// frame (a full run) or the output of a stage a bit fault can target.
+enum class Boundary : std::uint8_t { frame, bay, erosion, root, edge, crtbord, calcline };
+
+/// The staged front end (BAY .. CALCLINE) over `values`. The value at
+/// boundary `from` is taken as given and every boundary value below it is
+/// recomputed from the ones above (CRTBORD crops the BAY output). `fault`,
+/// when non-null, injects one bit fault at the named stage boundary if that
+/// boundary is `from` or below it (the ATPG's bit-coverage fault model);
+/// `traces` receives the checksums of those boundaries.
+void run_front_end(FrontEndValues& values, Boundary from,
+                   const PipelineConfig& config = {}, PipelineProfile* profile = nullptr,
+                   StageTraces* traces = nullptr, const verif::BitFault* fault = nullptr,
+                   FrontEndState* state = nullptr);
+
+/// Runs the whole front end on one raw Bayer frame and returns the feature
+/// vector: run_front_end from the frame.
 [[nodiscard]] FeatureVec extract_features(const Image& bayer,
                                           const PipelineConfig& config = {},
                                           PipelineProfile* profile = nullptr,
                                           StageTraces* traces = nullptr,
                                           const verif::BitFault* fault = nullptr,
-                                          FrontEndState* state = nullptr,
-                                          EllipseFit* fit_out = nullptr);
+                                          FrontEndState* state = nullptr);
 
 class FaceDatabase;  // defined in media/database.hpp
 
@@ -101,5 +129,25 @@ struct RecognitionResult {
                                           PipelineProfile* profile = nullptr,
                                           const verif::BitFault* fault = nullptr,
                                           FrontEndState* state = nullptr);
+
+/// A fault-free recognition with every stage-boundary value kept: the
+/// reference a fault simulation resumes from.
+struct GoldenRun {
+  FrontEndValues values;
+  RecognitionResult result;
+};
+[[nodiscard]] GoldenRun golden_run(Image bayer, const FaceDatabase& db,
+                                   const PipelineConfig& config = {});
+
+/// Fault simulation of one bit fault on the frame of `golden`, which must
+/// have been run against the same `db` and `config`. The fault is patched
+/// into the kept value at its boundary and only the stages below it are
+/// recomputed, so the result equals recognize(frame, db, config, nullptr,
+/// &fault). Returns nullopt when the fault is not excited: the patch leaves
+/// the word unchanged (or no boundary has that stage and port), so the
+/// faulty run equals the golden one.
+[[nodiscard]] std::optional<RecognitionResult> simulate_fault(
+    const GoldenRun& golden, const FaceDatabase& db, const PipelineConfig& config,
+    const verif::BitFault& fault);
 
 }  // namespace symbad::media

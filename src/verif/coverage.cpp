@@ -2,8 +2,6 @@
 
 namespace symbad::verif {
 
-thread_local CoverageDb* CoverageDb::active_ = nullptr;
-
 namespace {
 int covered_single(const std::vector<std::uint64_t>& v) noexcept {
   int n = 0;

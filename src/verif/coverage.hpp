@@ -162,7 +162,7 @@ public:
   [[nodiscard]] static CoverageDb* active() noexcept { return active_; }
 
 private:
-  static thread_local CoverageDb* active_;
+  static inline thread_local CoverageDb* active_ = nullptr;
   std::map<std::string, CovModule> modules_;
 };
 

@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "app/rtl_blocks.hpp"
 #include "atpg/atpg.hpp"
 #include "rtl/wordops.hpp"
 #include "support/test_util.hpp"
 
 namespace atpg = symbad::atpg;
+namespace media = symbad::media;
+namespace verif = symbad::verif;
 namespace rtl = symbad::rtl;
 namespace app = symbad::app;
 
@@ -79,6 +84,118 @@ TEST(Atpg, SeededMemoryBugDetectedByMultiFrameBench) {
 
   const auto tb = laerte.random_testbench(6, 21);
   EXPECT_TRUE(laerte.detects_seeded_memory_bug(tb));
+}
+
+// ------------------------------------------------- bit-fault grading
+
+namespace {
+
+/// The grading loop Laerte::evaluate ran before fault simulation, kept as
+/// the reference: full golden and faulty recomputes of every (fault, frame)
+/// pair, stopping at the first detecting frame.
+verif::FaultGrade reference_grade(const atpg::Laerte& laerte,
+                                  const atpg::Laerte::Config& config,
+                                  const atpg::Testbench& tb) {
+  verif::FaultGrade grade;
+  const auto faults = laerte.bit_fault_list();
+  grade.total = faults.size();
+  for (const auto& fault : faults) {
+    for (const auto& s : tb.frames) {
+      const auto frame = media::camera_capture(media::FaceParams::for_identity(s.identity),
+                                               s.to_pose(), config.image_size);
+      const auto golden = media::recognize(frame, laerte.database(), config.pipeline);
+      const auto faulty =
+          media::recognize(frame, laerte.database(), config.pipeline, nullptr, &fault);
+      const bool differs = golden.winner.index != faulty.winner.index ||
+                           golden.distances != faulty.distances ||
+                           golden.traces.features != faulty.traces.features;
+      if (differs) {
+        ++grade.detected;
+        break;
+      }
+    }
+  }
+  return grade;
+}
+
+/// Coverage of running every frame once through the reference pipeline.
+verif::CoverageReport reference_coverage(const atpg::Laerte& laerte,
+                                         const atpg::Laerte::Config& config,
+                                         const atpg::Testbench& tb) {
+  verif::CoverageDb cov;
+  verif::CoverageDb::Scope scope{cov};
+  for (const auto& s : tb.frames) {
+    (void)media::recognize(media::camera_capture(media::FaceParams::for_identity(s.identity),
+                                                 s.to_pose(), config.image_size),
+                           laerte.database(), config.pipeline);
+  }
+  return cov.report();
+}
+
+/// The flow's Laerte configuration (examples/face_recognition_flow.cpp).
+atpg::Laerte::Config flow_config() { return atpg::Laerte::Config{8, 3, 64, {}, 8}; }
+
+}  // namespace
+
+TEST(LaerteGrading, MatchesPerFaultFrameReference) {
+  media::PipelineConfig small_window;
+  small_window.edge_threshold = 40;
+  small_window.window_size = 24;
+  const atpg::Laerte::Config configs[] = {
+      flow_config(),
+      atpg::Laerte::Config{4, 2, 48, small_window, 8},
+      atpg::Laerte::Config{4, 2, 64, {}, 40},
+  };
+  for (const auto& config : configs) {
+    atpg::Laerte laerte{config};
+    const atpg::Testbench benches[] = {
+        laerte.random_testbench(1, 3),
+        laerte.random_testbench(4, 17),
+        laerte.genetic_testbench(3, 4, 2, 5),
+        laerte.genetic_testbench(2, 5, 1, 29),
+    };
+    for (const auto& tb : benches) {
+      const std::string what = "image " + std::to_string(config.image_size) + ", " +
+                               std::to_string(config.faults_per_stage) + " faults/stage, " +
+                               std::to_string(tb.frames.size()) + " frames";
+      const auto estimate = laerte.evaluate(tb, /*grade_bit_faults=*/true);
+      const auto grade = reference_grade(laerte, config, tb);
+      EXPECT_EQ(estimate.bit_faults.total, grade.total) << what;
+      EXPECT_EQ(estimate.bit_faults.detected, grade.detected) << what;
+      const auto coverage = reference_coverage(laerte, config, tb);
+      EXPECT_EQ(estimate.coverage.statement_covered, coverage.statement_covered) << what;
+      EXPECT_EQ(estimate.coverage.branch_covered, coverage.branch_covered) << what;
+      EXPECT_EQ(estimate.coverage.condition_covered, coverage.condition_covered) << what;
+      EXPECT_EQ(estimate.fitness, coverage.overall_percent()) << what;
+    }
+  }
+}
+
+TEST(LaerteGrading, FlowGeneticTestbenchIsPinned) {
+  // Goldens recorded with full-recompute grading and a GA that re-simulated
+  // every frame of every fitness call; fault simulation and the per-call
+  // stimulus memo must reproduce them exactly.
+  atpg::Laerte laerte{flow_config()};
+  const auto tb = laerte.genetic_testbench(5, 6, 3, 42);
+  const std::vector<atpg::Stimulus> expected{
+      {5, 5, 2, -12, 286, -9, 6, 0xf1a3de9febcea41cULL},
+      {6, 3, 3, 0, 247, 3, 1, 0x94464c0c24234f90ULL},
+      {0, -3, -2, 0, 295, -1, 3, 0xdb53e80d9dbe5105ULL},
+      {1, 0, -6, -11, 287, 10, 2, 0x78782cd85fd4c46bULL},
+      {0, -4, 1, 3, 259, -1, 4, 0x5951ea097b7ca467ULL},
+  };
+  EXPECT_TRUE(tb.frames == expected);
+
+  const auto estimate = laerte.evaluate(tb, /*grade_bit_faults=*/true);
+  EXPECT_EQ(estimate.bit_faults.detected, 25u);
+  EXPECT_EQ(estimate.bit_faults.total, 48u);
+  EXPECT_EQ(estimate.coverage.statement_covered, 30);
+  EXPECT_EQ(estimate.coverage.statement_total, 32);
+  EXPECT_EQ(estimate.coverage.branch_covered, 9);
+  EXPECT_EQ(estimate.coverage.branch_total, 15);
+  EXPECT_EQ(estimate.coverage.condition_covered, 7);
+  EXPECT_EQ(estimate.coverage.condition_total, 12);
+  EXPECT_NEAR(estimate.fitness, 77.966, 1e-3);
 }
 
 // ------------------------------------------------------------ SAT engine

@@ -7,6 +7,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "media/database.hpp"
 #include "media/face_gen.hpp"
@@ -400,6 +403,164 @@ TEST(Pipeline, BitFaultChangesObservableOutput) {
   fault.stuck_to = true;
   const auto faulty = media::recognize(frame, db, {}, nullptr, &fault);
   EXPECT_NE(golden.traces.root, faulty.traces.root);
+}
+
+// ------------------------------------------------------ front-end resume
+
+namespace {
+
+/// The first field in which two recognition results differ ("" if none).
+std::string first_difference(const media::RecognitionResult& a,
+                             const media::RecognitionResult& b) {
+  if (a.winner.index != b.winner.index || a.winner.best != b.winner.best ||
+      a.winner.second != b.winner.second || a.winner.confident != b.winner.confident) {
+    return "winner";
+  }
+  if (a.identity != b.identity) return "identity";
+  if (a.distances != b.distances) return "distances";
+  if (a.features != b.features) return "features";
+  const auto& ta = a.traces;
+  const auto& tb = b.traces;
+  if (ta.bay != tb.bay || ta.erosion != tb.erosion || ta.root != tb.root ||
+      ta.edge != tb.edge || ta.window != tb.window || ta.features != tb.features) {
+    return "traces";
+  }
+  return "";
+}
+
+std::vector<media::GoldenRun> resume_goldens(const media::FaceDatabase& db) {
+  std::vector<media::GoldenRun> goldens;
+  for (const int id : {0, 2, 3}) {
+    const auto params = media::FaceParams::for_identity(id);
+    goldens.push_back(media::golden_run(media::camera_capture(params, query_pose(id, id)), db));
+  }
+  return goldens;
+}
+
+}  // namespace
+
+TEST(FrontEndResume, MatchesFullRecomputeAtEveryBoundary) {
+  // Fault simulation against recognize()'s full recompute: every boundary a
+  // bit fault can target, the BAY input, and two stage/port pairs that name
+  // no boundary (never excited). Words are drawn from four times each
+  // boundary's size, so most wrap; all 16 bits, both polarities, 3 frames.
+  const auto db = media::FaceDatabase::enroll(4, 2);
+  const auto goldens = resume_goldens(db);
+  using verif::PortDirection;
+  struct Site {
+    const char* stage;
+    PortDirection port;
+    bool has_boundary;
+  };
+  const Site sites[] = {
+      {media::stage::bay, PortDirection::input, true},
+      {media::stage::bay, PortDirection::output, true},
+      {media::stage::erosion, PortDirection::output, true},
+      {media::stage::root, PortDirection::output, true},
+      {media::stage::edge, PortDirection::output, true},
+      {media::stage::crtbord, PortDirection::output, true},
+      {media::stage::calcline, PortDirection::output, true},
+      {media::stage::ellipse, PortDirection::output, false},
+      {media::stage::root, PortDirection::input, false},
+  };
+  auto rng = symbad::test::rng(0xFE5u);
+  for (const auto& site : sites) {
+    int excited = 0;
+    int quiet = 0;
+    for (const auto& golden : goldens) {
+      const std::string stage_name = site.stage;
+      const std::size_t words = stage_name == media::stage::crtbord
+                                    ? golden.values.window.pixel_count()
+                                : stage_name == media::stage::calcline
+                                    ? golden.values.features.v.size()
+                                    : golden.values.bayer.pixel_count();
+      for (int bit = 0; bit < 16; ++bit) {
+        for (const bool stuck : {false, true}) {
+          const verif::BitFault fault{site.stage, site.port,
+                                      static_cast<int>(rng.below(4 * words)), bit, stuck};
+          const auto full = media::recognize(golden.values.bayer, db, {}, nullptr, &fault);
+          const auto resumed = media::simulate_fault(golden, db, {}, fault);
+          if (resumed.has_value()) {
+            ++excited;
+            EXPECT_EQ(first_difference(*resumed, full), "") << fault.to_string();
+          } else {
+            ++quiet;
+            EXPECT_EQ(first_difference(golden.result, full), "") << fault.to_string();
+          }
+        }
+      }
+    }
+    EXPECT_GT(quiet, 0) << site.stage;
+    if (site.has_boundary) {
+      EXPECT_GT(excited, 0) << site.stage;
+    } else {
+      EXPECT_EQ(excited, 0) << site.stage;
+    }
+  }
+}
+
+TEST(FrontEndResume, WordIndicesWrapModuloTheBoundarySize) {
+  // The 32x32 window and the feature vector are smaller than the frame the
+  // fault list is sampled over: word w and word w % n must be one fault.
+  const auto db = media::FaceDatabase::enroll(4, 2);
+  const auto goldens = resume_goldens(db);
+  for (const auto& golden : goldens) {
+    const std::pair<const char*, std::size_t> boundaries[] = {
+        {media::stage::crtbord, golden.values.window.pixel_count()},
+        {media::stage::calcline, golden.values.features.v.size()},
+    };
+    for (const auto& [stage_name, words] : boundaries) {
+      for (const int word : {3, 17, 101}) {
+        for (const bool stuck : {false, true}) {
+          const int bit = word % 8;
+          const verif::BitFault near{stage_name, verif::PortDirection::output, word, bit, stuck};
+          const verif::BitFault far{stage_name, verif::PortDirection::output,
+                                    word + 3 * static_cast<int>(words), bit, stuck};
+          const auto a = media::simulate_fault(golden, db, {}, near);
+          const auto b = media::simulate_fault(golden, db, {}, far);
+          ASSERT_EQ(a.has_value(), b.has_value()) << far.to_string();
+          if (a.has_value()) {
+            EXPECT_EQ(first_difference(*a, *b), "") << far.to_string();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FrontEndResume, RestartBelowAnyBoundaryReproducesTheRun) {
+  // Without a fault, restarting at any boundary recomputes the golden
+  // values and traces below it from the values at and above it.
+  const auto db = media::FaceDatabase::enroll(4, 2);
+  const auto golden = resume_goldens(db).front();
+  using media::Boundary;
+  for (const auto from : {Boundary::frame, Boundary::bay, Boundary::erosion, Boundary::root,
+                          Boundary::edge, Boundary::crtbord, Boundary::calcline}) {
+    media::FrontEndValues values = golden.values;
+    if (from < Boundary::bay) values.luma = {};
+    if (from < Boundary::erosion) values.eroded = {};
+    if (from < Boundary::root) values.rooted = {};
+    if (from < Boundary::edge) values.edges = {};
+    if (from < Boundary::crtbord) {
+      values.fit = {};
+      values.window = {};
+    }
+    if (from < Boundary::calcline) values.features = {};
+    media::StageTraces traces;
+    media::run_front_end(values, from, {}, nullptr, &traces);
+    const int at = static_cast<int>(from);
+    EXPECT_EQ(values.luma, golden.values.luma) << at;
+    EXPECT_EQ(values.eroded, golden.values.eroded) << at;
+    EXPECT_EQ(values.rooted, golden.values.rooted) << at;
+    EXPECT_EQ(values.edges, golden.values.edges) << at;
+    EXPECT_EQ(values.fit.m00, golden.values.fit.m00) << at;
+    EXPECT_EQ(values.window, golden.values.window) << at;
+    EXPECT_EQ(values.features, golden.values.features) << at;
+    EXPECT_EQ(traces.features, golden.result.traces.features) << at;
+    // Traces cover the boundaries from `from` on only.
+    EXPECT_EQ(traces.bay, from <= Boundary::bay ? golden.result.traces.bay : 0u) << at;
+  }
+  EXPECT_EQ(media::extract_features(golden.values.bayer), golden.values.features);
 }
 
 // -------------------------------------------------------------- database

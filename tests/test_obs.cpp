@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "atpg/atpg.hpp"
 #include "exec/campaign.hpp"
 #include "gen/gen.hpp"
 #include "mc/mc.hpp"
@@ -22,6 +23,7 @@
 #include "support/alloc_counter.hpp"
 #include "support/test_util.hpp"
 
+namespace atpg = symbad::atpg;
 namespace exec = symbad::exec;
 namespace gen = symbad::gen;
 namespace mc = symbad::mc;
@@ -626,6 +628,32 @@ TEST(ObsBridge, PccSimPassesCountsLaneBatches) {
   const auto busy = pcc::check_property_coverage(n, never_max, options);
   EXPECT_GT(busy.detected_by_simulation, 0u);
   EXPECT_GT(registry.snapshot().counter("pcc.sim_passes"), (busy.total_faults + 63) / 64);
+}
+
+TEST(ObsBridge, LaerteCountsFrontEndRunsAndResumedFaultFrames) {
+  // atpg.* lives in the registry only, one add per call. On the flow's
+  // configuration the GA's 105 frame evaluations reduce to 39 distinct
+  // stimuli; grading runs 5 golden frames, and 64 of the 158 graded
+  // (fault, frame) pairs change their faulted word and resume.
+  const LevelGuard guard;
+  auto& registry = obs::Registry::instance();
+  registry.set_level(1);
+  atpg::Laerte laerte{atpg::Laerte::Config{8, 3, 64, {}, 8}};
+
+  registry.reset();
+  const auto tb = laerte.genetic_testbench(5, 6, 3, 42);
+  EXPECT_EQ(registry.snapshot().counter("atpg.front_end_runs"), 39u);
+  EXPECT_EQ(registry.snapshot().counter("atpg.fault_frames_resumed"), 0u);
+
+  registry.reset();
+  (void)laerte.evaluate(tb);
+  EXPECT_EQ(registry.snapshot().counter("atpg.front_end_runs"), 5u);
+  EXPECT_EQ(registry.snapshot().counter("atpg.fault_frames_resumed"), 0u);
+
+  registry.reset();
+  (void)laerte.evaluate(tb, /*grade_bit_faults=*/true);
+  EXPECT_EQ(registry.snapshot().counter("atpg.front_end_runs"), 5u);
+  EXPECT_EQ(registry.snapshot().counter("atpg.fault_frames_resumed"), 64u);
 }
 
 TEST(ObsBridge, KernelAndHostMetricsMatchReports) {
