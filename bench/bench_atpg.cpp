@@ -6,6 +6,7 @@
 
 #include "app/rtl_blocks.hpp"
 #include "atpg/atpg.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -76,13 +77,13 @@ void BM_Atpg_SatEngineOnDistancePe(benchmark::State& state) {
   std::uint64_t compactions = 0;
   for (auto _ : state) {
     atpg::SatEngine engine{pe, {3}};
+    const obs::Scope generation;  // the fault list's solves, not the set-up
     const auto results = engine.generate_tests(faults);
     detected = 0;
-    conflicts = 0;
     for (const auto& r : results) {
       if (r.test.has_value()) ++detected;
-      conflicts += r.conflicts;
     }
+    conflicts = generation.delta("sat.conflicts");
     arena = engine.solver().arena_bytes();
     arena_live = engine.solver().arena_live_bytes();
     compactions = engine.solver().statistics().arena_compactions;

@@ -3,13 +3,16 @@
 // (whole property suites / PCC): here the focus is the per-bound cost
 // profile — deep clean runs, early falsification (where laziness saves the
 // whole tail of the horizon), and the shared-solver k-induction step.
+// Cost counters are the last iteration's registry deltas (obs::Scope).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 
 #include "app/rtl_blocks.hpp"
 #include "mc/mc.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -24,15 +27,17 @@ void BM_Mc_LazyBmcDeepUnrolling(benchmark::State& state) {
   const auto prop = mc::Property::invariant(
       "busy_and_done_exclusive",
       !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
-  mc::CheckResult result;
+  std::optional<obs::Scope> last;
   for (auto _ : state) {
-    result = checker.check(prop, {static_cast<int>(state.range(0)), 3});
+    last.emplace();
+    const auto result = checker.check(prop, {static_cast<int>(state.range(0)), 3});
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["bound"] = static_cast<double>(state.range(0));
-  state.counters["sat_conflicts_total"] = static_cast<double>(result.total_sat_conflicts);
+  state.counters["sat_conflicts_total"] =
+      static_cast<double>(last->delta("mc.sat_conflicts"));
   state.counters["sat_conflicts_induction"] =
-      static_cast<double>(result.induction_conflicts);
+      static_cast<double>(last->delta("mc.induction_conflicts"));
 }
 BENCHMARK(BM_Mc_LazyBmcDeepUnrolling)->Arg(15)->Arg(30)->Unit(benchmark::kMillisecond);
 
@@ -45,13 +50,16 @@ void BM_Mc_EarlyFalsificationUnderDeepHorizon(benchmark::State& state) {
   const auto prop = mc::Property::invariant(
       "never_busy", !mc::Expr::signal("busy"));  // false after one start
   mc::CheckResult result;
+  std::optional<obs::Scope> last;
   for (auto _ : state) {
+    last.emplace();
     result = checker.check(prop, {40, 4});
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["falsified"] = result.status == mc::CheckStatus::falsified ? 1.0 : 0.0;
   state.counters["bound_used"] = static_cast<double>(result.bound_used);
-  state.counters["sat_conflicts"] = static_cast<double>(result.sat_conflicts);
+  state.counters["sat_conflicts"] =
+      static_cast<double>(last->delta("mc.decisive_conflicts"));
 }
 BENCHMARK(BM_Mc_EarlyFalsificationUnderDeepHorizon)->Unit(benchmark::kMillisecond);
 
@@ -71,17 +79,19 @@ void BM_Mc_ConeOfInfluenceOnRootControl(benchmark::State& state) {
   options.max_bound = 15;
   options.induction_depth = 3;
   options.cone_of_influence = state.range(0) != 0;
-  mc::CheckResult result;
+  std::optional<obs::Scope> last;
   for (auto _ : state) {
-    result = checker.check(prop, options);
+    last.emplace();
+    const auto result = checker.check(prop, options);
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["coi"] = static_cast<double>(state.range(0));
-  state.counters["encoded_vars"] = static_cast<double>(result.solver_variables);
-  state.counters["encoded_clauses"] = static_cast<double>(result.solver_clauses);
-  state.counters["sat_conflicts_total"] = static_cast<double>(result.total_sat_conflicts);
-  state.counters["arena_bytes"] = static_cast<double>(result.solver_arena_bytes);
-  state.counters["arena_live"] = static_cast<double>(result.solver_arena_live);
+  state.counters["encoded_vars"] = static_cast<double>(last->delta("mc.encoded_vars"));
+  state.counters["encoded_clauses"] = static_cast<double>(last->delta("mc.encoded_clauses"));
+  state.counters["sat_conflicts_total"] =
+      static_cast<double>(last->delta("mc.sat_conflicts"));
+  state.counters["arena_bytes"] = static_cast<double>(last->delta("mc.arena_bytes"));
+  state.counters["arena_live"] = static_cast<double>(last->delta("mc.arena_live"));
 }
 BENCHMARK(BM_Mc_ConeOfInfluenceOnRootControl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -96,18 +106,24 @@ void BM_Mc_CheckAllWrapperSuite(benchmark::State& state) {
   options.max_bound = 12;
   options.induction_depth = 4;
   mc::MultiCheckResult result;
+  std::optional<obs::Scope> last;
   for (auto _ : state) {
+    last.emplace();
     result = checker.check_all(props, options);
     benchmark::DoNotOptimize(result.results.size());
   }
   state.counters["properties"] = static_cast<double>(result.results.size());
   state.counters["falsified"] = static_cast<double>(result.count(mc::CheckStatus::falsified));
-  state.counters["encoded_vars"] = static_cast<double>(result.solver_variables);
-  state.counters["encoded_clauses"] = static_cast<double>(result.solver_clauses);
-  state.counters["sat_conflicts_total"] = static_cast<double>(result.total_sat_conflicts);
-  state.counters["arena_bytes"] = static_cast<double>(result.solver_arena_bytes);
-  state.counters["arena_live"] = static_cast<double>(result.solver_arena_live);
-  state.counters["sat_compactions"] = static_cast<double>(result.solver_compactions);
+  state.counters["encoded_vars"] =
+      static_cast<double>(last->delta("mc.portfolio.encoded_vars"));
+  state.counters["encoded_clauses"] =
+      static_cast<double>(last->delta("mc.portfolio.encoded_clauses"));
+  state.counters["sat_conflicts_total"] =
+      static_cast<double>(last->delta("mc.portfolio.sat_conflicts"));
+  state.counters["arena_bytes"] = static_cast<double>(last->delta("mc.portfolio.arena_bytes"));
+  state.counters["arena_live"] = static_cast<double>(last->delta("mc.portfolio.arena_live"));
+  state.counters["sat_compactions"] =
+      static_cast<double>(last->delta("mc.portfolio.compactions"));
 }
 BENCHMARK(BM_Mc_CheckAllWrapperSuite)->Unit(benchmark::kMillisecond);
 
@@ -121,14 +137,17 @@ void BM_Mc_SharedSolverInductionProof(benchmark::State& state) {
       mc::Expr::signal("overflow") && !mc::Expr::signal("clear_in"),
       mc::Expr::signal("overflow"));
   mc::CheckResult result;
+  std::optional<obs::Scope> last;
   for (auto _ : state) {
+    last.emplace();
     result = checker.check(prop, {static_cast<int>(state.range(0)), 3});
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["proved"] = result.status == mc::CheckStatus::proved ? 1.0 : 0.0;
   state.counters["sat_conflicts_induction"] =
-      static_cast<double>(result.induction_conflicts);
-  state.counters["sat_conflicts_total"] = static_cast<double>(result.total_sat_conflicts);
+      static_cast<double>(last->delta("mc.induction_conflicts"));
+  state.counters["sat_conflicts_total"] =
+      static_cast<double>(last->delta("mc.sat_conflicts"));
 }
 BENCHMARK(BM_Mc_SharedSolverInductionProof)->Arg(10)->Unit(benchmark::kMillisecond);
 

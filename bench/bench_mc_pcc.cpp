@@ -5,9 +5,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <optional>
 
 #include "app/rtl_blocks.hpp"
 #include "mc/mc.hpp"
+#include "obs/obs.hpp"
 #include "pcc/pcc.hpp"
 
 namespace {
@@ -27,22 +29,25 @@ const bool kEnvScrubbed = [] {
 }();
 
 /// Shared body of the multi-fault grading benches: runs the PCC campaign
-/// and exports the deterministic formal-grading footprint. gates_before /
-/// gates_after / encoded_vars / encoded_clauses are hard-gated by
+/// and exports the deterministic formal-grading footprint, the last
+/// iteration's pcc.* registry deltas. gates_before / gates_after /
+/// encoded_vars / encoded_clauses are hard-gated by
 /// scripts/bench_compare.py.
 void run_fault_grading(benchmark::State& state, const rtl::Netlist& n,
                        const std::vector<mc::Property>& properties,
                        pcc::PccOptions options) {
   pcc::PccReport report;
+  std::optional<obs::Scope> last;
   for (auto _ : state) {
+    last.emplace();
     report = pcc::check_property_coverage(n, properties, options);
     benchmark::DoNotOptimize(report.detected);
   }
   state.counters["coverage_pct"] = report.coverage_percent();
-  state.counters["gates_before"] = static_cast<double>(report.opt_gates_before);
-  state.counters["gates_after"] = static_cast<double>(report.opt_gates_after);
-  state.counters["encoded_vars"] = static_cast<double>(report.encoded_vars);
-  state.counters["encoded_clauses"] = static_cast<double>(report.encoded_clauses);
+  state.counters["gates_before"] = static_cast<double>(last->delta("pcc.opt_gates_before"));
+  state.counters["gates_after"] = static_cast<double>(last->delta("pcc.opt_gates_after"));
+  state.counters["encoded_vars"] = static_cast<double>(last->delta("pcc.encoded_vars"));
+  state.counters["encoded_clauses"] = static_cast<double>(last->delta("pcc.encoded_clauses"));
 }
 
 void BM_Mc_WrapperPropertySuite(benchmark::State& state) {
@@ -69,13 +74,16 @@ void BM_Mc_RootCoreInvariant(benchmark::State& state) {
       "busy_and_done_exclusive",
       !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
   mc::CheckResult result;
+  std::optional<obs::Scope> last;
   for (auto _ : state) {
+    last.emplace();
     result = checker.check(prop, {static_cast<int>(state.range(0)), 3});
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["bound"] = static_cast<double>(state.range(0));
   state.counters["falsified"] = result.status == mc::CheckStatus::falsified ? 1.0 : 0.0;
-  state.counters["sat_conflicts"] = static_cast<double>(result.sat_conflicts);
+  state.counters["sat_conflicts"] =
+      static_cast<double>(last->delta("mc.decisive_conflicts"));
 }
 BENCHMARK(BM_Mc_RootCoreInvariant)->Arg(5)->Arg(15)->Unit(benchmark::kMillisecond);
 

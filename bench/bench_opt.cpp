@@ -9,9 +9,11 @@
 
 #include "app/rtl_blocks.hpp"
 #include "mc/mc.hpp"
+#include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 
 #include <cstdlib>
+#include <optional>
 
 namespace {
 
@@ -88,15 +90,17 @@ void BM_Opt_DeepBmcPreprocessOnRootDatapath(benchmark::State& state) {
   options.max_bound = 30;
   options.induction_depth = 3;
   options.optimize = state.range(0) != 0;
-  mc::CheckResult result;
+  std::optional<obs::Scope> last;  // the last iteration's registry deltas
   for (auto _ : state) {
-    result = checker.check(prop, options);
+    last.emplace();
+    const auto result = checker.check(prop, options);
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["opt"] = static_cast<double>(state.range(0));
-  state.counters["encoded_vars"] = static_cast<double>(result.solver_variables);
-  state.counters["encoded_clauses"] = static_cast<double>(result.solver_clauses);
-  state.counters["sat_conflicts_total"] = static_cast<double>(result.total_sat_conflicts);
+  state.counters["encoded_vars"] = static_cast<double>(last->delta("mc.encoded_vars"));
+  state.counters["encoded_clauses"] = static_cast<double>(last->delta("mc.encoded_clauses"));
+  state.counters["sat_conflicts_total"] =
+      static_cast<double>(last->delta("mc.sat_conflicts"));
 }
 BENCHMARK(BM_Opt_DeepBmcPreprocessOnRootDatapath)
     ->Arg(0)
@@ -125,15 +129,20 @@ void BM_Opt_CheckAllLiveConeOnRoot(benchmark::State& state) {
   options.live_cone = state.range(0) != 0;
   options.canonical_counterexample = false;  // falsification-only sweep
   mc::MultiCheckResult result;
+  std::optional<obs::Scope> last;  // the last iteration's registry deltas
   for (auto _ : state) {
+    last.emplace();
     result = checker.check_all(props, options);
     benchmark::DoNotOptimize(result.results.size());
   }
   state.counters["live_cone"] = static_cast<double>(state.range(0));
-  state.counters["cone_recomputes"] = static_cast<double>(result.cone_recomputes);
+  state.counters["cone_recomputes"] =
+      static_cast<double>(last->delta("mc.portfolio.cone_recomputes"));
   state.counters["falsified_bound"] = static_cast<double>(result.results[0].bound_used);
-  state.counters["encoded_vars"] = static_cast<double>(result.solver_variables);
-  state.counters["encoded_clauses"] = static_cast<double>(result.solver_clauses);
+  state.counters["encoded_vars"] =
+      static_cast<double>(last->delta("mc.portfolio.encoded_vars"));
+  state.counters["encoded_clauses"] =
+      static_cast<double>(last->delta("mc.portfolio.encoded_clauses"));
 }
 BENCHMARK(BM_Opt_CheckAllLiveConeOnRoot)
     ->Arg(0)

@@ -9,6 +9,7 @@
 #include "app/rtl_blocks.hpp"
 #include "atpg/atpg.hpp"
 #include "mc/mc.hpp"
+#include "obs/obs.hpp"
 #include "pcc/pcc.hpp"
 
 namespace atpg = symbad::atpg;
@@ -57,13 +58,14 @@ int main() {
   const auto wrapper = app::build_wrapper_fsm();
   const mc::ModelChecker checker{wrapper};
   for (const auto& prop : app::wrapper_properties_extended()) {
+    const symbad::obs::Scope cost;  // the check's conflicts, from the registry
     const auto result = checker.check(prop);
     const char* verdict = result.status == mc::CheckStatus::proved ? "PROVED"
                           : result.status == mc::CheckStatus::falsified
                               ? "FALSIFIED"
                               : "no cex within bound";
     std::printf("  %-28s %s (%llu conflicts)\n", prop.name.c_str(), verdict,
-                static_cast<unsigned long long>(result.sat_conflicts));
+                static_cast<unsigned long long>(cost.delta("mc.decisive_conflicts")));
   }
   // A deliberately false property, to show counter-example extraction.
   const auto false_prop =

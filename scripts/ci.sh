@@ -30,9 +30,12 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "==> [2/8] parallel-safety: ctest -L unit -j (suites must tolerate"
 echo "    concurrent siblings — shared fixtures, tmp dirs, env), then every"
-echo "    unit suite again with telemetry spans on"
+echo "    unit suite again with telemetry spans on, and with telemetry off"
+echo "    (every verdict checked without the registry; cost-reading tests"
+echo "    turn counting on themselves)"
 ctest --test-dir build --output-on-failure -L unit -j "$((JOBS * 2))"
 SYMBAD_OBS=2 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
+SYMBAD_OBS=0 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 
 echo "==> [3/8] perf regression: SAT/MC/opt/kernel/lint/obs benches vs BENCH_BASELINE.json"
 BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_opt bench_level2_sim bench_gen bench_lint bench_obs" \

@@ -360,8 +360,6 @@ std::vector<SatEngine::FaultResult> SatEngine::generate_tests(
     r.net = net;
     r.stuck_to = stuck_to;
     r.test = generate(net, stuck_to);
-    r.conflicts = solver_.last_solve_statistics().conflicts;
-    r.propagations = solver_.last_solve_statistics().propagations;
     results.push_back(std::move(r));
   }
   return results;

@@ -160,9 +160,7 @@ public:
   struct FaultResult {
     rtl::Net net{};
     bool stuck_to = false;
-    std::optional<SatTest> test;    ///< nullopt: undetectable within unroll
-    std::uint64_t conflicts = 0;    ///< solver conflicts for this fault alone
-    std::uint64_t propagations = 0; ///< ditto
+    std::optional<SatTest> test;  ///< nullopt: undetectable within unroll
   };
 
   explicit SatEngine(const rtl::Netlist& netlist) : SatEngine{netlist, Options{}} {}
@@ -172,7 +170,9 @@ public:
   [[nodiscard]] std::optional<SatTest> generate(rtl::Net fault_net, bool stuck_to);
 
   /// Generates tests for a whole fault list, sharing the solver and its
-  /// learned clauses across faults; results are in input order.
+  /// learned clauses across faults; results are in input order. Solve cost
+  /// lives in the `sat.*` registry counters (one add per solve): an
+  /// obs::Scope around this call reads the fault list's share.
   [[nodiscard]] std::vector<FaultResult> generate_tests(
       std::span<const std::pair<rtl::Net, bool>> faults);
 

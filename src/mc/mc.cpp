@@ -6,7 +6,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "lint/lint.hpp"
 #include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 
@@ -218,32 +217,6 @@ std::vector<std::string> collect_observed(std::span<const Property> properties,
   return names;
 }
 
-/// The lint fault prune (Options::lint_prune_faults): drops fault-map
-/// entries outside the backward cone of influence of every observed output.
-/// The COI closure crosses registers, so a dropped fault cannot change an
-/// observed output at any frame under any stimulus — baking its constant
-/// (or not) leaves the encoded behaviour identical, which is what makes the
-/// prune exact. Returns the input map untouched when pruning is disabled,
-/// nothing prunes, or everything would prune (a fully-invisible fault map
-/// still runs as a per-fault rebuild, sweep off, instead of becoming a
-/// fault-free check that pays for the sweep).
-std::map<rtl::Net, bool> pruned_faults(const rtl::Netlist& netlist,
-                                       std::span<const Property> properties,
-                                       const std::map<rtl::Net, bool>& faults,
-                                       const ModelChecker::Options& options) {
-  if (!options.lint_prune_faults || faults.empty() ||
-      lint::mode_from_env() == lint::Mode::off) {
-    return faults;
-  }
-  const lint::FaultPruner pruner{netlist, collect_observed(properties)};
-  std::map<rtl::Net, bool> kept;
-  for (const auto& [net, value] : faults) {
-    if (!pruner.undetectable(net, value)) kept.emplace(net, value);
-  }
-  if (kept.empty()) return faults;
-  return kept;
-}
-
 /// One long-lived solver + frame chain + encode cache serving every BMC
 /// bound, the k-induction step and (in check_all) every property. Assuming
 /// `act_reset` pins frame 0 to the reset state (BMC); leaving it free makes
@@ -435,15 +408,13 @@ Counterexample model_counterexample(Session& s, int last_frame) {
 /// (cone on/off), learned clauses or decision heuristics — which is what
 /// makes counterexamples bit-identical across encodings and platforms.
 Counterexample canonical_counterexample(Session& s, int last_frame,
-                                        std::vector<Lit> fixed,
-                                        std::uint64_t& cex_conflicts) {
+                                        std::vector<Lit> fixed) {
   // Establish the invariant the greedy walk relies on: the solver's
   // current model satisfies `fixed`. The caller's decisive solve usually
   // just did, but in check_all canonicalising one property's trace
   // overwrites the model a co-falsified property was classified on — this
   // (cheap, assumption-driven) solve re-derives a witness either way.
   (void)s.solver.solve(fixed);
-  cex_conflicts += s.solver.last_solve_statistics().conflicts;
   Counterexample cex;
   for (int f = 0; f <= last_frame; ++f) {
     std::map<std::string, bool> values;
@@ -463,16 +434,13 @@ Counterexample canonical_counterexample(Session& s, int last_frame,
       bool value = s.solver.model_value(l.var()) != l.negated();
       if (value) {
         fixed.push_back(~l);
-        const bool can_be_false = s.solver.solve(fixed) == sat::Result::sat;
-        cex_conflicts += s.solver.last_solve_statistics().conflicts;
-        if (can_be_false) {
+        if (s.solver.solve(fixed) == sat::Result::sat) {
           value = false;  // the new model witnesses the false-prefix
         } else {
           fixed.back() = l;
           // Refresh the model for the remaining bits (SAT by construction:
           // the previous model satisfies the prefix with this bit true).
           (void)s.solver.solve(fixed);
-          cex_conflicts += s.solver.last_solve_statistics().conflicts;
         }
       } else {
         fixed.push_back(~l);
@@ -484,77 +452,77 @@ Counterexample canonical_counterexample(Session& s, int last_frame,
   return cex;
 }
 
-// Works for CheckResult and MultiCheckResult alike — both carry the same
-// solver-size and arena-footprint fields.
-//
-// publish_obs bridges the completed result into the obs registry — every
-// quantity below is deterministic for a fixed check (the solver is
-// single-threaded and the encoding is canonical), so the counters hold the
-// worker-count byte-identity contract.
-void publish_obs(const CheckResult& result) {
+/// The footprint a session leaves behind — encoded frames, solver size,
+/// clause-arena bytes and compactions, and the preprocessed netlist's gate
+/// counts — under one prefix: "mc." for check, "mc.portfolio." for
+/// check_all. Every quantity is deterministic for a fixed check (the solver
+/// is single-threaded and the encoding canonical), so the counters hold the
+/// worker-count byte-identity contract.
+struct FootprintObs {
+  obs::Counter frames_encoded, encoded_vars, encoded_clauses, arena_bytes, arena_live,
+      compactions, opt_gates_before, opt_gates_after;
+
+  explicit FootprintObs(const std::string& prefix) {
+    auto& registry = obs::Registry::instance();
+    frames_encoded = registry.counter(prefix + "frames_encoded");
+    encoded_vars = registry.counter(prefix + "encoded_vars");
+    encoded_clauses = registry.counter(prefix + "encoded_clauses");
+    arena_bytes = registry.counter(prefix + "arena_bytes");
+    arena_live = registry.counter(prefix + "arena_live");
+    compactions = registry.counter(prefix + "compactions");
+    opt_gates_before = registry.counter(prefix + "opt_gates_before");
+    opt_gates_after = registry.counter(prefix + "opt_gates_after");
+  }
+
+  void add(const Session& s) const {
+    frames_encoded.add(s.encoder.frame_count());
+    encoded_vars.add(static_cast<std::uint64_t>(s.solver.variable_count()));
+    encoded_clauses.add(s.solver.problem_clause_count());
+    arena_bytes.add(s.solver.arena_bytes());
+    arena_live.add(s.solver.arena_live_bytes());
+    compactions.add(s.solver.statistics().arena_compactions);
+    if (s.optimized) {
+      opt_gates_before.add(s.optimized->gates_before());
+      opt_gates_after.add(s.optimized->gates_after());
+    }
+  }
+};
+
+/// Conflicts of one check's BMC and induction solves.
+struct SolveCost {
+  std::uint64_t conflicts = 0;  ///< every BMC and induction solve
+  std::uint64_t decisive = 0;   ///< the solve that settled the verdict
+  std::uint64_t induction = 0;  ///< the k-induction solve
+};
+
+/// Adds a finished check to the registry. Both exits of check_with_faults
+/// call it once, so nothing is counted twice.
+void publish(const Session& s, const CheckResult& result, const SolveCost& cost) {
   struct McObs {
-    obs::Counter checks, bounds_used, frames_encoded, sat_conflicts,
-        cex_conflicts, opt_gates_before, opt_gates_after;
+    obs::Counter checks, bounds_used, sat_conflicts, decisive_conflicts,
+        induction_conflicts, cex_conflicts;
+    FootprintObs footprint;
   };
   auto& registry = obs::Registry::instance();
   static const McObs counters{
       registry.counter("mc.checks"),
       registry.counter("mc.bounds_used"),
-      registry.counter("mc.frames_encoded"),
       registry.counter("mc.sat_conflicts"),
+      registry.counter("mc.decisive_conflicts"),
+      registry.counter("mc.induction_conflicts"),
       registry.counter("mc.cex_conflicts"),
-      registry.counter("mc.opt_gates_before"),
-      registry.counter("mc.opt_gates_after"),
+      FootprintObs{"mc."},
   };
   counters.checks.inc();
   counters.bounds_used.add(static_cast<std::uint64_t>(
       result.bound_used < 0 ? 0 : result.bound_used));
-  counters.frames_encoded.add(result.frames_encoded);
-  counters.sat_conflicts.add(result.total_sat_conflicts);
-  counters.cex_conflicts.add(result.cex_conflicts);
-  counters.opt_gates_before.add(result.opt_gates_before);
-  counters.opt_gates_after.add(result.opt_gates_after);
-}
-
-void publish_obs(const MultiCheckResult& result) {
-  struct McPortfolioObs {
-    obs::Counter checks, properties, frames_encoded, sat_conflicts,
-        cone_recomputes, opt_gates_before, opt_gates_after;
-  };
-  auto& registry = obs::Registry::instance();
-  static const McPortfolioObs counters{
-      registry.counter("mc.portfolio.checks"),
-      registry.counter("mc.portfolio.properties"),
-      registry.counter("mc.portfolio.frames_encoded"),
-      registry.counter("mc.portfolio.sat_conflicts"),
-      registry.counter("mc.portfolio.cone_recomputes"),
-      registry.counter("mc.portfolio.opt_gates_before"),
-      registry.counter("mc.portfolio.opt_gates_after"),
-  };
-  counters.checks.inc();
-  counters.properties.add(result.results.size());
-  counters.frames_encoded.add(result.frames_encoded);
-  counters.sat_conflicts.add(result.total_sat_conflicts);
-  counters.cone_recomputes.add(result.cone_recomputes);
-  counters.opt_gates_before.add(result.opt_gates_before);
-  counters.opt_gates_after.add(result.opt_gates_after);
-}
-
-template <typename ResultT>
-void finalize_solver_stats(const Session& s, ResultT& result) {
-  result.solver_variables = s.solver.variable_count();
-  result.solver_clauses = s.solver.problem_clause_count();
-  result.frames_encoded = s.encoder.frame_count();
-  result.solver_arena_bytes = s.solver.arena_bytes();
-  result.solver_arena_live = s.solver.arena_live_bytes();
-  result.solver_compactions = s.solver.statistics().arena_compactions;
-  if (s.optimized) {
-    result.opt_gates_before = s.optimized->gates_before();
-    result.opt_gates_after = s.optimized->gates_after();
-  }
-  // Every exit of check_with_faults / check_all_with_faults funnels through
-  // here exactly once, so publishing at this point can never double-count.
-  publish_obs(result);
+  counters.sat_conflicts.add(cost.conflicts);
+  counters.decisive_conflicts.add(cost.decisive);
+  counters.induction_conflicts.add(cost.induction);
+  // The session solver ran nothing but these solves and the counterexample
+  // canonicalisation, so the rest of its conflicts are the latter's.
+  counters.cex_conflicts.add(s.solver.statistics().conflicts - cost.conflicts);
+  counters.footprint.add(s);
 }
 
 }  // namespace
@@ -572,61 +540,46 @@ CheckResult ModelChecker::check_with_faults(const Property& property,
                                             Options options) const {
   OBS_SPAN("mc.check");
   CheckResult result;
-  const std::map<rtl::Net, bool> faults_kept =
-      pruned_faults(*netlist_, {&property, 1}, faults, options);
-  Session s{*netlist_, {&property, 1}, faults_kept, options};
-  // Counterexample read-out consults the FULL map: a pruned stuck-at on a
-  // primary input still pins that input in the faulty design, and the trace
-  // must report the forced value bit-identically to an unpruned run.
-  s.faults = &faults;
+  SolveCost cost;
+  Session s{*netlist_, {&property, 1}, faults, options};
 
   // ---------------- BMC from reset --------------------------------------
   for (int i = 0; i <= options.max_bound; ++i) {
     std::vector<Lit> assumptions{s.act_reset};
     const int last = violation_assumptions(property, i, s, assumptions);
     const bool sat_at_bound = s.solver.solve(assumptions) == sat::Result::sat;
-    const std::uint64_t delta = s.solver.last_solve_statistics().conflicts;
-    result.bound_conflicts.push_back(delta);
-    result.total_sat_conflicts += delta;
+    cost.decisive = s.solver.last_solve_statistics().conflicts;
+    cost.conflicts += cost.decisive;
     if (sat_at_bound) {
       result.status = CheckStatus::falsified;
       result.bound_used = i;
-      result.sat_conflicts = delta;
-      result.counterexample =
-          options.canonical_counterexample
-              ? canonical_counterexample(s, last, assumptions, result.cex_conflicts)
-              : model_counterexample(s, last);
-      finalize_solver_stats(s, result);
+      result.counterexample = options.canonical_counterexample
+                                  ? canonical_counterexample(s, last, assumptions)
+                                  : model_counterexample(s, last);
+      publish(s, result, cost);
       return result;
     }
   }
   result.bound_used = options.max_bound;
-  // bound_conflicts is empty when max_bound < 0 (degenerate but legal).
-  result.sat_conflicts =
-      result.bound_conflicts.empty() ? 0 : result.bound_conflicts.back();
 
   // ---------------- k-induction (safety forms only) ---------------------
-  if (property.kind == PropertyKind::bounded_response) {
-    result.status = CheckStatus::no_cex_within_bound;
-    finalize_solver_stats(s, result);
-    return result;
-  }
   // Assume the property on frames 0..k-1 and refute it at frame k, with
-  // the initial state left free (act_reset not assumed).
-  const int k = options.induction_depth;
-  std::vector<Lit> assumptions;
-  for (int f = 0; f < k; ++f) assumptions.push_back(holds_at(property, f, s));
-  assumptions.push_back(~holds_at(property, k, s));
-  const bool induction_closed = s.solver.solve(assumptions) == sat::Result::unsat;
-  result.induction_conflicts = s.solver.last_solve_statistics().conflicts;
-  result.total_sat_conflicts += result.induction_conflicts;
-  if (induction_closed) {
-    result.status = CheckStatus::proved;
-    result.sat_conflicts = result.induction_conflicts;
-  } else {
-    result.status = CheckStatus::no_cex_within_bound;
+  // the initial state left free (act_reset not assumed). Bounded response
+  // stays no_cex_within_bound.
+  if (property.kind != PropertyKind::bounded_response) {
+    const int k = options.induction_depth;
+    std::vector<Lit> assumptions;
+    for (int f = 0; f < k; ++f) assumptions.push_back(holds_at(property, f, s));
+    assumptions.push_back(~holds_at(property, k, s));
+    const bool induction_closed = s.solver.solve(assumptions) == sat::Result::unsat;
+    cost.induction = s.solver.last_solve_statistics().conflicts;
+    cost.conflicts += cost.induction;
+    if (induction_closed) {
+      result.status = CheckStatus::proved;
+      cost.decisive = cost.induction;
+    }
   }
-  finalize_solver_stats(s, result);
+  publish(s, result, cost);
   return result;
 }
 
@@ -639,20 +592,31 @@ MultiCheckResult ModelChecker::check_all_with_faults(
     const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
     Options options) const {
   OBS_SPAN("mc.check_all");
+  struct PortfolioObs {
+    obs::Counter checks, properties, sat_conflicts, cone_recomputes;
+    FootprintObs footprint;
+  };
+  auto& registry = obs::Registry::instance();
+  static const PortfolioObs counters{
+      registry.counter("mc.portfolio.checks"),
+      registry.counter("mc.portfolio.properties"),
+      registry.counter("mc.portfolio.sat_conflicts"),
+      registry.counter("mc.portfolio.cone_recomputes"),
+      FootprintObs{"mc.portfolio."},
+  };
+  counters.checks.inc();
   MultiCheckResult multi;
   multi.results.resize(properties.size());
-  if (properties.empty()) return multi;
-  const std::map<rtl::Net, bool> faults_kept = pruned_faults(
-      *netlist_, {properties.data(), properties.size()}, faults, options);
-  Session s{*netlist_, {properties.data(), properties.size()}, faults_kept, options};
-  // Counterexample read-out consults the FULL map (see check_with_faults).
-  s.faults = &faults;
+  if (properties.empty()) return multi;  // one check, nothing else to count
+  Session s{*netlist_, {properties.data(), properties.size()}, faults, options};
 
   const std::size_t n = properties.size();
   std::vector<Lit> activation(n);
   for (auto& act : activation) act = Lit::positive(s.solver.new_var());
   std::vector<char> decided(n, 0);
   std::size_t undecided = n;
+  std::uint64_t conflicts = 0;  // portfolio and induction solves
+  std::uint64_t cone_recomputes = 0;
 
   // ---------------- portfolio BMC ---------------------------------------
   for (int b = 0; b <= options.max_bound && undecided > 0; ++b) {
@@ -691,13 +655,10 @@ MultiCheckResult ModelChecker::check_all_with_faults(
     }
     s.solver.add_clause(portfolio_clause);
 
-    multi.bound_conflicts.push_back(0);
     while (undecided > 0) {
       const bool sat_here =
           s.solver.solve({s.act_reset, sel}) == sat::Result::sat;
-      const std::uint64_t delta = s.solver.last_solve_statistics().conflicts;
-      multi.bound_conflicts.back() += delta;
-      multi.total_sat_conflicts += delta;
+      conflicts += s.solver.last_solve_statistics().conflicts;
       if (!sat_here) break;  // bound b clean for every surviving property
       // Classify against the portfolio model *before* any counterexample
       // canonicalisation overwrites it: every property this trace violates
@@ -713,12 +674,9 @@ MultiCheckResult ModelChecker::check_all_with_faults(
         auto& r = multi.results[i];
         r.status = CheckStatus::falsified;
         r.bound_used = b;
-        r.sat_conflicts = delta;
-        std::vector<Lit> prefix{s.act_reset, violation[i]};
         r.counterexample =
             options.canonical_counterexample
-                ? canonical_counterexample(s, last_frame[i], std::move(prefix),
-                                           r.cex_conflicts)
+                ? canonical_counterexample(s, last_frame[i], {s.act_reset, violation[i]})
                 : model_counterexample(s, last_frame[i]);
         decided[i] = 1;
         --undecided;
@@ -736,7 +694,7 @@ MultiCheckResult ModelChecker::check_all_with_faults(
     // (the "incremental COI across check_all bound batches" reduction).
     if (options.live_cone && undecided > 0 && undecided < undecided_entering_bound &&
         b < options.max_bound && s.shrink_cone(properties, decided)) {
-      ++multi.cone_recomputes;
+      ++cone_recomputes;
     }
   }
 
@@ -754,17 +712,14 @@ MultiCheckResult ModelChecker::check_all_with_faults(
     for (int f = 0; f < k; ++f) assumptions.push_back(holds_at(properties[i], f, s));
     assumptions.push_back(~holds_at(properties[i], k, s));
     const bool closed = s.solver.solve(assumptions) == sat::Result::unsat;
-    r.induction_conflicts = s.solver.last_solve_statistics().conflicts;
-    multi.total_sat_conflicts += r.induction_conflicts;
-    if (closed) {
-      r.status = CheckStatus::proved;
-      r.sat_conflicts = r.induction_conflicts;
-    } else {
-      r.status = CheckStatus::no_cex_within_bound;
-    }
+    conflicts += s.solver.last_solve_statistics().conflicts;
+    r.status = closed ? CheckStatus::proved : CheckStatus::no_cex_within_bound;
   }
 
-  finalize_solver_stats(s, multi);
+  counters.properties.add(n);
+  counters.sat_conflicts.add(conflicts);
+  counters.cone_recomputes.add(cone_recomputes);
+  counters.footprint.add(s);
   return multi;
 }
 

@@ -135,69 +135,36 @@ struct Counterexample {
   std::vector<std::map<std::string, bool>> inputs;
 };
 
+/// Verdict of one property check. Its cost lives only in the registry,
+/// added once per call; read one call's cost through an obs::Scope:
+///   mc.checks, mc.bounds_used, mc.frames_encoded;
+///   mc.sat_conflicts       — every BMC and induction solve;
+///   mc.decisive_conflicts  — the falsifying bound's solve when falsified,
+///                            the induction solve when proved, else the
+///                            deepest bound's solve;
+///   mc.induction_conflicts — the k-induction solve (0 when it did not run);
+///   mc.cex_conflicts       — counterexample canonicalisation;
+///   mc.encoded_vars, mc.encoded_clauses, mc.arena_bytes, mc.arena_live,
+///   mc.compactions         — the session solver after the check (with the
+///                            cone reduction these shrink to the cone);
+///   mc.opt_gates_before, mc.opt_gates_after — the preprocessed netlist
+///                            (0 with preprocessing off).
 struct CheckResult {
   CheckStatus status = CheckStatus::no_cex_within_bound;
   int bound_used = 0;
   std::optional<Counterexample> counterexample;
-  /// Conflicts of the *decisive* solve alone: the falsifying bound's solve
-  /// when falsified, the induction solve when proved, else the deepest
-  /// bound's solve. A per-solve delta — comparable across bounds — not the
-  /// cumulative figure the engine used to report (which was meaningless
-  /// for, say, a property failing at bound 0 of a deep unrolling).
-  std::uint64_t sat_conflicts = 0;
-  /// Per-bound deltas: bound_conflicts[i] = conflicts spent on bound i.
-  std::vector<std::uint64_t> bound_conflicts;
-  /// Conflicts of the k-induction solve (0 when induction did not run).
-  std::uint64_t induction_conflicts = 0;
-  /// Sum over the BMC and induction solves of this check. Counterexample
-  /// canonicalisation solves are accounted separately in `cex_conflicts`.
-  std::uint64_t total_sat_conflicts = 0;
-  /// Conflicts spent canonicalising the counterexample (see
-  /// ModelChecker::Options::canonical_counterexample).
-  std::uint64_t cex_conflicts = 0;
-  /// Final solver size after the check — with cone-of-influence reduction
-  /// these shrink to the property's cone; with the encode cache they stay
-  /// flat when the same (expression, frame) is re-solved.
-  int solver_variables = 0;
-  std::size_t solver_clauses = 0;
-  std::size_t frames_encoded = 0;
-  /// Clause-arena footprint after the check (total / live bytes) and how
-  /// often reduction compacted it; see sat::Solver::arena_bytes.
-  std::size_t solver_arena_bytes = 0;
-  std::size_t solver_arena_live = 0;
-  std::uint64_t solver_compactions = 0;
-  /// Preprocessing footprint of this check's session: gate counts of the
-  /// encoded netlist before/after the opt:: pipeline (both 0 when
-  /// preprocessing was off).
-  std::size_t opt_gates_before = 0;
-  std::size_t opt_gates_after = 0;
 };
 
 /// Outcome of a multi-property portfolio check (ModelChecker::check_all):
-/// per-property verdicts plus the shared-solver aggregates. The portfolio
-/// shares one solve per bound across all undecided properties, so per-bound
-/// conflict deltas live here, not per property; a property's `sat_conflicts`
-/// is the delta of the portfolio solve that falsified it (shared when one
-/// trace falsifies several properties at once).
+/// per-property verdicts. The shared solver's cost lives only in the
+/// registry, added once per call (an empty property list counts one check
+/// and nothing else): mc.portfolio.checks, .properties, .frames_encoded,
+/// .sat_conflicts (every portfolio and induction solve), .cone_recomputes
+/// (Options::live_cone shrinks), and .encoded_vars, .encoded_clauses,
+/// .arena_bytes, .arena_live, .compactions, .opt_gates_before,
+/// .opt_gates_after as for CheckResult.
 struct MultiCheckResult {
   std::vector<CheckResult> results;  ///< one per property, input order
-  /// bound_conflicts[i] = conflicts of every portfolio solve at bound i.
-  std::vector<std::uint64_t> bound_conflicts;
-  std::uint64_t total_sat_conflicts = 0;
-  int solver_variables = 0;
-  std::size_t solver_clauses = 0;
-  std::size_t frames_encoded = 0;
-  /// Clause-arena footprint of the shared portfolio solver; see
-  /// sat::Solver::arena_bytes.
-  std::size_t solver_arena_bytes = 0;
-  std::size_t solver_arena_live = 0;
-  std::uint64_t solver_compactions = 0;
-  /// Times the live-cone union actually shrank after retiring properties
-  /// (Options::live_cone): later frames were encoded under a smaller cone.
-  std::size_t cone_recomputes = 0;
-  /// Preprocessing footprint of the shared session (see CheckResult).
-  std::size_t opt_gates_before = 0;
-  std::size_t opt_gates_after = 0;
 
   [[nodiscard]] std::size_t count(CheckStatus status) const noexcept {
     std::size_t n = 0;
@@ -249,18 +216,6 @@ public:
     /// verdicts, bound_used and canonical counterexamples are invariant
     /// under memory management.
     sat::Solver::ReduceOptions sat_reduce{};
-    /// Drop fault-map entries the lint fault prune proves invisible to the
-    /// checked properties (outside the backward cone of influence of every
-    /// observed output — the closure crosses registers, so the fault cannot
-    /// change an observed output at ANY frame). Exact: the faulty netlist's
-    /// observed behaviour is identical with or without the dropped
-    /// constants, so verdicts, bound_used and canonical counterexamples are
-    /// unchanged — only the per-fault rebuild and encoding shrink. A
-    /// fault map that would prune to empty runs unfiltered, so the check
-    /// stays a per-fault rebuild with the sweep off instead of turning into
-    /// a fault-free check that pays for the sweep. Gated by SYMBAD_LINT=0
-    /// globally (lint::Mode::off disables the prune too).
-    bool lint_prune_faults = true;
   };
 
   explicit ModelChecker(const rtl::Netlist& netlist) : netlist_{&netlist} {}

@@ -232,6 +232,32 @@ void Gauge::add(double value) const noexcept {
   }
 }
 
+// ------------------------------------------------------------------- scope
+
+Scope::Scope() {
+  (void)Registry::instance();  // delta() needs the registry's name index
+  // A thread without a shard has added nothing yet: its baseline is zero.
+  if (const ThreadState* state = t_state) {
+    for (std::size_t i = 0; i < kMaxCounters; ++i) {
+      start_[i] = state->counts[i].load(std::memory_order_relaxed);
+    }
+  }
+}
+
+std::uint64_t Scope::delta(std::string_view name) const {
+  std::uint32_t slot = 0;
+  {
+    const std::lock_guard<std::mutex> lock{g_impl->mu};
+    const auto it = g_impl->counter_index.find(name);
+    if (it == g_impl->counter_index.end()) return 0;
+    slot = it->second;
+  }
+  const ThreadState* state = t_state;
+  const std::uint64_t now =
+      state != nullptr ? state->counts[slot].load(std::memory_order_relaxed) : 0;
+  return now - start_[slot];
+}
+
 // ------------------------------------------------------------------- spans
 
 SpanScope::SpanScope(const char* name) noexcept {

@@ -131,6 +131,23 @@ struct Snapshot {
   [[nodiscard]] std::string to_text(bool include_host = true) const;
 };
 
+/// Per-call view of the counters: snapshots the calling thread's shard when
+/// constructed, and `delta(name)` returns what this thread has added to
+/// that counter since. Exact while other threads add to the same counter
+/// (their adds land in their own shards), and 0 at level 0, where nothing
+/// counts. This is how callers read the cost of one engine call — the
+/// engines add each number to the registry once and keep no second copy.
+/// A Registry::reset() inside the Scope invalidates its deltas.
+class Scope {
+ public:
+  Scope();
+
+  [[nodiscard]] std::uint64_t delta(std::string_view name) const;
+
+ private:
+  std::array<std::uint64_t, kMaxCounters> start_{};
+};
+
 /// RAII wall-time span. Use via OBS_SPAN — the macro is the compile-out
 /// point. Records (name, start, duration, worker id, nesting depth) into a
 /// thread-local buffer when the runtime level is >= 2; a disabled span is

@@ -193,6 +193,31 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     faults = std::move(sampled);
   }
 
+  // Registry bridge: the verdict tallies and sim_passes are added once per
+  // campaign, the formal-grading footprint once per BMC-graded fault (read
+  // back from that fault's mc.portfolio.* counters). All deterministic
+  // (fault order, sampling, grading verdicts and opt/encode footprints are
+  // seed-fixed).
+  struct PccObs {
+    obs::Counter campaigns, faults_total, detected, detected_by_simulation,
+        detected_by_bmc, lint_pruned, encoded_vars, encoded_clauses,
+        opt_gates_before, opt_gates_after, sim_passes;
+  };
+  auto& registry = obs::Registry::instance();
+  static const PccObs counters{
+      registry.counter("pcc.campaigns"),
+      registry.counter("pcc.faults_total"),
+      registry.counter("pcc.detected"),
+      registry.counter("pcc.detected_by_simulation"),
+      registry.counter("pcc.detected_by_bmc"),
+      registry.counter("pcc.lint_pruned"),
+      registry.counter("pcc.encoded_vars"),
+      registry.counter("pcc.encoded_clauses"),
+      registry.counter("pcc.opt_gates_before"),
+      registry.counter("pcc.opt_gates_after"),
+      registry.counter("pcc.sim_passes"),
+  };
+
   PccReport report;
   report.total_faults = faults.size();
   const mc::ModelChecker checker{netlist};
@@ -260,11 +285,12 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     // faults (the common case) cost one UNSAT solve per bound for the whole
     // property set instead of one BMC sweep per property.
     std::map<rtl::Net, bool> fault_map{{net, stuck_to}};
+    const obs::Scope bmc_cost;
     const auto multi = checker.check_all_with_faults(properties, fault_map, mc_opts);
-    report.opt_gates_before += multi.opt_gates_before;
-    report.opt_gates_after += multi.opt_gates_after;
-    report.encoded_vars += static_cast<std::size_t>(multi.solver_variables);
-    report.encoded_clauses += multi.solver_clauses;
+    counters.opt_gates_before.add(bmc_cost.delta("mc.portfolio.opt_gates_before"));
+    counters.opt_gates_after.add(bmc_cost.delta("mc.portfolio.opt_gates_after"));
+    counters.encoded_vars.add(bmc_cost.delta("mc.portfolio.encoded_vars"));
+    counters.encoded_clauses.add(bmc_cost.delta("mc.portfolio.encoded_clauses"));
     for (std::size_t i = 0; i < properties.size(); ++i) {
       if (multi.results[i].status == mc::CheckStatus::falsified) {
         outcome.detected = true;
@@ -277,38 +303,12 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     if (!outcome.detected) report.undetected.push_back(outcome);
   }
 
-  // Registry bridge for the completed campaign — one batch of adds per
-  // report, all deterministic (fault order, sampling, grading verdicts and
-  // opt/encode footprints are seed-fixed).
-  struct PccObs {
-    obs::Counter campaigns, faults_total, detected, detected_by_simulation,
-        detected_by_bmc, lint_pruned, encoded_vars, encoded_clauses,
-        opt_gates_before, opt_gates_after, sim_passes;
-  };
-  auto& registry = obs::Registry::instance();
-  static const PccObs counters{
-      registry.counter("pcc.campaigns"),
-      registry.counter("pcc.faults_total"),
-      registry.counter("pcc.detected"),
-      registry.counter("pcc.detected_by_simulation"),
-      registry.counter("pcc.detected_by_bmc"),
-      registry.counter("pcc.lint_pruned"),
-      registry.counter("pcc.encoded_vars"),
-      registry.counter("pcc.encoded_clauses"),
-      registry.counter("pcc.opt_gates_before"),
-      registry.counter("pcc.opt_gates_after"),
-      registry.counter("pcc.sim_passes"),
-  };
   counters.campaigns.inc();
   counters.faults_total.add(report.total_faults);
   counters.detected.add(report.detected);
   counters.detected_by_simulation.add(report.detected_by_simulation);
   counters.detected_by_bmc.add(report.detected_by_bmc);
   counters.lint_pruned.add(report.lint_pruned_faults);
-  counters.encoded_vars.add(report.encoded_vars);
-  counters.encoded_clauses.add(report.encoded_clauses);
-  counters.opt_gates_before.add(report.opt_gates_before);
-  counters.opt_gates_after.add(report.opt_gates_after);
   counters.sim_passes.add(sim_passes);
   return report;
 }

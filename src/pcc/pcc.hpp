@@ -29,6 +29,12 @@ struct FaultOutcome {
   bool detected_by_simulation = false;
 };
 
+/// Verdicts of one campaign. Its cost lives only in the `pcc.*` registry
+/// counters: besides the verdict tallies, pcc.sim_passes and the
+/// formal-grading footprint summed over the faults that reached BMC —
+/// pcc.opt_gates_before/after (gates entering/leaving the per-fault
+/// pipeline, 0 with preprocessing off) and pcc.encoded_vars/clauses
+/// (solver size per fault). All deterministic.
 struct PccReport {
   std::size_t total_faults = 0;
   std::size_t detected = 0;
@@ -39,15 +45,6 @@ struct PccReport {
   /// a BMC run (PccOptions::lint_prune). Counted inside `undetected` too —
   /// the prune changes cost, never verdicts.
   std::size_t lint_pruned_faults = 0;
-
-  // Formal-grading footprint, summed over the faults that reached BMC (the
-  // ones random simulation missed). Deterministic — the opt_/encoded_
-  // figures are hard-gated as bench counters; the opt_ figures are zero
-  // with preprocessing off.
-  std::size_t opt_gates_before = 0;  ///< gates entering the per-fault pipeline
-  std::size_t opt_gates_after = 0;   ///< gates actually handed to the encoder
-  std::size_t encoded_vars = 0;      ///< solver variables, summed per fault
-  std::size_t encoded_clauses = 0;   ///< solver clauses, summed per fault
 
   [[nodiscard]] double coverage_percent() const noexcept {
     return total_faults == 0

@@ -1,7 +1,7 @@
 #pragma once
 // Shared support for the Symbad test suites.
 //
-// Three concerns every suite kept reinventing:
+// Four concerns every suite kept reinventing:
 //
 //  1. Deterministic randomness. Property sweeps must generate identical
 //     instances on every platform and standard library, so all test
@@ -21,6 +21,10 @@
 //  3. Scratch directories. Tests that write artifacts (coverage dumps,
 //     generated sources) derive from TmpDirTest, which hands out a unique
 //     directory and removes it afterwards.
+//
+//  4. Telemetry level. Engine cost lives only in the obs registry, read
+//     per call through an obs::Scope; a test that asserts such a delta
+//     holds a CountersOn, so it passes at any SYMBAD_OBS setting.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +36,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/obs.hpp"
 #include "sim/trace.hpp"
 #include "verif/rng.hpp"
 
@@ -117,6 +122,23 @@ template <typename T>
   }
   return ::testing::AssertionSuccess();
 }
+
+// ------------------------------------------------------------- telemetry
+
+/// Turns counter telemetry on (SYMBAD_OBS level >= 1) for its lifetime and
+/// restores the previous level afterwards; a level-2 run keeps its spans.
+class CountersOn {
+public:
+  CountersOn() : previous_{obs::Registry::instance().level()} {
+    if (previous_ == 0) obs::Registry::instance().set_level(1);
+  }
+  ~CountersOn() { obs::Registry::instance().set_level(previous_); }
+  CountersOn(const CountersOn&) = delete;
+  CountersOn& operator=(const CountersOn&) = delete;
+
+private:
+  int previous_;
+};
 
 // -------------------------------------------------------------- tmp dirs
 

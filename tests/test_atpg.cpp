@@ -9,6 +9,7 @@
 
 #include "app/rtl_blocks.hpp"
 #include "atpg/atpg.hpp"
+#include "obs/obs.hpp"
 #include "rtl/wordops.hpp"
 #include "support/test_util.hpp"
 
@@ -331,17 +332,15 @@ TEST(SatAtpgEngine, SharesOneSolverAcrossFaults) {
     faults.emplace_back(ff, true);
   }
   atpg::SatEngine engine{n, {5}};
+  const symbad::test::CountersOn counting;
+  const symbad::obs::Scope cost;
   const auto results = engine.generate_tests(faults);
   int detected = 0;
-  std::uint64_t delta_conflicts = 0;
-  for (const auto& r : results) {
-    detected += r.test.has_value() ? 1 : 0;
-    delta_conflicts += r.conflicts;
-  }
+  for (const auto& r : results) detected += r.test.has_value() ? 1 : 0;
   EXPECT_GE(detected, 3);
-  // Per-fault deltas must account for every conflict the engine's solver
-  // saw (generate_tests is the solver's only driver here).
-  EXPECT_EQ(delta_conflicts, engine.solver().statistics().conflicts);
+  // The per-solve registry deltas must account for every conflict the
+  // engine's solver saw (generate_tests is the solver's only driver here).
+  EXPECT_EQ(cost.delta("sat.conflicts"), engine.solver().statistics().conflicts);
 }
 
 TEST(SatAtpgEngine, UndetectableFaultStaysUndetectableAfterOthers) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "gen/gen.hpp"
 #include "lint/lint.hpp"
 #include "mc/mc.hpp"
+#include "obs/obs.hpp"
 #include "pcc/pcc.hpp"
 #include "rtl/wordops.hpp"
 #include "sat/solver.hpp"
@@ -20,6 +22,7 @@
 
 namespace gen = symbad::gen;
 namespace mc = symbad::mc;
+namespace obs = symbad::obs;
 namespace pcc = symbad::pcc;
 namespace app = symbad::app;
 namespace rtl = symbad::rtl;
@@ -128,36 +131,33 @@ TEST(Mc, BoundedResponse) {
 }
 
 TEST(Mc, ConflictCountsArePerBoundDeltas) {
+  const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
   const mc::ModelChecker checker{n};
 
-  // Falsified at bound 7: one delta per bound attempted, the decisive
-  // figure is the failing bound's delta, and the total is their sum.
+  // Falsified at bound 7: no induction solve, and the decisive figure (the
+  // failing bound's solve) is part of the BMC total.
+  const obs::Scope falsified_cost;
   const auto falsified =
       checker.check(mc::Property::invariant("never_max", !mc::Expr::signal("at_max")));
   ASSERT_EQ(falsified.status, mc::CheckStatus::falsified);
-  ASSERT_EQ(falsified.bound_conflicts.size(),
-            static_cast<std::size_t>(falsified.bound_used) + 1);
-  EXPECT_EQ(falsified.sat_conflicts, falsified.bound_conflicts.back());
-  EXPECT_EQ(falsified.induction_conflicts, 0u);
-  std::uint64_t sum = 0;
-  for (const auto d : falsified.bound_conflicts) sum += d;
-  EXPECT_EQ(falsified.total_sat_conflicts, sum);
+  EXPECT_EQ(falsified_cost.delta("mc.induction_conflicts"), 0u);
+  EXPECT_LE(falsified_cost.delta("mc.decisive_conflicts"),
+            falsified_cost.delta("mc.sat_conflicts"));
 
-  // Proved: every BMC bound contributes a delta, induction's delta is
-  // accounted separately, and the decisive figure is the induction solve's.
+  // Proved: induction's delta is part of the total, and the decisive
+  // figure is the induction solve's.
+  const obs::Scope proved_cost;
   const auto proved = checker.check(mc::Property::invariant(
       "at_max_means_all_ones",
       mc::Expr::signal("at_max").implies(mc::Expr::signal("c[0]") &&
                                          mc::Expr::signal("c[1]") &&
                                          mc::Expr::signal("c[2]"))));
   ASSERT_EQ(proved.status, mc::CheckStatus::proved);
-  EXPECT_EQ(proved.bound_conflicts.size(),
-            static_cast<std::size_t>(proved.bound_used) + 1);
-  EXPECT_EQ(proved.sat_conflicts, proved.induction_conflicts);
-  sum = 0;
-  for (const auto d : proved.bound_conflicts) sum += d;
-  EXPECT_EQ(proved.total_sat_conflicts, sum + proved.induction_conflicts);
+  EXPECT_EQ(proved_cost.delta("mc.decisive_conflicts"),
+            proved_cost.delta("mc.induction_conflicts"));
+  EXPECT_LE(proved_cost.delta("mc.induction_conflicts"),
+            proved_cost.delta("mc.sat_conflicts"));
 }
 
 TEST(Mc, CounterexampleReplaysOnSimulator) {
@@ -205,15 +205,35 @@ std::vector<mc::Property> counter_properties() {
   return props;
 }
 
+/// A check's verdict plus the cost it added to the mc.* counters, read
+/// through an obs::Scope (callers hold a CountersOn).
+struct CostedCheck : mc::CheckResult {
+  std::uint64_t vars = 0, clauses = 0, conflicts = 0, arena_bytes = 0, compactions = 0;
+};
+
+CostedCheck costed_check(const mc::ModelChecker& checker, const mc::Property& prop,
+                         const std::map<symbad::rtl::Net, bool>& faults,
+                         const mc::ModelChecker::Options& options) {
+  const obs::Scope cost;
+  CostedCheck c{checker.check_with_faults(prop, faults, options)};
+  c.vars = cost.delta("mc.encoded_vars");
+  c.clauses = cost.delta("mc.encoded_clauses");
+  c.conflicts = cost.delta("mc.sat_conflicts");
+  c.arena_bytes = cost.delta("mc.arena_bytes");
+  c.compactions = cost.delta("mc.compactions");
+  return c;
+}
+
 /// Checks one property with the cone reduction on and off and requires
 /// verdict, bound_used and (canonical) counterexample to be bit-identical.
 void expect_coi_equivalent(const mc::ModelChecker& checker, const mc::Property& prop,
                            const std::map<symbad::rtl::Net, bool>& faults,
                            mc::ModelChecker::Options options) {
+  const symbad::test::CountersOn counting;
   options.cone_of_influence = true;
-  const auto with_cone = checker.check_with_faults(prop, faults, options);
+  const auto with_cone = costed_check(checker, prop, faults, options);
   options.cone_of_influence = false;
-  const auto without = checker.check_with_faults(prop, faults, options);
+  const auto without = costed_check(checker, prop, faults, options);
   EXPECT_EQ(with_cone.status, without.status) << prop.name;
   EXPECT_EQ(with_cone.bound_used, without.bound_used) << prop.name;
   ASSERT_EQ(with_cone.counterexample.has_value(), without.counterexample.has_value())
@@ -223,8 +243,8 @@ void expect_coi_equivalent(const mc::ModelChecker& checker, const mc::Property& 
         << prop.name;
   }
   // The reduction may only shrink the encoding, never grow it.
-  EXPECT_LE(with_cone.solver_variables, without.solver_variables) << prop.name;
-  EXPECT_LE(with_cone.solver_clauses, without.solver_clauses) << prop.name;
+  EXPECT_LE(with_cone.vars, without.vars) << prop.name;
+  EXPECT_LE(with_cone.clauses, without.clauses) << prop.name;
 }
 
 }  // namespace
@@ -290,14 +310,15 @@ TEST(McCoi, ReducesEncodingWhenPropertyObservesOutputSubset) {
   const mc::ModelChecker checker{root};
   const auto prop = mc::Property::invariant(
       "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
+  const symbad::test::CountersOn counting;
   mc::ModelChecker::Options options{10, 3};
   options.cone_of_influence = true;
-  const auto reduced = checker.check(prop, options);
+  const auto reduced = costed_check(checker, prop, {}, options);
   options.cone_of_influence = false;
-  const auto full = checker.check(prop, options);
+  const auto full = costed_check(checker, prop, {}, options);
   EXPECT_EQ(reduced.status, full.status);
-  EXPECT_LT(reduced.solver_variables, full.solver_variables);
-  EXPECT_LT(reduced.solver_clauses, full.solver_clauses);
+  EXPECT_LT(reduced.vars, full.vars);
+  EXPECT_LT(reduced.clauses, full.clauses);
 }
 
 // ----------------------------------------------------- arena compaction
@@ -324,13 +345,14 @@ sat::Solver::ReduceOptions aggressive_reduce(sat::CompactMode compact) {
 std::uint64_t expect_compact_equivalent(const mc::ModelChecker& checker,
                                         const mc::Property& prop,
                                         mc::ModelChecker::Options options) {
+  const symbad::test::CountersOn counting;
   options.sat_reduce = aggressive_reduce(sat::CompactMode::always);
-  const auto forced = checker.check(prop, options);
+  const auto forced = costed_check(checker, prop, {}, options);
   options.sat_reduce = aggressive_reduce(sat::CompactMode::never);
-  const auto never = checker.check(prop, options);
+  const auto never = costed_check(checker, prop, {}, options);
   EXPECT_EQ(forced.status, never.status) << prop.name;
   EXPECT_EQ(forced.bound_used, never.bound_used) << prop.name;
-  EXPECT_EQ(forced.total_sat_conflicts, never.total_sat_conflicts) << prop.name;
+  EXPECT_EQ(forced.conflicts, never.conflicts) << prop.name;
   EXPECT_EQ(forced.counterexample.has_value(), never.counterexample.has_value())
       << prop.name;
   if (forced.counterexample.has_value() && never.counterexample.has_value()) {
@@ -339,9 +361,9 @@ std::uint64_t expect_compact_equivalent(const mc::ModelChecker& checker,
   }
   // With compaction off the arena only ever grows; forced compaction must
   // never leave it larger, and the never-mode must not have compacted.
-  EXPECT_LE(forced.solver_arena_bytes, never.solver_arena_bytes) << prop.name;
-  EXPECT_EQ(never.solver_compactions, 0u) << prop.name;
-  return forced.solver_compactions;
+  EXPECT_LE(forced.arena_bytes, never.arena_bytes) << prop.name;
+  EXPECT_EQ(never.compactions, 0u) << prop.name;
+  return forced.compactions;
 }
 
 }  // namespace
@@ -450,20 +472,19 @@ TEST(McEncodeCache, BoundedResponseSolverGrowthIsLinearInBound) {
   const auto prop = mc::Property::respond(
       "max_settles", mc::Expr::signal("at_max"),
       mc::Expr::signal("c[0]") && mc::Expr::signal("c[1]"), 2);
+  const symbad::test::CountersOn counting;
   auto clean_check = [&](int max_bound) {
     mc::ModelChecker::Options options;
     options.max_bound = max_bound;
-    const auto result = checker.check(prop, options);
+    const auto result = costed_check(checker, prop, {}, options);
     EXPECT_EQ(result.status, mc::CheckStatus::no_cex_within_bound);
     return result;
   };
   const auto r8 = clean_check(8);
   const auto r16 = clean_check(16);
   const auto r24 = clean_check(24);
-  EXPECT_EQ(r24.solver_clauses - r16.solver_clauses,
-            r16.solver_clauses - r8.solver_clauses);
-  EXPECT_EQ(r24.solver_variables - r16.solver_variables,
-            r16.solver_variables - r8.solver_variables);
+  EXPECT_EQ(r24.clauses - r16.clauses, r16.clauses - r8.clauses);
+  EXPECT_EQ(r24.vars - r16.vars, r16.vars - r8.vars);
 }
 
 // ------------------------------------------------- portfolio check_all
@@ -471,11 +492,14 @@ TEST(McEncodeCache, BoundedResponseSolverGrowthIsLinearInBound) {
 TEST(McPortfolio, CheckAllMatchesIndividualChecks) {
   // The portfolio runs every property on one solver; verdicts, bounds and
   // canonical counterexamples must match per-property `check` exactly.
+  const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
   const mc::ModelChecker checker{n};
   const auto props = counter_properties();
   const mc::ModelChecker::Options options;
+  const obs::Scope multi_cost;
   const auto multi = checker.check_all(props, options);
+  EXPECT_GT(multi_cost.delta("mc.portfolio.frames_encoded"), 0u);
   ASSERT_EQ(multi.results.size(), props.size());
   for (std::size_t i = 0; i < props.size(); ++i) {
     const auto single = checker.check(props[i], options);
@@ -492,12 +516,6 @@ TEST(McPortfolio, CheckAllMatchesIndividualChecks) {
   EXPECT_EQ(multi.count(mc::CheckStatus::falsified), 3u);
   EXPECT_EQ(multi.count(mc::CheckStatus::proved), 2u);
   EXPECT_EQ(multi.count(mc::CheckStatus::no_cex_within_bound), 1u);
-  EXPECT_GT(multi.frames_encoded, 0u);
-  // One portfolio solve per bound serves all surviving properties: far
-  // fewer solves than six independent 20-bound sweeps would need; the
-  // shared accounting has one entry per bound actually attempted.
-  EXPECT_LE(multi.bound_conflicts.size(),
-            static_cast<std::size_t>(options.max_bound) + 1);
 }
 
 TEST(McPortfolio, CheckAllOnWrapperSuiteProvesEverything) {
@@ -511,13 +529,17 @@ TEST(McPortfolio, CheckAllOnWrapperSuiteProvesEverything) {
 }
 
 TEST(McPortfolio, CheckAllConeEquivalence) {
+  const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
   const mc::ModelChecker checker{n};
   const auto props = counter_properties();
   mc::ModelChecker::Options options;
   options.cone_of_influence = true;
+  const obs::Scope reduced_cost;
   const auto reduced = checker.check_all(props, options);
+  const auto reduced_vars = reduced_cost.delta("mc.portfolio.encoded_vars");
   options.cone_of_influence = false;
+  const obs::Scope full_cost;
   const auto full = checker.check_all(props, options);
   ASSERT_EQ(reduced.results.size(), full.results.size());
   for (std::size_t i = 0; i < props.size(); ++i) {
@@ -532,15 +554,28 @@ TEST(McPortfolio, CheckAllConeEquivalence) {
           << props[i].name;
     }
   }
-  EXPECT_LE(reduced.solver_variables, full.solver_variables);
+  EXPECT_LE(reduced_vars, full_cost.delta("mc.portfolio.encoded_vars"));
 }
 
 TEST(McPortfolio, EmptyPropertyListIsEmptyResult) {
+  // An empty list still counts as one portfolio check, with nothing
+  // encoded, solved or preprocessed.
+  const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
   const mc::ModelChecker checker{n};
+  const obs::Scope cost;
   const auto multi = checker.check_all({});
   EXPECT_TRUE(multi.results.empty());
-  EXPECT_EQ(multi.total_sat_conflicts, 0u);
+  EXPECT_EQ(cost.delta("mc.portfolio.checks"), 1u);
+  for (const char* name :
+       {"mc.portfolio.properties", "mc.portfolio.frames_encoded",
+        "mc.portfolio.sat_conflicts", "mc.portfolio.cone_recomputes",
+        "mc.portfolio.encoded_vars", "mc.portfolio.encoded_clauses",
+        "mc.portfolio.arena_bytes", "mc.portfolio.arena_live",
+        "mc.portfolio.compactions", "mc.portfolio.opt_gates_before",
+        "mc.portfolio.opt_gates_after", "sat.solves"}) {
+    EXPECT_EQ(cost.delta(name), 0u) << name;
+  }
 }
 
 // ------------------------------------- counterexample edge cases
@@ -813,8 +848,14 @@ TEST(Pcc, CoverageVerdictsIdenticalOptOnVsOff) {
   // Keep simulation weak so a healthy share of faults reaches BMC grading.
   options.simulation_runs = 1;
   options.simulation_cycles = 16;
+  const symbad::test::CountersOn counting;
+  const obs::Scope on_cost;
   const auto on = pcc::check_property_coverage(fsm, props, options);
+  const auto on_gates_before = on_cost.delta("pcc.opt_gates_before");
+  const auto on_gates_after = on_cost.delta("pcc.opt_gates_after");
+  const auto on_vars = on_cost.delta("pcc.encoded_vars");
   options.optimize = false;
+  const obs::Scope off_cost;
   const auto off = pcc::check_property_coverage(fsm, props, options);
 
   EXPECT_EQ(on.total_faults, off.total_faults);
@@ -827,9 +868,9 @@ TEST(Pcc, CoverageVerdictsIdenticalOptOnVsOff) {
     EXPECT_EQ(on.undetected[i].stuck_to, off.undetected[i].stuck_to);
   }
   // Preprocessing shrinks the per-fault encodings it graded.
-  EXPECT_GT(on.opt_gates_before, on.opt_gates_after);
-  EXPECT_LT(on.encoded_vars, off.encoded_vars);
-  EXPECT_EQ(off.opt_gates_before, 0u);
+  EXPECT_GT(on_gates_before, on_gates_after);
+  EXPECT_LT(on_vars, off_cost.delta("pcc.encoded_vars"));
+  EXPECT_EQ(off_cost.delta("pcc.opt_gates_before"), 0u);
 }
 
 // ------------------------------------------- PCC simulation pre-pass
@@ -891,12 +932,37 @@ const mc::Property* reference_simulate_detects(const rtl::Netlist& netlist,
   return nullptr;
 }
 
+/// The formal-grading footprint a campaign sums over its BMC-graded faults
+/// (pcc.* production counters, mc.portfolio.* per fault).
+constexpr const char* kFootprint[] = {"opt_gates_before", "opt_gates_after",
+                                      "encoded_vars", "encoded_clauses"};
+
+/// A campaign's verdicts plus its footprint, in kFootprint order.
+struct Graded {
+  pcc::PccReport report;
+  std::array<std::uint64_t, std::size(kFootprint)> footprint{};
+};
+
+/// pcc::check_property_coverage, with the footprint it added to pcc.*.
+Graded production_coverage(const rtl::Netlist& netlist,
+                           const std::vector<mc::Property>& properties,
+                           const pcc::PccOptions& options) {
+  const symbad::test::CountersOn counting;
+  const obs::Scope cost;
+  Graded graded{pcc::check_property_coverage(netlist, properties, options)};
+  for (std::size_t i = 0; i < std::size(kFootprint); ++i) {
+    graded.footprint[i] = cost.delta(std::string{"pcc."} + kFootprint[i]);
+  }
+  return graded;
+}
+
 /// pcc::check_property_coverage with the per-fault pre-pass above in place
 /// of the word-parallel one; the fault list, prune, good-design probe and
 /// BMC stage are the production code's, line for line.
-pcc::PccReport reference_coverage(const rtl::Netlist& netlist,
-                                  const std::vector<mc::Property>& properties,
-                                  const pcc::PccOptions& options) {
+Graded reference_coverage(const rtl::Netlist& netlist,
+                          const std::vector<mc::Property>& properties,
+                          const pcc::PccOptions& options) {
+  const symbad::test::CountersOn counting;
   std::vector<std::pair<rtl::Net, bool>> faults;
   for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
     const auto kind = netlist.gate(static_cast<rtl::Net>(i)).kind;
@@ -917,7 +983,8 @@ pcc::PccReport reference_coverage(const rtl::Netlist& netlist,
     faults = std::move(sampled);
   }
 
-  pcc::PccReport report;
+  Graded graded;
+  pcc::PccReport& report = graded.report;
   report.total_faults = faults.size();
   symbad::verif::Rng rng{options.seed};
   const mc::ModelChecker checker{netlist};
@@ -966,11 +1033,11 @@ pcc::PccReport reference_coverage(const rtl::Netlist& netlist,
       }
     }
     std::map<rtl::Net, bool> fault_map{{net, stuck_to}};
+    const obs::Scope cost;
     const auto multi = checker.check_all_with_faults(properties, fault_map, mc_opts);
-    report.opt_gates_before += multi.opt_gates_before;
-    report.opt_gates_after += multi.opt_gates_after;
-    report.encoded_vars += static_cast<std::size_t>(multi.solver_variables);
-    report.encoded_clauses += multi.solver_clauses;
+    for (std::size_t i = 0; i < std::size(kFootprint); ++i) {
+      graded.footprint[i] += cost.delta(std::string{"mc.portfolio."} + kFootprint[i]);
+    }
     for (std::size_t i = 0; i < properties.size(); ++i) {
       if (multi.results[i].status == mc::CheckStatus::falsified) {
         outcome.detected = true;
@@ -982,21 +1049,21 @@ pcc::PccReport reference_coverage(const rtl::Netlist& netlist,
     }
     if (!outcome.detected) report.undetected.push_back(outcome);
   }
-  return report;
+  return graded;
 }
 
-/// Every PccReport field, the undetected list element by element.
-void expect_same_report(const pcc::PccReport& got, const pcc::PccReport& want,
+/// Every PccReport field, the undetected list element by element, and the
+/// footprint.
+void expect_same_report(const Graded& got_graded, const Graded& want_graded,
                         const std::string& what) {
+  EXPECT_EQ(got_graded.footprint, want_graded.footprint) << what;
+  const pcc::PccReport& got = got_graded.report;
+  const pcc::PccReport& want = want_graded.report;
   EXPECT_EQ(got.total_faults, want.total_faults) << what;
   EXPECT_EQ(got.detected, want.detected) << what;
   EXPECT_EQ(got.detected_by_simulation, want.detected_by_simulation) << what;
   EXPECT_EQ(got.detected_by_bmc, want.detected_by_bmc) << what;
   EXPECT_EQ(got.lint_pruned_faults, want.lint_pruned_faults) << what;
-  EXPECT_EQ(got.opt_gates_before, want.opt_gates_before) << what;
-  EXPECT_EQ(got.opt_gates_after, want.opt_gates_after) << what;
-  EXPECT_EQ(got.encoded_vars, want.encoded_vars) << what;
-  EXPECT_EQ(got.encoded_clauses, want.encoded_clauses) << what;
   ASSERT_EQ(got.undetected.size(), want.undetected.size()) << what;
   for (std::size_t i = 0; i < got.undetected.size(); ++i) {
     const auto& g = got.undetected[i];
@@ -1026,7 +1093,7 @@ void expect_matches_reference(const rtl::Netlist& netlist,
       options.seed = seed;
       std::ostringstream tag;
       tag << what << " " << runs << "x" << cycles << " seed " << seed;
-      expect_same_report(pcc::check_property_coverage(netlist, properties, options),
+      expect_same_report(production_coverage(netlist, properties, options),
                          reference_coverage(netlist, properties, options), tag.str());
     }
   }
@@ -1097,7 +1164,7 @@ TEST(PccPrepass, RootCampaignMatchesPerFaultReference) {
   options.simulation_cycles = 8;
   for (const std::uint64_t seed : kPrepassSeeds) {
     options.seed = seed;
-    expect_same_report(pcc::check_property_coverage(root, exclusive, options),
+    expect_same_report(production_coverage(root, exclusive, options),
                        reference_coverage(root, exclusive, options),
                        "root full seed " + std::to_string(seed));
   }

@@ -1,17 +1,22 @@
 // Tests for the observability layer (src/obs): registry semantics, the
-// worker-count determinism contract, allocation-free hot path, Chrome-trace
-// export, env knobs, and the per-subsystem registry bridges.
+// worker-count determinism contract, allocation-free hot path, per-call
+// Scope deltas, Chrome-trace export, env knobs, and the per-subsystem
+// registry bridges.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <algorithm>
 #include <fstream>
+#include <latch>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "app/rtl_blocks.hpp"
 #include "atpg/atpg.hpp"
 #include "exec/campaign.hpp"
 #include "gen/gen.hpp"
@@ -23,6 +28,7 @@
 #include "support/alloc_counter.hpp"
 #include "support/test_util.hpp"
 
+namespace app = symbad::app;
 namespace atpg = symbad::atpg;
 namespace exec = symbad::exec;
 namespace gen = symbad::gen;
@@ -430,6 +436,134 @@ TEST(ObsAlloc, CounterHotPathIsAllocationFree) {
   EXPECT_EQ(registry.snapshot().counter("test.obs.hotpath"), base + 10'000);
 }
 
+// ---------------------------------------------------------- scoped deltas
+
+namespace {
+
+/// Every counter one portfolio check of the wrapper plan adds to.
+constexpr const char* kPortfolioCounters[] = {
+    "mc.portfolio.checks",           "mc.portfolio.properties",
+    "mc.portfolio.frames_encoded",   "mc.portfolio.sat_conflicts",
+    "mc.portfolio.cone_recomputes",  "mc.portfolio.encoded_vars",
+    "mc.portfolio.encoded_clauses",  "mc.portfolio.arena_bytes",
+    "mc.portfolio.arena_live",       "mc.portfolio.compactions",
+    "mc.portfolio.opt_gates_before", "mc.portfolio.opt_gates_after",
+    "sat.solves",                    "sat.decisions",
+    "sat.propagations",              "sat.conflicts",
+};
+
+/// Deltas of kPortfolioCounters over one check_all of the extended wrapper
+/// plan (bound 12, induction depth 4), read through a Scope.
+std::vector<std::uint64_t> wrapper_suite_deltas() {
+  const auto fsm = app::build_wrapper_fsm();
+  const mc::ModelChecker checker{fsm};
+  const auto props = app::wrapper_properties_extended();
+  const obs::Scope scope;
+  (void)checker.check_all(props, {12, 4});
+  std::vector<std::uint64_t> deltas;
+  for (const char* name : kPortfolioCounters) deltas.push_back(scope.delta(name));
+  return deltas;
+}
+
+}  // namespace
+
+TEST(ObsScope, DeltasStayExactWhileThreadsCountTheSameCounters) {
+  const LevelGuard guard;
+  obs::Registry::instance().set_level(1);
+  const auto single = wrapper_suite_deltas();
+  EXPECT_EQ(single.front(), 1u);  // mc.portfolio.checks
+
+  std::vector<std::vector<std::uint64_t>> per_thread(4);
+  std::latch start{static_cast<std::ptrdiff_t>(per_thread.size())};
+  std::vector<std::thread> threads;
+  for (auto& deltas : per_thread) {
+    threads.emplace_back([&start, &deltas] {
+      start.arrive_and_wait();
+      deltas = wrapper_suite_deltas();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& deltas : per_thread) EXPECT_EQ(deltas, single);
+}
+
+TEST(ObsScope, NestedScopesAndLevelZero) {
+  const LevelGuard guard;
+  auto& registry = obs::Registry::instance();
+  registry.set_level(1);
+  const auto c = registry.counter("test.obs.scope");
+  const obs::Scope outer;
+  c.add(3);
+  {
+    const obs::Scope inner;
+    c.add(4);
+    EXPECT_EQ(inner.delta("test.obs.scope"), 4u);
+  }
+  EXPECT_EQ(outer.delta("test.obs.scope"), 7u);
+  EXPECT_EQ(outer.delta("test.obs.never_registered"), 0u);
+
+  // Nothing counts at level 0, so every delta reads 0 — a whole check too.
+  registry.set_level(0);
+  const obs::Scope off;
+  c.add(5);
+  const auto deltas = wrapper_suite_deltas();
+  EXPECT_TRUE(std::all_of(deltas.begin(), deltas.end(),
+                          [](std::uint64_t d) { return d == 0; }));
+  EXPECT_EQ(off.delta("test.obs.scope"), 0u);
+}
+
+TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
+  // The figures CheckResult and MultiCheckResult reported for these
+  // wrapper checks while they still carried cost fields.
+  const LevelGuard guard;
+  obs::Registry::instance().set_level(1);
+  const auto fsm = app::build_wrapper_fsm();
+  const mc::ModelChecker checker{fsm};
+  const auto props = app::wrapper_properties_extended();
+  const auto proved_prop = std::find_if(props.begin(), props.end(), [](const auto& p) {
+    return p.name == "idle_start_goes_load";
+  });
+  ASSERT_NE(proved_prop, props.end());
+
+  const obs::Scope proved;
+  ASSERT_EQ(checker.check(*proved_prop).status, mc::CheckStatus::proved);
+  EXPECT_EQ(proved.delta("mc.sat_conflicts"), 1u);
+  EXPECT_EQ(proved.delta("mc.decisive_conflicts"), 1u);
+  EXPECT_EQ(proved.delta("mc.induction_conflicts"), 1u);
+  EXPECT_EQ(proved.delta("mc.cex_conflicts"), 0u);
+  EXPECT_EQ(proved.delta("mc.frames_encoded"), 22u);
+  EXPECT_EQ(proved.delta("mc.encoded_vars"), 491u);
+  EXPECT_EQ(proved.delta("mc.encoded_clauses"), 1265u);
+  EXPECT_EQ(proved.delta("mc.arena_bytes"), 16864u);
+  EXPECT_EQ(proved.delta("mc.arena_live"), 16864u);
+  EXPECT_EQ(proved.delta("mc.compactions"), 0u);
+
+  const obs::Scope falsified;
+  const auto never_acks = mc::Property::invariant("wrapper_never_acks",
+                                                  !mc::Expr::signal("ack"));
+  ASSERT_EQ(checker.check(never_acks).status, mc::CheckStatus::falsified);
+  EXPECT_EQ(falsified.delta("mc.sat_conflicts"), 1u);
+  EXPECT_EQ(falsified.delta("mc.decisive_conflicts"), 0u);
+  EXPECT_EQ(falsified.delta("mc.induction_conflicts"), 0u);
+  EXPECT_EQ(falsified.delta("mc.cex_conflicts"), 1u);
+  EXPECT_EQ(falsified.delta("mc.frames_encoded"), 4u);
+  EXPECT_EQ(falsified.delta("mc.encoded_vars"), 84u);
+  EXPECT_EQ(falsified.delta("mc.encoded_clauses"), 206u);
+  EXPECT_EQ(falsified.delta("mc.arena_bytes"), 2784u);
+  EXPECT_EQ(falsified.delta("mc.arena_live"), 2784u);
+
+  const obs::Scope portfolio;
+  (void)checker.check_all(props, {12, 4});
+  EXPECT_EQ(portfolio.delta("mc.portfolio.sat_conflicts"), 153u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.frames_encoded"), 14u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_vars"), 963u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_clauses"), 2535u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_bytes"), 37976u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_live"), 37976u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.compactions"), 0u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.opt_gates_before"), 33u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.opt_gates_after"), 28u);
+}
+
 // ---------------------------------------------------------- chrome trace
 
 namespace symbad::test {
@@ -535,11 +669,6 @@ TEST(ObsBridge, CheckResultMatchesRegistry) {
   EXPECT_EQ(snap.counter("mc.checks"), 1u);
   EXPECT_EQ(snap.counter("mc.bounds_used"),
             static_cast<std::uint64_t>(result.bound_used));
-  EXPECT_EQ(snap.counter("mc.frames_encoded"), result.frames_encoded);
-  EXPECT_EQ(snap.counter("mc.sat_conflicts"), result.total_sat_conflicts);
-  EXPECT_EQ(snap.counter("mc.cex_conflicts"), result.cex_conflicts);
-  EXPECT_EQ(snap.counter("mc.opt_gates_before"), result.opt_gates_before);
-  EXPECT_EQ(snap.counter("mc.opt_gates_after"), result.opt_gates_after);
 }
 
 TEST(ObsBridge, MultiCheckResultMatchesRegistry) {
@@ -560,12 +689,7 @@ TEST(ObsBridge, MultiCheckResultMatchesRegistry) {
 
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.counter("mc.portfolio.checks"), 1u);
-  EXPECT_EQ(snap.counter("mc.portfolio.properties"), 2u);
-  EXPECT_EQ(snap.counter("mc.portfolio.frames_encoded"), multi.frames_encoded);
-  EXPECT_EQ(snap.counter("mc.portfolio.sat_conflicts"), multi.total_sat_conflicts);
-  EXPECT_EQ(snap.counter("mc.portfolio.cone_recomputes"), multi.cone_recomputes);
-  EXPECT_EQ(snap.counter("mc.portfolio.opt_gates_before"), multi.opt_gates_before);
-  EXPECT_EQ(snap.counter("mc.portfolio.opt_gates_after"), multi.opt_gates_after);
+  EXPECT_EQ(snap.counter("mc.portfolio.properties"), multi.results.size());
 }
 
 TEST(ObsBridge, PccReportMatchesRegistry) {
@@ -597,10 +721,6 @@ TEST(ObsBridge, PccReportMatchesRegistry) {
             report.detected_by_simulation);
   EXPECT_EQ(snap.counter("pcc.detected_by_bmc"), report.detected_by_bmc);
   EXPECT_EQ(snap.counter("pcc.lint_pruned"), report.lint_pruned_faults);
-  EXPECT_EQ(snap.counter("pcc.encoded_vars"), report.encoded_vars);
-  EXPECT_EQ(snap.counter("pcc.encoded_clauses"), report.encoded_clauses);
-  EXPECT_EQ(snap.counter("pcc.opt_gates_before"), report.opt_gates_before);
-  EXPECT_EQ(snap.counter("pcc.opt_gates_after"), report.opt_gates_after);
 }
 
 TEST(ObsBridge, PccSimPassesCountsLaneBatches) {

@@ -14,6 +14,7 @@
 #include "atpg/atpg.hpp"
 #include "gen/gen.hpp"
 #include "mc/mc.hpp"
+#include "obs/obs.hpp"
 #include "opt/equiv.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/sweep.hpp"
@@ -23,6 +24,7 @@
 
 namespace opt = symbad::opt;
 namespace mc = symbad::mc;
+namespace obs = symbad::obs;
 namespace rtl = symbad::rtl;
 namespace app = symbad::app;
 namespace atpg = symbad::atpg;
@@ -82,9 +84,13 @@ void expect_simulation_equivalent(const rtl::Netlist& a, const rtl::Netlist& b,
 void expect_opt_equivalent(const mc::ModelChecker& checker, const mc::Property& prop,
                            const std::map<rtl::Net, bool>& faults,
                            mc::ModelChecker::Options options) {
+  const symbad::test::CountersOn counting;
   options.optimize = true;
+  const obs::Scope with_opt_cost;
   const auto with_opt = checker.check_with_faults(prop, faults, options);
+  const auto with_opt_vars = with_opt_cost.delta("mc.encoded_vars");
   options.optimize = false;
+  const obs::Scope without_cost;
   const auto without = checker.check_with_faults(prop, faults, options);
   EXPECT_EQ(with_opt.status, without.status) << prop.name;
   EXPECT_EQ(with_opt.bound_used, without.bound_used) << prop.name;
@@ -95,7 +101,7 @@ void expect_opt_equivalent(const mc::ModelChecker& checker, const mc::Property& 
         << prop.name;
   }
   // Preprocessing may only shrink the encoding, never grow it.
-  EXPECT_LE(with_opt.solver_variables, without.solver_variables) << prop.name;
+  EXPECT_LE(with_opt_vars, without_cost.delta("mc.encoded_vars")) << prop.name;
 }
 
 }  // namespace
@@ -499,14 +505,19 @@ TEST(OptMc, PreprocessingShrinksRootEncoding) {
   const mc::ModelChecker checker{root};
   const auto prop = mc::Property::invariant(
       "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
+  const symbad::test::CountersOn counting;
   mc::ModelChecker::Options options{10, 3};
   options.optimize = true;
+  const obs::Scope reduced_cost;
   const auto reduced = checker.check(prop, options);
+  const auto reduced_vars = reduced_cost.delta("mc.encoded_vars");
+  const auto reduced_clauses = reduced_cost.delta("mc.encoded_clauses");
   options.optimize = false;
+  const obs::Scope full_cost;
   const auto full = checker.check(prop, options);
   EXPECT_EQ(reduced.status, full.status);
-  EXPECT_LT(reduced.solver_variables, full.solver_variables);
-  EXPECT_LT(reduced.solver_clauses, full.solver_clauses);
+  EXPECT_LT(reduced_vars, full_cost.delta("mc.encoded_vars"));
+  EXPECT_LT(reduced_clauses, full_cost.delta("mc.encoded_clauses"));
 }
 
 // ----------------------------------------------------------- ATPG parity
@@ -588,9 +599,15 @@ TEST(OptLiveCone, CheckAllDropsRetiredConesFromLaterBounds) {
       mc::Property::invariant("b_never", !mc::Expr::signal("b_out")));  // clean
   mc::ModelChecker::Options options{12, 3};
 
+  const symbad::test::CountersOn counting;
   options.live_cone = true;
+  const obs::Scope live_cost;
   const auto live = checker.check_all(props, options);
+  const auto live_recomputes = live_cost.delta("mc.portfolio.cone_recomputes");
+  const auto live_vars = live_cost.delta("mc.portfolio.encoded_vars");
+  const auto live_clauses = live_cost.delta("mc.portfolio.encoded_clauses");
   options.live_cone = false;
+  const obs::Scope frozen_cost;
   const auto frozen = checker.check_all(props, options);
 
   // Same verdicts, bounds and canonical counterexamples...
@@ -610,10 +627,10 @@ TEST(OptLiveCone, CheckAllDropsRetiredConesFromLaterBounds) {
   EXPECT_EQ(live.results[0].status, mc::CheckStatus::falsified);
   // ...but after 'a_never' retires, the 16-input OR tree stops being
   // encoded, so the final solver is strictly smaller.
-  EXPECT_GE(live.cone_recomputes, 1u);
-  EXPECT_EQ(frozen.cone_recomputes, 0u);
-  EXPECT_LT(live.solver_variables, frozen.solver_variables);
-  EXPECT_LT(live.solver_clauses, frozen.solver_clauses);
+  EXPECT_GE(live_recomputes, 1u);
+  EXPECT_EQ(frozen_cost.delta("mc.portfolio.cone_recomputes"), 0u);
+  EXPECT_LT(live_vars, frozen_cost.delta("mc.portfolio.encoded_vars"));
+  EXPECT_LT(live_clauses, frozen_cost.delta("mc.portfolio.encoded_clauses"));
 
   // And the per-property results still match fully-individual checks.
   for (std::size_t i = 0; i < props.size(); ++i) {
@@ -630,16 +647,21 @@ TEST(OptEnv, MasterSwitchDisablesPreprocessing) {
   const mc::ModelChecker checker{fsm};
   const auto prop = app::wrapper_properties_extended().front();
 
+  const symbad::test::CountersOn counting;
   mc::ModelChecker::Options options{8, 3};
   options.optimize = false;
-  const auto reference = checker.check(prop, options);
+  const obs::Scope reference_cost;
+  (void)checker.check(prop, options);
+  const auto reference_vars = reference_cost.delta("mc.encoded_vars");
+  const auto reference_clauses = reference_cost.delta("mc.encoded_clauses");
 
   ::setenv("SYMBAD_OPT", "0", 1);
   options.optimize = true;  // requested, but the env master switch wins
-  const auto disabled = checker.check(prop, options);
+  const obs::Scope disabled_cost;
+  (void)checker.check(prop, options);
   ::unsetenv("SYMBAD_OPT");
-  EXPECT_EQ(disabled.solver_variables, reference.solver_variables);
-  EXPECT_EQ(disabled.solver_clauses, reference.solver_clauses);
+  EXPECT_EQ(disabled_cost.delta("mc.encoded_vars"), reference_vars);
+  EXPECT_EQ(disabled_cost.delta("mc.encoded_clauses"), reference_clauses);
 }
 
 TEST(OptEnv, KnobsParseStrictly) {

@@ -19,12 +19,14 @@
 #include "atpg/atpg.hpp"
 #include "gen/gen.hpp"
 #include "mc/mc.hpp"
+#include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 #include "rtl/netlist.hpp"
 #include "support/test_util.hpp"
 
 namespace opt = symbad::opt;
 namespace mc = symbad::mc;
+namespace obs = symbad::obs;
 namespace rtl = symbad::rtl;
 namespace app = symbad::app;
 namespace atpg = symbad::atpg;
@@ -119,20 +121,23 @@ void expect_three_way_identical(const mc::ModelChecker& checker,
                                 const std::vector<mc::Property>& props,
                                 const std::map<rtl::Net, bool>& faults,
                                 mc::ModelChecker::Options options) {
+  const symbad::test::CountersOn counting;
   options.optimize = true;
+  const obs::Scope campaign_cost;
   const auto campaign = checker.check_all_with_faults(props, faults, options);
   ASSERT_EQ(campaign.results.size(), props.size());
   const auto rebuild_options = campaign_options(props, faults);
   if (rebuild_options.enabled) {
     const auto rebuild = opt::optimize(netlist, rebuild_options);
-    EXPECT_EQ(campaign.opt_gates_before, rebuild.gates_before());
-    EXPECT_EQ(campaign.opt_gates_after, rebuild.gates_after());
+    EXPECT_EQ(campaign_cost.delta("mc.portfolio.opt_gates_before"), rebuild.gates_before());
+    EXPECT_EQ(campaign_cost.delta("mc.portfolio.opt_gates_after"), rebuild.gates_after());
   }
   for (std::size_t i = 0; i < props.size(); ++i) {
     const auto& prop = props[i];
     options.optimize = true;
     const auto r_on = checker.check_with_faults(prop, faults, options);
     options.optimize = false;
+    const obs::Scope off_cost;
     const auto r_off = checker.check_with_faults(prop, faults, options);
     const auto& r_all = campaign.results[i];
 
@@ -150,7 +155,7 @@ void expect_three_way_identical(const mc::ModelChecker& checker,
       EXPECT_EQ(r_all.counterexample->inputs, r_off.counterexample->inputs)
           << prop.name;
     }
-    EXPECT_EQ(r_off.opt_gates_before, 0u) << prop.name;
+    EXPECT_EQ(off_cost.delta("mc.opt_gates_before"), 0u) << prop.name;
   }
 }
 
