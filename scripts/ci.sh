@@ -6,8 +6,9 @@
 # committed BENCH_BASELINE.json, an UndefinedBehaviorSanitizer pass over
 # the SAT core (the clause arena lives on raw offset arithmetic — UBSan is
 # the cheapest way to catch a bad ref before it corrupts a verdict), the
-# lane-parallel simulator with the PCC pre-pass built on it and the Laerte
-# fault simulation over the media pipeline, a
+# lane-parallel simulator with the PCC pre-pass built on it, the Laerte
+# fault simulation over the media pipeline and the coverage/bit-fault
+# support it rests on, a
 # ThreadSanitizer pass over the threaded campaign/generator suites, and an
 # opt-in clang-tidy sweep (skipped when the tool is not installed).
 # Timings are warn-only (this runs on a shared 1-core host where wall-clock
@@ -70,10 +71,12 @@ echo "==> [6/8] UndefinedBehaviorSanitizer: SAT core (arena offset/shift"
 echo "    arithmetic, header bit packing), the 64-lane simulator + PCC"
 echo "    pre-pass (lane masks shift by a lane index; 1 << 64 is UB ASan misses)"
 echo "    and the Laerte fault simulation + media kernels (bit patches shift by"
-echo "    a fault's bit; the GA opens a coverage scope per distinct stimulus)"
+echo "    a fault's bit; the GA opens a coverage scope per distinct stimulus),"
+echo "    plus the verif support under them (bit-range checks on fault"
+echo "    enumeration, coverage bulk adds)"
 SYMBAD_SANITIZE=undefined cmake -B build-ubsan -S .
 cmake --build build-ubsan -j "$JOBS" --target test_sat test_rtl test_mc_pcc test_atpg \
-  test_media
+  test_media test_verif
 # halt_on_error: UBSan's checks recover by default, which would let a
 # finding scroll past with the suite still green.
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
@@ -82,6 +85,7 @@ SYMBAD_SAT_COMPACT=2 ./build-ubsan/test_sat
 ./build-ubsan/test_mc_pcc
 ./build-ubsan/test_atpg
 ./build-ubsan/test_media
+./build-ubsan/test_verif
 unset UBSAN_OPTIONS
 
 echo "==> [7/8] ThreadSanitizer: campaign worker pool + generator sweeps"

@@ -129,6 +129,9 @@ void FaceStageRuntime::set_query_schedule(std::vector<media::QueryRequest> sched
     if (q.identity < 0 || q.identity >= db_->identities()) {
       throw std::invalid_argument{"set_query_schedule: identity out of range"};
     }
+    if (q.pose.scale_q8 <= 0) {
+      throw std::invalid_argument{"set_query_schedule: zoom must be positive"};
+    }
   }
   schedule_ = std::move(schedule);
 }

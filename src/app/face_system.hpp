@@ -67,6 +67,7 @@ public:
   /// `query_pose`. Used by generated workloads (gen::query_schedule) to
   /// drive the pipeline with seeded bursty traffic. Must be set before the
   /// first frame is captured; an empty schedule restores the default.
+  /// Throws for an identity outside the database or a zoom <= 0.
   void set_query_schedule(std::vector<media::QueryRequest> schedule);
 
   /// Recognition results observed so far (index = frame).

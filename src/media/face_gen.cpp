@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 namespace symbad::media {
 
@@ -29,16 +30,110 @@ int sin_q15(int deg) {
 
 int cos_q15(int deg) { return sin_q15(deg + 90); }
 
-/// Integer test for point inside an axis-aligned ellipse (Q8 coords).
-constexpr bool in_ellipse_q8(std::int64_t x_q8, std::int64_t y_q8, std::int64_t a,
-                             std::int64_t b) noexcept {
-  // (x/a)^2 + (y/b)^2 <= 1, scaled: (x*b)^2 + (y*a)^2 <= (a*b*256)^2
-  const std::int64_t lhs = x_q8 * b * x_q8 * b + y_q8 * a * y_q8 * a;
-  const std::int64_t rhs = a * b * 256;
-  return lhs <= rhs * rhs;
-}
+/// Integer test for a point inside an axis-aligned ellipse with half-axes
+/// a and b (Q8 coordinates): (x/a)^2 + (y/b)^2 <= 1, scaled to
+/// (x*b)^2 + (y*a)^2 <= (a*b*256)^2, with the axis terms squared once.
+struct EllipseQ8 {
+  std::int64_t a2;
+  std::int64_t b2;
+  std::int64_t r2;
+
+  EllipseQ8(std::int64_t a, std::int64_t b) noexcept
+      : a2{a * a}, b2{b * b}, r2{(a * b * 256) * (a * b * 256)} {}
+  [[nodiscard]] bool contains(std::int64_t x_q8, std::int64_t y_q8) const noexcept {
+    return x_q8 * x_q8 * b2 + y_q8 * y_q8 * a2 <= r2;
+  }
+};
 
 constexpr int clamp255(int v) noexcept { return v < 0 ? 0 : (v > 255 ? 255 : v); }
+
+/// One identity's face in Q8 canonical coordinates: every per-face
+/// constant of face_intensity, computed once per render rather than once
+/// per pixel.
+class FaceQ8 {
+public:
+  explicit FaceQ8(const FaceParams& p)
+      : skin_{p.skin},
+        hair_{p.hair},
+        glasses_{p.glasses},
+        head_{p.head_a, p.head_b},
+        sclera_{p.eye_r + 1, p.eye_r},
+        pupil_{p.pupil_r + 1, p.pupil_r},
+        glasses_outer_{p.eye_r + 3, p.eye_r + 2},
+        glasses_inner_{p.eye_r + 2, p.eye_r + 1},
+        hair_line_{p.hair_line * 256},
+        eye_dx_{p.eye_dx * 256},
+        eye_y_{p.eye_y * 256},
+        brow_y_{(p.eye_y - p.brow_dy) * 256},
+        brow_x0_{(p.eye_dx - p.brow_len) * 256},
+        brow_x1_{(p.eye_dx + p.brow_len / 2) * 256},
+        bridge_y0_{(p.eye_y - 1) * 256},
+        bridge_y1_{(p.eye_y + 1) * 256},
+        bridge_x_{(p.eye_dx - p.eye_r - 2) * 256},
+        nose_y1_{(p.eye_y + p.nose_len) * 256},
+        mouth_x_{p.mouth_w * 256},
+        mouth_y0_{(p.mouth_y - p.mouth_h) * 256},
+        mouth_y1_{(p.mouth_y + p.mouth_h) * 256} {}
+
+  [[nodiscard]] int intensity(int fx_q8, int fy_q8) const {
+    // Background: soft vertical gradient.
+    int value = 210 - (fy_q8 >> 6);
+
+    if (head_.contains(fx_q8, fy_q8)) {
+      value = skin_;
+      // Hair: upper part of the head.
+      if (fy_q8 < hair_line_) value = hair_;
+
+      const int ax = fx_q8 < 0 ? -fx_q8 : fx_q8;  // |x|
+      // Eyes (mirrored left/right).
+      const std::int64_t ex = ax - eye_dx_;
+      const std::int64_t ey = fy_q8 - eye_y_;
+      if (sclera_.contains(ex, ey)) value = 200;
+      if (pupil_.contains(ex, ey)) value = 25;
+      // Eyebrows.
+      if (fy_q8 >= brow_y_ - 128 && fy_q8 <= brow_y_ + 128 && ax >= brow_x0_ &&
+          ax <= brow_x1_) {
+        value = 50;
+      }
+      // Glasses: ring around each eye.
+      if (glasses_) {
+        const bool outer = glasses_outer_.contains(ex, ey);
+        const bool inner = glasses_inner_.contains(ex, ey);
+        if (outer && !inner) value = 35;
+        // Bridge between lenses.
+        if (fy_q8 >= bridge_y0_ && fy_q8 <= bridge_y1_ && ax <= bridge_x_) value = 35;
+      }
+      // Nose: vertical stroke from eye line downward.
+      if (ax <= 192 && fy_q8 >= eye_y_ && fy_q8 <= nose_y1_) value = skin_ - 30;
+      // Mouth.
+      if (ax <= mouth_x_ && fy_q8 >= mouth_y0_ && fy_q8 <= mouth_y1_) value = 70;
+    }
+    return clamp255(value);
+  }
+
+private:
+  int skin_;
+  int hair_;
+  bool glasses_;
+  EllipseQ8 head_;
+  EllipseQ8 sclera_;
+  EllipseQ8 pupil_;
+  EllipseQ8 glasses_outer_;
+  EllipseQ8 glasses_inner_;
+  int hair_line_;
+  int eye_dx_;
+  int eye_y_;
+  int brow_y_;
+  int brow_x0_;
+  int brow_x1_;
+  int bridge_y0_;
+  int bridge_y1_;
+  int bridge_x_;
+  int nose_y1_;
+  int mouth_x_;
+  int mouth_y0_;
+  int mouth_y1_;
+};
 
 }  // namespace
 
@@ -64,53 +159,14 @@ FaceParams FaceParams::for_identity(int id) {
   return p;
 }
 
-int face_intensity(const FaceParams& p, int fx_q8, int fy_q8) {
-  // Background: soft vertical gradient.
-  int value = 210 - (fy_q8 >> 6);
-
-  if (in_ellipse_q8(fx_q8, fy_q8, p.head_a, p.head_b)) {
-    value = p.skin;
-    // Hair: upper part of the head.
-    if (fy_q8 < p.hair_line * 256) value = p.hair;
-
-    const int ax = fx_q8 < 0 ? -fx_q8 : fx_q8;  // |x|
-    // Eyes (mirrored left/right).
-    const std::int64_t ex = ax - p.eye_dx * 256;
-    const std::int64_t ey = fy_q8 - p.eye_y * 256;
-    if (in_ellipse_q8(ex, ey, p.eye_r + 1, p.eye_r)) value = 200;  // sclera
-    if (in_ellipse_q8(ex, ey, p.pupil_r + 1, p.pupil_r)) value = 25;  // pupil
-    // Eyebrows.
-    const int brow_y = (p.eye_y - p.brow_dy) * 256;
-    if (fy_q8 >= brow_y - 128 && fy_q8 <= brow_y + 128 &&
-        ax >= (p.eye_dx - p.brow_len) * 256 && ax <= (p.eye_dx + p.brow_len / 2) * 256) {
-      value = 50;
-    }
-    // Glasses: ring around each eye.
-    if (p.glasses) {
-      const bool outer = in_ellipse_q8(ex, ey, p.eye_r + 3, p.eye_r + 2);
-      const bool inner = in_ellipse_q8(ex, ey, p.eye_r + 2, p.eye_r + 1);
-      if (outer && !inner) value = 35;
-      // Bridge between lenses.
-      if (fy_q8 >= (p.eye_y - 1) * 256 && fy_q8 <= (p.eye_y + 1) * 256 &&
-          ax <= (p.eye_dx - p.eye_r - 2) * 256) {
-        value = 35;
-      }
-    }
-    // Nose: vertical stroke from eye line downward.
-    if (ax <= 192 && fy_q8 >= p.eye_y * 256 && fy_q8 <= (p.eye_y + p.nose_len) * 256) {
-      value = p.skin - 30;
-    }
-    // Mouth.
-    if (ax <= p.mouth_w * 256 && fy_q8 >= (p.mouth_y - p.mouth_h) * 256 &&
-        fy_q8 <= (p.mouth_y + p.mouth_h) * 256) {
-      value = 70;
-    }
-  }
-  return clamp255(value);
+int face_intensity(const FaceParams& params, int fx_q8, int fy_q8) {
+  return FaceQ8{params}.intensity(fx_q8, fy_q8);
 }
 
 Image render_face(const FaceParams& params, const Pose& pose, int size) {
+  if (pose.scale_q8 <= 0) throw std::invalid_argument{"render_face: zoom must be positive"};
   Image out{size, size};
+  const FaceQ8 face{params};
   const int half = size / 2;
   const int c = cos_q15(-pose.rot_deg);
   const int s = sin_q15(-pose.rot_deg);
@@ -119,20 +175,22 @@ Image render_face(const FaceParams& params, const Pose& pose, int size) {
   const std::int64_t inv_zoom_q8 = (256 * 256) / pose.scale_q8;
 
   for (int y = 0; y < size; ++y) {
+    // Target row -> centred coords, undo translation; its rotation terms.
+    const std::int64_t ty = (y - half - pose.dy);
+    const std::int64_t ty_s = ty * s;
+    const std::int64_t ty_c = ty * c;
     for (int x = 0; x < size; ++x) {
-      // Target pixel -> centred coords, undo translation.
       const std::int64_t tx = (x - half - pose.dx);
-      const std::int64_t ty = (y - half - pose.dy);
       // Undo rotation (Q15 trig -> Q8 coordinates).
-      std::int64_t rx_q8 = (tx * c - ty * s) >> 7;  // *256/32768
-      std::int64_t ry_q8 = (tx * s + ty * c) >> 7;
+      std::int64_t rx_q8 = (tx * c - ty_s) >> 7;  // *256/32768
+      std::int64_t ry_q8 = (tx * s + ty_c) >> 7;
       // Undo zoom and frame scaling.
       rx_q8 = rx_q8 * inv_zoom_q8 / 256;
       ry_q8 = ry_q8 * inv_zoom_q8 / 256;
       rx_q8 = rx_q8 * frame_scale_q8 / 256;
       ry_q8 = ry_q8 * frame_scale_q8 / 256;
       out.px(x, y) = static_cast<std::uint16_t>(
-          face_intensity(params, static_cast<int>(rx_q8), static_cast<int>(ry_q8)));
+          face.intensity(static_cast<int>(rx_q8), static_cast<int>(ry_q8)));
     }
   }
   return out;

@@ -70,6 +70,7 @@ struct QueryRequest {
 [[nodiscard]] int face_intensity(const FaceParams& params, int fx_q8, int fy_q8);
 
 /// Renders the face as a grayscale scene image (no sensor effects).
+/// Throws std::invalid_argument for a zoom (`pose.scale_q8`) <= 0.
 [[nodiscard]] Image render_face(const FaceParams& params, const Pose& pose, int size = 64);
 
 /// Full CMOS camera model: renders the scene, applies the RGGB colour

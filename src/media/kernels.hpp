@@ -7,6 +7,8 @@
 // `Ctx` that carries (a) a coverage-module handle for the Laerte++-style
 // instrumentation and (b) an operation counter used by the flow's profiling
 // step (level 1 -> level 2 HW/SW partitioning is driven by these counts).
+// See docs/ARCHITECTURE.md, "Media kernels", for how the kernels keep
+// coverage off their pixel loops.
 
 #include <cstdint>
 #include <string>
@@ -17,8 +19,12 @@
 
 namespace symbad::media {
 
-/// Instrumentation context threaded through kernels. Default-constructed
-/// context disables both coverage and profiling at negligible cost.
+/// Instrumentation context threaded through kernels. A kernel picks its
+/// instrumented body once per call, when `cov` is set: that body counts
+/// statement, branch and condition outcomes in locals and adds them to
+/// `cov` when the call returns, and the other body has no coverage code.
+/// `ops`, when set, receives the call's operation count. A
+/// default-constructed context disables both.
 struct Ctx {
   verif::CovModule* cov = nullptr;
   std::uint64_t* ops = nullptr;

@@ -1,6 +1,7 @@
 #include "media/pipeline.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "media/database.hpp"
@@ -12,12 +13,22 @@ namespace {
 using verif::BitFault;
 using verif::PortDirection;
 
+/// Whether `fault` targets `stage_name`/`port`. Throws for a bit outside a
+/// 32-bit port word, whatever the fault targets.
+bool targets(const BitFault* fault, const char* stage_name, PortDirection port) {
+  if (fault == nullptr) return false;
+  if (fault->bit < 0 || fault->bit > 31) {
+    throw std::invalid_argument{"bit fault: bit must be in [0, 31]"};
+  }
+  return fault->stage == stage_name && fault->port == port;
+}
+
 /// Applies a bit fault to an image if it targets `stage_name`/`port`;
 /// returns whether the patched pixel changed. Words index modulo the pixel
-/// count.
+/// count; bits 16..31 lie above a 16-bit pixel and leave it unchanged.
 bool maybe_fault_image(Image& image, const char* stage_name, PortDirection port,
                        const BitFault* fault) {
-  if (fault == nullptr || fault->stage != stage_name || fault->port != port) return false;
+  if (!targets(fault, stage_name, port)) return false;
   const auto n = image.pixel_count();
   if (n == 0) return false;
   const auto idx = static_cast<std::size_t>(fault->word_index) % n;
@@ -33,7 +44,7 @@ bool maybe_fault_image(Image& image, const char* stage_name, PortDirection port,
 /// The feature-vector counterpart of maybe_fault_image (bits modulo 16).
 bool maybe_fault_features(FeatureVec& f, const char* stage_name, PortDirection port,
                           const BitFault* fault) {
-  if (fault == nullptr || fault->stage != stage_name || fault->port != port) return false;
+  if (!targets(fault, stage_name, port)) return false;
   if (f.v.empty()) return false;
   const auto idx = static_cast<std::size_t>(fault->word_index) % f.v.size();
   const std::uint32_t raw = static_cast<std::uint16_t>(f.v[idx]);

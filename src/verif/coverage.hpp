@@ -9,7 +9,9 @@
 //
 // Instrumented kernels fetch their module handle from the active database;
 // when no database is installed the handle is null and the instrumentation
-// costs a single pointer test.
+// costs a single pointer test. Code with points inside hot loops (the media
+// kernels) tallies a call's hits in locals and adds them through the bulk
+// adds, once per call.
 
 #include <cstdint>
 #include <map>
@@ -46,15 +48,28 @@ public:
     resize(cond_false_, count);
   }
 
-  void statement(int id) noexcept { bump(stmt_, id); }
+  void statement(int id) noexcept { add(stmt_, id, 1); }
   void branch(int id, bool taken) noexcept {
-    bump(taken ? branch_true_ : branch_false_, id);
+    add(taken ? branch_true_ : branch_false_, id, 1);
   }
   /// Records an atomic boolean condition outcome and returns it, so call
   /// sites can write `if (cov_cond(cov, 0, x > y))`.
   bool condition(int id, bool value) noexcept {
-    bump(value ? cond_true_ : cond_false_, id);
+    add(value ? cond_true_ : cond_false_, id, 1);
     return value;
+  }
+
+  // Bulk adds: `hits` executions (or outcomes) at once, equal to that many
+  // single hits, for code that tallies a whole call in locals first.
+  // Undeclared ids are ignored, as single hits ignore them.
+  void add_statement(int id, std::uint64_t hits) noexcept { add(stmt_, id, hits); }
+  void add_branch(int id, std::uint64_t taken, std::uint64_t not_taken) noexcept {
+    add(branch_true_, id, taken);
+    add(branch_false_, id, not_taken);
+  }
+  void add_condition(int id, std::uint64_t true_hits, std::uint64_t false_hits) noexcept {
+    add(cond_true_, id, true_hits);
+    add(cond_false_, id, false_hits);
   }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -78,12 +93,16 @@ public:
   /// have joined.
   void merge_from(const CovModule& other);
 
+  /// Same name, declarations and hit counts (not only the same covered
+  /// points: merge_from sums counts).
+  bool operator==(const CovModule&) const = default;
+
 private:
   static void resize(std::vector<std::uint64_t>& v, int count) {
     if (count > static_cast<int>(v.size())) v.resize(static_cast<std::size_t>(count), 0);
   }
-  static void bump(std::vector<std::uint64_t>& v, int id) noexcept {
-    if (id >= 0 && static_cast<std::size_t>(id) < v.size()) ++v[static_cast<std::size_t>(id)];
+  static void add(std::vector<std::uint64_t>& v, int id, std::uint64_t hits) noexcept {
+    if (id >= 0 && static_cast<std::size_t>(id) < v.size()) v[static_cast<std::size_t>(id)] += hits;
   }
 
   std::string name_;

@@ -7,6 +7,7 @@
 // property sets by the fraction of RTL faults that make some property fail.
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@ struct BitFault {
 };
 
 /// Applies `fault` to `value` if the fault targets `word_index`.
+/// `fault.bit` must be in [0, 31].
 [[nodiscard]] constexpr std::uint32_t apply_bit_fault(std::uint32_t value, int word_index,
                                                       const BitFault& fault) noexcept {
   if (fault.word_index != word_index) return value;
@@ -50,9 +52,13 @@ struct FaultGrade {
 };
 
 /// Enumerates stuck-at-0/1 faults over `words` elements x `bits` bits of one
-/// port (both polarities).
+/// port (both polarities). Throws for `bits` outside [0, 32]: a port word
+/// is at most 32 bits wide.
 [[nodiscard]] inline std::vector<BitFault> enumerate_port_faults(
     const std::string& stage, PortDirection port, int words, int bits) {
+  if (bits < 0 || bits > 32) {
+    throw std::invalid_argument{"enumerate_port_faults: bits must be in [0, 32]"};
+  }
   std::vector<BitFault> faults;
   faults.reserve(static_cast<std::size_t>(words) * static_cast<std::size_t>(bits) * 2);
   for (int w = 0; w < words; ++w) {

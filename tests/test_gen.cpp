@@ -468,6 +468,10 @@ TEST(GenQuery, ScheduleDrivesTheFacePipeline) {
   app::FaceStageRuntime guard{db};
   EXPECT_THROW(guard.set_query_schedule({{db.identities(), {}}}),
                std::invalid_argument);
+  // So is a zero zoom, which the renderer divides by.
+  media::Pose zero_zoom;
+  zero_zoom.scale_q8 = 0;
+  EXPECT_THROW(guard.set_query_schedule({{0, zero_zoom}}), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- seed corpus

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "media/pipeline.hpp"
 #include "verif/coverage.hpp"
 #include "verif/fault.hpp"
+#include "support/media_reference.hpp"
 #include "support/test_util.hpp"
 #include "verif/rng.hpp"
 
@@ -88,6 +90,21 @@ TEST(FaceGen, PoseChangesImage) {
   const Image frontal = media::render_face(params, media::Pose::frontal());
   EXPECT_NE(frontal.checksum(), media::render_face(params, shifted).checksum());
   EXPECT_NE(frontal.checksum(), media::render_face(params, rotated).checksum());
+}
+
+TEST(FaceGen, ZeroOrNegativeZoomIsRejected) {
+  // The inverse zoom divides by scale_q8, so a zoom <= 0 is rejected
+  // before any pixel is rendered.
+  const auto params = media::FaceParams::for_identity(0);
+  for (const int scale : {0, -1, -256}) {
+    media::Pose pose;
+    pose.scale_q8 = scale;
+    EXPECT_THROW((void)media::render_face(params, pose), std::invalid_argument) << scale;
+    EXPECT_THROW((void)media::camera_capture(params, pose), std::invalid_argument) << scale;
+  }
+  media::Pose smallest;
+  smallest.scale_q8 = 1;
+  EXPECT_EQ(media::render_face(params, smallest).width(), 64);
 }
 
 TEST(FaceGen, CameraAddsMosaicAndNoise) {
@@ -562,6 +579,314 @@ TEST(FrontEndResume, RestartBelowAnyBoundaryReproducesTheRun) {
   }
   EXPECT_EQ(media::extract_features(golden.values.bayer), golden.values.features);
 }
+
+TEST(FrontEndResume, FaultBitsOutsideAPortWordAreRejected) {
+  // A bit fault's bit must name a bit of a 32-bit port word (the patch
+  // shifts by it), whatever stage it targets. Bits 16..31 are valid: above
+  // a 16-bit pixel they leave it unchanged (not excited), and the feature
+  // boundary takes them modulo 16.
+  const auto db = media::FaceDatabase::enroll(4, 2);
+  const auto golden = resume_goldens(db).front();
+  using verif::PortDirection;
+  for (const int bit : {-1, 32, 40}) {
+    for (const auto& [stage_name, port] :
+         {std::pair{media::stage::bay, PortDirection::input},
+          std::pair{media::stage::root, PortDirection::output},
+          std::pair{media::stage::calcline, PortDirection::output},
+          std::pair{media::stage::ellipse, PortDirection::output}}) {
+      const verif::BitFault fault{stage_name, port, 5, bit, true};
+      EXPECT_THROW((void)media::simulate_fault(golden, db, {}, fault), std::invalid_argument)
+          << fault.to_string();
+      EXPECT_THROW((void)media::recognize(golden.values.bayer, db, {}, nullptr, &fault),
+                   std::invalid_argument)
+          << fault.to_string();
+    }
+  }
+  for (const int bit : {16, 23, 31}) {
+    for (const bool stuck : {false, true}) {
+      const verif::BitFault pixel{media::stage::root, PortDirection::output, 5, bit, stuck};
+      EXPECT_FALSE(media::simulate_fault(golden, db, {}, pixel).has_value()) << bit;
+      const verif::BitFault wide{media::stage::calcline, PortDirection::output, 5, bit, stuck};
+      const verif::BitFault low{media::stage::calcline, PortDirection::output, 5, bit % 16,
+                                stuck};
+      const auto a = media::simulate_fault(golden, db, {}, wide);
+      const auto b = media::simulate_fault(golden, db, {}, low);
+      ASSERT_EQ(a.has_value(), b.has_value()) << bit;
+      if (a.has_value()) {
+        EXPECT_EQ(first_difference(*a, *b), "") << bit;
+      }
+    }
+  }
+}
+
+// --------------------------------------------------- reference kernels
+
+// The kernels and the face generator must match the per-hit reference in
+// tests/support/media_reference.hpp exactly: results, `ops` counts and the
+// full hit vectors of the coverage module, with and without one.
+
+namespace {
+
+namespace ref = symbad::test::reference;
+
+bool same(const Image& a, const Image& b) { return a == b; }
+bool same(const media::EdgeResult& a, const media::EdgeResult& b) {
+  return a.magnitude == b.magnitude && a.binary == b.binary;
+}
+bool same(const media::EllipseFit& a, const media::EllipseFit& b) {
+  return a.found == b.found && a.cx == b.cx && a.cy == b.cy && a.axis_a == b.axis_a &&
+         a.axis_b == b.axis_b && a.m00 == b.m00;
+}
+bool same(const media::LineProfiles& a, const media::LineProfiles& b) {
+  return a.rows == b.rows && a.cols == b.cols && a.diag_main == b.diag_main &&
+         a.diag_anti == b.diag_anti;
+}
+bool same(const media::FeatureVec& a, const media::FeatureVec& b) { return a == b; }
+bool same(std::uint32_t a, std::uint32_t b) { return a == b; }
+bool same(const media::MotionResult& a, const media::MotionResult& b) {
+  return a.difference == b.difference && a.mask == b.mask &&
+         a.active_pixels == b.active_pixels;
+}
+bool same(const media::Winner& a, const media::Winner& b) {
+  return a.index == b.index && a.best == b.best && a.second == b.second &&
+         a.confident == b.confident;
+}
+
+/// Runs the library kernel `lib` and the reference `want` on one input,
+/// uninstrumented and then each into its own fresh coverage module, and
+/// expects equal results, `ops` counts and hit vectors. Both must throw
+/// std::invalid_argument or neither.
+template <typename Lib, typename Ref>
+void expect_same_kernel(const Lib& lib, const Ref& want, const std::string& what) {
+  for (const bool instrumented : {false, true}) {
+    verif::CovModule got_cov{"kernel"};
+    verif::CovModule want_cov{"kernel"};
+    std::uint64_t got_ops = 0;
+    std::uint64_t want_ops = 0;
+    const media::Ctx got_ctx{instrumented ? &got_cov : nullptr, &got_ops};
+    const media::Ctx want_ctx{instrumented ? &want_cov : nullptr, &want_ops};
+    const std::string where = what + (instrumented ? " (instrumented)" : "");
+    std::optional<decltype(want(want_ctx))> expected;
+    try {
+      expected = want(want_ctx);
+    } catch (const std::invalid_argument&) {
+    }
+    if (expected.has_value()) {
+      EXPECT_TRUE(same(lib(got_ctx), *expected)) << where;
+    } else {
+      EXPECT_THROW((void)lib(got_ctx), std::invalid_argument) << where;
+    }
+    EXPECT_EQ(got_ops, want_ops) << where;
+    EXPECT_TRUE(got_cov == want_cov) << where;
+  }
+}
+
+// One macro per call keeps each kernel's argument list written once.
+#define EXPECT_SAME_KERNEL(what, kernel, ...)                                      \
+  expect_same_kernel([&](media::Ctx c) { return media::kernel(__VA_ARGS__, c); }, \
+                     [&](media::Ctx c) { return ref::kernel(__VA_ARGS__, c); }, what)
+
+/// Every image kernel on `img` (MOTION against `other`, same shape), then
+/// the feature kernels on what the image kernels produced.
+void expect_image_kernels_match(const Image& img, const Image& other, std::uint16_t threshold,
+                                const std::string& what) {
+  EXPECT_SAME_KERNEL(what + " BAY", bay_demosaic_luma, img);
+  EXPECT_SAME_KERNEL(what + " EROSION", erode3x3, img);
+  EXPECT_SAME_KERNEL(what + " ROOT", root_transform, img);
+  EXPECT_SAME_KERNEL(what + " EDGE", sobel_edge, img, threshold);
+  EXPECT_SAME_KERNEL(what + " MOTION", frame_difference, img, other, threshold);
+  const Image binary = media::sobel_edge(img, threshold).binary;
+  EXPECT_SAME_KERNEL(what + " ELLIPSE", fit_ellipse, binary);
+  EXPECT_SAME_KERNEL(what + " ELLIPSE(raw)", fit_ellipse, img);
+  const media::EllipseFit fits[] = {media::fit_ellipse(img), media::fit_ellipse(binary), {}};
+  for (const auto& fit : fits) {
+    for (const int out_size : {0, 1, 3, 8}) {
+      EXPECT_SAME_KERNEL(what + " CRTBORD " + std::to_string(out_size), crop_border, img, fit,
+                         out_size);
+    }
+  }
+  EXPECT_SAME_KERNEL(what + " CRTLINE", create_lines, img);
+  const auto lines = media::create_lines(img);
+  EXPECT_SAME_KERNEL(what + " CALCLINE", calc_line_features, lines);
+}
+
+/// The stages of a front-end run that starts from `v.bayer`, each on the
+/// boundary values `v` holds, then DISTANCE against every template of `db`
+/// and WINNER over those distances.
+void expect_stages_match(const media::FrontEndValues& v, const media::FaceDatabase& db,
+                         const std::string& what) {
+  const std::uint16_t threshold = media::PipelineConfig{}.edge_threshold;
+  EXPECT_SAME_KERNEL(what + " BAY", bay_demosaic_luma, v.bayer);
+  EXPECT_SAME_KERNEL(what + " EROSION", erode3x3, v.luma);
+  EXPECT_SAME_KERNEL(what + " ROOT", root_transform, v.eroded);
+  EXPECT_SAME_KERNEL(what + " EDGE", sobel_edge, v.rooted, threshold);
+  EXPECT_SAME_KERNEL(what + " ELLIPSE", fit_ellipse, v.edges);
+  EXPECT_SAME_KERNEL(what + " CRTBORD", crop_border, v.luma, v.fit,
+                     media::PipelineConfig{}.window_size);
+  EXPECT_SAME_KERNEL(what + " CRTLINE", create_lines, v.window);
+  const auto lines = media::create_lines(v.window);
+  EXPECT_SAME_KERNEL(what + " CALCLINE", calc_line_features, lines);
+  std::vector<std::uint32_t> distances;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const auto& entry = db.entry(i).features;
+    EXPECT_SAME_KERNEL(what + " CALCDIST", calc_distance, v.features, entry);
+    distances.push_back(ref::calc_distance(v.features, entry, {}));
+  }
+  EXPECT_SAME_KERNEL(what + " WINNER", pick_winner, distances);
+}
+
+/// A pose drawn wider than any shipped workload draws: translations past
+/// the frame edge, rotations past +-360 degrees, zooms from 1/2x to 2x,
+/// illumination and noise.
+media::Pose wild_pose(verif::Rng& rng) {
+  media::Pose pose;
+  pose.dx = static_cast<int>(rng.range(-20, 20));
+  pose.dy = static_cast<int>(rng.range(-20, 20));
+  pose.rot_deg = static_cast<int>(rng.range(-800, 800));
+  pose.scale_q8 = static_cast<int>(rng.range(128, 512));
+  pose.light_offset = static_cast<int>(rng.range(-40, 40));
+  pose.noise_amp = static_cast<int>(rng.range(0, 12));
+  pose.noise_seed = rng.next();
+  return pose;
+}
+
+}  // namespace
+
+TEST(KernelReference, EveryShapeUpTo9x9WithRandom16BitPixels) {
+  auto rng = symbad::test::rng("KernelReference.shapes");
+  for (int h = 1; h <= 9; ++h) {
+    for (int w = 1; w <= 9; ++w) {
+      // 0/1 maps, 8-bit frames and the full 16 bits a bit fault can set.
+      for (const std::uint64_t bound : {2ull, 256ull, 65536ull}) {
+        Image img{w, h};
+        Image other{w, h};
+        for (auto& p : img.data()) p = static_cast<std::uint16_t>(rng.below(bound));
+        for (auto& p : other.data()) p = static_cast<std::uint16_t>(rng.below(bound));
+        const auto threshold = static_cast<std::uint16_t>(rng.below(bound));
+        expect_image_kernels_match(img, other, threshold,
+                                   std::to_string(w) + "x" + std::to_string(h) + "<" +
+                                       std::to_string(bound));
+      }
+    }
+  }
+}
+
+TEST(KernelReference, FeatureKernelsOnRandomVectors) {
+  auto rng = symbad::test::rng("KernelReference.features");
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.below(20));
+    media::FeatureVec a;
+    media::FeatureVec b;
+    for (std::size_t i = 0; i < n; ++i) {
+      a.v.push_back(static_cast<std::int16_t>(rng.range(-32768, 32767)));
+      b.v.push_back(static_cast<std::int16_t>(rng.range(-32768, 32767)));
+    }
+    const std::string what = "trial " + std::to_string(trial);
+    EXPECT_SAME_KERNEL(what + " CALCDIST", calc_distance, a, b);
+    media::FeatureVec longer = b;
+    longer.v.push_back(1);
+    EXPECT_SAME_KERNEL(what + " CALCDIST(mismatch)", calc_distance, a, longer);
+
+    std::vector<std::uint32_t> distances(n);
+    for (auto& d : distances) {
+      d = rng.chance(0.2) ? 0xFFFFFFFFu : static_cast<std::uint32_t>(rng.below(64));
+    }
+    EXPECT_SAME_KERNEL(what + " WINNER", pick_winner, distances);
+
+    // Profiles wide enough to saturate the Q7 features.
+    media::LineProfiles lines;
+    for (auto* profile : {&lines.rows, &lines.cols, &lines.diag_main, &lines.diag_anti}) {
+      profile->resize(static_cast<std::size_t>(rng.below(6)));
+      for (auto& x : *profile) x = static_cast<std::uint32_t>(rng.next());
+    }
+    EXPECT_SAME_KERNEL(what + " CALCLINE", calc_line_features, lines);
+  }
+}
+
+TEST(KernelReference, FrontEndOfEveryIdentityUnderWildPoses) {
+  const auto db = media::FaceDatabase::enroll(4, 2);
+  auto rng = symbad::test::rng("KernelReference.identities");
+  for (int id = 0; id < 20; ++id) {
+    for (int k = 0; k < 4; ++k) {
+      auto params = media::FaceParams::for_identity(id);
+      params.glasses = (k % 2 == 0) != params.glasses;
+      const auto frame = media::camera_capture(params, wild_pose(rng));
+      const auto golden = media::golden_run(frame, db);
+      expect_stages_match(golden.values, db,
+                          "identity " + std::to_string(id) + " pose " + std::to_string(k));
+    }
+  }
+}
+
+TEST(KernelReference, FaultSimulationAtEveryBoundaryAndBit) {
+  // A bit fault puts words no fault-free frame carries into the stage below
+  // its boundary: 16-bit pixels into EROSION, ROOT and EDGE (ROOT's isqrt32
+  // path above 255), any edge-map word into ELLIPSE, wrapped feature
+  // words into DISTANCE. Each faulty run's stages must match the
+  // reference on the values that run carries, and simulate_fault must
+  // report that run.
+  const auto db = media::FaceDatabase::enroll(4, 2);
+  const auto goldens = resume_goldens(db);
+  using verif::PortDirection;
+  const std::pair<const char*, PortDirection> sites[] = {
+      {media::stage::bay, PortDirection::input},
+      {media::stage::bay, PortDirection::output},
+      {media::stage::erosion, PortDirection::output},
+      {media::stage::root, PortDirection::output},
+      {media::stage::edge, PortDirection::output},
+      {media::stage::crtbord, PortDirection::output},
+      {media::stage::calcline, PortDirection::output},
+  };
+  auto rng = symbad::test::rng("KernelReference.faults");
+  for (const auto& [stage_name, port] : sites) {
+    const auto& golden = goldens[static_cast<std::size_t>(rng.below(goldens.size()))];
+    for (int bit = 0; bit < 16; ++bit) {
+      for (const bool stuck : {false, true}) {
+        const verif::BitFault fault{stage_name, port,
+                                    static_cast<int>(golden.values.bayer.pixel_count() / 2 +
+                                                     rng.below(64)),
+                                    bit, stuck};
+        media::FrontEndValues values;
+        values.bayer = golden.values.bayer;
+        media::run_front_end(values, media::Boundary::frame, {}, nullptr, nullptr, &fault);
+        expect_stages_match(values, db, fault.to_string());
+        const auto resumed = media::simulate_fault(golden, db, {}, fault);
+        EXPECT_EQ(resumed.has_value() ? resumed->features : golden.values.features,
+                  values.features)
+            << fault.to_string();
+      }
+    }
+  }
+}
+
+TEST(FaceReference, RenderAndCaptureOfEveryIdentityUnderWildPoses) {
+  auto rng = symbad::test::rng("FaceReference.render");
+  for (int id = 0; id < 20; ++id) {
+    for (const bool glasses : {false, true}) {
+      auto params = media::FaceParams::for_identity(id);
+      params.glasses = glasses;
+      for (int k = 0; k < 6; ++k) {
+        const auto pose = wild_pose(rng);
+        const int size = k == 0 ? static_cast<int>(rng.range(1, 96)) : 64;
+        const std::string what = "identity " + std::to_string(id) + " pose " +
+                                 std::to_string(k) + " size " + std::to_string(size);
+        EXPECT_EQ(media::render_face(params, pose, size), ref::render_face(params, pose, size))
+            << what;
+        EXPECT_EQ(media::camera_capture(params, pose, size),
+                  ref::camera_capture(params, pose, size))
+            << what;
+      }
+      for (int k = 0; k < 500; ++k) {
+        const auto fx = static_cast<int>(rng.range(-40 * 256, 40 * 256));
+        const auto fy = static_cast<int>(rng.range(-40 * 256, 40 * 256));
+        EXPECT_EQ(media::face_intensity(params, fx, fy), ref::face_intensity(params, fx, fy))
+            << id << " " << fx << " " << fy;
+      }
+    }
+  }
+}
+
+#undef EXPECT_SAME_KERNEL
 
 // -------------------------------------------------------------- database
 

@@ -150,6 +150,79 @@ TEST(Coverage, NullHandleWrappersAreTransparent) {
   EXPECT_EQ(m.statements_covered(), 1);
 }
 
+TEST(Coverage, BulkAddsEqualSingleHits) {
+  // A kernel that tallies a call in locals adds each count once; the
+  // module must end exactly as if every hit had been recorded singly.
+  verif::CovModule single{"dut"};
+  verif::CovModule bulk{"dut"};
+  for (auto* m : {&single, &bulk}) {
+    m->declare_statements(3);
+    m->declare_branches(2);
+    m->declare_conditions(2);
+  }
+  for (int i = 0; i < 5; ++i) single.statement(0);
+  for (int i = 0; i < 2; ++i) single.statement(2);
+  for (int i = 0; i < 3; ++i) single.branch(1, true);
+  for (int i = 0; i < 4; ++i) single.branch(1, false);
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(single.condition(0, true));
+  bulk.add_statement(0, 5);
+  bulk.add_statement(2, 2);
+  bulk.add_branch(1, 3, 4);
+  bulk.add_condition(0, 6, 0);
+  EXPECT_TRUE(bulk == single);
+  EXPECT_EQ(bulk.statement_hits(0), 5u);
+  EXPECT_EQ(bulk.branches_covered(), 1);
+  EXPECT_EQ(bulk.conditions_covered(), 0);  // false outcome never added
+
+  // Zero adds change nothing; one more hit anywhere breaks the equality.
+  bulk.add_statement(1, 0);
+  bulk.add_branch(0, 0, 0);
+  EXPECT_TRUE(bulk == single);
+  bulk.add_condition(1, 0, 1);
+  EXPECT_FALSE(bulk == single);
+}
+
+TEST(Coverage, BulkAddsIgnoreUndeclaredIds) {
+  verif::CovModule m{"dut"};
+  m.declare_statements(1);
+  m.declare_branches(1);
+  m.declare_conditions(1);
+  const verif::CovModule untouched = m;
+  m.add_statement(-1, 4);
+  m.add_statement(1, 4);
+  m.add_branch(-3, 1, 1);
+  m.add_branch(1, 2, 2);
+  m.add_condition(-1, 1, 1);
+  m.add_condition(7, 5, 5);
+  EXPECT_TRUE(m == untouched);
+  EXPECT_EQ(m.statement_points(), 1);  // a bulk add never declares
+}
+
+TEST(Coverage, ModuleEqualityComparesHitCountsNotCoveredSets) {
+  verif::CovModule a{"dut"};
+  verif::CovModule b{"dut"};
+  for (auto* m : {&a, &b}) {
+    m->declare_statements(1);
+    m->declare_branches(1);
+    m->statement(0);
+    m->branch(0, true);
+    m->branch(0, false);
+  }
+  EXPECT_TRUE(a == b);
+  b.branch(0, true);  // same covered points, one more hit
+  EXPECT_EQ(a.branches_covered(), b.branches_covered());
+  EXPECT_FALSE(a == b);
+  a.branch(0, true);
+  EXPECT_TRUE(a == b);
+
+  verif::CovModule renamed{"other"};
+  renamed.merge_from(a);
+  EXPECT_FALSE(renamed == a);  // the name is part of the module
+  verif::CovModule wider = a;
+  wider.declare_conditions(1);  // an unexecuted point still counts
+  EXPECT_FALSE(wider == a);
+}
+
 TEST(Coverage, PointKindNamesAreStable) {
   EXPECT_STREQ(verif::to_string(verif::PointKind::statement), "statement");
   EXPECT_STREQ(verif::to_string(verif::PointKind::branch), "branch");
@@ -178,6 +251,22 @@ TEST(Fault, EnumerationIsCompleteAndDistinct) {
   EXPECT_EQ(names.size(), faults.size());  // all distinct
   EXPECT_EQ(faults.front().to_string(), "s.in[0]:0/SA0");
   EXPECT_EQ(faults.back().to_string(), "s.in[2]:3/SA1");
+}
+
+TEST(Fault, EnumerationRejectsBitsOutsideAPortWord) {
+  // A port word has at most 32 bits, and a fault's patch shifts by its bit.
+  using verif::PortDirection;
+  EXPECT_THROW((void)verif::enumerate_port_faults("s", PortDirection::output, 2, 33),
+               std::invalid_argument);
+  EXPECT_THROW((void)verif::enumerate_port_faults("s", PortDirection::output, 2, 40),
+               std::invalid_argument);
+  EXPECT_THROW((void)verif::enumerate_port_faults("s", PortDirection::output, 2, -1),
+               std::invalid_argument);
+  EXPECT_TRUE(verif::enumerate_port_faults("s", PortDirection::output, 2, 0).empty());
+  const auto full = verif::enumerate_port_faults("s", PortDirection::output, 1, 32);
+  ASSERT_EQ(full.size(), 64u);
+  EXPECT_EQ(full.back().bit, 31);
+  EXPECT_EQ(verif::apply_bit_fault(0u, 0, full.back()), 0x80000000u);
 }
 
 TEST(Fault, GradePercentHandlesEmptyList) {
