@@ -45,7 +45,8 @@ public:
     d.raw = media::camera_capture(media::FaceParams::for_identity(3), pose, size_);
   }
 
-  std::uint64_t execute_stage(const std::string& stage, int frame) override {
+  std::uint64_t execute_stage(const core::TaskNode& node, int frame) override {
+    const std::string& stage = node.name;
     auto& d = frames_[frame];
     std::uint64_t ops = 0;
     media::Ctx ctx;
@@ -79,9 +80,9 @@ public:
     return ops;
   }
 
-  std::uint64_t trace_value(const std::string& stage, int frame) override {
+  std::uint64_t trace_value(const core::TaskNode& node, int frame) override {
     const auto& trace = frames_[frame].trace;
-    const auto it = trace.find(stage);
+    const auto it = trace.find(node.name);
     return it == trace.end() ? 0 : it->second;
   }
 

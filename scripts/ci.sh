@@ -8,7 +8,8 @@
 # the cheapest way to catch a bad ref before it corrupts a verdict), the
 # lane-parallel simulator with the PCC pre-pass built on it, the Laerte
 # fault simulation over the media pipeline and the coverage/bit-fault
-# support it rests on, a
+# support it rests on, and the task-id simulation path (kernel, platform
+# models, system model), a
 # ThreadSanitizer pass over the threaded campaign/generator suites, and an
 # opt-in clang-tidy sweep (skipped when the tool is not installed).
 # Timings are warn-only (this runs on a shared 1-core host where wall-clock
@@ -73,10 +74,12 @@ echo "    pre-pass (lane masks shift by a lane index; 1 << 64 is UB ASan misses)
 echo "    and the Laerte fault simulation + media kernels (bit patches shift by"
 echo "    a fault's bit; the GA opens a coverage scope per distinct stimulus),"
 echo "    plus the verif support under them (bit-range checks on fault"
-echo "    enumeration, coverage bulk adds)"
+echo "    enumeration, coverage bulk adds), and the task-id simulation path"
+echo "    (stage plans, FIFO ports and FPGA context/function tables are vectors"
+echo "    indexed by TaskId or device index; the kernel and bus run under them)"
 SYMBAD_SANITIZE=undefined cmake -B build-ubsan -S .
 cmake --build build-ubsan -j "$JOBS" --target test_sat test_rtl test_mc_pcc test_atpg \
-  test_media test_verif
+  test_media test_verif test_sim test_platform test_core
 # halt_on_error: UBSan's checks recover by default, which would let a
 # finding scroll past with the suite still green.
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
@@ -86,6 +89,9 @@ SYMBAD_SAT_COMPACT=2 ./build-ubsan/test_sat
 ./build-ubsan/test_atpg
 ./build-ubsan/test_media
 ./build-ubsan/test_verif
+./build-ubsan/test_sim
+./build-ubsan/test_platform
+./build-ubsan/test_core
 unset UBSAN_OPTIONS
 
 echo "==> [7/8] ThreadSanitizer: campaign worker pool + generator sweeps"

@@ -150,7 +150,8 @@ void FaceStageRuntime::begin_frame(int frame) {
                                      image_size_);
 }
 
-std::uint64_t FaceStageRuntime::execute_stage(const std::string& stage_name, int frame) {
+std::uint64_t FaceStageRuntime::execute_stage(const core::TaskNode& node, int frame) {
+  const std::string& stage_name = node.name;
   FrameData& d = frame_data(frame);
   std::uint64_t ops = 0;
   media::Ctx ctx;
@@ -224,18 +225,18 @@ std::uint64_t FaceStageRuntime::execute_stage(const std::string& stage_name, int
   return ops;
 }
 
-std::uint64_t FaceStageRuntime::trace_value(const std::string& stage_name, int frame) {
+std::uint64_t FaceStageRuntime::trace_value(const core::TaskNode& node, int frame) {
   const FrameData& d = frame_data(frame);
-  const auto it = d.traces.find(stage_name);
+  const auto it = d.traces.find(node.name);
   return it == d.traces.end() ? 0 : it->second;
 }
 
-std::uint32_t FaceStageRuntime::extra_read_words(const std::string& stage_name) const {
+std::uint32_t FaceStageRuntime::extra_read_words(const core::TaskNode& node) const {
   // DISTANCE streams every database template per frame (beyond the token
   // traffic modelled on the DATABASE->DISTANCE channel, which carries them
   // once via the channel volume; the extra term models repeated access in
   // the compare loop's second pass).
-  if (stage_name == stage::distance) {
+  if (node.name == stage::distance) {
     return static_cast<std::uint32_t>(db_->size());
   }
   return 0;

@@ -58,9 +58,9 @@ public:
                    int image_size = 64);
 
   void begin_frame(int frame) override;
-  std::uint64_t execute_stage(const std::string& stage, int frame) override;
-  std::uint64_t trace_value(const std::string& stage, int frame) override;
-  std::uint32_t extra_read_words(const std::string& stage) const override;
+  std::uint64_t execute_stage(const core::TaskNode& node, int frame) override;
+  std::uint64_t trace_value(const core::TaskNode& node, int frame) override;
+  std::uint32_t extra_read_words(const core::TaskNode& node) const override;
 
   /// Replaces the default round-robin query stream: frame `f` captures
   /// `schedule[f % schedule.size()]` instead of `query_identity`/

@@ -57,16 +57,6 @@ public:
     return bindings_.contains(task);
   }
 
-  /// Tasks with the given mapping, in the graph's topological order.
-  [[nodiscard]] std::vector<std::string> tasks_with(const TaskGraph& graph,
-                                                    Mapping mapping) const {
-    std::vector<std::string> out;
-    for (const auto& t : graph.topological_order()) {
-      if (is_bound(t) && mapping_of(t) == mapping) out.push_back(t);
-    }
-    return out;
-  }
-
   /// Context name -> tasks it hosts.
   [[nodiscard]] std::map<std::string, std::vector<std::string>> contexts() const {
     std::map<std::string, std::vector<std::string>> out;

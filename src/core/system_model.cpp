@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -14,7 +16,47 @@ namespace {
 
 constexpr std::uint64_t kRamBase = 0x0000'0000;
 constexpr std::uint64_t kEdgeBufferStride = 0x0002'0000;  // 128 KiB per buffer
+constexpr std::uint64_t kExtraReadAddress = kRamBase + 0x0800'0000;
 constexpr std::uint32_t kMaxBurstBeats = 256;
+
+/// FIFO name per channel: "from->to", and "from->to#k" for the k-th
+/// (k >= 2) of several parallel channels. Plain names are handed out
+/// first, so a single channel keeps its name even when a task name spells
+/// a suffixed key ("b#2"); the parallel channel then takes the next free k.
+std::vector<std::string> fifo_names(const TaskGraph& graph) {
+  const auto& channels = graph.channels();
+  std::vector<std::string> names;
+  std::set<std::string> taken;
+  for (const auto& edge : channels) {
+    names.push_back(edge.from + "->" + edge.to);
+    if (!taken.insert(names.back()).second) names.back().clear();  // parallel
+  }
+  for (std::size_t i = 0; i < channels.size(); ++i) {
+    for (int k = 2; names[i].empty(); ++k) {
+      std::string name = channels[i].from + "->" + channels[i].to + "#" + std::to_string(k);
+      if (taken.insert(name).second) names[i] = std::move(name);
+    }
+  }
+  return names;
+}
+
+/// A burst-chunked transfer of one channel's data (or a stage's extra read).
+struct Crossing {
+  std::uint64_t address = 0;
+  std::uint32_t words = 0;
+};
+
+/// One stage's ports, transfers and placement, resolved once per run.
+struct StagePlan {
+  const TaskNode* node = nullptr;
+  Mapping mapping = Mapping::software;  ///< effective mapping (levels 2/3)
+  std::size_t context = 0;   ///< FPGA context index (fpga mapping)
+  std::size_t function = 0;  ///< FPGA function index (fpga mapping)
+  std::vector<sim::Fifo<int>*> ins;
+  std::vector<sim::Fifo<int>*> outs;
+  std::vector<Crossing> reads;   ///< boundary-crossing inputs, then the extra read
+  std::vector<Crossing> writes;  ///< boundary-crossing outputs
+};
 
 /// One simulation's worth of structure. Built fresh for every run so that
 /// repeated runs are independent and deterministic.
@@ -38,17 +80,22 @@ struct ModelInstance {
 
   // Channels: one token FIFO per edge; edge index parallel to graph.channels().
   std::vector<std::unique_ptr<sim::Fifo<int>>> fifos;
+  // Per-stage plans, indexed by TaskId.
+  std::vector<StagePlan> stages;
 
   ModelInstance(const TaskGraph& g, const Partition& p, StageRuntime& r,
                 const PlatformParams& pp, ModelLevel lvl, int frame_count)
       : graph{g}, partition{p}, runtime{r}, params{pp}, level{lvl}, frames{frame_count} {
+    auto names = fifo_names(graph);
     for (std::size_t i = 0; i < graph.channels().size(); ++i) {
-      const auto& edge = graph.channels()[i];
       fifos.push_back(std::make_unique<sim::Fifo<int>>(
-          kernel, edge.from + "->" + edge.to, edge.fifo_capacity));
+          kernel, std::move(names[i]), graph.channels()[i].fifo_capacity));
     }
-    if (level == ModelLevel::untimed_functional) return;
+    if (level != ModelLevel::untimed_functional) build_platform();
+    resolve_stages();
+  }
 
+  void build_platform() {
     partition.validate(graph);
     bus = std::make_unique<tlm::Bus>(kernel, "bus",
                                      tlm::Bus::Config{params.bus_hz, 1, 1});
@@ -83,115 +130,116 @@ struct ModelInstance {
     }
   }
 
-  [[nodiscard]] Mapping effective_mapping(const std::string& task) const {
-    const Mapping m = partition.mapping_of(task);
-    // Level 2 does not yet distinguish hardwired from soft hardware.
-    if (m == Mapping::fpga &&
-        (level != ModelLevel::reconfigurable || fpga_dev == nullptr)) {
-      return Mapping::hardware;
+  /// Resolves every stage's plan: ports at every level, and at levels 2/3
+  /// the effective mapping, FPGA indices and boundary-crossing transfers in
+  /// channel order, the runtime's extra read last.
+  void resolve_stages() {
+    stages.resize(graph.task_count());
+    for (const auto& node : graph.tasks()) stages[node.id].node = &node;
+    const auto& channels = graph.channels();
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      stages[graph.id_of(channels[i].to)].ins.push_back(fifos[i].get());
+      stages[graph.id_of(channels[i].from)].outs.push_back(fifos[i].get());
     }
-    return m;
+    if (level == ModelLevel::untimed_functional) return;
+
+    for (auto& s : stages) {
+      s.mapping = partition.mapping_of(s.node->name);
+      if (s.mapping != Mapping::fpga) continue;
+      // Level 2 does not yet distinguish hardwired from soft hardware: only
+      // level 3 builds the FPGA.
+      if (fpga_dev == nullptr) {
+        s.mapping = Mapping::hardware;
+        continue;
+      }
+      s.context = fpga_dev->context_index(partition.context_of(s.node->name));
+      s.function = fpga_dev->function_index(s.node->name);
+    }
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      const auto& edge = channels[i];
+      if (edge.words_per_frame == 0 || !partition.crosses_boundary(edge)) continue;
+      const Crossing crossing{edge_buffer_address(i), edge.words_per_frame};
+      stages[graph.id_of(edge.to)].reads.push_back(crossing);
+      stages[graph.id_of(edge.from)].writes.push_back(crossing);
+    }
+    for (auto& s : stages) {
+      const std::uint32_t extra = runtime.extra_read_words(*s.node);
+      if (extra > 0) s.reads.push_back(Crossing{kExtraReadAddress, extra});
+    }
   }
 
   [[nodiscard]] std::uint64_t edge_buffer_address(std::size_t edge_index) const {
     return kRamBase + 0x0010'0000 + edge_index * kEdgeBufferStride;
   }
 
-  /// Burst-chunked bus transfer issued by `initiator`.
-  sim::Task<void> burst(std::uint64_t address, std::uint32_t words, tlm::Command cmd,
-                        const char* initiator) {
-    std::uint32_t remaining = words;
-    std::uint64_t addr = address;
-    while (remaining > 0) {
-      const std::uint32_t beats = remaining < kMaxBurstBeats ? remaining : kMaxBurstBeats;
-      co_await bus->transport(tlm::Payload{cmd, addr, beats, initiator});
-      addr += beats * 4ull;
-      remaining -= beats;
+  /// Burst-chunked bus transfers of `crossings` issued by `initiator`.
+  sim::Task<void> transfer(const std::vector<Crossing>& crossings, tlm::Command cmd,
+                           const char* initiator) {
+    for (const auto& crossing : crossings) {
+      std::uint32_t remaining = crossing.words;
+      std::uint64_t addr = crossing.address;
+      while (remaining > 0) {
+        const std::uint32_t beats = remaining < kMaxBurstBeats ? remaining : kMaxBurstBeats;
+        co_await bus->transport(tlm::Payload{cmd, addr, beats, initiator});
+        addr += beats * 4ull;
+        remaining -= beats;
+      }
     }
   }
 
-  /// Pulls every boundary-crossing input of `task` and pushes every
-  /// boundary-crossing output, as the owning resource.
-  sim::Task<void> move_crossing_data(const std::string& task, bool inputs) {
-    for (std::size_t i = 0; i < graph.channels().size(); ++i) {
-      const auto& edge = graph.channels()[i];
-      const bool relevant = inputs ? edge.to == task : edge.from == task;
-      if (!relevant || edge.words_per_frame == 0) continue;
-      if (!partition.crosses_boundary(edge)) continue;
-      co_await burst(edge_buffer_address(i), edge.words_per_frame,
-                     inputs ? tlm::Command::read : tlm::Command::write, task.c_str());
-    }
-    const std::uint32_t extra = inputs ? runtime.extra_read_words(task) : 0;
-    if (extra > 0) {
-      co_await burst(kRamBase + 0x0800'0000, extra, tlm::Command::read, task.c_str());
-    }
-  }
-
-  [[nodiscard]] bool cpu_hosted(const std::string& task) const {
-    if (level == ModelLevel::untimed_functional) return false;
-    return effective_mapping(task) != Mapping::hardware;
-  }
-
-  void collect_ports(const std::string& task, std::vector<sim::Fifo<int>*>& ins,
-                     std::vector<sim::Fifo<int>*>& outs) {
-    for (std::size_t i = 0; i < graph.channels().size(); ++i) {
-      const auto& edge = graph.channels()[i];
-      if (edge.to == task) ins.push_back(fifos[i].get());
-      if (edge.from == task) outs.push_back(fifos[i].get());
-    }
+  [[nodiscard]] bool cpu_hosted(const StagePlan& s) const {
+    return level != ModelLevel::untimed_functional && s.mapping != Mapping::hardware;
   }
 
   /// Executes one stage's data semantics plus its timing/transfers, records
-  /// the trace. (Token movement is handled by the caller.)
-  sim::Task<void> execute_with_timing(const std::string& task, int frame) {
-    const std::uint64_t ops = runtime.execute_stage(task, frame);
+  /// the trace. (Token movement is handled by the caller.) An empty transfer
+  /// list is skipped: it would finish without a kernel event anyway.
+  sim::Task<void> execute_with_timing(const StagePlan& s, int frame) {
+    const std::uint64_t ops = runtime.execute_stage(*s.node, frame);
+    const char* initiator = s.node->name.c_str();
 
     if (level != ModelLevel::untimed_functional) {
-      switch (effective_mapping(task)) {
+      switch (s.mapping) {
         case Mapping::software: {
-          co_await move_crossing_data(task, /*inputs=*/true);
+          if (!s.reads.empty()) co_await transfer(s.reads, tlm::Command::read, initiator);
           co_await cpu_model->execute(ops);
-          co_await move_crossing_data(task, /*inputs=*/false);
+          if (!s.writes.empty()) co_await transfer(s.writes, tlm::Command::write, initiator);
           break;
         }
         case Mapping::hardware: {
           // The hardwired block masters its own transfers.
-          co_await move_crossing_data(task, /*inputs=*/true);
+          if (!s.reads.empty()) co_await transfer(s.reads, tlm::Command::read, initiator);
           const double cycles = static_cast<double>(ops) / params.hw_ops_per_cycle;
           co_await kernel.wait(sim::Time::cycles(
               static_cast<std::int64_t>(cycles) + 1,
               sim::Time::period_of_hz(params.bus_hz)));
-          co_await move_crossing_data(task, /*inputs=*/false);
+          if (!s.writes.empty()) co_await transfer(s.writes, tlm::Command::write, initiator);
           break;
         }
         case Mapping::fpga: {
           // Software initiates the reconfiguration and the data movement
           // (paper §3.3: "the software is lonely responsible for initiating
           // an FPGA reconfiguration").
-          co_await fpga_dev->load_context(partition.context_of(task));
-          co_await move_crossing_data(task, /*inputs=*/true);
-          co_await fpga_dev->run_function(task, ops);
-          co_await move_crossing_data(task, /*inputs=*/false);
+          co_await fpga_dev->load_context(s.context);
+          if (!s.reads.empty()) co_await transfer(s.reads, tlm::Command::read, initiator);
+          co_await fpga_dev->run_function(s.function, ops);
+          if (!s.writes.empty()) co_await transfer(s.writes, tlm::Command::write, initiator);
           break;
         }
       }
     }
-    trace.record(kernel.now(), task, runtime.trace_value(task, frame));
+    trace.record(kernel.now(), s.node->name, runtime.trace_value(*s.node, frame));
   }
 
   /// The per-task process used at level 1 (all tasks) and for hardwired HW
   /// blocks at levels 2/3: true pipeline concurrency.
-  sim::Process task_process(std::string task) {
-    std::vector<sim::Fifo<int>*> ins;
-    std::vector<sim::Fifo<int>*> outs;
-    collect_ports(task, ins, outs);
-    const bool is_source = ins.empty();
-
+  sim::Process task_process(TaskId task) {
+    const StagePlan& s = stages[task];
     for (int frame = 0; frame < frames; ++frame) {
-      for (auto* f : ins) (void)co_await f->read();
-      if (is_source) runtime.begin_frame(frame);
-      co_await execute_with_timing(task, frame);
-      for (auto* f : outs) co_await f->write(frame);
+      for (auto* f : s.ins) (void)co_await f->read();
+      if (s.ins.empty()) runtime.begin_frame(frame);
+      co_await execute_with_timing(s, frame);
+      for (auto* f : s.outs) co_await f->write(frame);
     }
   }
 
@@ -200,16 +248,14 @@ struct ModelInstance {
   /// for the 10 original SystemC modules"): one process executes every
   /// CPU-hosted stage in topological order, frame by frame. FPGA stages run
   /// inside this schedule because the software initiates them.
-  sim::Process cpu_process(std::vector<std::string> schedule) {
+  sim::Process cpu_process(std::vector<TaskId> schedule) {
     for (int frame = 0; frame < frames; ++frame) {
-      for (const auto& task : schedule) {
-        std::vector<sim::Fifo<int>*> ins;
-        std::vector<sim::Fifo<int>*> outs;
-        collect_ports(task, ins, outs);
-        for (auto* f : ins) (void)co_await f->read();
-        if (ins.empty()) runtime.begin_frame(frame);
-        co_await execute_with_timing(task, frame);
-        for (auto* f : outs) co_await f->write(frame);
+      for (const TaskId task : schedule) {
+        const StagePlan& s = stages[task];
+        for (auto* f : s.ins) (void)co_await f->read();
+        if (s.ins.empty()) runtime.begin_frame(frame);
+        co_await execute_with_timing(s, frame);
+        for (auto* f : s.outs) co_await f->write(frame);
       }
     }
   }
@@ -223,20 +269,19 @@ SystemModel::SystemModel(TaskGraph graph, Partition partition, StageRuntime& run
       partition_{std::move(partition)},
       runtime_{&runtime},
       params_{std::move(params)},
-      level_{level} {
-  (void)graph_.topological_order();  // rejects cyclic graphs up-front
-}
+      level_{level},
+      order_{graph_.topological_ids()} {}
 
 PerformanceReport SystemModel::run(int frames) {
   if (frames <= 0) throw std::invalid_argument{"system_model: frames must be positive"};
   runtime_->reset_run();
   ModelInstance instance{graph_, partition_, *runtime_, params_, level_, frames};
-  std::vector<std::string> cpu_schedule;
-  for (const auto& task : graph_.topological_order()) {
-    if (instance.cpu_hosted(task)) {
+  std::vector<TaskId> cpu_schedule;
+  for (const TaskId task : order_) {
+    if (instance.cpu_hosted(instance.stages[task])) {
       cpu_schedule.push_back(task);
     } else {
-      instance.kernel.spawn(instance.task_process(task), task);
+      instance.kernel.spawn(instance.task_process(task), graph_.tasks()[task].name);
     }
   }
   if (!cpu_schedule.empty()) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/partition.hpp"
 #include "core/task_graph.hpp"
@@ -30,6 +31,9 @@
 namespace symbad::core {
 
 /// Application-provided data semantics of the task graph.
+///
+/// Every stage call passes the model graph's `TaskNode`: `stage.id` is the
+/// stage's dense index (index-keyed runtimes use it), `stage.name` its name.
 class StageRuntime {
 public:
   virtual ~StageRuntime() = default;
@@ -41,12 +45,16 @@ public:
   virtual void begin_frame(int frame) { (void)frame; }
   /// Executes one stage on one frame's data; returns the profiled operation
   /// count actually consumed (drives the timing annotation).
-  virtual std::uint64_t execute_stage(const std::string& stage, int frame) = 0;
+  virtual std::uint64_t execute_stage(const TaskNode& stage, int frame) = 0;
   /// Checksum of the stage's last output for `frame` (trace comparison).
-  virtual std::uint64_t trace_value(const std::string& stage, int frame) = 0;
+  virtual std::uint64_t trace_value(const TaskNode& stage, int frame) = 0;
   /// Additional bus read beats the stage performs per frame beyond its
   /// channel traffic (e.g. DISTANCE streaming database templates).
-  virtual std::uint32_t extra_read_words(const std::string& stage) const {
+  ///
+  /// Contract: a per-stage constant. Levels 2/3 read it once per stage per
+  /// run, when the model resolves its bus crossings, so it has no frame
+  /// argument; every shipped runtime returns the same value on every call.
+  virtual std::uint32_t extra_read_words(const TaskNode& stage) const {
     (void)stage;
     return 0;
   }
@@ -113,6 +121,14 @@ struct PerformanceReport {
 /// Builds and runs one executable model. The graph and partition are copied
 /// (they are small descriptions); the runtime is referenced and must outlive
 /// the model.
+///
+/// Each run resolves names once: every stage's FIFOs, bus crossings
+/// (address and words, then the runtime's extra read), effective mapping
+/// and FPGA context/function indices become a per-stage plan indexed by
+/// `TaskId`, and the processes work on that plan only. FIFOs, and so the
+/// `fifo_peaks` keys, are named "from->to"; the k-th (k >= 2) of several
+/// parallel channels between the same two tasks gets "from->to#k" (the
+/// next free k if a single channel's name already spells that key).
 class SystemModel {
 public:
   SystemModel(TaskGraph graph, Partition partition, StageRuntime& runtime,
@@ -129,6 +145,7 @@ private:
   StageRuntime* runtime_;
   PlatformParams params_;
   ModelLevel level_;
+  std::vector<TaskId> order_;  ///< topological order (rejects cycles up-front)
 };
 
 }  // namespace symbad::core

@@ -10,7 +10,7 @@ void TaskGraph::add_task(const std::string& name, std::uint64_t ops_per_frame) {
     throw std::invalid_argument{"task_graph: duplicate task '" + name + "'"};
   }
   index_.emplace(name, tasks_.size());
-  tasks_.push_back(TaskNode{name, ops_per_frame});
+  tasks_.push_back(TaskNode{name, ops_per_frame, tasks_.size()});
 }
 
 void TaskGraph::add_channel(const std::string& from, const std::string& to,
@@ -21,16 +21,18 @@ void TaskGraph::add_channel(const std::string& from, const std::string& to,
   channels_.push_back(ChannelEdge{from, to, words_per_frame, fifo_capacity});
 }
 
-const TaskNode& TaskGraph::task(const std::string& name) const {
+TaskId TaskGraph::id_of(const std::string& name) const {
   const auto it = index_.find(name);
   if (it == index_.end()) throw std::out_of_range{"task_graph: unknown task '" + name + "'"};
-  return tasks_[it->second];
+  return it->second;
+}
+
+const TaskNode& TaskGraph::task(const std::string& name) const {
+  return tasks_[id_of(name)];
 }
 
 void TaskGraph::set_ops(const std::string& name, std::uint64_t ops_per_frame) {
-  const auto it = index_.find(name);
-  if (it == index_.end()) throw std::out_of_range{"task_graph: unknown task '" + name + "'"};
-  tasks_[it->second].ops_per_frame = ops_per_frame;
+  tasks_[id_of(name)].ops_per_frame = ops_per_frame;
 }
 
 std::uint64_t TaskGraph::total_ops() const noexcept {
@@ -72,20 +74,30 @@ std::vector<std::string> TaskGraph::sinks() const {
 }
 
 std::vector<std::string> TaskGraph::topological_order() const {
-  std::map<std::string, int> in_degree;
-  for (const auto& n : tasks_) in_degree[n.name] = 0;
-  for (const auto& c : channels_) ++in_degree[c.to];
-
-  std::deque<std::string> ready;
-  for (const auto& n : tasks_) {
-    if (in_degree[n.name] == 0) ready.push_back(n.name);
-  }
   std::vector<std::string> order;
+  for (const TaskId t : topological_ids()) order.push_back(tasks_[t].name);
+  return order;
+}
+
+std::vector<TaskId> TaskGraph::topological_ids() const {
+  std::vector<int> in_degree(tasks_.size(), 0);
+  std::vector<std::vector<TaskId>> successors(tasks_.size());
+  for (const auto& c : channels_) {
+    const TaskId to = index_.at(c.to);
+    ++in_degree[to];
+    successors[index_.at(c.from)].push_back(to);
+  }
+
+  std::deque<TaskId> ready;
+  for (TaskId t = 0; t < tasks_.size(); ++t) {
+    if (in_degree[t] == 0) ready.push_back(t);
+  }
+  std::vector<TaskId> order;
   while (!ready.empty()) {
-    const std::string t = ready.front();
+    const TaskId t = ready.front();
     ready.pop_front();
     order.push_back(t);
-    for (const auto& s : successors(t)) {
+    for (const TaskId s : successors[t]) {
       if (--in_degree[s] == 0) ready.push_back(s);
     }
   }

@@ -14,9 +14,15 @@
 
 namespace symbad::core {
 
+/// Dense task id: the task's index in `TaskGraph::tasks()`, fixed by
+/// declaration order. Simulation resolves names to ids once per run and
+/// works on ids from then on.
+using TaskId = std::size_t;
+
 struct TaskNode {
   std::string name;
   std::uint64_t ops_per_frame = 0;  ///< from execution profiling
+  TaskId id = 0;                    ///< index in TaskGraph::tasks()
 };
 
 struct ChannelEdge {
@@ -36,6 +42,8 @@ public:
     return index_.contains(name);
   }
   [[nodiscard]] const TaskNode& task(const std::string& name) const;
+  /// Id of the named task; throws std::out_of_range for an unknown name.
+  [[nodiscard]] TaskId id_of(const std::string& name) const;
   [[nodiscard]] const std::vector<TaskNode>& tasks() const noexcept { return tasks_; }
   [[nodiscard]] const std::vector<ChannelEdge>& channels() const noexcept {
     return channels_;
@@ -53,6 +61,8 @@ public:
 
   /// Kahn topological order; throws std::logic_error on a cycle.
   [[nodiscard]] std::vector<std::string> topological_order() const;
+  /// The same order as task ids.
+  [[nodiscard]] std::vector<TaskId> topological_ids() const;
 
 private:
   std::vector<TaskNode> tasks_;

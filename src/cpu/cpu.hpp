@@ -98,15 +98,4 @@ private:
   std::uint64_t ops_executed_ = 0;
 };
 
-/// Cyclostatic schedule: the fixed round-robin order in which the collapsed
-/// SW task executes the original module bodies (paper §4.1: "a simple
-/// cyclostatic scheduling for the 10 original SystemC modules").
-struct CyclostaticSchedule {
-  std::vector<std::string> order;
-
-  [[nodiscard]] static CyclostaticSchedule for_stages(std::vector<std::string> stages) {
-    return CyclostaticSchedule{std::move(stages)};
-  }
-};
-
 }  // namespace symbad::cpu

@@ -22,18 +22,38 @@ FpgaDevice::FpgaDevice(sim::Kernel& kernel, std::string name,
       }
     }
   }
+  for (const auto& ctx : contexts_) {
+    for (const auto& fn : ctx.functions) {
+      bool known = false;
+      for (const auto& f : functions_) known |= f == fn;
+      if (!known) functions_.push_back(fn);
+    }
+  }
+  implements_.assign(contexts_.size() * functions_.size(), 0);
+  for (std::size_t c = 0; c < contexts_.size(); ++c) {
+    for (const auto& fn : contexts_[c].functions) {
+      implements_[c * functions_.size() + function_index(fn)] = 1;
+    }
+  }
 }
 
-const ContextConfig& FpgaDevice::context(const std::string& name) const {
-  for (const auto& c : contexts_) {
-    if (c.name == name) return c;
+std::size_t FpgaDevice::context_index(const std::string& name) const {
+  for (std::size_t c = 0; c < contexts_.size(); ++c) {
+    if (contexts_[c].name == name) return c;
   }
   throw std::out_of_range{"fpga: unknown context '" + name + "'"};
 }
 
-bool FpgaDevice::function_available(const std::string& fn) const {
-  if (current_.empty()) return false;
-  return context(current_).implements(fn);
+std::size_t FpgaDevice::function_index(const std::string& fn) const {
+  for (std::size_t f = 0; f < functions_.size(); ++f) {
+    if (functions_[f] == fn) return f;
+  }
+  throw std::out_of_range{"fpga: no context implements '" + fn + "'"};
+}
+
+const std::string& FpgaDevice::current_context() const noexcept {
+  static const std::string none;
+  return current_ == kNone ? none : contexts_[current_].name;
 }
 
 sim::Time FpgaDevice::function_time(std::uint64_t ops) const {
@@ -41,13 +61,16 @@ sim::Time FpgaDevice::function_time(std::uint64_t ops) const {
   return sim::Time::cycles(static_cast<std::int64_t>(cycles) + 1, fabric_period_);
 }
 
-sim::Task<void> FpgaDevice::load_context(const std::string& context_name) {
-  const ContextConfig& ctx = context(context_name);  // validates the name
-  if (current_ == context_name) co_return;           // already resident
+sim::Task<void> FpgaDevice::load_context(std::size_t context) {
+  if (context >= contexts_.size()) {
+    throw std::out_of_range{"fpga: context index " + std::to_string(context) +
+                            " out of range"};
+  }
+  if (current_ == context) co_return;  // already resident
 
   const sim::Time start = kernel().now();
   // The fabric is dark while a new bitstream is streamed in.
-  current_.clear();
+  current_ = kNone;
   // Bitstream download: burst reads from the bitstream store through the
   // system bus — this is precisely the "downloading of bit streams through
   // the bus" whose cost level 3 exists to evaluate. The configuration port
@@ -55,7 +78,7 @@ sim::Task<void> FpgaDevice::load_context(const std::string& context_name) {
   // this detail is also why level-3 simulation runs markedly slower than
   // level 2 (the paper's 200 kHz -> 30 kHz drop).
   constexpr std::uint32_t kMaxBurst = 4;
-  std::uint32_t remaining = ctx.bitstream_words;
+  std::uint32_t remaining = contexts_[context].bitstream_words;
   std::uint64_t address = config_.bitstream_base;
   while (remaining > 0) {
     const std::uint32_t beats = remaining < kMaxBurst ? remaining : kMaxBurst;
@@ -65,18 +88,23 @@ sim::Task<void> FpgaDevice::load_context(const std::string& context_name) {
     remaining -= beats;
   }
   co_await kernel().wait(config_.programming_time);
-  current_ = context_name;
+  current_ = context;
   ++reconfigurations_;
   reconfig_time_ += kernel().now() - start;
 }
 
-sim::Task<void> FpgaDevice::run_function(const std::string& fn, std::uint64_t ops) {
+sim::Task<void> FpgaDevice::run_function(std::size_t fn, std::uint64_t ops) {
+  if (fn >= functions_.size()) {
+    throw std::out_of_range{"fpga: function index " + std::to_string(fn) +
+                            " out of range"};
+  }
   if (!function_available(fn)) {
     const ConsistencyViolation violation{
-        kernel().now(), fn, current_.empty() ? std::string{"<none>"} : current_};
+        kernel().now(), functions_[fn],
+        current_ == kNone ? std::string{"<none>"} : contexts_[current_].name};
     violations_.push_back(violation);
     if (config_.trap_on_violation) {
-      throw std::runtime_error{"fpga '" + name() + "': function '" + fn +
+      throw std::runtime_error{"fpga '" + name() + "': function '" + functions_[fn] +
                                "' invoked while context '" + violation.loaded_context +
                                "' is loaded"};
     }

@@ -14,9 +14,13 @@
 //  * `run_function`, which executes an accelerated function — and records a
 //    consistency violation if the function is absent from the currently
 //    loaded context (the property SymbC proves statically).
+//
+// Contexts and the functions they implement are resolved to indices at
+// construction (`context_index`, `function_index`); the run path compares
+// integers only.
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,13 +35,6 @@ struct ContextConfig {
   std::vector<std::string> functions;  ///< functions available when loaded
   std::uint32_t bitstream_words = 4096;  ///< download size in bus beats
   double area_units = 1000.0;           ///< fabric area this context occupies
-
-  [[nodiscard]] bool implements(const std::string& fn) const {
-    for (const auto& f : functions) {
-      if (f == fn) return true;
-    }
-    return false;
-  }
 };
 
 /// A recorded violation of the reconfiguration-consistency property.
@@ -64,25 +61,39 @@ public:
   FpgaDevice(sim::Kernel& kernel, std::string name, std::vector<ContextConfig> contexts,
              tlm::Bus& bus, Config config);
 
-  // ------------------------------------------------------ reconfiguration
-  /// Downloads `context`'s bitstream over the bus and programs the fabric.
-  /// No-op (fast path) if the context is already loaded.
-  [[nodiscard]] sim::Task<void> load_context(const std::string& context);
+  // ------------------------------------------------------- name lookup
+  /// Index of the named context in `contexts()`; throws std::out_of_range
+  /// for an unknown name.
+  [[nodiscard]] std::size_t context_index(const std::string& name) const;
+  /// Index of a function some context implements, in first-declared order
+  /// over `contexts()`; throws std::out_of_range for a function no context
+  /// implements.
+  [[nodiscard]] std::size_t function_index(const std::string& fn) const;
 
-  /// Executes `fn` (`ops` profiled operations) on the fabric. If `fn` is not
-  /// in the loaded context, a consistency violation is recorded (or thrown,
-  /// per Config::trap_on_violation) and the call degrades to a long software
-  ///-emulation delay — mirroring a real system reading garbage.
-  [[nodiscard]] sim::Task<void> run_function(const std::string& fn, std::uint64_t ops);
+  // ------------------------------------------------------ reconfiguration
+  /// Downloads context `context`'s bitstream over the bus and programs the
+  /// fabric. No-op (fast path) if the context is already loaded. Throws
+  /// std::out_of_range for an index outside `contexts()`.
+  [[nodiscard]] sim::Task<void> load_context(std::size_t context);
+
+  /// Executes function `fn` (`ops` profiled operations) on the fabric. If
+  /// `fn` is not in the loaded context, a consistency violation is recorded
+  /// (or thrown, per Config::trap_on_violation) and the call degrades to a
+  /// long software-emulation delay — mirroring a real system reading
+  /// garbage.
+  [[nodiscard]] sim::Task<void> run_function(std::size_t fn, std::uint64_t ops);
 
   // ----------------------------------------------------------- queries
-  [[nodiscard]] const std::string& current_context() const noexcept { return current_; }
-  [[nodiscard]] bool context_loaded() const noexcept { return !current_.empty(); }
-  [[nodiscard]] bool function_available(const std::string& fn) const;
+  /// Name of the loaded context; empty while none is loaded.
+  [[nodiscard]] const std::string& current_context() const noexcept;
+  [[nodiscard]] bool context_loaded() const noexcept { return current_ != kNone; }
+  [[nodiscard]] bool function_available(std::size_t fn) const noexcept {
+    return current_ != kNone && fn < functions_.size() &&
+           implements_[current_ * functions_.size() + fn] != 0;
+  }
   [[nodiscard]] const std::vector<ContextConfig>& contexts() const noexcept {
     return contexts_;
   }
-  [[nodiscard]] const ContextConfig& context(const std::string& name) const;
   [[nodiscard]] sim::Time function_time(std::uint64_t ops) const;
 
   // -------------------------------------------------------------- stats
@@ -99,11 +110,15 @@ public:
   }
 
 private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
   std::vector<ContextConfig> contexts_;
+  std::vector<std::string> functions_;   ///< function index -> name
+  std::vector<std::uint8_t> implements_;  ///< [context][function] membership
   tlm::Bus* bus_;
   Config config_;
   sim::Time fabric_period_;
-  std::string current_;
+  std::size_t current_ = kNone;  ///< loaded context index
   std::uint64_t reconfigurations_ = 0;
   sim::Time reconfig_time_;
   sim::Time compute_time_;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,24 @@ TEST(TaskGraph, CycleDetected) {
   g.add_channel("a", "b", 1);
   g.add_channel("b", "a", 1);
   EXPECT_THROW((void)g.topological_order(), std::logic_error);
+  EXPECT_THROW((void)g.topological_ids(), std::logic_error);
+}
+
+TEST(TaskGraph, IdsAreDeclarationIndices) {
+  core::TaskGraph g;
+  g.add_task("sink");
+  g.add_task("mid");
+  g.add_task("src");
+  g.add_channel("src", "mid", 4);
+  g.add_channel("mid", "sink", 4);
+  for (std::size_t i = 0; i < g.tasks().size(); ++i) {
+    EXPECT_EQ(g.tasks()[i].id, i);
+    EXPECT_EQ(g.id_of(g.tasks()[i].name), i);
+    EXPECT_EQ(g.task(g.tasks()[i].name).id, i);
+  }
+  EXPECT_EQ(g.topological_ids(), (std::vector<core::TaskId>{2, 1, 0}));
+  EXPECT_EQ(g.topological_order(), (std::vector<std::string>{"src", "mid", "sink"}));
+  EXPECT_THROW((void)g.id_of("zz"), std::out_of_range);
 }
 
 // -------------------------------------------------------------- Partition
@@ -95,6 +114,63 @@ TEST(Partition, BoundaryRules) {
   p.bind_hardware("a");
   p.bind_hardware("b");
   EXPECT_TRUE(p.crosses_boundary(g.channels()[0]));   // distinct HW blocks
+}
+
+// ------------------------------------------------------------ SystemModel
+
+namespace {
+
+/// Minimal data semantics: every stage costs 10 ops and traces its frame.
+class CountingRuntime final : public core::StageRuntime {
+public:
+  std::uint64_t execute_stage(const core::TaskNode& stage, int frame) override {
+    (void)stage;
+    (void)frame;
+    return 10;
+  }
+  std::uint64_t trace_value(const core::TaskNode& stage, int frame) override {
+    return stage.id * 1000 + static_cast<std::uint64_t>(frame);
+  }
+};
+
+}  // namespace
+
+TEST(SystemModel, ParallelChannelsKeepSeparateFifoPeaks) {
+  // Parallel channels are legal (lint TG003 only warns). Each keeps its own
+  // FIFO and fifo_peaks entry: the k-th (k >= 2) parallel channel is keyed
+  // "from->to#k", and a plain key that a task name happens to spell
+  // ("a->b#2" below) stays with its single channel.
+  core::TaskGraph g;
+  g.add_task("a");
+  g.add_task("b");
+  g.add_task("b#2");
+  g.add_channel("a", "b", 8, 1);
+  g.add_channel("a", "b", 8, 3);
+  g.add_channel("a", "b#2", 8, 2);
+  g.add_channel("a", "b", 8, 4);
+  for (const auto level : {core::ModelLevel::untimed_functional,
+                           core::ModelLevel::timed_platform}) {
+    CountingRuntime runtime;
+    core::Partition partition = core::Partition::all_software(g);
+    partition.bind_hardware("b");
+    core::SystemModel model{g, partition, runtime, {}, level};
+    const auto report = model.run(6);
+    ASSERT_EQ(report.fifo_peaks.size(), 4u);
+    const std::map<std::string, std::size_t> capacity{
+        {"a->b", 1}, {"a->b#3", 3}, {"a->b#2", 2}, {"a->b#4", 4}};
+    for (const auto& [fifo, cap] : capacity) {
+      ASSERT_TRUE(report.fifo_peaks.contains(fifo)) << fifo;
+      EXPECT_GE(report.fifo_peaks.at(fifo), 1u) << fifo;
+      EXPECT_LE(report.fifo_peaks.at(fifo), cap) << fifo;
+    }
+    EXPECT_EQ(report.trace.size(), 18u);  // 3 stages x 6 frames
+    if (level == core::ModelLevel::timed_platform) {
+      // SW -> HW crossings: per frame, each of the three a->b channels is
+      // one 8-word burst written by a and one read by b.
+      EXPECT_EQ(report.bus_transactions, 2u * 3u * 6u);
+      EXPECT_EQ(report.bus_beats, 2u * 3u * 6u * 8u);
+    }
+  }
 }
 
 // -------------------------------------------- case-study fixture

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -357,26 +358,108 @@ TEST(GenCampaign, SyntheticRuntimeTracesArePureAndSeedSensitive) {
       gen::generate_platform(sample_seeds(1)[0], gen::SizeTier::small);
   gen::SyntheticRuntime a{platform.graph, platform.seed};
   gen::SyntheticRuntime b{platform.graph, platform.seed};
-  const auto order = platform.graph.topological_order();
+  const auto& tasks = platform.graph.tasks();
+  const auto order = platform.graph.topological_ids();
   // Execute a forward, b in reverse order: trace values must not depend on
   // evaluation order (they are pure functions of (stage, frame)).
   for (int f = 0; f < 3; ++f) {
-    for (const auto& task : order) (void)a.execute_stage(task, f);
+    for (const auto task : order) (void)a.execute_stage(tasks[task], f);
   }
   for (int f = 2; f >= 0; --f) {
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      (void)b.execute_stage(*it, f);
+      (void)b.execute_stage(tasks[*it], f);
     }
   }
   for (int f = 0; f < 3; ++f) {
-    for (const auto& task : order) {
-      EXPECT_EQ(a.trace_value(task, f), b.trace_value(task, f)) << task << " @" << f;
+    for (const auto task : order) {
+      EXPECT_EQ(a.trace_value(tasks[task], f), b.trace_value(tasks[task], f))
+          << tasks[task].name << " @" << f;
     }
   }
   // A different platform seed shifts every value.
   gen::SyntheticRuntime c{platform.graph, platform.seed ^ 1};
-  (void)c.execute_stage(order[0], 0);
-  EXPECT_NE(a.trace_value(order[0], 0), c.trace_value(order[0], 0));
+  (void)c.execute_stage(tasks[order[0]], 0);
+  EXPECT_NE(a.trace_value(tasks[order[0]], 0), c.trace_value(tasks[order[0]], 0));
+  // Stages are addressed by id: one outside the graph, or a negative frame,
+  // is rejected instead of indexing past the tables.
+  core::TaskNode stranger{"stranger", 0, tasks.size()};
+  EXPECT_THROW((void)a.execute_stage(stranger, 0), std::out_of_range);
+  EXPECT_THROW((void)a.trace_value(stranger, 0), std::out_of_range);
+  EXPECT_THROW((void)a.execute_stage(tasks[order[0]], -1), std::invalid_argument);
+}
+
+namespace {
+
+/// FNV-1a over every simulated (non-`host`) field of a report: the outcome
+/// (elapsed time, bus traffic, reconfigurations, violations, FIFO peaks,
+/// the trace in recording order and its fingerprint) and the simulation
+/// cost (kernel callbacks, delta cycles).
+std::uint64_t report_digest(const core::PerformanceReport& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix_text = [&mix](const std::string& s) {
+    for (const char c : s) mix(static_cast<unsigned char>(c));
+    mix(s.size());
+  };
+  mix(static_cast<std::uint64_t>(r.frames));
+  mix(static_cast<std::uint64_t>(r.elapsed.picoseconds()));
+  mix(std::bit_cast<std::uint64_t>(r.frames_per_second));
+  mix(std::bit_cast<std::uint64_t>(r.bus_load));
+  mix(std::bit_cast<std::uint64_t>(r.cpu_utilisation));
+  mix(r.bus_beats);
+  mix(r.bus_transactions);
+  mix(r.reconfigurations);
+  mix(static_cast<std::uint64_t>(r.reconfiguration_time.picoseconds()));
+  mix(r.consistency_violations);
+  for (const auto& [fifo, peak] : r.fifo_peaks) {
+    mix_text(fifo);
+    mix(peak);
+  }
+  mix(r.kernel_callbacks);
+  mix(r.delta_cycles);
+  for (const auto& e : r.trace.entries()) {
+    mix(static_cast<std::uint64_t>(e.at.picoseconds()));
+    mix_text(e.channel);
+    mix(e.value);
+  }
+  mix(r.trace.fingerprint());
+  return h;
+}
+
+}  // namespace
+
+TEST(GenCampaign, LargeTierReportsMatchGoldenDigests) {
+  // The first four large-tier corpus seeds at levels 1/2/3 x 32 frames (the
+  // platform_sweep shape), each report digested over every simulated field
+  // and pinned. Any change to what the simulation computes or how many
+  // kernel events it takes moves a digest here.
+  constexpr std::uint64_t kGolden[4][3] = {
+      {0xb9be4589cb8d7efeULL, 0x1d16a7d93c2c6e0dULL, 0x771bd2d189d5a412ULL},
+      {0xbc3a5ba332dd2c39ULL, 0xb99cd3b2663c5564ULL, 0xde03d8822b75de33ULL},
+      {0x9573a297b225a540ULL, 0xed6c0401e2f0f848ULL, 0x8bdb2ae040a5d7f8ULL},
+      {0xf72c1da2728a668fULL, 0x4510aacd75a6b77dULL, 0xf96a9db12e6e453bULL},
+  };
+  const auto factory = gen::synthetic_runtime_factory();
+  const auto seeds = sample_seeds(4);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const auto platform = gen::generate_platform(seeds[i], gen::SizeTier::large);
+    const auto scenarios = gen::cross_level_scenarios_for(platform, 32);
+    ASSERT_EQ(scenarios.size(), 3u);
+    for (std::size_t l = 0; l < scenarios.size(); ++l) {
+      const auto& s = scenarios[l];
+      const auto runtime = factory(s);
+      core::SystemModel model{s.graph, s.partition, *runtime, s.params, s.level};
+      const auto report = model.run(s.frames);
+      EXPECT_EQ(report_digest(report), kGolden[i][l])
+          << "seed " << seeds[i] << " L" << l + 1 << ": 0x" << std::hex
+          << report_digest(report);
+    }
+  }
 }
 
 // -------------------------------------------------------------- explorer
@@ -455,12 +538,14 @@ TEST(GenQuery, ScheduleDrivesTheFacePipeline) {
   a.set_query_schedule(schedule);
   b.set_query_schedule(schedule);
   bool diverged = false;
+  const auto graph = app::face_task_graph(db);
+  const auto& camera = graph.task(stage::camera);
   for (int f = 0; f < 6; ++f) {
-    (void)a.execute_stage(stage::camera, f);
-    (void)b.execute_stage(stage::camera, f);
-    (void)plain.execute_stage(stage::camera, f);
-    EXPECT_EQ(a.trace_value(stage::camera, f), b.trace_value(stage::camera, f));
-    diverged |= a.trace_value(stage::camera, f) != plain.trace_value(stage::camera, f);
+    (void)a.execute_stage(camera, f);
+    (void)b.execute_stage(camera, f);
+    (void)plain.execute_stage(camera, f);
+    EXPECT_EQ(a.trace_value(camera, f), b.trace_value(camera, f));
+    diverged |= a.trace_value(camera, f) != plain.trace_value(camera, f);
   }
   // The generated stream is not the default round-robin query loop.
   EXPECT_TRUE(diverged);

@@ -8,6 +8,7 @@
 #include "cpu/cpu.hpp"
 #include "fpga/fpga.hpp"
 #include "sim/kernel.hpp"
+#include "support/alloc_counter.hpp"
 #include "support/test_util.hpp"
 #include "tlm/bus.hpp"
 
@@ -94,6 +95,28 @@ TEST(Bus, ContentionSerialisesInitiators) {
   EXPECT_GT(p.bus.load(), 0.9);
 }
 
+TEST(Bus, UncontendedTransportAllocatesOnlyItsOwnFrame) {
+  // A free grant is taken without awaiting the lock, so an uncontended
+  // transaction costs one coroutine frame (its own) and no lock frame. The
+  // first transfer warms the kernel's queues up to their steady capacity.
+  Platform p;
+  std::uint64_t allocations = 0;
+  Time done;
+  auto initiator = [](Platform& platform, std::uint64_t* count, Time* at) -> sim::Process {
+    co_await platform.bus.transport({tlm::Command::read, 0x0, 16, "warm-up"});
+    symbad::test_support::arm_allocation_counter();
+    co_await platform.bus.transport({tlm::Command::read, 0x0, 16, "t"});
+    *count = symbad::test_support::disarm_allocation_counter();
+    *at = platform.kernel.now();
+  };
+  p.kernel.spawn(initiator(p, &allocations, &done));
+  p.kernel.run();
+  EXPECT_LE(allocations, 1u);
+  EXPECT_EQ(done, Time::ns(720));  // timing unchanged: two solo 360 ns reads
+  EXPECT_EQ(p.bus.worst_grant_wait(), Time::zero());
+  EXPECT_EQ(p.bus.transactions(), 2u);
+}
+
 TEST(Bus, UnmappedAddressThrows) {
   Platform p;
   EXPECT_THROW((void)p.bus.transaction_time({tlm::Command::read, 0x9000'0000, 1, "t"}),
@@ -160,12 +183,12 @@ std::vector<fpga::ContextConfig> two_contexts() {
 }
 
 sim::Process fpga_scenario(fpga::FpgaDevice& dev, std::vector<std::string>* log) {
-  co_await dev.load_context("config2");
+  co_await dev.load_context(dev.context_index("config2"));
   log->push_back("loaded:" + dev.current_context());
-  co_await dev.run_function("ROOT", 10'000);
+  co_await dev.run_function(dev.function_index("ROOT"), 10'000);
   log->push_back("ran ROOT");
-  co_await dev.load_context("config1");
-  co_await dev.run_function("DISTANCE", 5'000);
+  co_await dev.load_context(dev.context_index("config1"));
+  co_await dev.run_function(dev.function_index("DISTANCE"), 5'000);
   log->push_back("ran DISTANCE");
 }
 
@@ -177,7 +200,8 @@ TEST(Fpga, ContextSwitchAndExecution) {
   std::vector<std::string> log;
   p.kernel.spawn(fpga_scenario(dev, &log));
   p.kernel.run();
-  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log, (std::vector<std::string>{"loaded:config2", "ran ROOT", "ran DISTANCE"}));
+  EXPECT_EQ(dev.current_context(), "config1");
   EXPECT_EQ(dev.reconfiguration_count(), 2u);
   EXPECT_TRUE(dev.violations().empty());
   EXPECT_EQ(dev.functions_executed(), 2u);
@@ -190,8 +214,8 @@ TEST(Fpga, ReloadingSameContextIsFree) {
   Platform p;
   fpga::FpgaDevice dev{p.kernel, "efpga", two_contexts(), p.bus, {}};
   auto scenario = [](fpga::FpgaDevice& d) -> sim::Process {
-    co_await d.load_context("config1");
-    co_await d.load_context("config1");  // no-op
+    co_await d.load_context(d.context_index("config1"));
+    co_await d.load_context(d.context_index("config1"));  // no-op
   };
   p.kernel.spawn(scenario(dev));
   p.kernel.run();
@@ -202,8 +226,8 @@ TEST(Fpga, ConsistencyViolationRecorded) {
   Platform p;
   fpga::FpgaDevice dev{p.kernel, "efpga", two_contexts(), p.bus, {}};
   auto scenario = [](fpga::FpgaDevice& d) -> sim::Process {
-    co_await d.load_context("config2");   // ROOT available
-    co_await d.run_function("DISTANCE", 100);  // violation!
+    co_await d.load_context(d.context_index("config2"));   // ROOT available
+    co_await d.run_function(d.function_index("DISTANCE"), 100);  // violation!
   };
   p.kernel.spawn(scenario(dev));
   p.kernel.run();
@@ -218,7 +242,7 @@ TEST(Fpga, TrapOnViolationThrows) {
   cfg.trap_on_violation = true;
   fpga::FpgaDevice dev{p.kernel, "efpga", two_contexts(), p.bus, cfg};
   auto scenario = [](fpga::FpgaDevice& d) -> sim::Process {
-    co_await d.run_function("ROOT", 100);  // nothing loaded
+    co_await d.run_function(d.function_index("ROOT"), 100);  // nothing loaded
   };
   p.kernel.spawn(scenario(dev));
   EXPECT_THROW(p.kernel.run(), std::runtime_error);
@@ -228,10 +252,45 @@ TEST(Fpga, UnknownContextThrows) {
   Platform p;
   fpga::FpgaDevice dev{p.kernel, "efpga", two_contexts(), p.bus, {}};
   auto scenario = [](fpga::FpgaDevice& d) -> sim::Process {
-    co_await d.load_context("config9");
+    co_await d.load_context(d.context_index("config9"));
   };
   p.kernel.spawn(scenario(dev));
   EXPECT_THROW(p.kernel.run(), std::out_of_range);
+  EXPECT_THROW((void)dev.function_index("WINNER"), std::out_of_range);
+}
+
+TEST(Fpga, IndicesFollowDeclarationOrderAndAreRangeChecked) {
+  Platform p;
+  auto contexts = two_contexts();
+  contexts[1].functions = {"ROOT", "DISTANCE"};  // config2 hosts both
+  fpga::FpgaDevice dev{p.kernel, "efpga", contexts, p.bus, {}};
+  EXPECT_EQ(dev.context_index("config1"), 0u);
+  EXPECT_EQ(dev.context_index("config2"), 1u);
+  EXPECT_EQ(dev.function_index("DISTANCE"), 0u);  // first seen in config1
+  EXPECT_EQ(dev.function_index("ROOT"), 1u);
+  EXPECT_FALSE(dev.context_loaded());
+  EXPECT_EQ(dev.current_context(), "");
+  auto scenario = [](fpga::FpgaDevice& d, std::vector<bool>* available) -> sim::Process {
+    co_await d.load_context(1);
+    available->push_back(d.function_available(0));
+    available->push_back(d.function_available(1));
+    co_await d.load_context(0);
+    available->push_back(d.function_available(0));
+    available->push_back(d.function_available(1));
+    available->push_back(d.function_available(2));  // no such function
+    co_await d.run_function(2, 100);
+  };
+  std::vector<bool> available;
+  p.kernel.spawn(scenario(dev, &available));
+  EXPECT_THROW(p.kernel.run(), std::out_of_range);
+  EXPECT_EQ(available, (std::vector<bool>{true, true, true, false, false}));
+  EXPECT_TRUE(dev.violations().empty());
+
+  Platform q;
+  fpga::FpgaDevice other{q.kernel, "efpga", two_contexts(), q.bus, {}};
+  auto bad_load = [](fpga::FpgaDevice& d) -> sim::Process { co_await d.load_context(2); };
+  q.kernel.spawn(bad_load(other));
+  EXPECT_THROW(q.kernel.run(), std::out_of_range);
 }
 
 TEST(Fpga, DuplicateContextNamesRejected) {
