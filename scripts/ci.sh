@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for the Symbad repro: the tier-1 build+test loop, a parallel-safety
-# pass over the unit label, an AddressSanitizer configure/build/ctest pass
-# with the threaded campaign runner explicitly exercised at 4 workers, a
-# perf-regression pass over the SAT/MC/opt/kernel/lint benches against the
-# committed BENCH_BASELINE.json, an UndefinedBehaviorSanitizer pass over
+# pass over the unit label, a perf-regression pass over the
+# SAT/MC/opt/kernel/lint benches against the committed BENCH_BASELINE.json,
+# the flow benchmark's own correctness checks (every workload at seed 0:
+# golden output digests and paper figures), an AddressSanitizer
+# configure/build/ctest pass with the threaded campaign runner explicitly
+# exercised at 4 workers, an UndefinedBehaviorSanitizer pass over
 # the SAT core (the clause arena lives on raw offset arithmetic — UBSan is
 # the cheapest way to catch a bad ref before it corrupts a verdict), the
 # lane-parallel simulator with the PCC pre-pass built on it, the Laerte
@@ -25,12 +27,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "==> [1/8] tier-1: Release build + full ctest"
+echo "==> [1/9] tier-1: Release build + full ctest"
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "==> [2/8] parallel-safety: ctest -L unit -j (suites must tolerate"
+echo "==> [2/9] parallel-safety: ctest -L unit -j (suites must tolerate"
 echo "    concurrent siblings — shared fixtures, tmp dirs, env), then every"
 echo "    unit suite again with telemetry spans on, and with telemetry off"
 echo "    (every verdict checked without the registry; cost-reading tests"
@@ -39,20 +41,39 @@ ctest --test-dir build --output-on-failure -L unit -j "$((JOBS * 2))"
 SYMBAD_OBS=2 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 SYMBAD_OBS=0 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 
-echo "==> [3/8] perf regression: SAT/MC/opt/kernel/lint/obs benches vs BENCH_BASELINE.json"
+echo "==> [3/9] perf regression: SAT/MC/opt/kernel/lint/obs benches vs BENCH_BASELINE.json"
 BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_opt bench_level2_sim bench_gen bench_lint bench_obs" \
   BENCH_OUT=build/bench_candidate.json \
   BENCH_JSON_DIR=build/bench_candidate \
   scripts/bench_baseline.sh build
 scripts/bench_compare.py --candidate build/bench_candidate.json --time-mode warn
 
-echo "==> [4/8] AddressSanitizer build + full ctest"
+echo "==> [4/9] flow benchmark correctness: each workload at seed 0 checks its"
+echo "    golden output digests and paper figures; the last line must report"
+echo "    correct=true with no failed iteration"
+for workload in paper_flow fault_grading platform_sweep; do
+  last="$(python3 flowbench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 0 |
+          tail -n 1)"
+  python3 - "$workload" "$last" <<'EOF'
+import json
+import sys
+
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"flowbench {workload}: correct={result.get('correct')} "
+             f"failed={result.get('failed')}")
+print(f"    {workload}: correct, {result['attempted']} iterations")
+EOF
+done
+
+echo "==> [5/9] AddressSanitizer build + full ctest"
 SYMBAD_SANITIZE=address cmake -B build-asan -S .
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "==> [5/8] threaded campaign runner + SAT arena under ASan (4 workers;"
-echo "    step 4's full ctest already covers every suite sanitized — these"
+echo "==> [6/9] threaded campaign runner + SAT arena under ASan (4 workers;"
+echo "    step 5's full ctest already covers every suite sanitized — these"
 echo "    re-runs exist for the non-default worker count and for the"
 echo "    compaction paths forced through every reduction)"
 SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_exec
@@ -68,7 +89,7 @@ SYMBAD_LINT=2 ./build-asan/test_lint
 # the span flush path under concurrent workers).
 SYMBAD_OBS=2 SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_obs
 
-echo "==> [6/8] UndefinedBehaviorSanitizer: SAT core (arena offset/shift"
+echo "==> [7/9] UndefinedBehaviorSanitizer: SAT core (arena offset/shift"
 echo "    arithmetic, header bit packing), the 64-lane simulator + PCC"
 echo "    pre-pass (lane masks shift by a lane index; 1 << 64 is UB ASan misses)"
 echo "    and the Laerte fault simulation + media kernels (bit patches shift by"
@@ -94,7 +115,7 @@ SYMBAD_SAT_COMPACT=2 ./build-ubsan/test_sat
 ./build-ubsan/test_core
 unset UBSAN_OPTIONS
 
-echo "==> [7/8] ThreadSanitizer: campaign worker pool + generator sweeps"
+echo "==> [8/9] ThreadSanitizer: campaign worker pool + generator sweeps"
 echo "    (the only threaded subsystem is exec::CampaignRunner — TSan the"
 echo "    suites that drive it, at the non-default 4-worker count)"
 SYMBAD_SANITIZE=thread cmake -B build-tsan -S .
@@ -105,7 +126,7 @@ SYMBAD_CAMPAIGN_WORKERS=4 ./build-tsan/test_gen
 # concurrently with spans on while the main thread snapshots and exports.
 SYMBAD_CAMPAIGN_WORKERS=4 SYMBAD_OBS=2 ./build-tsan/test_obs
 
-echo "==> [8/8] clang-tidy (opt-in: skipped when the tool is absent —"
+echo "==> [9/9] clang-tidy (opt-in: skipped when the tool is absent —"
 echo "    the CI container ships only the gcc toolchain)"
 if command -v clang-tidy >/dev/null 2>&1; then
   # compile_commands.json is exported by the tier-1 configure in step 1.

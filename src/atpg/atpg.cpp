@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "opt/optimizer.hpp"
 #include "rtl/cnf.hpp"
 #include "sat/solver.hpp"
 
@@ -235,55 +235,20 @@ bool Laerte::detects_seeded_memory_bug(const Testbench& tb) const {
 
 // -------------------------------------------------------- SAT engine
 
-namespace {
-
-/// Good-circuit preprocessing: merge/fold only, never drop — the faulty
-/// copies translate arbitrary out-of-cone operands through the map, so it
-/// must stay total.
-std::optional<opt::OptimizeResult> preprocess_good(const rtl::Netlist& netlist,
-                                                   bool optimize) {
-  if (!optimize) return std::nullopt;
-  opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
-  if (!oo.enabled) return std::nullopt;
-  oo.keep_all_nets = true;
-  return opt::optimize(netlist, oo);
-}
-
-}  // namespace
-
 SatEngine::SatEngine(const rtl::Netlist& netlist, Options options)
     : netlist_{&netlist},
       options_{options},
       encoder_{netlist, solver_},
       cones_{netlist} {
-  // The good unrolling is shared by every fault and encoded exactly once —
-  // from the optimized netlist when preprocessing is on, with every frame
-  // translated back to original-net indexing through the (total) NetMap.
-  // Only the translated literals outlive construction; the optimized
-  // netlist copy and its map are released here.
-  const std::optional<opt::OptimizeResult> optimized =
-      preprocess_good(netlist, options_.optimize);
-  std::optional<rtl::CnfEncoder> good_encoder;
-  std::vector<rtl::Frame> good_opt;  // optimized indexing, for chaining only
-  if (optimized) good_encoder.emplace(optimized->netlist, solver_);
+  if (options_.unroll < 1) {
+    throw std::invalid_argument{"atpg: SAT engine needs at least one frame"};
+  }
+  // The good unrolling is shared by every fault and encoded exactly once.
   for (int f = 0; f < options_.unroll; ++f) {
     rtl::CnfEncoder::Options good_opts;
     good_opts.state = f == 0 ? rtl::StateInit::reset : rtl::StateInit::chained;
-    if (optimized) {
-      if (f > 0) good_opts.previous = &good_opt.back();
-      good_opt.push_back(good_encoder->encode(good_opts));
-      rtl::Frame translated;
-      translated.lits.resize(netlist.gate_count());
-      for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-        translated.lits[i] =
-            good_opt.back().lits[static_cast<std::size_t>(
-                optimized->map.translate(static_cast<rtl::Net>(i)))];
-      }
-      good_.push_back(std::move(translated));
-    } else {
-      if (f > 0) good_opts.previous = &good_.back();
-      good_.push_back(encoder_.encode(good_opts));
-    }
+    if (f > 0) good_opts.previous = &good_.back();
+    good_.push_back(encoder_.encode(good_opts));
     std::vector<sat::Lit> shared;
     for (const rtl::Net in : netlist.inputs()) shared.push_back(good_.back().lit(in));
     shared_inputs_.push_back(std::move(shared));
@@ -291,15 +256,15 @@ SatEngine::SatEngine(const rtl::Netlist& netlist, Options options)
 }
 
 std::optional<SatTest> SatEngine::generate(rtl::Net fault_net, bool stuck_to) {
+  const auto cone = cones_.fault_cones(fault_net, options_.unroll);
   const std::map<rtl::Net, bool> faults{{fault_net, stuck_to}};
   const sat::Var first_var = solver_.variable_count();
   const sat::Lit act = sat::Lit::positive(solver_.new_var());
 
-  // Faulty copy plus output miter, every clause gated behind `act`. Only
-  // the fault's fanout cone is re-encoded; everything else reuses the good
-  // copy's literals, so out-of-cone outputs cannot differ and need no
-  // miter XOR.
-  const auto cone = cones_.fault_cones(fault_net, options_.unroll);
+  // Faulty copy plus output miter, every clause gated behind `act`. The
+  // faulty copy reuses the good copy's literal wherever a net cannot differ
+  // (outside the fault cone, or reading only good-copy literals), so an
+  // output whose literal equals the good one needs no miter XOR.
   std::vector<rtl::Frame> bad;
   std::vector<sat::Lit> diff_clause{~act};
   for (int f = 0; f < options_.unroll; ++f) {
@@ -315,9 +280,9 @@ std::optional<SatTest> SatEngine::generate(rtl::Net fault_net, bool stuck_to) {
     bad.push_back(encoder_.encode(bad_opts));
 
     for (const auto& [name, net] : netlist_->outputs()) {
-      if (cone[fi][static_cast<std::size_t>(net)] == 0) continue;
-      const sat::Lit g = good_[fi].lit(net);
-      const sat::Lit b = bad.back().lit(net);
+      const sat::Lit g = encoder_.canonical(good_[fi].lit(net));
+      const sat::Lit b = encoder_.canonical(bad.back().lit(net));
+      if (g == b) continue;
       const sat::Lit d = sat::Lit::positive(solver_.new_var());
       solver_.add_clause({~act, ~d, g, b});
       solver_.add_clause({~act, ~d, ~g, ~b});
@@ -325,8 +290,10 @@ std::optional<SatTest> SatEngine::generate(rtl::Net fault_net, bool stuck_to) {
     }
   }
 
+  // No output literal differs: the fault is undetectable without a solve.
   std::optional<SatTest> test;
-  if (solver_.add_clause(diff_clause) && solver_.solve({act}) == sat::Result::sat) {
+  if (diff_clause.size() > 1 && solver_.add_clause(diff_clause) &&
+      solver_.solve({act}) == sat::Result::sat) {
     test.emplace();
     for (int f = 0; f < options_.unroll; ++f) {
       std::map<std::string, bool> frame_inputs;
@@ -366,14 +333,8 @@ std::vector<SatEngine::FaultResult> SatEngine::generate_tests(
 }
 
 std::optional<SatTest> sat_generate_test(const rtl::Netlist& netlist, rtl::Net fault_net,
-                                         bool stuck_to, int unroll, bool optimize) {
-  // One fault, one throwaway engine: preprocessing defaults OFF here (see
-  // the header) because the pipeline — the SAT sweep in particular — costs
-  // more than the single solve it would shrink. The `optimize` parameter
-  // makes that policy explicit and overridable instead of silent; fault
-  // LISTS should not flip it per call but construct SatEngine directly,
-  // where the one-time optimization cost amortizes across the faults.
-  SatEngine engine{netlist, {unroll, optimize}};
+                                         bool stuck_to, int unroll) {
+  SatEngine engine{netlist, {unroll}};
   return engine.generate(fault_net, stuck_to);
 }
 

@@ -114,47 +114,33 @@ private:
 /// Formal engine: SAT test generation for one stuck-at fault on `netlist`.
 /// Unrolls `unroll` frames of a good and a faulty copy sharing inputs and
 /// asks for any output difference. Returns per-frame input assignments, or
-/// nullopt when the fault is undetectable within the unrolling.
-///
-/// `optimize` defaults to OFF — deliberately the opposite of every other
-/// formal entry point. This wrapper builds a throwaway engine for exactly
-/// one solve, and the optimizer pipeline (the SAT sweep in particular)
-/// costs more than the single solve it would shrink; preprocessing only
-/// pays when its one-time cost amortizes over a fault list. Multi-fault
-/// callers should construct SatEngine directly (optimize on) instead of
-/// flipping this flag per fault.
+/// nullopt when the fault is undetectable within the unrolling. One
+/// throwaway SatEngine per call; fault lists should share one engine.
 struct SatTest {
   std::vector<std::map<std::string, bool>> frames;  ///< input name -> value
 };
 [[nodiscard]] std::optional<SatTest> sat_generate_test(const rtl::Netlist& netlist,
                                                        rtl::Net fault_net, bool stuck_to,
-                                                       int unroll = 4,
-                                                       bool optimize = false);
+                                                       int unroll = 4);
 
 /// Incremental multi-fault SAT test generator.
 ///
 /// The good-circuit unrolling is Tseitin-encoded exactly once into one
-/// long-lived solver. Each fault then adds only its faulty copy plus the
-/// output miter, every clause gated behind a per-fault activation literal:
-/// the solve runs under that single assumption, and afterwards the unit
-/// clause ~activation permanently retires the miter (its clauses become
-/// satisfied and migrate out of watch propagation). Learned clauses about
-/// the good circuit and the shared inputs survive from fault to fault —
-/// the incremental-SAT reuse a fresh solver per fault throws away.
+/// long-lived solver. Each fault then adds only what it changes: its
+/// faulty copy re-encodes just the nets whose literals differ from the good
+/// copy's (rtl::CnfEncoder's `reuse_base`, inside the fault cone), and the
+/// output miter gets a difference XOR only for an output whose literal
+/// differs — a fault that changes no output literal is undetectable
+/// without a solve. Every clause is gated behind a per-fault activation
+/// literal: the solve runs under that single assumption, and afterwards
+/// the unit clause ~activation permanently retires the miter (its clauses
+/// become satisfied and migrate out of watch propagation). Learned clauses
+/// about the good circuit and the shared inputs survive from fault to
+/// fault — the incremental-SAT reuse a fresh solver per fault throws away.
 class SatEngine {
 public:
   struct Options {
-    int unroll = 4;  ///< time frames for both circuit copies
-    /// Preprocess the *good* circuit through the opt:: pass pipeline
-    /// before encoding (structural hashing, rewriting, SAT sweeping; no
-    /// dead-gate elimination, so the old->new NetMap stays total). The
-    /// faulty copies still encode the original netlist — stuck-at
-    /// semantics live on the as-built structure — but share the optimized
-    /// good copy's literals for everything outside the fault cone, via
-    /// map-translated frames. Exact: per-fault detectability is identical
-    /// with preprocessing on or off. Tuned/disabled globally by the
-    /// SYMBAD_OPT* environment knobs.
-    bool optimize = true;
+    int unroll = 4;  ///< time frames for both circuit copies (>= 1)
   };
 
   struct FaultResult {
@@ -164,9 +150,11 @@ public:
   };
 
   explicit SatEngine(const rtl::Netlist& netlist) : SatEngine{netlist, Options{}} {}
+  /// Throws std::invalid_argument when `options.unroll` < 1.
   SatEngine(const rtl::Netlist& netlist, Options options);
 
-  /// Generates a test for one fault on the shared solver.
+  /// Generates a test for one fault on the shared solver. Throws
+  /// std::out_of_range when `fault_net` is not a net of the netlist.
   [[nodiscard]] std::optional<SatTest> generate(rtl::Net fault_net, bool stuck_to);
 
   /// Generates tests for a whole fault list, sharing the solver and its
@@ -183,17 +171,12 @@ private:
   const rtl::Netlist* netlist_;
   Options options_;
   sat::Solver solver_;
-  rtl::CnfEncoder encoder_;  ///< encodes the faulty copies (original netlist)
+  rtl::CnfEncoder encoder_;  ///< encodes the good and the faulty copies
   /// Shared forward-cone traversal (rtl::ConeTracer): cones_.fault_cones()
   /// tells which nets per frame can differ from the good copy — only those
-  /// are re-encoded per fault.
+  /// are candidates for re-encoding per fault.
   rtl::ConeTracer cones_;
-  /// Good-copy frames in *original* netlist indexing. With preprocessing
-  /// on, these are the optimized encoding's literals translated through
-  /// the NetMap, so fault miters and model extraction never care whether
-  /// the good copy was optimized (the optimized netlist itself is a
-  /// constructor local — only its literals survive, in these frames).
-  std::vector<rtl::Frame> good_;
+  std::vector<rtl::Frame> good_;  ///< good-copy frames, reset-chained
   std::vector<std::vector<sat::Lit>> shared_inputs_;  ///< per frame, input order
 };
 

@@ -193,9 +193,9 @@ Severity rule_severity(Rule rule) noexcept {
     case Rule::graph_cycle:
     case Rule::graph_self_loop:
       return Severity::error;
-    // Expected-by-construction structure: generator pool nets and
-    // keep_all_nets optimizer output are dangling on purpose; free-running
-    // registers and provable constants are style findings, not corruption.
+    // Expected-by-construction structure: generator pool nets are
+    // dangling on purpose; free-running registers and provable constants
+    // are style findings, not corruption.
     case Rule::dangling_logic:
     case Rule::autonomous_register:
     case Rule::const_net:
@@ -407,7 +407,7 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
   // --- dangling logic: union backward cone of every output ---------------
   // Registers pull in their next-state nets, so "reachable" means
   // observable at SOME frame. Warning severity: the generator's pool nets
-  // and keep_all_nets optimizer output are dangling by construction.
+  // are dangling by construction.
   {
     std::vector<char> cone(static_cast<std::size_t>(count), 0);
     std::vector<Net> work;

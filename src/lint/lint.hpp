@@ -106,8 +106,7 @@ struct LintReport {
   [[nodiscard]] std::size_t warning_count() const noexcept;
   /// No findings at all. Boundary enforcement is weaker on purpose — it
   /// throws only on errors (see `enforce`) because warning-severity
-  /// structure (generator pool nets, keep_all_nets optimizer output) is
-  /// expected by construction.
+  /// structure (generator pool nets) is expected by construction.
   [[nodiscard]] bool clean() const noexcept { return findings.empty(); }
   [[nodiscard]] bool has(Rule rule) const noexcept;
   /// Findings of one rule (for per-rule assertions).

@@ -228,7 +228,6 @@ OptimizeResult Optimizer::run(const Netlist& input) const {
 
   RebuildOptions ro;
   ro.preserve_outputs = &options_.preserve_outputs;
-  ro.keep_all_nets = options_.keep_all_nets;
   ro.faults = options_.faults;
 
   // Pass 1: structural rewrite (hash + fold + dead elimination + faults).
@@ -259,12 +258,9 @@ OptimizeResult Optimizer::run(const Netlist& input) const {
       auto r2 = rewrite_pass(r1.netlist, ro2);
       r1.map = compose(r1.map, r2.map);
       r1.netlist = std::move(r2.netlist);
-      if (!options_.keep_all_nets) {
-        RebuildOptions ro3;
-        auto r3 = rewrite_pass(r1.netlist, ro3);
-        r1.map = compose(r1.map, r3.map);
-        r1.netlist = std::move(r3.netlist);
-      }
+      auto r3 = rewrite_pass(r1.netlist, RebuildOptions{});
+      r1.map = compose(r1.map, r3.map);
+      r1.netlist = std::move(r3.netlist);
       sweep_stats.gates_after = r1.netlist.gate_count();
       sweep_stats.histogram_after = r1.netlist.gate_histogram();
     }
@@ -274,8 +270,7 @@ OptimizeResult Optimizer::run(const Netlist& input) const {
   result.netlist = std::move(r1.netlist);
   result.map = std::move(r1.map);
   // Default-on boundary self-check (SYMBAD_LINT): every pipeline output
-  // must be free of error-severity findings. keep_all_nets output dangles
-  // by design — that is warning severity, not an error.
+  // must be free of error-severity findings.
   lint::check_netlist(result.netlist, "opt");
   publish_obs(result);
   return result;

@@ -32,7 +32,7 @@
 //
 // The old->new `NetMap` translates nets of the input netlist into the
 // optimized one (merged nets map to their surviving representative;
-// dead nets map to -1 unless `keep_all_nets` keeps the map total).
+// dead nets map to -1).
 
 #include <cstdint>
 #include <map>
@@ -52,7 +52,7 @@ struct NetMap {
   [[nodiscard]] rtl::Net translate(rtl::Net old_net) const {
     return old_to_new.at(static_cast<std::size_t>(old_net));
   }
-  /// True when every input net has a surviving image (keep_all_nets mode).
+  /// True when every input net has a surviving image.
   [[nodiscard]] bool total() const {
     for (const rtl::Net n : old_to_new) {
       if (n < 0) return false;
@@ -94,10 +94,6 @@ struct OptimizerOptions {
   /// relative to the kept set, so a model checker can pass just the
   /// outputs its property observes and compound with its own COI.
   std::vector<std::string> preserve_outputs;
-  /// Keep the NetMap total: no dead-gate elimination, only merging and
-  /// folding. ATPG needs this — its faulty-copy encoder translates
-  /// arbitrary fault-cone operands through the map.
-  bool keep_all_nets = false;
   /// Stuck-at overrides baked in as constants (net -> forced value),
   /// keyed by the *input* netlist's nets. Faulted inputs are still
   /// declared as inputs (order preserved) but their readers see the

@@ -20,25 +20,102 @@ Lit CnfEncoder::true_lit() {
   return *true_lit_;
 }
 
+Lit CnfEncoder::canonical(Lit l) {
+  const sat::Value v = solver_->root_value(l.var());
+  if (v == sat::Value::undef) return l;
+  const Lit t = true_lit();
+  return (v == sat::Value::true_value) != l.negated() ? t : ~t;
+}
+
+namespace {
+
+/// Emits one frame's gates. A gate whose operands decide it (a constant,
+/// equal or complementary operand) folds to the deciding literal and costs
+/// no variable and no clause; any other gate gets a fresh variable and its
+/// Tseitin clauses, each extended by ~activation when the frame is gated.
+class GateEmitter {
+public:
+  GateEmitter(sat::Solver& solver, Lit lit_true, Lit activation)
+      : s_{solver}, t_{lit_true}, f_{~lit_true}, gate_{~activation},
+        gated_{activation.valid()} {}
+
+  Lit and_of(Lit a, Lit b) {
+    if (a == f_ || b == f_ || a == ~b) return f_;
+    if (a == t_ || a == b) return b;
+    if (b == t_) return a;
+    const Lit out = fresh();
+    emit(~out, a);
+    emit(~out, b);
+    emit(out, ~a, ~b);
+    return out;
+  }
+
+  Lit or_of(Lit a, Lit b) {
+    if (a == t_ || b == t_ || a == ~b) return t_;
+    if (a == f_ || a == b) return b;
+    if (b == f_) return a;
+    const Lit out = fresh();
+    emit(out, ~a);
+    emit(out, ~b);
+    emit(~out, a, b);
+    return out;
+  }
+
+  Lit xor_of(Lit a, Lit b) {
+    if (a == b) return f_;
+    if (a == ~b) return t_;
+    if (a == f_) return b;
+    if (a == t_) return ~b;
+    if (b == f_) return a;
+    if (b == t_) return ~a;
+    const Lit out = fresh();
+    emit(~out, a, b);
+    emit(~out, ~a, ~b);
+    emit(out, ~a, b);
+    emit(out, a, ~b);
+    return out;
+  }
+
+  Lit mux_of(Lit sel, Lit t, Lit e) {
+    if (sel == t_ || t == e) return t;
+    if (sel == f_) return e;
+    if (t == t_ && e == f_) return sel;
+    if (t == f_ && e == t_) return ~sel;
+    const Lit out = fresh();
+    emit(~sel, ~t, out);
+    emit(~sel, t, ~out);
+    emit(sel, ~e, out);
+    emit(sel, e, ~out);
+    return out;
+  }
+
+private:
+  Lit fresh() { return Lit::positive(s_.new_var()); }
+  void emit(Lit x, Lit y) { gated_ ? s_.add_ternary(gate_, x, y) : s_.add_binary(x, y); }
+  void emit(Lit x, Lit y, Lit z) {
+    gated_ ? s_.add_clause({gate_, x, y, z}) : s_.add_ternary(x, y, z);
+  }
+
+  sat::Solver& s_;
+  Lit t_, f_;
+  Lit gate_;
+  bool gated_;
+};
+
+}  // namespace
+
 Frame CnfEncoder::encode(const Options& options) {
   if (options.state == StateInit::chained && options.previous == nullptr) {
     throw std::invalid_argument{"cnf: chained frame needs a previous frame"};
   }
+  if (options.reuse_base != nullptr && options.cone == nullptr) {
+    throw std::invalid_argument{"cnf: reuse_base requires a cone"};
+  }
   auto& s = *solver_;
   const Lit lit_true = true_lit();
   const Lit lit_false = ~lit_true;
-
-  // Clause gating: with an activation literal, every clause carries the
-  // extra disjunct ~activation so the frame only binds while the literal is
-  // assumed true (and dies when ~activation is added as a unit).
-  const bool gated = options.activation.valid();
-  const Lit gate = gated ? ~options.activation : Lit{};
-  auto emit2 = [&](Lit x, Lit y) {
-    gated ? s.add_ternary(gate, x, y) : s.add_binary(x, y);
-  };
-  auto emit3 = [&](Lit x, Lit y, Lit z) {
-    gated ? s.add_clause({gate, x, y, z}) : s.add_ternary(x, y, z);
-  };
+  GateEmitter emitter{s, lit_true, options.activation};
+  const Frame* base = options.reuse_base;
 
   Frame frame;
   if (!frame_pool_.empty()) {
@@ -48,26 +125,23 @@ Frame CnfEncoder::encode(const Options& options) {
   }
   frame.lits.resize(netlist_->gate_count());
 
+  // Operand literals with root-fixed variables read as constants, so the
+  // folds see them and base comparisons match by value.
+  const auto operand = [&](Net n) { return canonical(frame.lits[static_cast<std::size_t>(n)]); };
+  const auto matches_base = [&](Net n) {
+    return operand(n) == canonical(base->lits[static_cast<std::size_t>(n)]);
+  };
+
   std::size_t input_slot = 0;
-  std::size_t dff_slot = 0;
-  const auto& dffs = netlist_->flip_flops();
-  (void)dffs;
-
-  if (options.reuse_base != nullptr && options.cone == nullptr) {
-    throw std::invalid_argument{"cnf: reuse_base requires a cone"};
-  }
-
   for (std::size_t i = 0; i < netlist_->gate_count(); ++i) {
     const Net net = static_cast<Net>(i);
     const Gate& g = netlist_->gate(net);
-    Lit out;
+    const std::size_t slot = g.kind == GateKind::input ? input_slot++ : 0;
     // Out-of-cone nets are not encoded: an ATPG miter copy behaves
     // identically to the base frame there (literal reused), a COI-reduced
     // model-checking frame never references them (invalid literal).
     if (options.cone != nullptr && (*options.cone)[i] == 0) {
-      frame.lits[i] = options.reuse_base != nullptr ? options.reuse_base->lits[i] : Lit{};
-      if (g.kind == GateKind::input) ++input_slot;
-      if (g.kind == GateKind::dff) ++dff_slot;
+      frame.lits[i] = base != nullptr ? base->lits[i] : Lit{};
       continue;
     }
     // Fault overrides replace the gate's function entirely.
@@ -75,66 +149,38 @@ Frame CnfEncoder::encode(const Options& options) {
       const auto it = options.faults->find(net);
       if (it != options.faults->end()) {
         frame.lits[i] = it->second ? lit_true : lit_false;
-        if (g.kind == GateKind::input) ++input_slot;
-        if (g.kind == GateKind::dff) ++dff_slot;
         continue;
       }
     }
+    Lit out;
     switch (g.kind) {
       case GateKind::const0: out = lit_false; break;
       case GateKind::const1: out = lit_true; break;
-      case GateKind::input: {
-        if (options.shared_inputs != nullptr) {
-          out = options.shared_inputs->at(input_slot);
+      case GateKind::input:
+        out = options.shared_inputs != nullptr ? options.shared_inputs->at(slot)
+                                               : Lit::positive(s.new_var());
+        break;
+      case GateKind::not_gate: out = ~operand(g.a); break;
+      case GateKind::and_gate:
+      case GateKind::or_gate:
+      case GateKind::xor_gate:
+      case GateKind::mux:
+        // A gate that reads what the base frame reads computes what it
+        // computes: take the base literal.
+        if (base != nullptr && matches_base(g.a) && matches_base(g.b) &&
+            (g.kind != GateKind::mux || matches_base(g.c))) {
+          out = base->lits[i];
+        } else if (g.kind == GateKind::and_gate) {
+          out = emitter.and_of(operand(g.a), operand(g.b));
+        } else if (g.kind == GateKind::or_gate) {
+          out = emitter.or_of(operand(g.a), operand(g.b));
+        } else if (g.kind == GateKind::xor_gate) {
+          out = emitter.xor_of(operand(g.a), operand(g.b));
         } else {
-          out = Lit::positive(s.new_var());
+          out = emitter.mux_of(operand(g.a), operand(g.b), operand(g.c));
         }
-        ++input_slot;
         break;
-      }
-      case GateKind::not_gate:
-        out = ~frame.lits[static_cast<std::size_t>(g.a)];
-        break;
-      case GateKind::and_gate: {
-        const Lit a = frame.lits[static_cast<std::size_t>(g.a)];
-        const Lit b = frame.lits[static_cast<std::size_t>(g.b)];
-        out = Lit::positive(s.new_var());
-        emit2(~out, a);
-        emit2(~out, b);
-        emit3(out, ~a, ~b);
-        break;
-      }
-      case GateKind::or_gate: {
-        const Lit a = frame.lits[static_cast<std::size_t>(g.a)];
-        const Lit b = frame.lits[static_cast<std::size_t>(g.b)];
-        out = Lit::positive(s.new_var());
-        emit2(out, ~a);
-        emit2(out, ~b);
-        emit3(~out, a, b);
-        break;
-      }
-      case GateKind::xor_gate: {
-        const Lit a = frame.lits[static_cast<std::size_t>(g.a)];
-        const Lit b = frame.lits[static_cast<std::size_t>(g.b)];
-        out = Lit::positive(s.new_var());
-        emit3(~out, a, b);
-        emit3(~out, ~a, ~b);
-        emit3(out, ~a, b);
-        emit3(out, a, ~b);
-        break;
-      }
-      case GateKind::mux: {
-        const Lit sel = frame.lits[static_cast<std::size_t>(g.a)];
-        const Lit t = frame.lits[static_cast<std::size_t>(g.b)];
-        const Lit e = frame.lits[static_cast<std::size_t>(g.c)];
-        out = Lit::positive(s.new_var());
-        emit3(~sel, ~t, out);
-        emit3(~sel, t, ~out);
-        emit3(sel, ~e, out);
-        emit3(sel, e, ~out);
-        break;
-      }
-      case GateKind::dff: {
+      case GateKind::dff:
         switch (options.state) {
           case StateInit::reset: out = g.init ? lit_true : lit_false; break;
           case StateInit::free_state: out = Lit::positive(s.new_var()); break;
@@ -142,9 +188,7 @@ Frame CnfEncoder::encode(const Options& options) {
             out = options.previous->lits[static_cast<std::size_t>(g.a)];
             break;
         }
-        ++dff_slot;
         break;
-      }
     }
     frame.lits[i] = out;
   }

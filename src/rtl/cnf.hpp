@@ -6,6 +6,18 @@
 // one point in time to a SAT literal; frames chain through flip-flops
 // (frame k+1's state literals are frame k's next-state literals).
 //
+// The encoder emits no gate that its operand literals already decide (the
+// two reduction rules of a reduced BDD, applied to literals):
+//  * fold — an AND, OR, XOR or MUX with a constant, equal or complementary
+//    operand returns the deciding literal (`x & 0 = 0`, `x ^ x = 0`,
+//    `s ? x : x = x`, `s ? 1 : 0 = s`, ...). An operand whose variable the
+//    solver has fixed at the root counts as a constant.
+//  * reuse — in a `reuse_base` frame, a gate whose operand literals equal
+//    the base frame's (root-fixed ones compared by value) takes the base
+//    frame's literal.
+// Either way the gate adds no variable and no clause, so a frame's literal
+// for a net may be the true/false literal or another net's literal.
+//
 // Two usage styles:
 //  * `encode(Options)` — one frame at a time, caller owns the chaining
 //    (the ATPG miter encodes good/faulty copies side by side this way).
@@ -53,14 +65,18 @@ public:
     const std::map<Net, bool>* faults = nullptr;
     /// Cone restriction: nets with (*cone)[net] == 0 are not encoded at
     /// all. With `reuse_base` set (ATPG miters) their literals are copied
-    /// from the matching frame of the good copy, so only the fault's fanout
-    /// cone pays for fresh variables and clauses. Without `reuse_base`
+    /// from the matching frame of the good copy. Without `reuse_base`
     /// (model-checking cone of influence) they get invalid literals — legal
     /// only when `cone` is closed under structural support, i.e. no in-cone
     /// gate reads an out-of-cone net (`Netlist::cone_of_influence`
-    /// guarantees this). `cone` is indexed by net like the netlist;
-    /// `reuse_base` requires `cone`.
+    /// guarantees this). `cone` is indexed by net like the netlist.
     const std::vector<char>* cone = nullptr;
+    /// Base frame of a copy that differs from it only inside `cone` (ATPG's
+    /// faulty copy over the good copy; requires `cone`). Out-of-cone nets
+    /// take the base literal, and so does an in-cone gate whose operand
+    /// literals all equal the base frame's; fault overrides come first. The
+    /// frame then pays variables and clauses only for the nets whose
+    /// literals really differ from the base.
     const Frame* reuse_base = nullptr;
     /// When valid, every emitted clause gets ~activation appended: the
     /// frame's logic constrains the solver only while `activation` is
@@ -114,6 +130,10 @@ public:
 
   /// Literal that is always true (for building custom constraints).
   [[nodiscard]] sat::Lit true_lit();
+  /// `l`, or the true/false literal when the solver has fixed `l`'s
+  /// variable at the root: two literals with the same canonical form have
+  /// the same value in every model.
+  [[nodiscard]] sat::Lit canonical(sat::Lit l);
 
   [[nodiscard]] const Netlist& netlist() const noexcept { return *netlist_; }
   [[nodiscard]] sat::Solver& solver() noexcept { return *solver_; }

@@ -1,5 +1,7 @@
 #include "rtl/cone.hpp"
 
+#include <stdexcept>
+
 namespace symbad::rtl {
 
 ConeTracer::ConeTracer(const Netlist& netlist) : netlist_{&netlist} {
@@ -33,6 +35,10 @@ ConeTracer::ConeTracer(const Netlist& netlist) : netlist_{&netlist} {
 
 std::vector<std::vector<char>> ConeTracer::fault_cones(Net fault_net, int frames) const {
   const std::size_t n = netlist_->gate_count();
+  if (fault_net < 0 || static_cast<std::size_t>(fault_net) >= n) {
+    throw std::out_of_range{"rtl: fault net outside the netlist"};
+  }
+  if (frames < 0) throw std::invalid_argument{"rtl: negative fault-cone frame count"};
   std::vector<std::vector<char>> cone(static_cast<std::size_t>(frames),
                                       std::vector<char>(n, 0));
   std::vector<Net> frontier;

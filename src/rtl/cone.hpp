@@ -31,7 +31,9 @@ public:
   /// Per-frame fault cone of a stuck-at fault forced in every frame:
   /// cone[f][net] != 0 iff `net` at frame f can differ from the good
   /// circuit. Flip-flops whose next-state net fell in frame f-1's cone
-  /// seed frame f (the corruption crosses the register boundary).
+  /// seed frame f (the corruption crosses the register boundary). Throws
+  /// std::out_of_range for a net outside [0, gate_count) and
+  /// std::invalid_argument for `frames` < 0.
   [[nodiscard]] std::vector<std::vector<char>> fault_cones(Net fault_net,
                                                            int frames) const;
 

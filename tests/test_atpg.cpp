@@ -9,8 +9,10 @@
 
 #include "app/rtl_blocks.hpp"
 #include "atpg/atpg.hpp"
+#include "gen/gen.hpp"
 #include "obs/obs.hpp"
 #include "rtl/wordops.hpp"
+#include "support/atpg_oracle.hpp"
 #include "support/test_util.hpp"
 
 namespace atpg = symbad::atpg;
@@ -18,6 +20,7 @@ namespace media = symbad::media;
 namespace verif = symbad::verif;
 namespace rtl = symbad::rtl;
 namespace app = symbad::app;
+namespace gen = symbad::gen;
 
 namespace {
 
@@ -269,32 +272,7 @@ TEST(SatAtpg, WrapperFsmFaultsDetectable) {
 
 // ------------------------------------------- incremental multi-fault engine
 
-namespace {
-
-/// Replays a generated test on good vs faulty simulators and reports
-/// whether any output ever differs.
-bool replay_detects(const rtl::Netlist& n, const atpg::SatTest& test, rtl::Net fault_net,
-                    bool stuck_to) {
-  rtl::Simulator good{n};
-  rtl::Simulator bad{n};
-  bad.inject_stuck_at(fault_net, stuck_to);
-  for (const auto& frame : test.frames) {
-    for (const auto& [name, value] : frame) {
-      good.set_input(name, value);
-      bad.set_input(name, value);
-    }
-    good.eval();
-    bad.eval();
-    for (const auto& [name, net] : n.outputs()) {
-      if (good.value(net) != bad.value(net)) return true;
-    }
-    good.step();
-    bad.step();
-  }
-  return false;
-}
-
-}  // namespace
+using symbad::test::replay_detects;
 
 TEST(SatAtpgEngine, MatchesPerFaultGenerationOnDistancePe) {
   // The incremental engine must agree fault-by-fault with the fresh-solver
@@ -357,4 +335,87 @@ TEST(SatAtpgEngine, UndetectableFaultStaysUndetectableAfterOthers) {
   EXPECT_FALSE(engine.generate(unused, true).has_value());
   EXPECT_TRUE(engine.generate(used, false).has_value());
   EXPECT_FALSE(engine.generate(unused, false).has_value());
+}
+
+TEST(SatAtpgEngine, RejectsFaultNetsOutsideTheNetlist) {
+  const auto pe = app::build_distance_rtl(4, 8);
+  atpg::SatEngine engine{pe, {3}};
+  EXPECT_THROW((void)engine.generate(-1, true), std::out_of_range);
+  EXPECT_THROW((void)engine.generate(static_cast<rtl::Net>(pe.gate_count()), true),
+               std::out_of_range);
+  EXPECT_THROW((void)engine.generate(100000, false), std::out_of_range);
+  // The rejected calls left the shared solver usable.
+  EXPECT_TRUE(engine.generate(pe.flip_flops()[0], true).has_value());
+}
+
+TEST(SatAtpgEngine, RejectsUnrollsBelowOneFrame) {
+  const auto n = app::build_wrapper_fsm();
+  for (const int unroll : {0, -1}) {
+    EXPECT_THROW((atpg::SatEngine{n, {unroll}}), std::invalid_argument) << unroll;
+    EXPECT_THROW((void)atpg::sat_generate_test(n, n.flip_flops()[0], true, unroll),
+                 std::invalid_argument)
+        << unroll;
+  }
+}
+
+TEST(SatAtpgEngine, UndetectablePeFaultsNeedNoSearch) {
+  // Within 3 frames the PE's accumulator stays <= 510, so acc[9..15] and
+  // the overflow flag never leave 0: their stuck-at-0 faults change no
+  // output literal of the faulty copy, and the engine answers them without
+  // a solve.
+  const auto pe = app::build_distance_rtl(8, 16);
+  atpg::SatEngine engine{pe, {3}};
+  const symbad::test::CountersOn counting;
+  int faults = 0;
+  int detectable = 0;
+  int undetectable = 0;
+  for (const rtl::Net ff : pe.flip_flops()) {
+    for (const bool stuck : {false, true}) {
+      const symbad::obs::Scope cost;
+      const auto test = engine.generate(ff, stuck);
+      ++faults;
+      if (test.has_value()) {
+        ++detectable;
+        EXPECT_TRUE(replay_detects(pe, *test, ff, stuck)) << pe.net_name(ff);
+      } else {
+        ++undetectable;
+        EXPECT_FALSE(stuck) << pe.net_name(ff);
+        EXPECT_EQ(cost.delta("sat.conflicts"), 0u) << pe.net_name(ff);
+        EXPECT_EQ(cost.delta("sat.solves"), 0u) << pe.net_name(ff);
+      }
+    }
+  }
+  EXPECT_EQ(faults, 34);
+  EXPECT_EQ(detectable, 26);
+  EXPECT_EQ(undetectable, 8);
+}
+
+// ------------------------------------------ exhaustive-simulation oracle
+
+TEST(SatAtpgOracle, VerdictsMatchExhaustiveSimulation) {
+  // Random netlists with redundancy > 0 contain x&x, x&~x and equal-arm
+  // muxes next to constants, so every fold rule of the encoder fires, on
+  // the good copy and inside fault cones alike. Every stuck-at fault on
+  // every net: inputs, constants, gates and flip-flops.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    auto rng = symbad::test::rng(0xA7E0 + seed);
+    const auto n = gen::random_netlist(rng, {4, 3, 40, 3, 0.3},
+                                       "oracle" + std::to_string(seed));
+    const auto faults = symbad::test::all_stuck_at_faults(n);
+    for (const int unroll : {1, 2, 3}) {
+      atpg::SatEngine engine{n, {unroll}};
+      symbad::test::expect_matches_oracle(n, unroll, engine.generate_tests(faults), n.name());
+    }
+  }
+  // The PE at 2-bit data: within 3 frames the accumulator stays <= 6, so
+  // acc[3] stuck-at-0 cannot be excited (the shape of the 8-bit PE's
+  // acc[9..15] faults), while stuck-at-1 shows on the acc output at once.
+  const auto pe = app::build_distance_rtl(2, 4);
+  const rtl::Net acc3 = pe.flip_flops()[3];
+  const std::vector<std::pair<rtl::Net, bool>> acc3_faults{{acc3, false}, {acc3, true}};
+  EXPECT_EQ(symbad::test::exhaustive_detectable(pe, acc3_faults, 3),
+            (std::vector<bool>{false, true}));
+  atpg::SatEngine engine{pe, {3}};
+  symbad::test::expect_matches_oracle(
+      pe, 3, engine.generate_tests(symbad::test::all_stuck_at_faults(pe)), pe.name());
 }

@@ -5,8 +5,9 @@
 // three-way identity per fault: optimize off, optimize on per property
 // (check_with_faults) and optimize on through the portfolio a campaign
 // grades with (check_all_with_faults) must agree bit-for-bit on verdict,
-// bound_used and canonical counterexample; ATPG detectability must not
-// depend on how the preprocessing is shared.
+// bound_used and canonical counterexample; ATPG detectability must match
+// the exhaustive-simulation oracle whether one engine serves a fault list
+// or each fault gets a fresh one.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 #include "rtl/netlist.hpp"
+#include "support/atpg_oracle.hpp"
 #include "support/test_util.hpp"
 
 namespace opt = symbad::opt;
@@ -235,53 +237,22 @@ TEST(IncFuzz, GeneratedTierSweepThreeWayIdentical) {
   }
 }
 
-// ----------------------------------------------------- atpg-level identity
+// ------------------------------------------------------ atpg-level oracle
 
 TEST(IncAtpg, DetectabilityIdenticalWithSharedSession) {
-  // One engine whose one-time preprocessing serves the whole fault list,
-  // one fresh preprocessed engine per fault, and no preprocessing at all
-  // must agree on which faults are detectable.
-  for (const auto& n : {app::build_wrapper_fsm(), app::build_distance_rtl(4, 8)}) {
-    std::vector<std::pair<rtl::Net, bool>> faults;
-    for (const rtl::Net ff : n.flip_flops()) {
-      faults.emplace_back(ff, false);
-      faults.emplace_back(ff, true);
+  // One engine serving the whole fault list (learned clauses, retired
+  // miters and root-pinned cones carried from fault to fault) and one
+  // fresh engine per fault must both match the exhaustive-simulation
+  // oracle on every stuck-at fault of every net.
+  for (const auto& n : {app::build_wrapper_fsm(), app::build_distance_rtl(2, 4)}) {
+    const auto faults = symbad::test::all_stuck_at_faults(n);
+    atpg::SatEngine shared{n, {3}};
+    symbad::test::expect_matches_oracle(n, 3, shared.generate_tests(faults),
+                                        n.name() + " shared");
+    std::vector<atpg::SatEngine::FaultResult> fresh;
+    for (const auto& [net, stuck_to] : faults) {
+      fresh.push_back({net, stuck_to, atpg::sat_generate_test(n, net, stuck_to, 3)});
     }
-    atpg::SatEngine shared{n, {3, true}};
-    atpg::SatEngine plain{n, {3, false}};
-    const auto r_shared = shared.generate_tests(faults);
-    const auto r_plain = plain.generate_tests(faults);
-    ASSERT_EQ(r_shared.size(), faults.size());
-    ASSERT_EQ(r_plain.size(), faults.size());
-    for (std::size_t i = 0; i < r_shared.size(); ++i) {
-      const auto fresh = atpg::sat_generate_test(n, faults[i].first, faults[i].second,
-                                                 3, /*optimize=*/true);
-      EXPECT_EQ(r_shared[i].test.has_value(), fresh.has_value())
-          << n.name() << " fault net " << r_shared[i].net;
-      EXPECT_EQ(r_shared[i].test.has_value(), r_plain[i].test.has_value())
-          << n.name() << " fault net " << r_shared[i].net;
-      if (r_shared[i].test.has_value()) {
-        // The trace may differ (different CNF, same semantics); it must
-        // still detect the fault in cycle-accurate simulation.
-        rtl::Simulator good{n};
-        rtl::Simulator bad{n};
-        bad.inject_stuck_at(r_shared[i].net, r_shared[i].stuck_to);
-        bool detected = false;
-        for (const auto& frame : r_shared[i].test->frames) {
-          for (const auto& [name, value] : frame) {
-            good.set_input(name, value);
-            bad.set_input(name, value);
-          }
-          good.eval();
-          bad.eval();
-          for (const auto& [name, net] : n.outputs()) {
-            if (good.value(net) != bad.value(net)) detected = true;
-          }
-          good.step();
-          bad.step();
-        }
-        EXPECT_TRUE(detected) << n.name() << " fault net " << r_shared[i].net;
-      }
-    }
+    symbad::test::expect_matches_oracle(n, 3, fresh, n.name() + " fresh");
   }
 }

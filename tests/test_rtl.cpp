@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "gen/gen.hpp"
@@ -625,6 +627,148 @@ TEST(CnfChain, RestartRecyclesFrameStorage) {
   EXPECT_EQ(solver.solve(assumptions), sat::Result::unsat);
 }
 
+// ------------------------------------------------------------ CNF folds
+
+TEST(CnfFold, DecidedGatesAddNoVariableOrClause) {
+  // One case per fold rule: the gate's literal is the deciding literal, and
+  // the frame holds no variable beyond the true literal and the two inputs.
+  enum class Want { zero, one, x, not_x, s, not_s };
+  struct Case {
+    const char* name;
+    Net (*build)(Netlist&, Net x, Net s);
+    Want want;
+  };
+  const Case cases[] = {
+      {"x & 0", [](Netlist& n, Net x, Net) { return n.add_and(x, n.constant(false)); }, Want::zero},
+      {"1 & x", [](Netlist& n, Net x, Net) { return n.add_and(n.constant(true), x); }, Want::x},
+      {"x & x", [](Netlist& n, Net x, Net) { return n.add_and(x, x); }, Want::x},
+      {"x & ~x", [](Netlist& n, Net x, Net) { return n.add_and(x, n.add_not(x)); }, Want::zero},
+      {"x | 1", [](Netlist& n, Net x, Net) { return n.add_or(x, n.constant(true)); }, Want::one},
+      {"0 | x", [](Netlist& n, Net x, Net) { return n.add_or(n.constant(false), x); }, Want::x},
+      {"x | x", [](Netlist& n, Net x, Net) { return n.add_or(x, x); }, Want::x},
+      {"~x | x", [](Netlist& n, Net x, Net) { return n.add_or(n.add_not(x), x); }, Want::one},
+      {"x ^ 0", [](Netlist& n, Net x, Net) { return n.add_xor(x, n.constant(false)); }, Want::x},
+      {"1 ^ x", [](Netlist& n, Net x, Net) { return n.add_xor(n.constant(true), x); }, Want::not_x},
+      {"x ^ x", [](Netlist& n, Net x, Net) { return n.add_xor(x, x); }, Want::zero},
+      {"x ^ ~x", [](Netlist& n, Net x, Net) { return n.add_xor(x, n.add_not(x)); }, Want::one},
+      {"1 ? x : s",
+       [](Netlist& n, Net x, Net s) { return n.add_mux(n.constant(true), x, s); }, Want::x},
+      {"0 ? x : s",
+       [](Netlist& n, Net x, Net s) { return n.add_mux(n.constant(false), x, s); }, Want::s},
+      {"s ? x : x", [](Netlist& n, Net x, Net s) { return n.add_mux(s, x, x); }, Want::x},
+      {"s ? 1 : 0",
+       [](Netlist& n, Net, Net s) { return n.add_mux(s, n.constant(true), n.constant(false)); },
+       Want::s},
+      {"s ? 0 : 1",
+       [](Netlist& n, Net, Net s) { return n.add_mux(s, n.constant(false), n.constant(true)); },
+       Want::not_s},
+  };
+  for (const Case& c : cases) {
+    Netlist n;
+    const Net x = n.add_input("x");
+    const Net s = n.add_input("s");
+    const Net y = c.build(n, x, s);
+    n.set_output("y", y);
+    sat::Solver solver;
+    rtl::CnfEncoder encoder{n, solver};
+    const rtl::Frame frame = encoder.encode({});
+    const sat::Lit t = encoder.true_lit();
+    const sat::Lit want[] = {~t, t, frame.lit(x), ~frame.lit(x), frame.lit(s), ~frame.lit(s)};
+    EXPECT_EQ(frame.lit(y), want[static_cast<int>(c.want)]) << c.name;
+    EXPECT_EQ(solver.variable_count(), 3) << c.name;
+    EXPECT_EQ(solver.problem_clause_count(), 0u) << c.name;
+  }
+}
+
+TEST(CnfFold, RootFixedOperandCountsAsConstant) {
+  // An operand the solver has fixed at the root folds like the constant it
+  // equals: x & s = s and x ^ s = ~s once x is fixed true.
+  Netlist n;
+  const Net x = n.add_input("x");
+  const Net s = n.add_input("s");
+  n.set_output("and", n.add_and(x, s));
+  n.set_output("xor", n.add_xor(x, s));
+  sat::Solver solver;
+  rtl::CnfEncoder encoder{n, solver};
+  const std::vector<sat::Lit> inputs{sat::Lit::positive(solver.new_var()),
+                                     sat::Lit::positive(solver.new_var())};
+  solver.add_unit(inputs[0]);
+  rtl::CnfEncoder::Options opts;
+  opts.shared_inputs = &inputs;
+  const rtl::Frame frame = encoder.encode(opts);
+  EXPECT_EQ(frame.lit(n.output("and")), inputs[1]);
+  EXPECT_EQ(frame.lit(n.output("xor")), ~inputs[1]);
+  EXPECT_EQ(encoder.canonical(inputs[0]), encoder.true_lit());
+  EXPECT_EQ(encoder.canonical(~inputs[0]), ~encoder.true_lit());
+  EXPECT_EQ(encoder.canonical(inputs[1]), inputs[1]);
+  EXPECT_EQ(solver.problem_clause_count(), 0u);
+}
+
+TEST(CnfFold, CounterFromResetEncodesToConstants) {
+  // A free-running counter has no inputs: from reset every frame's every
+  // literal is decided, so the chain holds no variable beyond the true
+  // literal and no clause at all.
+  const Netlist n = make_counter(4);
+  sat::Solver solver;
+  rtl::CnfEncoder encoder{n, solver};
+  encoder.begin_chain({});
+  const sat::Lit t = encoder.true_lit();
+  for (std::size_t k = 0; k < 20; ++k) {
+    const rtl::Frame& frame = encoder.frame(k);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const bool bit = (((k % 16) >> i) & 1) != 0;
+      EXPECT_EQ(frame.lit(n.flip_flops()[i]), bit ? t : ~t) << "frame " << k << " bit " << i;
+    }
+  }
+  EXPECT_EQ(solver.variable_count(), 1);
+  EXPECT_EQ(solver.problem_clause_count(), 0u);
+}
+
+TEST(CnfReuse, FaultSiteEqualToBaseAddsNoVariable) {
+  // m = s ? r : y reads the register r, which is 0 at reset. A reuse frame
+  // with r stuck-at-0 reads exactly what the base frame reads, so m takes
+  // the base literal; the mux is not decided by its operands, so without
+  // the reuse it would cost a fresh variable. Stuck-at-1 changes an
+  // operand and pays for one gate; a fault on m itself overrides the
+  // reuse even though m's operands match the base.
+  Netlist n;
+  const Net s = n.add_input("s");
+  const Net y = n.add_input("y");
+  const Net r = n.add_dff(false, "r");
+  const Net m = n.add_mux(s, r, y);
+  n.connect_next(r, m);
+  n.set_output("m", m);
+  sat::Solver solver;
+  rtl::CnfEncoder encoder{n, solver};
+  const rtl::ConeTracer tracer{n};
+  const rtl::Frame base = encoder.encode({});
+  std::vector<sat::Lit> shared;
+  for (const Net in : n.inputs()) shared.push_back(base.lit(in));
+
+  const auto encode_faulty = [&](Net site, bool stuck_to) {
+    const std::map<Net, bool> faults{{site, stuck_to}};
+    const auto cone = tracer.fault_cones(site, 1);
+    rtl::CnfEncoder::Options opts;
+    opts.shared_inputs = &shared;
+    opts.faults = &faults;
+    opts.cone = &cone[0];
+    opts.reuse_base = &base;
+    return encoder.encode(opts);
+  };
+  const int before = solver.variable_count();
+  const rtl::Frame same = encode_faulty(r, false);
+  EXPECT_EQ(same.lit(m), base.lit(m));
+  EXPECT_EQ(solver.variable_count(), before);
+
+  const rtl::Frame differs = encode_faulty(r, true);
+  EXPECT_NE(differs.lit(m), base.lit(m));
+  EXPECT_EQ(solver.variable_count(), before + 1);
+
+  const rtl::Frame overridden = encode_faulty(m, true);
+  EXPECT_EQ(overridden.lit(m), encoder.true_lit());
+  EXPECT_EQ(solver.variable_count(), before + 1);
+}
+
 // ------------------------------------------------------- cone traversals
 
 namespace {
@@ -678,6 +822,17 @@ TEST(Netlist, ConeTracerCrossesRegisterBoundaryForward) {
   for (const auto& frame : cones) {
     EXPECT_EQ(frame[static_cast<std::size_t>(n.output("y"))], 0);
   }
+}
+
+TEST(Netlist, ConeTracerRejectsFaultNetsOutsideTheNetlist) {
+  const Netlist n = make_two_cone_netlist();
+  const rtl::ConeTracer tracer{n};
+  EXPECT_THROW((void)tracer.fault_cones(-1, 3), std::out_of_range);
+  EXPECT_THROW((void)tracer.fault_cones(static_cast<Net>(n.gate_count()), 3),
+               std::out_of_range);
+  EXPECT_THROW((void)tracer.fault_cones(100000, 3), std::out_of_range);
+  EXPECT_THROW((void)tracer.fault_cones(n.input("en"), -1), std::invalid_argument);
+  EXPECT_TRUE(tracer.fault_cones(n.input("en"), 0).empty());
 }
 
 TEST(CnfChain, ConeRestrictionSkipsOutOfConeLogicAndPreservesBehaviour) {

@@ -248,7 +248,7 @@ TEST(SatReduce, DeletionWindowHasNoStaleReferences) {
   // incremental solves, the access pattern where a stale reference has the
   // longest life: solve -> reduce -> solve must re-walk the watch lists
   // rebuilt by the previous round. Run under CI's ASan and UBSan builds
-  // (scripts/ci.sh steps 4/5), a silent use-after-free here becomes loud.
+  // (scripts/ci.sh steps 5-7), a silent use-after-free here becomes loud.
   Solver s;
   Solver::ReduceOptions opts;
   opts.base = 1;
