@@ -2,16 +2,22 @@
 // engine on the deepest case-study instances. Complements bench_mc_pcc
 // (whole property suites / PCC): here the focus is the per-bound cost
 // profile — deep clean runs, early falsification (where laziness saves the
-// whole tail of the horizon), and the shared-solver k-induction step.
+// whole tail of the horizon), and the shared-solver k-induction step. These
+// pin the SAT engine, so they call mc::BmcChecker directly: through
+// mc::ModelChecker the wrapper's and ROOT's busy/done checks go to the table
+// engine, which BM_Mc_TablesWrapperEveryFault measures.
 // Cost counters are the last iteration's registry deltas (obs::Scope).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <vector>
 
 #include "app/rtl_blocks.hpp"
 #include "mc/mc.hpp"
+#include "mc/tables.hpp"
 #include "obs/obs.hpp"
 
 namespace {
@@ -23,7 +29,7 @@ void BM_Mc_LazyBmcDeepUnrolling(benchmark::State& state) {
   // measures steady-state per-bound cost (encode one frame + one solve on
   // the long-lived solver) plus the induction step.
   const auto n = app::build_root_rtl();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto prop = mc::Property::invariant(
       "busy_and_done_exclusive",
       !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
@@ -46,7 +52,7 @@ void BM_Mc_EarlyFalsificationUnderDeepHorizon(benchmark::State& state) {
   // bound: the lazy unrolling only ever encodes the frames up to the
   // failing bound, not the whole horizon.
   const auto n = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto prop = mc::Property::invariant(
       "never_busy", !mc::Expr::signal("busy"));  // false after one start
   mc::CheckResult result;
@@ -71,7 +77,7 @@ void BM_Mc_ConeOfInfluenceOnRootControl(benchmark::State& state) {
   // encoded_vars / encoded_clauses counters are deterministic and pin the
   // measured reduction (and, with the encode cache, stay flat per bound).
   const auto n = app::build_root_rtl();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto prop = mc::Property::invariant(
       "busy_and_done_exclusive",
       !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
@@ -100,7 +106,7 @@ void BM_Mc_CheckAllWrapperSuite(benchmark::State& state) {
   // properties on ONE long-lived solver — one portfolio solve per bound
   // clears every surviving property, versus one full BMC sweep each.
   const auto n = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto props = app::wrapper_properties_extended();
   mc::ModelChecker::Options options;
   options.max_bound = 12;
@@ -150,6 +156,41 @@ void BM_Mc_SharedSolverInductionProof(benchmark::State& state) {
       static_cast<double>(last->delta("mc.sat_conflicts"));
 }
 BENCHMARK(BM_Mc_SharedSolverInductionProof)->Arg(10)->Unit(benchmark::kMillisecond);
+
+void BM_Mc_TablesWrapperEveryFault(benchmark::State& state) {
+  // The table engine on PCC's inner loop: the extended wrapper plan checked
+  // on the fault-free design and under every stuck-at fault of every net,
+  // at PCC's bound and induction depth. Each check enumerates the cone's
+  // 2^(2+3) (state, input) pairs; tables_pairs pins that size.
+  const auto n = app::build_wrapper_fsm();
+  const mc::TableChecker checker{n};
+  const auto props = app::wrapper_properties_extended();
+  std::vector<std::map<rtl::Net, bool>> variants{{}};
+  for (std::size_t net = 0; net < n.gate_count(); ++net) {
+    for (const bool stuck_to : {false, true}) {
+      variants.push_back({{static_cast<rtl::Net>(net), stuck_to}});
+    }
+  }
+  mc::ModelChecker::Options options;
+  options.max_bound = 8;
+  options.induction_depth = 4;
+  std::size_t falsified = 0;
+  std::optional<obs::Scope> last;
+  for (auto _ : state) {
+    last.emplace();
+    falsified = 0;
+    for (const auto& faults : variants) {
+      falsified += checker.check_all_with_faults(props, faults, options)
+                       .count(mc::CheckStatus::falsified);
+    }
+    benchmark::DoNotOptimize(falsified);
+  }
+  state.counters["checks"] = static_cast<double>(variants.size());
+  state.counters["falsified"] = static_cast<double>(falsified);
+  state.counters["tables_checks"] = static_cast<double>(last->delta("mc.tables.checks"));
+  state.counters["tables_pairs"] = static_cast<double>(last->delta("mc.tables.pairs"));
+}
+BENCHMARK(BM_Mc_TablesWrapperEveryFault)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -19,12 +19,14 @@ Two kinds of gates:
     default; pass --time-mode warn on shared/noisy hosts (the CI container
     is a 1-core box where timings swing with neighbours).
   * counters matching --counter-pattern (default: allocation counts,
-    clause-arena sizes, SAT conflict counts and encoded CNF sizes, which
-    are deterministic and host-independent) — regressions
-    beyond the threshold always fail; a counter that appears from a zero
-    baseline fails, and so does a gated counter that disappears from a
-    still-running benchmark (otherwise the gate would silently stop
-    gating).
+    clause-arena sizes, SAT conflict counts, encoded CNF sizes and the
+    table engine's enumerated pairs, which are deterministic and
+    host-independent) — regressions beyond the threshold always fail; a
+    counter that appears from a zero baseline fails. A gated counter that
+    goes dark fails too, otherwise the gate would silently stop gating:
+    one that disappears from a still-running benchmark, and one that falls
+    from nonzero to 0 (the work it measured moved elsewhere, e.g. to
+    another engine). Re-record the baseline if either is intentional.
 
 Missing/new benchmarks are reported but are not failures — renames and
 added workloads should not break CI.
@@ -53,7 +55,7 @@ def main() -> int:
     parser.add_argument("--time-mode", choices=("fail", "warn"), default="fail",
                         help="whether real_time regressions fail or only warn")
     parser.add_argument("--counter-pattern",
-                        default=r"alloc|arena_|conflict|encoded_|gates_|gen_|lint_|obs_",
+                        default=r"alloc|arena_|conflict|encoded_|gates_|gen_|lint_|obs_|tables_",
                         help="regex of counter names that hard-fail on regression "
                              "(host-independent metrics only: allocation counts, "
                              "SAT conflicts — incl. the optimizer's sweep_conflicts "
@@ -65,7 +67,9 @@ def main() -> int:
                              "lint_rules_checked/lint_sat_proofs/"
                              "lint_pruned_faults figures and the obs layer's "
                              "obs_allocs/obs_span_drops/obs_spans_recorded/"
-                             "obs_snapshot_entries zero-or-fixed contracts; "
+                             "obs_snapshot_entries zero-or-fixed contracts, "
+                             "and the table engine's tables_checks/"
+                             "tables_pairs; "
                              "sweep_proofs is deliberately ungated because that "
                              "gate is one-sided — more proofs are better)")
     args = parser.parse_args()
@@ -104,12 +108,21 @@ def main() -> int:
                 # failure (re-record the baseline if the removal is
                 # intentional).
                 counter_regressions.append((f"{name}:{cname}", float("inf")))
-                print(f"  [COUNTER]  {name}: gated counter {cname} disappeared")
+                print(f"  [COUNTER]  {name}: gated counter {cname} disappeared "
+                      f"(re-record if intentional)")
                 continue
             if cref == 0:
                 if ccand > 0:
                     counter_regressions.append((f"{name}:{cname}", float("inf")))
                     print(f"  [COUNTER]  {name}: {cname} appeared 0 -> {ccand:g}")
+                continue
+            if ccand == 0:
+                # A gated counter that drops to 0 no longer gates anything:
+                # the work it measured stopped or moved (e.g. to another
+                # engine). Fail like a vanished counter.
+                counter_regressions.append((f"{name}:{cname}", float("-inf")))
+                print(f"  [COUNTER]  {name}: gated counter {cname} fell "
+                      f"{cref:g} -> 0 (re-record if intentional)")
                 continue
             cdelta = (ccand - cref) / cref
             if cdelta > args.threshold:

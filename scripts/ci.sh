@@ -16,9 +16,11 @@
 # opt-in clang-tidy sweep (skipped when the tool is not installed).
 # Timings are warn-only (this runs on a shared 1-core host where wall-clock
 # swings with neighbours);
-# allocation-count, conflict-count, encoded-CNF-size, optimizer gate/sweep
-# and lint rule/proof/prune counters are host-independent and hard-fail
-# beyond 20%. Any failure exits nonzero.
+# allocation-count, conflict-count, encoded-CNF-size, optimizer gate/sweep,
+# lint rule/proof/prune and table-engine pair counters are host-independent
+# and hard-fail beyond 20%; a gated counter that disappears or falls from
+# nonzero to 0 hard-fails too (re-record the baseline if that is
+# intentional). Any failure exits nonzero.
 #
 # Usage: scripts/ci.sh [jobs]   (jobs defaults to nproc)
 

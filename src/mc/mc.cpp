@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "mc/tables.hpp"
 #include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 
@@ -196,7 +197,7 @@ Property Property::respond(std::string name, Expr p, Expr q, int within) {
   return prop;
 }
 
-// ----------------------------------------------------------- ModelChecker
+// ------------------------------------------------ BmcChecker (SAT engine)
 
 namespace {
 
@@ -241,7 +242,7 @@ struct Session {
 
   static std::optional<opt::OptimizeResult> preprocess(
       const rtl::Netlist& n, std::span<const Property> properties,
-      const std::map<rtl::Net, bool>& faults, const ModelChecker::Options& options) {
+      const std::map<rtl::Net, bool>& faults, const CheckOptions& options) {
     if (!options.optimize) return std::nullopt;
     opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
     if (!oo.enabled) return std::nullopt;
@@ -259,7 +260,7 @@ struct Session {
   }
 
   Session(const rtl::Netlist& n, std::span<const Property> properties,
-          const std::map<rtl::Net, bool>& faults_in, const ModelChecker::Options& options)
+          const std::map<rtl::Net, bool>& faults_in, const CheckOptions& options)
       : original{&n},
         faults{&faults_in},
         optimized{preprocess(n, properties, faults_in, options)},
@@ -531,14 +532,44 @@ std::vector<std::string> observed_outputs(std::span<const Property> properties) 
   return collect_observed(properties);
 }
 
-CheckResult ModelChecker::check(const Property& property, Options options) const {
-  return check_with_faults(property, {}, options);
+void detail::validate_check(const rtl::Netlist& netlist,
+                            const std::map<rtl::Net, bool>& faults,
+                            const CheckOptions& options) {
+  if (options.induction_depth < 0) {
+    throw std::invalid_argument{"mc: negative induction depth"};
+  }
+  for (const auto& [net, value] : faults) {
+    if (net < 0 || static_cast<std::size_t>(net) >= netlist.gate_count()) {
+      throw std::out_of_range{"mc: fault on unknown net"};
+    }
+  }
 }
 
 CheckResult ModelChecker::check_with_faults(const Property& property,
                                             const std::map<rtl::Net, bool>& faults,
                                             Options options) const {
+  const TableCone cone = table_cone(*netlist_, {&property, 1});
+  if (cone.fits()) {
+    return TableChecker{*netlist_}.check_cone(cone, property, faults, options);
+  }
+  return BmcChecker{*netlist_}.check_with_faults(property, faults, options);
+}
+
+MultiCheckResult ModelChecker::check_all_with_faults(const std::vector<Property>& properties,
+                                                     const std::map<rtl::Net, bool>& faults,
+                                                     Options options) const {
+  const TableCone cone = table_cone(*netlist_, {properties.data(), properties.size()});
+  if (cone.fits()) {
+    return TableChecker{*netlist_}.check_all_cone(cone, properties, faults, options);
+  }
+  return BmcChecker{*netlist_}.check_all_with_faults(properties, faults, options);
+}
+
+CheckResult BmcChecker::check_with_faults(const Property& property,
+                                          const std::map<rtl::Net, bool>& faults,
+                                          Options options) const {
   OBS_SPAN("mc.check");
+  detail::validate_check(*netlist_, faults, options);
   CheckResult result;
   SolveCost cost;
   Session s{*netlist_, {&property, 1}, faults, options};
@@ -564,10 +595,11 @@ CheckResult ModelChecker::check_with_faults(const Property& property,
 
   // ---------------- k-induction (safety forms only) ---------------------
   // Assume the property on frames 0..k-1 and refute it at frame k, with
-  // the initial state left free (act_reset not assumed). Bounded response
-  // stays no_cex_within_bound.
-  if (property.kind != PropertyKind::bounded_response) {
-    const int k = options.induction_depth;
+  // the initial state left free (act_reset not assumed). The step proves
+  // nothing unless BMC covered its base case, frames 0..k-1. Bounded
+  // response stays no_cex_within_bound.
+  const int k = options.induction_depth;
+  if (property.kind != PropertyKind::bounded_response && options.max_bound >= k - 1) {
     std::vector<Lit> assumptions;
     for (int f = 0; f < k; ++f) assumptions.push_back(holds_at(property, f, s));
     assumptions.push_back(~holds_at(property, k, s));
@@ -583,15 +615,11 @@ CheckResult ModelChecker::check_with_faults(const Property& property,
   return result;
 }
 
-MultiCheckResult ModelChecker::check_all(const std::vector<Property>& properties,
-                                         Options options) const {
-  return check_all_with_faults(properties, {}, options);
-}
-
-MultiCheckResult ModelChecker::check_all_with_faults(
+MultiCheckResult BmcChecker::check_all_with_faults(
     const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
     Options options) const {
   OBS_SPAN("mc.check_all");
+  detail::validate_check(*netlist_, faults, options);
   struct PortfolioObs {
     obs::Counter checks, properties, sat_conflicts, cone_recomputes;
     FootprintObs footprint;
@@ -699,15 +727,16 @@ MultiCheckResult ModelChecker::check_all_with_faults(
   }
 
   // ---------------- shared-solver induction for the survivors -----------
+  // Only when BMC covered the induction base, frames 0..k-1.
+  const int k = options.induction_depth;
   for (std::size_t i = 0; i < n; ++i) {
     if (decided[i] != 0) continue;
     auto& r = multi.results[i];
     r.bound_used = options.max_bound;
-    if (properties[i].kind == PropertyKind::bounded_response) {
+    if (properties[i].kind == PropertyKind::bounded_response || options.max_bound < k - 1) {
       r.status = CheckStatus::no_cex_within_bound;
       continue;
     }
-    const int k = options.induction_depth;
     std::vector<Lit> assumptions;
     for (int f = 0; f < k; ++f) assumptions.push_back(holds_at(properties[i], f, s));
     assumptions.push_back(~holds_at(properties[i], k, s));

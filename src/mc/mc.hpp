@@ -1,15 +1,24 @@
 #pragma once
-// SAT-based model checking of RTL netlists (paper §3.4).
+// Model checking of RTL netlists (paper §3.4).
 //
 // Properties are boolean expressions over *named outputs* of a netlist:
 //   * invariant            G p
 //   * next implication     G (p -> X q)
 //   * bounded response     G (p -> F<=k q)
 //
-// Engines: bounded model checking (counter-example search over unrolled
-// frames from the reset state) and k-induction (for proofs of the two
-// safety forms). Bounded response is falsified by BMC and otherwise
-// reported as clean up to the bound.
+// Every check answers two questions: the first bound <= max_bound at which
+// a violation starts from the reset state (falsified), and, for the two
+// safety forms, whether the k-induction step closes (proved). Bounded
+// response is falsified or reported as clean up to the bound.
+//
+// Two engines answer them identically — same verdict, bound_used and
+// canonical counterexample:
+//   * TableChecker (mc/tables.hpp) enumerates every (state, input) pair of
+//     the properties' cone of influence on the 64-lane simulator and
+//     searches the resulting transition table exactly;
+//   * BmcChecker is SAT-based bounded model checking plus k-induction.
+// ModelChecker, the entry point every flow stage calls, picks the table
+// engine when the cone passes `TableCone::fits` and SAT otherwise.
 //
 // The BMC unrolling is lazy and incremental: one long-lived SAT solver
 // serves every bound, transition frames are encoded only when a bound
@@ -83,8 +92,8 @@ private:
 
 /// An Expr compiled against one netlist: a flat node array over output net
 /// indices, evaluated over all 64 simulator lanes at once. The only
-/// simulation-side evaluator of property expressions (PCC's pre-pass,
-/// explicit-state checking and `Expr::eval` all go through it).
+/// simulation-side evaluator of property expressions (PCC's pre-pass, the
+/// table engine and `Expr::eval` all go through it).
 class CompiledExpr {
 public:
   /// Bit j = the expression's value in simulator lane j.
@@ -124,12 +133,15 @@ struct Property {
 };
 
 enum class CheckStatus {
-  proved,               ///< k-induction closed the property
+  proved,               ///< BMC clean up to the induction depth, k-induction closed
   falsified,            ///< counter-example found
-  no_cex_within_bound,  ///< BMC clean, induction inconclusive
+  no_cex_within_bound,  ///< BMC clean, induction inconclusive or not run
 };
 
-/// A concrete input trace violating a property.
+/// A concrete input trace violating a property. With canonicalisation (the
+/// table engine always canonicalises) it is the lexicographically least
+/// violating trace: frame-major, inputs in declaration order, false < true;
+/// inputs outside the cone read false, a stuck-at input its forced value.
 struct Counterexample {
   /// inputs[frame][input-name] = value.
   std::vector<std::map<std::string, bool>> inputs;
@@ -137,7 +149,11 @@ struct Counterexample {
 
 /// Verdict of one property check. Its cost lives only in the registry,
 /// added once per call; read one call's cost through an obs::Scope:
-///   mc.checks, mc.bounds_used, mc.frames_encoded;
+///   mc.checks, mc.bounds_used — both engines;
+///   mc.tables.checks, mc.tables.pairs — a table check: 1, and the
+///                            2^(S+I) (state, input) pairs it enumerated;
+/// and, from a SAT check only (a table check leaves them untouched):
+///   mc.frames_encoded;
 ///   mc.sat_conflicts       — every BMC and induction solve;
 ///   mc.decisive_conflicts  — the falsifying bound's solve when falsified,
 ///                            the induction solve when proved, else the
@@ -156,13 +172,14 @@ struct CheckResult {
 };
 
 /// Outcome of a multi-property portfolio check (ModelChecker::check_all):
-/// per-property verdicts. The shared solver's cost lives only in the
-/// registry, added once per call (an empty property list counts one check
-/// and nothing else): mc.portfolio.checks, .properties, .frames_encoded,
-/// .sat_conflicts (every portfolio and induction solve), .cone_recomputes
-/// (Options::live_cone shrinks), and .encoded_vars, .encoded_clauses,
-/// .arena_bytes, .arena_live, .compactions, .opt_gates_before,
-/// .opt_gates_after as for CheckResult.
+/// per-property verdicts. Its cost lives only in the registry, added once
+/// per call (an empty property list counts one check and nothing else, on
+/// either engine): mc.portfolio.checks and .properties from both engines,
+/// mc.tables.checks and .pairs from a table check, and from a SAT check the
+/// shared solver's .frames_encoded, .sat_conflicts (every portfolio and
+/// induction solve), .cone_recomputes (Options::live_cone shrinks), and
+/// .encoded_vars, .encoded_clauses, .arena_bytes, .arena_live,
+/// .compactions, .opt_gates_before, .opt_gates_after as for CheckResult.
 struct MultiCheckResult {
   std::vector<CheckResult> results;  ///< one per property, input order
 
@@ -175,61 +192,72 @@ struct MultiCheckResult {
   }
 };
 
-class ModelChecker {
+/// Options of a check. `max_bound` and `induction_depth` shape every answer;
+/// `canonical_counterexample` shapes the SAT engine's traces (the table
+/// engine's are always canonical); the other four only shape the SAT
+/// encoding, so the table engine ignores them. Both engines throw
+/// std::invalid_argument on a negative `induction_depth` and
+/// std::out_of_range on a fault whose net is not in the netlist.
+struct CheckOptions {
+  int max_bound = 20;
+  /// k for k-induction. The step runs only when BMC covered its base case
+  /// (max_bound >= induction_depth - 1); otherwise the status of a clean
+  /// safety property is no_cex_within_bound.
+  int induction_depth = 4;
+  /// SAT only. Restrict the per-frame encoding to the property's structural
+  /// cone of influence (back-traversal from the observed outputs through
+  /// gate operands and registers, `Netlist::cone_of_influence`). Exact:
+  /// verdicts, bound_used and (canonical) counterexamples are identical
+  /// with the reduction on or off — only solver size changes.
+  bool cone_of_influence = true;
+  /// Canonicalise counterexamples to the lexicographically-least violating
+  /// input trace (frame-major, inputs in declaration order, false < true)
+  /// by greedy assumption solves after the falsifying solve. Makes the
+  /// extracted trace a pure function of the netlist and property —
+  /// independent of CNF shape (cone on/off), solver heuristics and
+  /// platform. Costs at most one solve per input bit that wants to be
+  /// true; disable for falsification-only sweeps that discard traces.
+  bool canonical_counterexample = true;
+  /// SAT only. Run the netlist through the opt:: pass pipeline (structural
+  /// hashing, rewriting, SAT sweeping, dead-gate elimination) before
+  /// encoding. Injected faults are baked into the optimized netlist as
+  /// constants, and with `cone_of_influence` set only the observed outputs
+  /// are preserved, so the reductions compound. Exact, like the cone
+  /// reduction: verdicts, bound_used and canonical counterexamples are
+  /// bit-identical with preprocessing on or off — only the encoding
+  /// shrinks. The SYMBAD_OPT* environment knobs tune or disable the
+  /// pipeline globally (see opt::OptimizerOptions::from_env).
+  bool optimize = true;
+  /// SAT only. In `check_all`: when a property is retired at some bound,
+  /// recompute the cone-of-influence union over the *surviving* properties
+  /// so later frames stop encoding the retired property's cone. Exact for
+  /// the same reason the base reduction is. Only meaningful with
+  /// `cone_of_influence`.
+  bool live_cone = true;
+  /// SAT only. Learned-DB reduction policy (including the arena
+  /// CompactMode) handed to the session solver. Defaults match
+  /// sat::Solver's; tests force aggressive reduction and compaction through
+  /// here to pin that verdicts, bound_used and canonical counterexamples
+  /// are invariant under memory management.
+  sat::Solver::ReduceOptions sat_reduce{};
+};
+
+/// The SAT engine: lazy incremental BMC from reset plus k-induction on one
+/// session solver per call (see the file comment). ModelChecker sends it
+/// every check whose cone is too large for the table engine; tests and
+/// benches call it directly to pin SAT behaviour and cost.
+class BmcChecker {
 public:
-  struct Options {
-    int max_bound = 20;
-    int induction_depth = 4;  ///< k for k-induction
-    /// Restrict the per-frame encoding to the property's structural cone of
-    /// influence (back-traversal from the observed outputs through gate
-    /// operands and registers, `Netlist::cone_of_influence`). Exact:
-    /// verdicts, bound_used and (canonical) counterexamples are identical
-    /// with the reduction on or off — only solver size changes.
-    bool cone_of_influence = true;
-    /// Canonicalise counterexamples to the lexicographically-least violating
-    /// input trace (frame-major, inputs in declaration order, false < true)
-    /// by greedy assumption solves after the falsifying solve. Makes the
-    /// extracted trace a pure function of the netlist and property —
-    /// independent of CNF shape (cone on/off), solver heuristics and
-    /// platform. Costs at most one solve per input bit that wants to be
-    /// true; disable for falsification-only sweeps that discard traces.
-    bool canonical_counterexample = true;
-    /// Run the netlist through the opt:: pass pipeline (structural hashing,
-    /// rewriting, SAT sweeping, dead-gate elimination) before encoding.
-    /// Injected faults are baked into the optimized netlist as constants,
-    /// and with `cone_of_influence` set only the observed outputs are
-    /// preserved, so the reductions compound. Exact, like the cone
-    /// reduction: verdicts, bound_used and canonical counterexamples are
-    /// bit-identical with preprocessing on or off — only the encoding
-    /// shrinks. The SYMBAD_OPT* environment knobs tune or disable the
-    /// pipeline globally (see opt::OptimizerOptions::from_env).
-    bool optimize = true;
-    /// In `check_all`: when a property is retired at some bound, recompute
-    /// the cone-of-influence union over the *surviving* properties so later
-    /// frames stop encoding the retired property's cone. Exact for the
-    /// same reason the base reduction is. Only meaningful with
-    /// `cone_of_influence`.
-    bool live_cone = true;
-    /// Learned-DB reduction policy (including the arena CompactMode) handed
-    /// to the session solver. Defaults match sat::Solver's; tests force
-    /// aggressive reduction and compaction through here to pin that
-    /// verdicts, bound_used and canonical counterexamples are invariant
-    /// under memory management.
-    sat::Solver::ReduceOptions sat_reduce{};
-  };
+  using Options = CheckOptions;
 
-  explicit ModelChecker(const rtl::Netlist& netlist) : netlist_{&netlist} {}
+  explicit BmcChecker(const rtl::Netlist& netlist) : netlist_{&netlist} {}
 
-  [[nodiscard]] CheckResult check(const Property& property, Options options) const;
-  [[nodiscard]] CheckResult check(const Property& property) const {
-    return check(property, Options{});
+  [[nodiscard]] CheckResult check(const Property& property, Options options) const {
+    return check_with_faults(property, {}, options);
   }
-
-  /// Checks a property on a *faulty* variant of the netlist (used by PCC).
   [[nodiscard]] CheckResult check_with_faults(const Property& property,
                                               const std::map<rtl::Net, bool>& faults,
                                               Options options) const;
-
   /// Multi-property portfolio: checks every property on ONE long-lived
   /// solver. Each property holds an activation literal; each bound asks
   /// "does any still-undecided property fail here?" in a single portfolio
@@ -239,12 +267,52 @@ public:
   /// phase on the same solver. The cone of influence is the union over all
   /// properties. Verdicts match per-property `check` exactly.
   [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties,
-                                           Options options) const;
+                                           Options options) const {
+    return check_all_with_faults(properties, {}, options);
+  }
+  [[nodiscard]] MultiCheckResult check_all_with_faults(
+      const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
+      Options options) const;
+
+private:
+  const rtl::Netlist* netlist_;
+};
+
+/// The model checker the flow calls (PCC, flowbench, the examples). Each
+/// call takes the cone of influence of the properties' observed outputs
+/// (`table_cone`) and hands the check to the table engine when the cone
+/// `fits`, else to BmcChecker; both engines give the same answer, so only
+/// cost depends on the choice.
+class ModelChecker {
+public:
+  using Options = CheckOptions;
+
+  explicit ModelChecker(const rtl::Netlist& netlist) : netlist_{&netlist} {}
+
+  [[nodiscard]] CheckResult check(const Property& property, Options options) const {
+    return check_with_faults(property, {}, options);
+  }
+  [[nodiscard]] CheckResult check(const Property& property) const {
+    return check(property, Options{});
+  }
+
+  /// Checks a property on a *faulty* variant of the netlist (used by PCC).
+  [[nodiscard]] CheckResult check_with_faults(const Property& property,
+                                              const std::map<rtl::Net, bool>& faults,
+                                              Options options) const;
+
+  /// Multi-property check: one verdict per property, equal to per-property
+  /// `check` (the SAT engine shares one portfolio solver, the table engine
+  /// one table).
+  [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties,
+                                           Options options) const {
+    return check_all_with_faults(properties, {}, options);
+  }
   [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties) const {
     return check_all(properties, Options{});
   }
-  /// Portfolio check on a faulty netlist variant (PCC's inner loop: one
-  /// fault, many properties, one solver).
+  /// Multi-property check on a faulty netlist variant (PCC's inner loop:
+  /// one fault, many properties).
   [[nodiscard]] MultiCheckResult check_all_with_faults(
       const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
       Options options) const;
@@ -258,5 +326,13 @@ private:
 /// lint::FaultPruner proves fault invisibility against.
 [[nodiscard]] std::vector<std::string> observed_outputs(
     std::span<const Property> properties);
+
+namespace detail {
+/// The argument checks both engines run first: std::invalid_argument on a
+/// negative induction depth, std::out_of_range on a fault net outside
+/// `netlist`.
+void validate_check(const rtl::Netlist& netlist, const std::map<rtl::Net, bool>& faults,
+                    const CheckOptions& options);
+}  // namespace detail
 
 }  // namespace symbad::mc

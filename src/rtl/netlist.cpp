@@ -351,32 +351,4 @@ void Simulator::clear_faults() {
   stale_ = true;
 }
 
-std::uint64_t Simulator::state_bits() const {
-  if (state_.size() > 64) {
-    throw std::logic_error{"rtl: state_bits requires <= 64 flip-flops"};
-  }
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    bits |= (state_[i] & 1) << i;
-  }
-  return bits;
-}
-
-void Simulator::force_state(std::uint64_t bits) {
-  if (state_.size() > 64) {
-    throw std::logic_error{"rtl: force_state requires <= 64 flip-flops"};
-  }
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    state_[i] = ((bits >> i) & 1) != 0 ? kAllLanes : 0;
-  }
-  eval();
-}
-
-void Simulator::force_inputs(std::uint64_t bits) {
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    inputs_[i] = i < 64 && ((bits >> i) & 1) != 0 ? kAllLanes : 0;
-  }
-  stale_ = true;
-}
-
 }  // namespace symbad::rtl

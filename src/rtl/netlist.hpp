@@ -148,13 +148,14 @@ private:
 /// net holds one word whose bit j is its value in lane j, so one gate walk
 /// simulates 64 independent patterns (or 64 differently-faulted copies of
 /// the design). This is the repository's one gate evaluator — PCC's fault
-/// pre-pass, the SAT sweeper's and lint's signature passes, explicit-state
-/// model checking and every test simulate through it.
+/// pre-pass, the SAT sweeper's and lint's signature passes, the table
+/// model-checking engine (64 (state, input) pairs per walk) and every test
+/// simulate through it.
 ///
-/// The scalar API is the one-lane case: `set_input`/`force_*` and the
-/// two-argument `inject_stuck_at` broadcast to every lane, `value`/`output`/
-/// `state_bits` read lane 0. The lane API (`word`, `set_word`, the masked
-/// `inject_stuck_at`) addresses lanes individually.
+/// The scalar API is the one-lane case: `set_input` and the two-argument
+/// `inject_stuck_at` broadcast to every lane, `value`/`output` read lane 0.
+/// The lane API (`word`, `set_word`, the masked `inject_stuck_at`)
+/// addresses lanes individually.
 class Simulator {
 public:
   /// One bit per lane.
@@ -185,14 +186,6 @@ public:
   void inject_stuck_at(Net net, bool value) { inject_stuck_at(net, value, kAllLanes); }
   void clear_faults();
   [[nodiscard]] bool has_faults() const noexcept { return !faults_.empty(); }
-
-  /// Flip-flop state packed LSB-first in flip-flop declaration order
-  /// (explicit-state model checking). Requires <= 64 flip-flops.
-  [[nodiscard]] std::uint64_t state_bits() const;
-  /// Overwrites the flip-flop state (and re-evaluates combinational logic).
-  void force_state(std::uint64_t bits);
-  /// Drives all primary inputs from packed bits (declaration order).
-  void force_inputs(std::uint64_t bits);
 
   // ------------------------------------------------------- lane API
   /// All 64 lanes of `n` as of the last evaluation.

@@ -1,6 +1,6 @@
-// Tests for the FlowDriver (src/core/flow), the explicit-state model
-// checking engine (src/mc/explicit), LPV place invariants and the MOTION
-// kernel added for the same-family webcam application.
+// Tests for the FlowDriver (src/core/flow), the table model-checking engine
+// on the wrapper FSM and its dispatch (src/mc/tables), LPV place invariants
+// and the MOTION kernel added for the same-family webcam application.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,10 @@
 #include "core/flow.hpp"
 #include "lpv/lpv.hpp"
 #include "lpv/petri.hpp"
-#include "mc/explicit.hpp"
+#include "mc/tables.hpp"
 #include "media/database.hpp"
 #include "media/kernels.hpp"
+#include "obs/obs.hpp"
 #include "rtl/wordops.hpp"
 #include "support/test_util.hpp"
 
@@ -102,20 +103,36 @@ TEST(FlowDriver, StopAtLevelOne) {
   EXPECT_TRUE(report.clean());
 }
 
-// ---------------------------------------------------- explicit-state MC
+// ------------------------------------------------ table model checking
 
 TEST(ExplicitMc, WrapperFsmStateSpaceIsTiny) {
+  // The extended plan's cone is the whole wrapper: 2 flip-flops and 3
+  // inputs, so one table check enumerates 32 (state, input) pairs.
   const auto n = app::build_wrapper_fsm();
-  EXPECT_EQ(symbad::mc::count_reachable_states(n), 4u);
+  const auto props = app::wrapper_properties_extended();
+  const auto cone = mc::table_cone(n, {props.data(), props.size()});
+  EXPECT_EQ(cone.flip_flops.size(), 2u);
+  EXPECT_EQ(cone.inputs.size(), 3u);
+  EXPECT_EQ(cone.pairs(), 32u);
+  EXPECT_TRUE(cone.fits());
+  const symbad::test::CountersOn counting;
+  const symbad::obs::Scope cost;
+  (void)mc::ModelChecker{n}.check_all(props);
+  EXPECT_EQ(cost.delta("mc.tables.checks"), 1u);
+  EXPECT_EQ(cost.delta("mc.tables.pairs"), 32u);
+  EXPECT_EQ(cost.delta("mc.portfolio.encoded_vars"), 0u);
 }
 
 TEST(ExplicitMc, ProvesWrapperInvariantsExhaustively) {
   const auto n = app::build_wrapper_fsm();
+  const mc::TableChecker tables{n};
   for (const auto& prop : app::wrapper_properties_extended()) {
-    const auto result = mc::check_explicit(n, prop);
-    if (prop.kind == mc::PropertyKind::bounded_response) continue;
+    const auto result = tables.check(prop, {});
+    if (prop.kind == mc::PropertyKind::bounded_response) {
+      EXPECT_EQ(result.status, mc::CheckStatus::no_cex_within_bound) << prop.name;
+      continue;
+    }
     EXPECT_EQ(result.status, mc::CheckStatus::proved) << prop.name;
-    EXPECT_TRUE(result.exhaustive);
   }
 }
 
@@ -123,23 +140,39 @@ TEST(ExplicitMc, AgreesWithSatEngineOnFalsification) {
   const auto n = app::build_wrapper_fsm();
   const auto false_prop =
       mc::Property::invariant("never_acks", !mc::Expr::signal("ack"));
-  const auto explicit_result = mc::check_explicit(n, false_prop);
-  EXPECT_EQ(explicit_result.status, mc::CheckStatus::falsified);
-  const mc::ModelChecker checker{n};
-  EXPECT_EQ(checker.check(false_prop).status, mc::CheckStatus::falsified);
+  const auto table_result = mc::TableChecker{n}.check(false_prop, {});
+  const auto sat_result = mc::BmcChecker{n}.check(false_prop, {});
+  EXPECT_EQ(table_result.status, mc::CheckStatus::falsified);
+  EXPECT_EQ(sat_result.status, mc::CheckStatus::falsified);
+  EXPECT_EQ(table_result.bound_used, sat_result.bound_used);
+  ASSERT_TRUE(table_result.counterexample && sat_result.counterexample);
+  EXPECT_EQ(table_result.counterexample->inputs, sat_result.counterexample->inputs);
+  EXPECT_EQ(mc::ModelChecker{n}.check(false_prop).status, mc::CheckStatus::falsified);
 }
 
 TEST(ExplicitMc, RefusesWideInputDesigns) {
+  // A register fed by the parity of 20 inputs: its cone has 2^21 (state,
+  // input) pairs, so ModelChecker sends it to SAT and the table engine
+  // refuses it when called directly.
   rtl::Netlist n{"wide"};
-  for (int i = 0; i < 20; ++i) (void)n.add_input("i" + std::to_string(i));
+  rtl::Net parity = n.constant(false);
+  for (int i = 0; i < 20; ++i) parity = n.add_xor(parity, n.add_input("i" + std::to_string(i)));
   const auto d = n.add_dff(false, "r");
-  n.connect_next(d, d);
+  n.connect_next(d, parity);
   n.set_output("q", d);
-  mc::ExplicitOptions options;
-  options.max_input_bits = 8;
-  EXPECT_THROW((void)mc::check_explicit(
-                   n, mc::Property::invariant("t", mc::Expr::constant(true)), options),
-               std::invalid_argument);
+  const auto prop = mc::Property::invariant("t", mc::Expr::signal("q") || !mc::Expr::signal("q"));
+  const auto cone = mc::table_cone(n, {&prop, 1});
+  EXPECT_EQ(cone.pairs(), std::uint64_t{1} << 21);
+  EXPECT_FALSE(cone.fits());
+  const symbad::test::CountersOn counting;
+  const symbad::obs::Scope cost;
+  mc::ModelChecker::Options options;
+  options.max_bound = 2;
+  options.induction_depth = 1;
+  EXPECT_EQ(mc::ModelChecker{n}.check(prop, options).status, mc::CheckStatus::proved);
+  EXPECT_EQ(cost.delta("mc.tables.checks"), 0u);
+  EXPECT_GT(cost.delta("mc.frames_encoded"), 0u);
+  EXPECT_THROW((void)mc::TableChecker{n}.check(prop, options), std::invalid_argument);
 }
 
 // ------------------------------------------------------- LPV invariants

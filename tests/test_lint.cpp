@@ -580,15 +580,18 @@ TEST(LintPccPrune, CoverageIdenticalAndFaultsActuallyPruned) {
   const symbad::test::CountersOn counting;
   const symbad::obs::Scope pruned_cost;
   const auto pruned = pcc::check_property_coverage(n, properties, options);
-  const auto pruned_vars = pruned_cost.delta("pcc.encoded_vars");
+  const auto pruned_checks = pruned_cost.delta("mc.portfolio.checks");
   options.lint_prune = false;
   const symbad::obs::Scope full_cost;
   const auto full = pcc::check_property_coverage(n, properties, options);
   expect_same_coverage(pruned, full);
   EXPECT_GT(pruned.lint_pruned_faults, 0u);
   EXPECT_EQ(full.lint_pruned_faults, 0u);
-  // Every pruned fault is one portfolio BMC the campaign did not pay for.
-  EXPECT_LT(pruned_vars, full_cost.delta("pcc.encoded_vars"));
+  // Every pruned fault is one formal check the campaign did not pay for,
+  // less the one fault-free probe the prune runs (a count both engines
+  // keep; this cone goes to the table engine).
+  EXPECT_EQ(pruned_checks + pruned.lint_pruned_faults - 1,
+            full_cost.delta("mc.portfolio.checks"));
 }
 
 TEST(LintPccPrune, DirtyGoodDesignDisablesPrune) {

@@ -13,10 +13,12 @@
 #include "gen/gen.hpp"
 #include "lint/lint.hpp"
 #include "mc/mc.hpp"
+#include "mc/tables.hpp"
 #include "obs/obs.hpp"
 #include "pcc/pcc.hpp"
 #include "rtl/wordops.hpp"
 #include "sat/solver.hpp"
+#include "support/atpg_oracle.hpp"
 #include "support/test_util.hpp"
 #include "verif/rng.hpp"
 
@@ -133,13 +135,13 @@ TEST(Mc, BoundedResponse) {
 TEST(Mc, ConflictCountsArePerBoundDeltas) {
   const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
 
   // Falsified at bound 7: no induction solve, and the decisive figure (the
   // failing bound's solve) is part of the BMC total.
   const obs::Scope falsified_cost;
   const auto falsified =
-      checker.check(mc::Property::invariant("never_max", !mc::Expr::signal("at_max")));
+      checker.check(mc::Property::invariant("never_max", !mc::Expr::signal("at_max")), {});
   ASSERT_EQ(falsified.status, mc::CheckStatus::falsified);
   EXPECT_EQ(falsified_cost.delta("mc.induction_conflicts"), 0u);
   EXPECT_LE(falsified_cost.delta("mc.decisive_conflicts"),
@@ -152,7 +154,7 @@ TEST(Mc, ConflictCountsArePerBoundDeltas) {
       "at_max_means_all_ones",
       mc::Expr::signal("at_max").implies(mc::Expr::signal("c[0]") &&
                                          mc::Expr::signal("c[1]") &&
-                                         mc::Expr::signal("c[2]"))));
+                                         mc::Expr::signal("c[2]"))), {});
   ASSERT_EQ(proved.status, mc::CheckStatus::proved);
   EXPECT_EQ(proved_cost.delta("mc.decisive_conflicts"),
             proved_cost.delta("mc.induction_conflicts"));
@@ -205,13 +207,13 @@ std::vector<mc::Property> counter_properties() {
   return props;
 }
 
-/// A check's verdict plus the cost it added to the mc.* counters, read
+/// A SAT check's verdict plus the cost it added to the mc.* counters, read
 /// through an obs::Scope (callers hold a CountersOn).
 struct CostedCheck : mc::CheckResult {
   std::uint64_t vars = 0, clauses = 0, conflicts = 0, arena_bytes = 0, compactions = 0;
 };
 
-CostedCheck costed_check(const mc::ModelChecker& checker, const mc::Property& prop,
+CostedCheck costed_check(const mc::BmcChecker& checker, const mc::Property& prop,
                          const std::map<symbad::rtl::Net, bool>& faults,
                          const mc::ModelChecker::Options& options) {
   const obs::Scope cost;
@@ -226,7 +228,7 @@ CostedCheck costed_check(const mc::ModelChecker& checker, const mc::Property& pr
 
 /// Checks one property with the cone reduction on and off and requires
 /// verdict, bound_used and (canonical) counterexample to be bit-identical.
-void expect_coi_equivalent(const mc::ModelChecker& checker, const mc::Property& prop,
+void expect_coi_equivalent(const mc::BmcChecker& checker, const mc::Property& prop,
                            const std::map<symbad::rtl::Net, bool>& faults,
                            mc::ModelChecker::Options options) {
   const symbad::test::CountersOn counting;
@@ -255,21 +257,21 @@ TEST(McCoi, EquivalentOnEverySeedProperty) {
   // identical with the reduction enabled vs disabled.
   {
     const auto counter = saturating_counter();
-    const mc::ModelChecker checker{counter};
+    const mc::BmcChecker checker{counter};
     for (const auto& prop : counter_properties()) {
       expect_coi_equivalent(checker, prop, {}, {});
     }
   }
   {
     const auto fsm = app::build_wrapper_fsm();
-    const mc::ModelChecker checker{fsm};
+    const mc::BmcChecker checker{fsm};
     for (const auto& prop : app::wrapper_properties_extended()) {
       expect_coi_equivalent(checker, prop, {}, {12, 4});
     }
   }
   {
     const auto root = app::build_root_rtl();
-    const mc::ModelChecker checker{root};
+    const mc::BmcChecker checker{root};
     const auto prop = mc::Property::invariant(
         "busy_xor_done_weak",
         !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
@@ -281,7 +283,7 @@ TEST(McCoi, EquivalentUnderInjectedFaults) {
   // The fault variants PCC exercises: stuck-at faults on internal wrapper
   // nets, both polarities, checked with the cone on and off.
   const auto fsm = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{fsm};
+  const mc::BmcChecker checker{fsm};
   const auto props = app::wrapper_properties_initial();
   std::vector<symbad::rtl::Net> sites;
   for (std::size_t i = 0; i < fsm.gate_count() && sites.size() < 4; ++i) {
@@ -307,7 +309,7 @@ TEST(McCoi, ReducesEncodingWhenPropertyObservesOutputSubset) {
   // datapath cone from the encoding.
   const auto root = app::build_root_rtl();
   ASSERT_GT(root.outputs().size(), 2u);  // busy, done, result[11:0]
-  const mc::ModelChecker checker{root};
+  const mc::BmcChecker checker{root};
   const auto prop = mc::Property::invariant(
       "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
   const symbad::test::CountersOn counting;
@@ -342,7 +344,7 @@ sat::Solver::ReduceOptions aggressive_reduce(sat::CompactMode compact) {
 /// the total conflict count to be bit-identical — compaction must be pure
 /// relocation, invisible to the search. Returns the forced run's compaction
 /// count so callers can assert the mode actually exercised the mover.
-std::uint64_t expect_compact_equivalent(const mc::ModelChecker& checker,
+std::uint64_t expect_compact_equivalent(const mc::BmcChecker& checker,
                                         const mc::Property& prop,
                                         mc::ModelChecker::Options options) {
   const symbad::test::CountersOn counting;
@@ -376,14 +378,14 @@ TEST(McCompact, ForcedVsNeverIsBitIdenticalOnSeedProperties) {
   std::uint64_t compactions = 0;
   {
     const auto counter = saturating_counter();
-    const mc::ModelChecker checker{counter};
+    const mc::BmcChecker checker{counter};
     for (const auto& prop : counter_properties()) {
       compactions += expect_compact_equivalent(checker, prop, {});
     }
   }
   {
     const auto fsm = app::build_wrapper_fsm();
-    const mc::ModelChecker checker{fsm};
+    const mc::BmcChecker checker{fsm};
     for (const auto& prop : app::wrapper_properties_extended()) {
       compactions += expect_compact_equivalent(checker, prop, {12, 4});
     }
@@ -405,7 +407,7 @@ TEST(McCompact, ForcedVsNeverIsBitIdenticalOnRandomNetlists) {
     const auto n = gen::random_netlist(rng, {4, 3, 40, 2, 0.0},
                                        "fuzz" + std::to_string(round));
 
-    const mc::ModelChecker checker{n};
+    const mc::BmcChecker checker{n};
     expect_compact_equivalent(
         checker, mc::Property::invariant("o0_never", !mc::Expr::signal("o0")), {8, 2});
     expect_compact_equivalent(
@@ -425,7 +427,7 @@ TEST(McCompact, GeneratedTierNetlistsCompactBitIdentical) {
     for (int i = 0; i < cfg.count; ++i) {
       const std::uint64_t seed = cfg.seed_at(i);
       const auto n = gen::generate_netlist(seed, tier);
-      const mc::ModelChecker checker{n};
+      const mc::BmcChecker checker{n};
       const auto o0 = mc::Expr::signal("o0");
       const auto o1 = mc::Expr::signal("o1");
       expect_compact_equivalent(
@@ -468,7 +470,7 @@ TEST(McEncodeCache, BoundedResponseSolverGrowthIsLinearInBound) {
   // constant: one new frame plus one new (node, frame) set — so the clause
   // and variable growth per 8 bounds is *exactly* the same at any depth.
   const auto n = saturating_counter();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto prop = mc::Property::respond(
       "max_settles", mc::Expr::signal("at_max"),
       mc::Expr::signal("c[0]") && mc::Expr::signal("c[1]"), 2);
@@ -494,7 +496,7 @@ TEST(McPortfolio, CheckAllMatchesIndividualChecks) {
   // canonical counterexamples must match per-property `check` exactly.
   const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto props = counter_properties();
   const mc::ModelChecker::Options options;
   const obs::Scope multi_cost;
@@ -531,7 +533,7 @@ TEST(McPortfolio, CheckAllOnWrapperSuiteProvesEverything) {
 TEST(McPortfolio, CheckAllConeEquivalence) {
   const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto props = counter_properties();
   mc::ModelChecker::Options options;
   options.cone_of_influence = true;
@@ -841,22 +843,32 @@ TEST(Pcc, FaultSamplingCapRespected) {
 TEST(Pcc, CoverageVerdictsIdenticalOptOnVsOff) {
   // Every BMC-graded fault gets its own optimizer rebuild (fault baked in,
   // sweep off); the coverage verdicts must match preprocessing off exactly.
-  const auto fsm = app::build_wrapper_fsm();
-  const auto props = app::wrapper_properties_initial();
+  // The PE's overflow cone is far beyond the table engine's size limit, so
+  // its faults are graded on the SAT engine, the one preprocessing shapes.
+  const auto pe = app::build_distance_rtl(6, 10);
+  const auto sig = [](const char* name) { return mc::Expr::signal(name); };
+  const std::vector<mc::Property> props{
+      mc::Property::next("saturating_sets_overflow",
+                         sig("saturating") && sig("valid_in") && !sig("clear_in"),
+                         sig("overflow")),
+      mc::Property::next("overflow_sticky", sig("overflow") && !sig("clear_in"),
+                         sig("overflow"))};
+  ASSERT_FALSE(mc::table_cone(pe, {props.data(), props.size()}).fits());
   pcc::PccOptions options;
-  options.bmc_bound = 6;
+  options.bmc_bound = 4;
+  options.max_faults = 16;
   // Keep simulation weak so a healthy share of faults reaches BMC grading.
   options.simulation_runs = 1;
-  options.simulation_cycles = 16;
+  options.simulation_cycles = 8;
   const symbad::test::CountersOn counting;
   const obs::Scope on_cost;
-  const auto on = pcc::check_property_coverage(fsm, props, options);
+  const auto on = pcc::check_property_coverage(pe, props, options);
   const auto on_gates_before = on_cost.delta("pcc.opt_gates_before");
   const auto on_gates_after = on_cost.delta("pcc.opt_gates_after");
   const auto on_vars = on_cost.delta("pcc.encoded_vars");
   options.optimize = false;
   const obs::Scope off_cost;
-  const auto off = pcc::check_property_coverage(fsm, props, options);
+  const auto off = pcc::check_property_coverage(pe, props, options);
 
   EXPECT_EQ(on.total_faults, off.total_faults);
   EXPECT_EQ(on.detected, off.detected);
@@ -871,6 +883,7 @@ TEST(Pcc, CoverageVerdictsIdenticalOptOnVsOff) {
   EXPECT_GT(on_gates_before, on_gates_after);
   EXPECT_LT(on_vars, off_cost.delta("pcc.encoded_vars"));
   EXPECT_EQ(off_cost.delta("pcc.opt_gates_before"), 0u);
+  EXPECT_EQ(on_cost.delta("mc.tables.checks") + off_cost.delta("mc.tables.checks"), 0u);
 }
 
 // ------------------------------------------- PCC simulation pre-pass
@@ -1209,4 +1222,309 @@ TEST(PccPrepass, PaperFiguresArePinned) {
   }
   EXPECT_EQ(root.detected, 4u);
   EXPECT_EQ(root.detected_by_simulation, 4u);
+}
+
+// ------------------------------------------- table engine vs SAT engine
+
+namespace {
+
+/// Verdict, bound_used and canonical counterexample, property by property.
+void expect_same_answers(const mc::MultiCheckResult& tables, const mc::MultiCheckResult& sat,
+                         const std::vector<mc::Property>& props, const std::string& what) {
+  ASSERT_EQ(tables.results.size(), props.size()) << what;
+  ASSERT_EQ(sat.results.size(), props.size()) << what;
+  for (std::size_t i = 0; i < props.size(); ++i) {
+    const auto& t = tables.results[i];
+    const auto& s = sat.results[i];
+    EXPECT_EQ(t.status, s.status) << what << " " << props[i].name;
+    EXPECT_EQ(t.bound_used, s.bound_used) << what << " " << props[i].name;
+    ASSERT_EQ(t.counterexample.has_value(), s.counterexample.has_value())
+        << what << " " << props[i].name;
+    if (t.counterexample) {
+      EXPECT_EQ(t.counterexample->inputs, s.counterexample->inputs)
+          << what << " " << props[i].name;
+    }
+  }
+}
+
+/// Both engines' check_all on one fault variant. `sat_cone` switches the
+/// SAT side's cone reduction, so a bug in the cone computation cannot hide
+/// in both engines.
+void expect_engines_agree(const rtl::Netlist& n, const std::vector<mc::Property>& props,
+                          const std::map<rtl::Net, bool>& faults,
+                          mc::ModelChecker::Options options, bool sat_cone,
+                          const std::string& what) {
+  const auto tables = mc::TableChecker{n}.check_all_with_faults(props, faults, options);
+  options.cone_of_influence = sat_cone;
+  const auto sat = mc::BmcChecker{n}.check_all_with_faults(props, faults, options);
+  expect_same_answers(tables, sat, props,
+                      what + " bound " + std::to_string(options.max_bound) + " depth " +
+                          std::to_string(options.induction_depth));
+}
+
+/// Wrapper properties the fault-free design violates, every kind, at
+/// several bounds.
+std::vector<mc::Property> wrapper_falsifiable_properties() {
+  const auto sig = [](const char* name) { return mc::Expr::signal(name); };
+  std::vector<mc::Property> props;
+  props.push_back(mc::Property::invariant("never_acks", !sig("ack")));
+  props.push_back(mc::Property::invariant("never_busy", !sig("busy")));
+  props.push_back(mc::Property::invariant("never_store", !(sig("state[0]") && sig("state[1]"))));
+  props.push_back(mc::Property::next("busy_stays_busy", sig("busy"), sig("busy")));
+  props.push_back(mc::Property::next("idle_stays_idle", !sig("busy"), !sig("busy")));
+  props.push_back(mc::Property::respond("start_acked_next", sig("start_in"), sig("ack"), 1));
+  props.push_back(mc::Property::respond("load_reaches_exec", sig("bus_req") && !sig("state[1]"),
+                                        sig("dev_start"), 2));
+  return props;
+}
+
+/// Bound 0..12 x induction depth 1..4, indexed 0..51.
+mc::ModelChecker::Options bound_depth(std::size_t index) {
+  mc::ModelChecker::Options options;
+  options.max_bound = static_cast<int>(index % 13);
+  options.induction_depth = 1 + static_cast<int>(index / 13 % 4);
+  return options;
+}
+
+/// Properties over a generated netlist's first three outputs, every kind.
+std::vector<mc::Property> generated_properties() {
+  const auto o0 = mc::Expr::signal("o0");
+  const auto o1 = mc::Expr::signal("o1");
+  const auto o2 = mc::Expr::signal("o2");
+  return {mc::Property::invariant("excl", !(o0 && o1)),
+          mc::Property::invariant("implies", o0.implies(o2)),
+          mc::Property::next("next", o0, o1 || o2),
+          mc::Property::respond("respond", o1, o2, 2)};
+}
+
+}  // namespace
+
+TEST(McTables, WrapperEveryFaultAgreesWithSat) {
+  // Every stuck-at fault on every wrapper net plus the fault-free design,
+  // across the extended plan, the bounded-response set and falsifiable
+  // properties; each (variant, set) pair takes its own (bound, depth) so
+  // the sweep covers bounds 0-12 and depths 1-4.
+  const auto fsm = app::build_wrapper_fsm();
+  const std::vector<std::vector<mc::Property>> sets{app::wrapper_properties_extended(),
+                                                    wrapper_response_properties(),
+                                                    wrapper_falsifiable_properties()};
+  std::vector<std::map<rtl::Net, bool>> variants{{}};
+  for (const auto& [net, stuck_to] : symbad::test::all_stuck_at_faults(fsm)) {
+    variants.push_back({{net, stuck_to}});
+  }
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      const std::size_t run = v * sets.size() + s;
+      expect_engines_agree(fsm, sets[s], variants[v], bound_depth(run * 5), run % 4 != 0,
+                           "wrapper variant " + std::to_string(v) + " set " +
+                               std::to_string(s));
+    }
+  }
+}
+
+TEST(McTables, SingleChecksMatchTheTableCheckAll) {
+  // check (one property, its own cone) against check_all (the union cone)
+  // on the table engine, and ModelChecker's dispatch against it.
+  const auto fsm = app::build_wrapper_fsm();
+  auto props = app::wrapper_properties_extended();
+  for (const auto& p : wrapper_falsifiable_properties()) props.push_back(p);
+  const auto faults = symbad::test::all_stuck_at_faults(fsm);
+  for (std::size_t f = 0; f < faults.size(); f += 7) {
+    const std::map<rtl::Net, bool> fault{faults[f]};
+    const auto options = bound_depth(f);
+    const auto all = mc::TableChecker{fsm}.check_all_with_faults(props, fault, options);
+    const auto dispatched = mc::ModelChecker{fsm}.check_all_with_faults(props, fault, options);
+    mc::MultiCheckResult single;
+    for (const auto& p : props) {
+      single.results.push_back(mc::TableChecker{fsm}.check_with_faults(p, fault, options));
+    }
+    expect_same_answers(single, all, props, "single vs all, fault " + std::to_string(f));
+    expect_same_answers(dispatched, all, props, "dispatch, fault " + std::to_string(f));
+  }
+}
+
+TEST(McTables, RandomNetlistsAgreeWithSat) {
+  // gen::random_netlist with redundancy (constants, equal-arm muxes and
+  // duplicated logic), fault-free and under sampled stuck-at faults.
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    auto rng = symbad::test::rng(9100 + seed);
+    const auto n = gen::random_netlist(rng, {4, 3, 40, 3, 0.25});
+    const auto props = generated_properties();
+    ASSERT_TRUE(mc::table_cone(n, {props.data(), props.size()}).fits()) << seed;
+    const auto faults = symbad::test::all_stuck_at_faults(n);
+    for (std::size_t k = 0; k < 6; ++k) {
+      std::map<rtl::Net, bool> fault;
+      if (k > 0) fault.insert(faults[rng.next() % faults.size()]);
+      expect_engines_agree(n, props, fault, bound_depth(seed * 6 + k), k % 2 == 0,
+                           "random seed " + std::to_string(seed) + " run " + std::to_string(k));
+    }
+  }
+}
+
+TEST(McTables, DeepInductionStepsAgreeWithSat) {
+  // Next-implications whose k-induction step closes only at depth >= 2 on
+  // these netlists (fixed instances, found by search): there the step's
+  // coupling matters — p(f) -> q(f+1) reads frame f+1's input, which the
+  // next frame's obligation reads too. Every literal pair over four
+  // outputs, depths 1-4.
+  std::vector<mc::Property> props;
+  for (int a = 0; a < 8; ++a) {
+    for (int b = 0; b < 8; ++b) {
+      const auto lit = [](int l) {
+        const auto sig = mc::Expr::signal("o" + std::to_string(l / 2));
+        return l % 2 == 0 ? sig : !sig;
+      };
+      props.push_back(mc::Property::next(
+          "n" + std::to_string(a) + "_" + std::to_string(b), lit(a), lit(b)));
+    }
+  }
+  for (const std::uint64_t seed : {7, 64, 86, 135}) {
+    symbad::verif::Rng rng{9300 + seed};
+    const auto n = gen::random_netlist(rng, {3, 3, 30, 4, 0.25});
+    for (int depth = 1; depth <= 4; ++depth) {
+      mc::ModelChecker::Options options;
+      options.max_bound = 4;
+      options.induction_depth = depth;
+      expect_engines_agree(n, props, {}, options, depth % 2 == 0,
+                           "deep seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(McTables, GeneratedTiersThatFitAgreeWithSat) {
+  // Small- and medium-tier generated netlists whose cone passes the size
+  // test, fault-free and under one stuck-at fault each.
+  const std::vector<mc::Property> props{
+      mc::Property::invariant("excl", !(mc::Expr::signal("o0") && mc::Expr::signal("o1"))),
+      mc::Property::next("next", mc::Expr::signal("o0"), mc::Expr::signal("o1"))};
+  std::size_t checked = 0;
+  for (const auto tier : {gen::SizeTier::small, gen::SizeTier::medium}) {
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      const auto n = gen::generate_netlist(seed, tier);
+      if (!mc::table_cone(n, {props.data(), props.size()}).fits()) continue;
+      ++checked;
+      const auto faults = symbad::test::all_stuck_at_faults(n);
+      const std::map<rtl::Net, bool> fault{faults[(seed * 37) % faults.size()]};
+      const std::string what = std::string{gen::to_string(tier)} + " seed " + std::to_string(seed);
+      expect_engines_agree(n, props, {}, bound_depth(seed * 11), seed % 2 == 0, what);
+      expect_engines_agree(n, props, fault, bound_depth(seed * 11 + 3), seed % 2 != 0,
+                           what + " faulty");
+    }
+  }
+  EXPECT_GE(checked, 12u);
+}
+
+TEST(McTables, RootBusyDoneEveryFaultAgreesWithSat) {
+  // Every stuck-at fault of ROOT against busy_done_exclusive: 66 flip-flops
+  // and 17 inputs in the netlist, 6 and 1 in the cone the tables enumerate.
+  const auto root = app::build_root_rtl();
+  const std::vector<mc::Property> exclusive{mc::Property::invariant(
+      "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")))};
+  const auto cone = mc::table_cone(root, {exclusive.data(), exclusive.size()});
+  EXPECT_EQ(cone.flip_flops.size(), 6u);
+  EXPECT_EQ(cone.inputs.size(), 1u);
+  ASSERT_TRUE(cone.fits());
+  mc::ModelChecker::Options options;
+  options.max_bound = 4;  // the flow bench's PCC bound
+  options.induction_depth = 4;
+  options.optimize = false;  // SAT side only; verdicts do not depend on it
+  const auto faults = symbad::test::all_stuck_at_faults(root);
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    expect_engines_agree(root, exclusive, {faults[f]}, options, f % 16 != 0,
+                         "root fault " + std::to_string(f));
+  }
+}
+
+// ------------------------------------------------ check argument handling
+
+namespace {
+
+/// 2-bit saturating counter 0 -> 1 -> 2 -> 3 -> 3 from reset 0.
+rtl::Netlist two_bit_saturating_counter() {
+  rtl::Netlist n{"sat2"};
+  const auto c0 = n.add_dff(false, "c0");
+  const auto c1 = n.add_dff(false, "c1");
+  const auto at_max = n.add_and(c0, c1);
+  n.connect_next(c0, n.add_or(n.add_not(c0), at_max));  // 0->1, 1->0, 2->1, 3->1
+  n.connect_next(c1, n.add_or(c1, c0));                 // 0->0, 1->1, 2->1, 3->1
+  n.set_output("c[0]", c0);
+  n.set_output("c[1]", c1);
+  return n;
+}
+
+}  // namespace
+
+TEST(McInductionBase, ProvedOnlyWhenBmcCoversTheInductionBase) {
+  // !(count == 2) fails at bound 2; its 3- and 4-step induction closes
+  // (no state path of that length ends in 2). With max_bound below
+  // induction_depth - 1 BMC misses the base case, so neither engine may
+  // report proved — through check or check_all.
+  const auto n = two_bit_saturating_counter();
+  const std::vector<mc::Property> props{mc::Property::invariant(
+      "never_two", !(mc::Expr::signal("c[1]") && !mc::Expr::signal("c[0]")))};
+  const mc::BmcChecker sat{n};
+  const mc::TableChecker tables{n};
+  for (const int depth : {3, 4}) {
+    for (int bound = 0; bound <= 3; ++bound) {
+      const mc::ModelChecker::Options options{bound, depth};
+      const auto want = bound >= 2 ? mc::CheckStatus::falsified
+                                   : mc::CheckStatus::no_cex_within_bound;
+      const std::string what = "bound " + std::to_string(bound) + " depth " +
+                               std::to_string(depth);
+      EXPECT_EQ(sat.check(props[0], options).status, want) << what;
+      EXPECT_EQ(tables.check(props[0], options).status, want) << what;
+      EXPECT_EQ(sat.check_all(props, options).results[0].status, want) << what;
+      EXPECT_EQ(tables.check_all(props, options).results[0].status, want) << what;
+      EXPECT_EQ(mc::ModelChecker{n}.check(props[0], options).status, want) << what;
+    }
+  }
+  // The sound case: a true invariant with BMC past the base is proved.
+  const auto tautology = mc::Property::invariant(
+      "tautology", mc::Expr::signal("c[1]") || !mc::Expr::signal("c[1]"));
+  EXPECT_EQ(sat.check(tautology, {3, 4}).status, mc::CheckStatus::proved);
+  EXPECT_EQ(tables.check(tautology, {3, 4}).status, mc::CheckStatus::proved);
+}
+
+TEST(McArguments, NegativeInductionDepthThrowsBeforeEitherEngineRuns) {
+  const auto fsm = app::build_wrapper_fsm();
+  const auto props = app::wrapper_properties_initial();
+  const mc::ModelChecker::Options options{4, -1};
+  EXPECT_THROW((void)mc::ModelChecker{fsm}.check(props[0], options), std::invalid_argument);
+  EXPECT_THROW((void)mc::ModelChecker{fsm}.check_all(props, options), std::invalid_argument);
+  EXPECT_THROW((void)mc::BmcChecker{fsm}.check(props[0], options), std::invalid_argument);
+  EXPECT_THROW((void)mc::BmcChecker{fsm}.check_all(props, options), std::invalid_argument);
+  EXPECT_THROW((void)mc::TableChecker{fsm}.check(props[0], options), std::invalid_argument);
+  EXPECT_THROW((void)mc::TableChecker{fsm}.check_all(props, options), std::invalid_argument);
+  // A design whose cone goes to SAT rejects it through ModelChecker too.
+  const auto pe = app::build_distance_rtl(6, 10);
+  const auto overflow =
+      mc::Property::invariant("overflow_or_not", mc::Expr::signal("overflow") ||
+                                                     !mc::Expr::signal("overflow"));
+  ASSERT_FALSE(mc::table_cone(pe, {&overflow, 1}).fits());
+  EXPECT_THROW((void)mc::ModelChecker{pe}.check(overflow, options), std::invalid_argument);
+}
+
+TEST(McArguments, FaultOnUnknownNetThrowsFromBothEngines) {
+  const auto fsm = app::build_wrapper_fsm();
+  const auto props = app::wrapper_properties_initial();
+  const auto gates = static_cast<rtl::Net>(fsm.gate_count());
+  for (const rtl::Net net : {rtl::Net{-1}, gates, rtl::Net{100000}}) {
+    const std::map<rtl::Net, bool> faults{{net, true}};
+    for (const bool optimize : {false, true}) {
+      mc::ModelChecker::Options options{4, 2};
+      options.optimize = optimize;
+      EXPECT_THROW((void)mc::ModelChecker{fsm}.check_with_faults(props[0], faults, options),
+                   std::out_of_range);
+      EXPECT_THROW((void)mc::ModelChecker{fsm}.check_all_with_faults(props, faults, options),
+                   std::out_of_range);
+      EXPECT_THROW((void)mc::BmcChecker{fsm}.check_with_faults(props[0], faults, options),
+                   std::out_of_range);
+      EXPECT_THROW((void)mc::BmcChecker{fsm}.check_all_with_faults(props, faults, options),
+                   std::out_of_range);
+      EXPECT_THROW((void)mc::TableChecker{fsm}.check_with_faults(props[0], faults, options),
+                   std::out_of_range);
+      EXPECT_THROW((void)mc::TableChecker{fsm}.check_all_with_faults(props, faults, options),
+                   std::out_of_range);
+    }
+  }
 }

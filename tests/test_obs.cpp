@@ -440,7 +440,7 @@ TEST(ObsAlloc, CounterHotPathIsAllocationFree) {
 
 namespace {
 
-/// Every counter one portfolio check of the wrapper plan adds to.
+/// Every counter one SAT portfolio check of the wrapper plan adds to.
 constexpr const char* kPortfolioCounters[] = {
     "mc.portfolio.checks",           "mc.portfolio.properties",
     "mc.portfolio.frames_encoded",   "mc.portfolio.sat_conflicts",
@@ -452,11 +452,11 @@ constexpr const char* kPortfolioCounters[] = {
     "sat.propagations",              "sat.conflicts",
 };
 
-/// Deltas of kPortfolioCounters over one check_all of the extended wrapper
-/// plan (bound 12, induction depth 4), read through a Scope.
+/// Deltas of kPortfolioCounters over one SAT check_all of the extended
+/// wrapper plan (bound 12, induction depth 4), read through a Scope.
 std::vector<std::uint64_t> wrapper_suite_deltas() {
   const auto fsm = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{fsm};
+  const mc::BmcChecker checker{fsm};
   const auto props = app::wrapper_properties_extended();
   const obs::Scope scope;
   (void)checker.check_all(props, {12, 4});
@@ -513,11 +513,12 @@ TEST(ObsScope, NestedScopesAndLevelZero) {
 
 TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
   // The figures CheckResult and MultiCheckResult reported for these
-  // wrapper checks while they still carried cost fields.
+  // wrapper checks while they still carried cost fields, on the SAT engine
+  // (through ModelChecker the wrapper's checks go to the table engine).
   const LevelGuard guard;
   obs::Registry::instance().set_level(1);
   const auto fsm = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{fsm};
+  const mc::BmcChecker checker{fsm};
   const auto props = app::wrapper_properties_extended();
   const auto proved_prop = std::find_if(props.begin(), props.end(), [](const auto& p) {
     return p.name == "idle_start_goes_load";
@@ -525,7 +526,7 @@ TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
   ASSERT_NE(proved_prop, props.end());
 
   const obs::Scope proved;
-  ASSERT_EQ(checker.check(*proved_prop).status, mc::CheckStatus::proved);
+  ASSERT_EQ(checker.check(*proved_prop, {}).status, mc::CheckStatus::proved);
   EXPECT_EQ(proved.delta("mc.sat_conflicts"), 1u);
   EXPECT_EQ(proved.delta("mc.decisive_conflicts"), 1u);
   EXPECT_EQ(proved.delta("mc.induction_conflicts"), 1u);
@@ -540,7 +541,7 @@ TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
   const obs::Scope falsified;
   const auto never_acks = mc::Property::invariant("wrapper_never_acks",
                                                   !mc::Expr::signal("ack"));
-  ASSERT_EQ(checker.check(never_acks).status, mc::CheckStatus::falsified);
+  ASSERT_EQ(checker.check(never_acks, {}).status, mc::CheckStatus::falsified);
   EXPECT_EQ(falsified.delta("mc.sat_conflicts"), 1u);
   EXPECT_EQ(falsified.delta("mc.decisive_conflicts"), 0u);
   EXPECT_EQ(falsified.delta("mc.induction_conflicts"), 0u);

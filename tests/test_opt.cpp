@@ -79,10 +79,11 @@ void expect_simulation_equivalent(const rtl::Netlist& a, const rtl::Netlist& b,
   }
 }
 
-/// Checks one property with preprocessing on and off and requires verdict,
-/// bound_used and the canonical counterexample to be bit-identical —
-/// the McCoi equivalence pattern, now pinning the optimizer.
-void expect_opt_equivalent(const mc::ModelChecker& checker, const mc::Property& prop,
+/// Checks one property with preprocessing on and off on the SAT engine
+/// (the only one preprocessing shapes) and requires verdict, bound_used and
+/// the canonical counterexample to be bit-identical — the McCoi
+/// equivalence pattern, now pinning the optimizer.
+void expect_opt_equivalent(const mc::BmcChecker& checker, const mc::Property& prop,
                            const std::map<rtl::Net, bool>& faults,
                            mc::ModelChecker::Options options) {
   const symbad::test::CountersOn counting;
@@ -342,7 +343,7 @@ TEST(OptFuzz, McVerdictsIdenticalOptOnVsOff) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     auto rng = symbad::test::rng(5000 + seed);
     const auto n = random_netlist(rng, 4, 3, 50, 3);
-    const mc::ModelChecker checker{n};
+    const mc::BmcChecker checker{n};
     const mc::ModelChecker::Options options{8, 3};
     const auto o0 = mc::Expr::signal("o0");
     const auto o1 = mc::Expr::signal("o1");
@@ -364,7 +365,7 @@ TEST(OptFuzz, McVerdictsIdenticalUnderInjectedFaults) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     auto rng = symbad::test::rng(6000 + seed);
     const auto n = random_netlist(rng, 4, 3, 40, 2);
-    const mc::ModelChecker checker{n};
+    const mc::BmcChecker checker{n};
     const auto o0 = mc::Expr::signal("o0");
     const auto o1 = mc::Expr::signal("o1");
     const auto inv = mc::Property::invariant("inv", !(o0 && o1));
@@ -417,7 +418,7 @@ TEST(OptGenerative, TieredMcVerdictsIdenticalOptOnVsOff) {
     for (int i = 0; i < cfg.count; ++i) {
       const std::uint64_t seed = cfg.seed_at(i);
       const auto n = gen::generate_netlist(seed, tier);
-      const mc::ModelChecker checker{n};
+      const mc::BmcChecker checker{n};
       const auto o0 = mc::Expr::signal("o0");
       const auto o1 = mc::Expr::signal("o1");
       const auto inv = mc::Property::invariant("inv_nand", !(o0 && o1));
@@ -442,14 +443,14 @@ TEST(OptGenerative, TieredMcVerdictsIdenticalOptOnVsOff) {
 TEST(OptMc, SeedPropertiesIdenticalOptOnVsOff) {
   {
     const auto fsm = app::build_wrapper_fsm();
-    const mc::ModelChecker checker{fsm};
+    const mc::BmcChecker checker{fsm};
     for (const auto& prop : app::wrapper_properties_extended()) {
       expect_opt_equivalent(checker, prop, {}, {12, 4});
     }
   }
   {
     const auto root = app::build_root_rtl();
-    const mc::ModelChecker checker{root};
+    const mc::BmcChecker checker{root};
     const auto prop = mc::Property::invariant(
         "busy_xor_done_weak",
         !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
@@ -459,7 +460,7 @@ TEST(OptMc, SeedPropertiesIdenticalOptOnVsOff) {
 
 TEST(OptMc, SeedFaultVariantsIdenticalOptOnVsOff) {
   const auto fsm = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{fsm};
+  const mc::BmcChecker checker{fsm};
   const auto props = app::wrapper_properties_initial();
   std::vector<rtl::Net> sites;
   for (std::size_t i = 0; i < fsm.gate_count() && sites.size() < 4; ++i) {
@@ -484,7 +485,7 @@ TEST(OptMc, PreprocessingShrinksRootEncoding) {
   // property the optimized encoding is strictly smaller, compounding with
   // the cone-of-influence reduction (both on by default).
   const auto root = app::build_root_rtl();
-  const mc::ModelChecker checker{root};
+  const mc::BmcChecker checker{root};
   const auto prop = mc::Property::invariant(
       "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")));
   const symbad::test::CountersOn counting;
@@ -552,7 +553,7 @@ rtl::Netlist two_block_netlist() {
 
 TEST(OptLiveCone, CheckAllDropsRetiredConesFromLaterBounds) {
   const auto n = two_block_netlist();
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   std::vector<mc::Property> props;
   props.push_back(
       mc::Property::invariant("a_never", !mc::Expr::signal("a_out")));  // falsified
@@ -605,7 +606,7 @@ TEST(OptLiveCone, CheckAllDropsRetiredConesFromLaterBounds) {
 
 TEST(OptEnv, MasterSwitchDisablesPreprocessing) {
   const auto fsm = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{fsm};
+  const mc::BmcChecker checker{fsm};
   const auto prop = app::wrapper_properties_extended().front();
 
   const symbad::test::CountersOn counting;

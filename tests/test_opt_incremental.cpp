@@ -1,7 +1,8 @@
-// Tests for fault-campaign preprocessing: every BMC-graded fault of a PCC
-// campaign is checked on its own opt::optimize rebuild (fault baked in as a
-// constant, sweep off), and a campaign's fault-free checks run the swept
-// pipeline once for the whole property set. The acceptance gate is
+// Tests for fault-campaign preprocessing on the SAT engine (mc::BmcChecker,
+// which ModelChecker uses for cones too large for the table engine): every
+// BMC-graded fault of a campaign is checked on its own opt::optimize rebuild
+// (fault baked in as a constant, sweep off), and a campaign's fault-free
+// checks run the swept pipeline once for the whole property set. The acceptance gate is
 // three-way identity per fault: optimize off, optimize on per property
 // (check_with_faults) and optimize on through the portfolio a campaign
 // grades with (check_all_with_faults) must agree bit-for-bit on verdict,
@@ -118,7 +119,7 @@ void expect_rebuild_simulates_fault(const rtl::Netlist& original,
 /// The verdict, bound_used and canonical counterexample must be
 /// bit-identical, and the portfolio's encoding target must be exactly the
 /// one-shot optimizer run a campaign check is documented to use.
-void expect_three_way_identical(const mc::ModelChecker& checker,
+void expect_three_way_identical(const mc::BmcChecker& checker,
                                 const rtl::Netlist& netlist,
                                 const std::vector<mc::Property>& props,
                                 const std::map<rtl::Net, bool>& faults,
@@ -167,7 +168,7 @@ void expect_three_way_identical(const mc::ModelChecker& checker,
 
 TEST(IncMc, WrapperFaultCampaignThreeWayIdentical) {
   const auto fsm = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{fsm};
+  const mc::BmcChecker checker{fsm};
   const auto props = app::wrapper_properties_initial();
   const auto sites = sample_fault_sites(fsm, 4);
   ASSERT_GE(sites.size(), 2u);
@@ -182,7 +183,7 @@ TEST(IncMc, FaultFreeChecksServedFromTheCachedBaseline) {
   // A campaign's fault-free checks (PCC's probe before grading) run the
   // swept pipeline once and serve every property from that one baseline.
   const auto fsm = app::build_wrapper_fsm();
-  const mc::ModelChecker checker{fsm};
+  const mc::BmcChecker checker{fsm};
   expect_three_way_identical(checker, fsm, app::wrapper_properties_extended(), {},
                              {12, 4});
 }
@@ -191,7 +192,7 @@ TEST(IncFuzz, RandomNetlistFaultCampaignsThreeWayIdentical) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     auto rng = symbad::test::rng(7000 + seed);
     const auto n = random_netlist(rng, 4, 3, 40, 2);
-    const mc::ModelChecker checker{n};
+    const mc::BmcChecker checker{n};
     const auto o0 = mc::Expr::signal("o0");
     const auto o1 = mc::Expr::signal("o1");
     const std::vector<mc::Property> props{mc::Property::invariant("inv", !(o0 && o1)),
@@ -224,7 +225,7 @@ TEST(IncFuzz, GeneratedTierSweepThreeWayIdentical) {
     for (int i = 0; i < cfg.count; ++i) {
       const std::uint64_t seed = cfg.seed_at(i);
       const auto n = gen::generate_netlist(seed, tier);
-      const mc::ModelChecker checker{n};
+      const mc::BmcChecker checker{n};
       const std::vector<mc::Property> props{mc::Property::invariant(
           "inv", !(mc::Expr::signal("o0") && mc::Expr::signal("o1")))};
       const auto sites = sample_fault_sites(n, 1);

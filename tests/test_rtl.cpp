@@ -275,8 +275,9 @@ TEST(LaneSimulator, MatchesOneLaneRunsUnderPerLaneFaults) {
 
 TEST(LaneSimulator, FreeStateWordsMatchForcedOneLaneRuns) {
   // Free-state mode: input and flip-flop words written directly, bypassing
-  // reset and latching. Lane j must equal a one-lane simulator forced to
-  // lane j's inputs and state, both after the eval and after one clock.
+  // reset and latching. Lane j must equal a one-lane simulator driven to
+  // lane j's inputs (set_input) and state (a broadcast set_word), both
+  // after the eval and after one clock.
   auto rng = symbad::test::rng("lane_simulator_free_state");
   for (const auto tier : kTiers) {
     const Netlist n = gen::generate_netlist(rng.next(), tier);
@@ -287,22 +288,25 @@ TEST(LaneSimulator, FreeStateWordsMatchForcedOneLaneRuns) {
       std::vector<LaneWord> ff_words;
       for (const Net in : n.inputs()) lanes.set_word(in, in_words.emplace_back(rng.next()));
       for (const Net ff : n.flip_flops()) lanes.set_word(ff, ff_words.emplace_back(rng.next()));
-      const auto lane_bits = [](const std::vector<LaneWord>& words, int j) {
-        std::uint64_t bits = 0;
-        for (std::size_t i = 0; i < words.size(); ++i) bits |= ((words[i] >> j) & 1) << i;
-        return bits;
+      const auto drive_lane = [&](int j) {
+        for (std::size_t i = 0; i < in_words.size(); ++i) {
+          single.set_input(n.inputs()[i], ((in_words[i] >> j) & 1) != 0);
+        }
+        for (std::size_t i = 0; i < ff_words.size(); ++i) {
+          single.set_word(n.flip_flops()[i],
+                          ((ff_words[i] >> j) & 1) != 0 ? Simulator::kAllLanes : 0);
+        }
       };
       lanes.eval();
       for (int j = 0; j < Simulator::kLanes; ++j) {
-        single.force_inputs(lane_bits(in_words, j));
-        single.force_state(lane_bits(ff_words, j));
+        drive_lane(j);
+        single.eval();
         ASSERT_TRUE(lane_matches(lanes, j, single, n.gate_count()))
             << gen::to_string(tier) << " round " << round;
       }
       lanes.step();
       for (int j = 0; j < Simulator::kLanes; ++j) {
-        single.force_inputs(lane_bits(in_words, j));
-        single.force_state(lane_bits(ff_words, j));
+        drive_lane(j);
         single.step();
         ASSERT_TRUE(lane_matches(lanes, j, single, n.gate_count()))
             << gen::to_string(tier) << " round " << round << " after step";
