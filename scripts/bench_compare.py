@@ -19,9 +19,9 @@ Two kinds of gates:
     default; pass --time-mode warn on shared/noisy hosts (the CI container
     is a 1-core box where timings swing with neighbours).
   * counters matching --counter-pattern (default: allocation counts,
-    clause-arena sizes, SAT conflict counts, encoded CNF sizes and the
-    table engine's enumerated pairs, which are deterministic and
-    host-independent) — regressions beyond the threshold always fail; a
+    clause-arena sizes, SAT conflict counts, encoded CNF sizes, the
+    table engine's enumerated pairs, and simulation kernel callbacks and
+    bus traffic per run, which are deterministic and host-independent) — regressions beyond the threshold always fail; a
     counter that appears from a zero baseline fails. A gated counter that
     goes dark fails too, otherwise the gate would silently stop gating:
     one that disappears from a still-running benchmark, and one that falls
@@ -55,7 +55,8 @@ def main() -> int:
     parser.add_argument("--time-mode", choices=("fail", "warn"), default="fail",
                         help="whether real_time regressions fail or only warn")
     parser.add_argument("--counter-pattern",
-                        default=r"alloc|arena_|conflict|encoded_|gates_|gen_|lint_|obs_|tables_",
+                        default=r"alloc|arena_|bus_beats|bus_transactions|conflict|"
+                                r"encoded_|gates_|gen_|lint_|obs_|sim_callbacks|tables_",
                         help="regex of counter names that hard-fail on regression "
                              "(host-independent metrics only: allocation counts, "
                              "SAT conflicts — incl. the optimizer's sweep_conflicts "
@@ -68,8 +69,10 @@ def main() -> int:
                              "lint_pruned_faults figures and the obs layer's "
                              "obs_allocs/obs_span_drops/obs_spans_recorded/"
                              "obs_snapshot_entries zero-or-fixed contracts, "
-                             "and the table engine's tables_checks/"
-                             "tables_pairs; "
+                             "the table engine's tables_checks/"
+                             "tables_pairs, and the simulations' "
+                             "sim_callbacks (kernel callbacks per run) and "
+                             "bus_transactions/bus_beats; "
                              "sweep_proofs is deliberately ungated because that "
                              "gate is one-sided — more proofs are better)")
     args = parser.parse_args()

@@ -40,7 +40,7 @@ std::vector<std::string> fifo_names(const TaskGraph& graph) {
   return names;
 }
 
-/// A burst-chunked transfer of one channel's data (or a stage's extra read).
+/// A bus transfer of one channel's data (or a stage's extra read).
 struct Crossing {
   std::uint64_t address = 0;
   std::uint32_t words = 0;
@@ -172,18 +172,13 @@ struct ModelInstance {
     return kRamBase + 0x0010'0000 + edge_index * kEdgeBufferStride;
   }
 
-  /// Burst-chunked bus transfers of `crossings` issued by `initiator`.
+  /// Bus transfers of `crossings` issued by `initiator`, one burst stream
+  /// each.
   sim::Task<void> transfer(const std::vector<Crossing>& crossings, tlm::Command cmd,
                            const char* initiator) {
     for (const auto& crossing : crossings) {
-      std::uint32_t remaining = crossing.words;
-      std::uint64_t addr = crossing.address;
-      while (remaining > 0) {
-        const std::uint32_t beats = remaining < kMaxBurstBeats ? remaining : kMaxBurstBeats;
-        co_await bus->transport(tlm::Payload{cmd, addr, beats, initiator});
-        addr += beats * 4ull;
-        remaining -= beats;
-      }
+      co_await bus->stream(tlm::Payload{cmd, crossing.address, crossing.words, initiator},
+                           kMaxBurstBeats);
     }
   }
 

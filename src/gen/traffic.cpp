@@ -74,14 +74,9 @@ sim::Process initiator_process(tlm::Bus& bus, const TrafficModel stream,
     const TrafficModel::FrameLoad load = stream.frame_load(frame);
     for (std::uint32_t r = 0; r < load.requests; ++r) {
       ++*requests_issued;
-      std::uint32_t remaining = stream.options().words_per_request;
-      std::uint64_t addr = 0x0000'1000 + 4096ull * r;
-      while (remaining > 0) {
-        const std::uint32_t beats = remaining < 256u ? remaining : 256u;
-        co_await bus.transport(tlm::Payload{tlm::Command::read, addr, beats, name});
-        addr += beats * 4ull;
-        remaining -= beats;
-      }
+      co_await bus.stream(tlm::Payload{tlm::Command::read, 0x0000'1000 + 4096ull * r,
+                                       stream.options().words_per_request, name},
+                          256);
     }
   }
 }

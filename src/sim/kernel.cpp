@@ -60,7 +60,13 @@ void Event::fire() {
   // The scratch vector keeps its capacity across fires, so steady-state
   // notification allocates nothing.
   firing_.swap(waiters_);
-  for (auto handle : firing_) handle.resume();
+  // Waiters not yet resumed run in this same callback: pending work for
+  // Kernel::quiet_until.
+  for (std::size_t i = 0; i < firing_.size(); ++i) {
+    kernel_->waiters_left_ = firing_.size() - 1 - i;
+    firing_[i].resume();
+  }
+  kernel_->waiters_left_ = 0;
   firing_.clear();
 }
 
@@ -155,6 +161,16 @@ void Kernel::schedule_delta(SmallFn fn) {
   delta_.push_back(std::move(fn));
 }
 
+Time Kernel::quiet_until() const noexcept {
+  if (!running_ || stop_requested_ || in_delta_ || waiters_left_ > 0 || !delta_.empty() ||
+      now_head_ < now_bucket_.size()) {
+    return now_;
+  }
+  if (heap_.empty()) return limit_;
+  const Time next = heap_.front().at;  // now_ itself for a same-instant event
+  return next < limit_ ? next : limit_;
+}
+
 void Kernel::run_next_timed() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Scheduled item = std::move(heap_.back());
@@ -171,6 +187,7 @@ RunResult Kernel::run(Time limit) {
   const std::uint64_t deltas_before = delta_cycles_;
   running_ = true;
   stop_requested_ = false;
+  limit_ = limit;
   RunResult result = RunResult::no_more_events;
 
   while (true) {
@@ -184,11 +201,13 @@ RunResult Kernel::run(Time limit) {
       // vector retains both buffers' capacity across cycles.
       delta_scratch_.swap(delta_);
       ++delta_cycles_;
+      in_delta_ = true;
       for (auto& fn : delta_scratch_) {
         fn();
         ++callbacks_executed_;
         if (stop_requested_) break;
       }
+      in_delta_ = false;
       delta_scratch_.clear();
       continue;
     }

@@ -103,6 +103,16 @@ public:
   /// Request that `run` return after the current callback.
   void stop() noexcept { stop_requested_ = true; }
 
+  /// Earliest instant at which a callback other than the running one can
+  /// run. `now()` while delta jobs, zero-delay callbacks or timed events of
+  /// the current instant are pending, during a delta cycle, while an event
+  /// still has waiters to resume in this callback, after `stop()` and
+  /// outside `run`; otherwise the next timed event, capped by `run`'s limit.
+  /// A model alone on a resource until then may advance it in one wake
+  /// instead of one per step (`tlm::Bus::stream`). A raw `schedule`d
+  /// callback that resumes coroutines must resume at most one.
+  [[nodiscard]] Time quiet_until() const noexcept;
+
   // --- awaitables -----------------------------------------------------
   struct TimedAwaiter {
     Kernel& kernel;
@@ -134,6 +144,7 @@ public:
   }
 
 private:
+  friend class Event;
   friend void detail::process_finished(Kernel&, void*) noexcept;
   friend void detail::process_failed(Kernel&, std::exception_ptr) noexcept;
 
@@ -170,12 +181,15 @@ private:
   std::vector<void*> live_processes_;  // frames of spawned, unfinished processes
   std::exception_ptr pending_error_;
   Time now_;
+  Time limit_;                      // the running `run`'s time limit
+  std::size_t waiters_left_ = 0;    // Event::fire's waiters not yet resumed
   std::uint64_t next_seq_ = 0;
   std::uint64_t callbacks_executed_ = 0;
   std::uint64_t delta_cycles_ = 0;
   std::uint64_t processes_spawned_ = 0;
   bool stop_requested_ = false;
   bool running_ = false;
+  bool in_delta_ = false;
 };
 
 }  // namespace symbad::sim

@@ -4,11 +4,13 @@
 // Level 2 of the flow replaces level-1 point-to-point channels with a shared
 // bus: "providing the HW with a communication architecture (busses, point to
 // point communication, shared variables)". The model is loosely timed:
-// a blocking `transport` occupies the bus for
-// (arbitration + beats) * clock_period + target_latency and serialises
-// against all other initiators. Per-component statistics feed the
-// performance-evaluation step ("the best compromise between power
-// consumption, bus loading and memory accesses").
+// a burst occupies the bus for
+// (arbitration + beats * cycles_per_beat) * clock_period + target_latency
+// and serialises against all other initiators. `stream` moves a run of
+// words as back-to-back bursts under one grant; `transport` is its
+// one-burst case. Per-component statistics feed the performance-evaluation
+// step ("the best compromise between power consumption, bus loading and
+// memory accesses").
 
 #include <cstdint>
 #include <string>
@@ -33,7 +35,9 @@ struct Payload {
 class Target {
 public:
   virtual ~Target() = default;
-  /// Device-side latency added to the bus occupancy for this access.
+  /// Device-side latency added to the bus occupancy for this access. It may
+  /// depend on the command and the beat count, not on the address: a stream
+  /// times all of its full bursts to one target once.
   [[nodiscard]] virtual sim::Time access_latency(const Payload& payload) const = 0;
   /// Side effects (statistics, storage) after the access completes.
   virtual void complete([[maybe_unused]] const Payload& payload) {}
@@ -49,14 +53,34 @@ public:
     int cycles_per_beat = 1;
   };
 
+  /// Throws std::invalid_argument for a clock that is not finite, not
+  /// positive or too fast for a whole-picosecond period, for negative
+  /// `arbitration_cycles` and for `cycles_per_beat < 1`.
   Bus(sim::Kernel& kernel, std::string name, Config config);
 
-  /// Maps `[base, base+size)` to `target`. Ranges must not overlap.
+  /// Maps `[base, base+size)` to `target`. Throws std::invalid_argument for
+  /// an empty range, one that wraps past 2^64 or one that overlaps another.
   void map(std::uint64_t base, std::uint64_t size, Target& target);
 
-  /// Blocking transport: acquires the bus, holds it for the transaction
-  /// duration, releases. Called from initiator coroutines.
-  [[nodiscard]] sim::Task<void> transport(Payload payload);
+  /// Moves `payload.beats` words (4 bytes each) from `payload.address` on as
+  /// back-to-back bursts of at most `max_burst` beats, holding the grant from
+  /// the first burst to the last. The first burst arbitrates like any
+  /// transaction; every burst counts as one transaction, and the target
+  /// completes each at the wake that ends it. No words: no transaction. Throws
+  /// std::invalid_argument for `max_burst == 0`, and std::out_of_range at
+  /// the start of a burst whose address is unmapped.
+  ///
+  /// The grant is not fair, so a per-burst release would be re-taken before
+  /// any waiter woke: holding it changes nothing. The stream wakes once per
+  /// quiet stretch (`Kernel::quiet_until`), not once per burst: it issues
+  /// every burst that ends before another callback can run — at least one —
+  /// and waits for the last.
+  [[nodiscard]] sim::Task<void> stream(Payload payload, std::uint32_t max_burst);
+
+  /// Blocking transport of one burst: `stream(payload, payload.beats)`.
+  [[nodiscard]] sim::Task<void> transport(Payload payload) {
+    return stream(payload, payload.beats);
+  }
 
   /// Pure timing query: duration one transaction occupies the bus.
   [[nodiscard]] sim::Time transaction_time(const Payload& payload) const;
@@ -84,7 +108,10 @@ private:
     std::uint64_t size;
     Target* target;
   };
-  [[nodiscard]] Target& resolve(std::uint64_t address) const;
+  /// The mapping holding `address`; throws std::out_of_range.
+  [[nodiscard]] const Mapping& resolve(std::uint64_t address) const;
+  /// Bus occupancy of `payload` at `target`.
+  [[nodiscard]] sim::Time burst_time(const Target& target, const Payload& payload) const;
 
   Config config_;
   sim::Time period_;

@@ -113,6 +113,97 @@ TEST(Kernel, StopRequestHonoured) {
   EXPECT_EQ(hits, 1);
 }
 
+// ---------------------------------------------------------- quiet_until
+
+TEST(Kernel, QuietUntilIsTheNextTimedEventOrTheRunLimit) {
+  sim::Kernel kernel;
+  std::vector<Time> seen;
+  kernel.schedule(Time::ns(10), [&] { seen.push_back(kernel.quiet_until()); });
+  kernel.schedule(Time::ns(50), [&] { seen.push_back(kernel.quiet_until()); });
+  kernel.run();
+  EXPECT_EQ(seen, (std::vector<Time>{Time::ns(50), Time::max()}));
+  EXPECT_EQ(kernel.quiet_until(), kernel.now());  // outside run
+}
+
+TEST(Kernel, QuietUntilIsCappedByTheRunLimit) {
+  sim::Kernel kernel;
+  std::vector<Time> seen;
+  kernel.schedule(Time::ns(10), [&] { seen.push_back(kernel.quiet_until()); });
+  kernel.schedule(Time::ns(100), [&] { seen.push_back(kernel.quiet_until()); });
+  EXPECT_EQ(kernel.run(Time::ns(40)), sim::RunResult::time_limit);
+  EXPECT_EQ(kernel.run(Time::ns(300)), sim::RunResult::no_more_events);
+  EXPECT_EQ(seen, (std::vector<Time>{Time::ns(40), Time::ns(300)}));
+}
+
+TEST(Kernel, QuietUntilIsNowWithADeltaJobPending) {
+  sim::Kernel kernel;
+  Time seen = Time::max();
+  kernel.schedule(Time::ns(10), [&] {
+    kernel.schedule_delta([] {});
+    seen = kernel.quiet_until();
+  });
+  kernel.run();
+  EXPECT_EQ(seen, Time::ns(10));
+}
+
+TEST(Kernel, QuietUntilIsNowWithAZeroDelayCallbackPending) {
+  sim::Kernel kernel;
+  Time seen = Time::max();
+  kernel.schedule(Time::ns(10), [&] {
+    kernel.schedule(Time::zero(), [] {});
+    seen = kernel.quiet_until();
+  });
+  kernel.run();
+  EXPECT_EQ(seen, Time::ns(10));
+}
+
+TEST(Kernel, QuietUntilIsNowWithASameInstantTimedEventPending) {
+  sim::Kernel kernel;
+  std::vector<Time> seen;
+  kernel.schedule(Time::ns(10), [&] { seen.push_back(kernel.quiet_until()); });
+  kernel.schedule(Time::ns(10), [&] { seen.push_back(kernel.quiet_until()); });
+  kernel.run();
+  EXPECT_EQ(seen, (std::vector<Time>{Time::ns(10), Time::max()}));
+}
+
+TEST(Kernel, QuietUntilIsNowDuringADeltaCycleAndAfterStop) {
+  sim::Kernel kernel;
+  std::vector<Time> seen;
+  kernel.schedule(Time::ns(10), [&] {
+    kernel.schedule_delta([&] { seen.push_back(kernel.quiet_until()); });
+  });
+  kernel.schedule(Time::ns(20), [&] {
+    kernel.stop();
+    seen.push_back(kernel.quiet_until());
+  });
+  kernel.schedule(Time::ns(30), [] {});
+  EXPECT_EQ(kernel.run(), sim::RunResult::stopped);
+  EXPECT_EQ(seen, (std::vector<Time>{Time::ns(10), Time::ns(20)}));
+}
+
+namespace {
+
+sim::Process quiet_probe(sim::Event& event, sim::Kernel& kernel, std::vector<Time>& seen) {
+  co_await event;
+  seen.push_back(kernel.quiet_until());
+}
+
+}  // namespace
+
+TEST(Kernel, QuietUntilIsNowWhileAnEventResumesMoreWaiters) {
+  // A timed notification resumes both waiters in one callback: the first
+  // sees the second as pending work at the same instant.
+  sim::Kernel kernel;
+  sim::Event event{kernel, "e"};
+  std::vector<Time> seen;
+  kernel.spawn(quiet_probe(event, kernel, seen));
+  kernel.spawn(quiet_probe(event, kernel, seen));
+  kernel.schedule(Time::ns(1), [&] { event.notify(Time::ns(9)); });
+  kernel.schedule(Time::ns(70), [] {});
+  kernel.run();
+  EXPECT_EQ(seen, (std::vector<Time>{Time::ns(10), Time::ns(70)}));
+}
+
 namespace {
 
 sim::Process simple_waiter(sim::Kernel& kernel, std::vector<Time>& log) {
@@ -375,6 +466,43 @@ TEST(Mutex, TryLock) {
   EXPECT_FALSE(mutex.try_lock());
   mutex.unlock();
   EXPECT_TRUE(mutex.try_lock());
+}
+
+namespace {
+
+sim::Process release_and_retake(sim::Kernel& kernel, sim::Mutex& mutex,
+                                std::vector<std::string>& log) {
+  EXPECT_TRUE(mutex.try_lock());
+  co_await kernel.wait(Time::ns(10));
+  mutex.unlock();
+  // Same callback: the waiter's wake-up is only a pending delta job.
+  log.push_back(mutex.try_lock() ? "retaken@10" : "lost@10");
+  co_await kernel.wait(Time::ns(10));
+  mutex.unlock();
+}
+
+sim::Process wait_for_grant(sim::Kernel& kernel, sim::Mutex& mutex,
+                            std::vector<std::string>& log) {
+  co_await kernel.wait(Time::ns(1));
+  co_await mutex.lock();
+  log.push_back("waiter@" + std::to_string(kernel.now().picoseconds() / 1000));
+  mutex.unlock();
+}
+
+}  // namespace
+
+TEST(Mutex, ReleasedGrantIsRetakenInTheSameCallbackBeforeAWaiterWakes) {
+  // The grant is not fair: a holder that releases and re-takes it in one
+  // callback keeps it, and the waiter gets it only at the next release.
+  // This is what lets a bus stream hold the grant across its bursts.
+  sim::Kernel kernel;
+  sim::Mutex mutex{kernel, "m"};
+  std::vector<std::string> log;
+  kernel.spawn(release_and_retake(kernel, mutex, log));
+  kernel.spawn(wait_for_grant(kernel, mutex, log));
+  kernel.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"retaken@10", "waiter@20"}));
+  EXPECT_FALSE(mutex.locked());
 }
 
 // ----------------------------------------------------------------- Trace
