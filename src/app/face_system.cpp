@@ -68,7 +68,8 @@ media::PipelineProfile profile_reference(const media::FaceDatabase& db, int fram
     const int id = query_identity(f, db.identities());
     const auto capture = media::camera_capture(media::FaceParams::for_identity(id),
                                                query_pose(f), image_size);
-    (void)media::recognize(capture, db, {}, &profile);
+    // Only the ops profile is read: no stage checksums.
+    (void)media::match(media::extract_features(capture, {}, &profile), db, &profile);
   }
   return profile;
 }

@@ -66,12 +66,6 @@ media::Image Laerte::capture(const Stimulus& s) const {
                                config_.image_size);
 }
 
-media::RecognitionResult Laerte::run_frame(const Stimulus& s,
-                                           const media::PipelineConfig& cfg,
-                                           media::FrontEndState* state) const {
-  return media::recognize(capture(s), db_, cfg, nullptr, nullptr, state);
-}
-
 std::vector<verif::BitFault> Laerte::bit_fault_list() const {
   // Stage-boundary outputs of interest: a deterministic word/bit sample per
   // stage (the full cross product is enormous; Laerte++ samples too).
@@ -164,8 +158,9 @@ Testbench Laerte::genetic_testbench(int frames, int population, int generations,
     for (const auto& s : tb.frames) {
       const auto [it, fresh] = frame_cov.try_emplace(s);
       if (fresh) {
+        // Fitness reads coverage only: no stage checksums.
         verif::CoverageDb::Scope scope{it->second};
-        (void)run_frame(s, config_.pipeline, nullptr);
+        (void)media::match(media::extract_features(capture(s), config_.pipeline), db_);
       }
       merged.merge_from(it->second);
     }
@@ -223,10 +218,15 @@ bool Laerte::detects_seeded_memory_bug(const Testbench& tb) const {
   buggy.seeded_memory_bug = true;
   media::FrontEndState state;
   for (const auto& s : tb.frames) {
-    const auto golden = run_frame(s, config_.pipeline, nullptr);
-    const auto faulty = run_frame(s, buggy, &state);
-    if (golden.traces.window != faulty.traces.window ||
-        golden.winner.index != faulty.winner.index) {
+    // The bug only alters CRTBORD's window, so the buggy run shares BAY to
+    // EDGE with the golden one and resumes it below EDGE.
+    media::GoldenRun run = media::golden_run(capture(s), db_, config_.pipeline);
+    media::StageTraces traces;
+    media::run_front_end(run.values, media::Boundary::edge, buggy, nullptr, &traces, nullptr,
+                         &state);
+    const auto faulty = media::match(std::move(run.values.features), db_);
+    if (run.result.traces.window != traces.window ||
+        run.result.winner.index != faulty.winner.index) {
       return true;
     }
   }

@@ -96,16 +96,14 @@ public:
 
   /// Laerte++'s memory-inspection result, reproduced as a dynamic check:
   /// does `tb` expose the seeded uninitialised-window bug (different
-  /// observable outputs between the clean and the buggy pipeline)?
+  /// observable outputs between the clean and the buggy pipeline)? Each
+  /// frame is captured and run once; the buggy run resumes it below EDGE.
   [[nodiscard]] bool detects_seeded_memory_bug(const Testbench& tb) const;
 
   [[nodiscard]] const media::FaceDatabase& database() const noexcept { return db_; }
 
 private:
   [[nodiscard]] media::Image capture(const Stimulus& s) const;
-  [[nodiscard]] media::RecognitionResult run_frame(const Stimulus& s,
-                                                   const media::PipelineConfig& cfg,
-                                                   media::FrontEndState* state) const;
 
   Config config_;
   media::FaceDatabase db_;

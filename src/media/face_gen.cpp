@@ -1,5 +1,6 @@
 #include "media/face_gen.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -33,13 +34,21 @@ int cos_q15(int deg) { return sin_q15(deg + 90); }
 /// Integer test for a point inside an axis-aligned ellipse with half-axes
 /// a and b (Q8 coordinates): (x/a)^2 + (y/b)^2 <= 1, scaled to
 /// (x*b)^2 + (y*a)^2 <= (a*b*256)^2, with the axis terms squared once.
+/// With both axes positive that implies |x| <= a*256 and |y| <= b*256: the
+/// ellipse's bounding box.
 struct EllipseQ8 {
   std::int64_t a2;
   std::int64_t b2;
   std::int64_t r2;
+  std::int64_t box_x;  ///< a*256, or -1 when an axis is not positive
+  std::int64_t box_y;  ///< b*256 likewise
 
   EllipseQ8(std::int64_t a, std::int64_t b) noexcept
-      : a2{a * a}, b2{b * b}, r2{(a * b * 256) * (a * b * 256)} {}
+      : a2{a * a},
+        b2{b * b},
+        r2{(a * b * 256) * (a * b * 256)},
+        box_x{a > 0 && b > 0 ? a * 256 : -1},
+        box_y{a > 0 && b > 0 ? b * 256 : -1} {}
   [[nodiscard]] bool contains(std::int64_t x_q8, std::int64_t y_q8) const noexcept {
     return x_q8 * x_q8 * b2 + y_q8 * y_q8 * a2 <= r2;
   }
@@ -73,7 +82,17 @@ public:
         nose_y1_{(p.eye_y + p.nose_len) * 256},
         mouth_x_{p.mouth_w * 256},
         mouth_y0_{(p.mouth_y - p.mouth_h) * 256},
-        mouth_y1_{(p.mouth_y + p.mouth_h) * 256} {}
+        mouth_y1_{(p.mouth_y + p.mouth_h) * 256} {
+    // One box around every eye ellipse, when each has one.
+    for (const EllipseQ8* e : {&sclera_, &pupil_, &glasses_outer_, &glasses_inner_}) {
+      if (e->box_x < 0) {
+        eye_box_x_ = -1;
+        break;
+      }
+      eye_box_x_ = std::max(eye_box_x_, e->box_x);
+      eye_box_y_ = std::max(eye_box_y_, e->box_y);
+    }
+  }
 
   [[nodiscard]] int intensity(int fx_q8, int fy_q8) const {
     // Background: soft vertical gradient.
@@ -85,11 +104,15 @@ public:
       if (fy_q8 < hair_line_) value = hair_;
 
       const int ax = fx_q8 < 0 ? -fx_q8 : fx_q8;  // |x|
-      // Eyes (mirrored left/right).
+      // Eyes (mirrored left/right), tested only near an eye.
       const std::int64_t ex = ax - eye_dx_;
       const std::int64_t ey = fy_q8 - eye_y_;
-      if (sclera_.contains(ex, ey)) value = 200;
-      if (pupil_.contains(ex, ey)) value = 25;
+      const bool near_eye = eye_box_x_ < 0 || (ex <= eye_box_x_ && -ex <= eye_box_x_ &&
+                                               ey <= eye_box_y_ && -ey <= eye_box_y_);
+      if (near_eye) {
+        if (sclera_.contains(ex, ey)) value = 200;
+        if (pupil_.contains(ex, ey)) value = 25;
+      }
       // Eyebrows.
       if (fy_q8 >= brow_y_ - 128 && fy_q8 <= brow_y_ + 128 && ax >= brow_x0_ &&
           ax <= brow_x1_) {
@@ -97,9 +120,9 @@ public:
       }
       // Glasses: ring around each eye.
       if (glasses_) {
-        const bool outer = glasses_outer_.contains(ex, ey);
-        const bool inner = glasses_inner_.contains(ex, ey);
-        if (outer && !inner) value = 35;
+        if (near_eye && glasses_outer_.contains(ex, ey) && !glasses_inner_.contains(ex, ey)) {
+          value = 35;
+        }
         // Bridge between lenses.
         if (fy_q8 >= bridge_y0_ && fy_q8 <= bridge_y1_ && ax <= bridge_x_) value = 35;
       }
@@ -133,6 +156,8 @@ private:
   int mouth_x_;
   int mouth_y0_;
   int mouth_y1_;
+  std::int64_t eye_box_x_ = 0;  ///< the eyes' box, or -1 when one has none
+  std::int64_t eye_box_y_ = 0;
 };
 
 }  // namespace
@@ -171,26 +196,27 @@ Image render_face(const FaceParams& params, const Pose& pose, int size) {
   const int c = cos_q15(-pose.rot_deg);
   const int s = sin_q15(-pose.rot_deg);
   // Canonical geometry is defined for a 64x64 frame; scale accordingly.
+  // At that size the frame scale is 1 (256 in Q8) and changes nothing.
   const std::int64_t frame_scale_q8 = (64 * 256) / size;
+  const bool rescale = frame_scale_q8 != 256;
   const std::int64_t inv_zoom_q8 = (256 * 256) / pose.scale_q8;
+  // Undo zoom and frame scaling.
+  const auto unscale = [&](std::int64_t v_q8) {
+    v_q8 = v_q8 * inv_zoom_q8 / 256;
+    return static_cast<int>(rescale ? v_q8 * frame_scale_q8 / 256 : v_q8);
+  };
 
+  std::uint16_t* dst = out.data().data();
   for (int y = 0; y < size; ++y) {
-    // Target row -> centred coords, undo translation; its rotation terms.
-    const std::int64_t ty = (y - half - pose.dy);
-    const std::int64_t ty_s = ty * s;
-    const std::int64_t ty_c = ty * c;
-    for (int x = 0; x < size; ++x) {
-      const std::int64_t tx = (x - half - pose.dx);
-      // Undo rotation (Q15 trig -> Q8 coordinates).
-      std::int64_t rx_q8 = (tx * c - ty_s) >> 7;  // *256/32768
-      std::int64_t ry_q8 = (tx * s + ty_c) >> 7;
-      // Undo zoom and frame scaling.
-      rx_q8 = rx_q8 * inv_zoom_q8 / 256;
-      ry_q8 = ry_q8 * inv_zoom_q8 / 256;
-      rx_q8 = rx_q8 * frame_scale_q8 / 256;
-      ry_q8 = ry_q8 * frame_scale_q8 / 256;
-      out.px(x, y) = static_cast<std::uint16_t>(
-          face.intensity(static_cast<int>(rx_q8), static_cast<int>(ry_q8)));
+    // Target pixel -> centred coords, undo translation, then rotation (Q15
+    // trig): tx*c - ty*s and tx*s + ty*c, which grow by c and s per pixel.
+    const std::int64_t ty = y - half - pose.dy;
+    const std::int64_t tx0 = -half - pose.dx;
+    std::int64_t rx = tx0 * c - ty * s;
+    std::int64_t ry = tx0 * s + ty * c;
+    for (int x = 0; x < size; ++x, rx += c, ry += s) {
+      // Q15 -> Q8 coordinates: *256/32768.
+      *dst++ = static_cast<std::uint16_t>(face.intensity(unscale(rx >> 7), unscale(ry >> 7)));
     }
   }
   return out;
@@ -200,21 +226,20 @@ Image camera_capture(const FaceParams& params, const Pose& pose, int size) {
   const Image scene = render_face(params, pose, size);
   Image bayer{size, size};
   verif::Rng noise{pose.noise_seed};
-  // Spectral response per RGGB site relative to the gray scene
-  // (Q8 gains: R=0.85, G=1.0, B=0.75).
+  const int light = pose.light_offset;
+  const int amp = pose.noise_amp;
+  const std::uint16_t* src = scene.data().data();
+  std::uint16_t* dst = bayer.data().data();
   for (int y = 0; y < size; ++y) {
-    for (int x = 0; x < size; ++x) {
-      const bool even_row = (y & 1) == 0;
-      const bool even_col = (x & 1) == 0;
-      int gain_q8 = 256;  // green
-      if (even_row && even_col) gain_q8 = 218;       // red site
-      else if (!even_row && !even_col) gain_q8 = 192; // blue site
-      int v = static_cast<int>(scene.px(x, y)) * gain_q8 / 256;
-      v += pose.light_offset;
-      if (pose.noise_amp > 0) {
-        v += static_cast<int>(noise.range(-pose.noise_amp, pose.noise_amp));
-      }
-      bayer.px(x, y) = static_cast<std::uint16_t>(clamp255(v));
+    // Spectral response per RGGB site relative to the gray scene (Q8
+    // gains: R=0.85, G=1.0, B=0.75), for even and odd columns of the row.
+    const bool even_row = (y & 1) == 0;
+    const std::array<int, 2> gain_q8{even_row ? 218 : 256, even_row ? 256 : 192};
+    for (int x = 0; x < size; ++x, ++src, ++dst) {
+      // The scene is >= 0, so the shift is the division by 256.
+      int v = ((*src * gain_q8[static_cast<std::size_t>(x & 1)]) >> 8) + light;
+      if (amp > 0) v += static_cast<int>(noise.range(-amp, amp));
+      *dst = static_cast<std::uint16_t>(clamp255(v));
     }
   }
   return bayer;

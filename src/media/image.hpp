@@ -3,6 +3,7 @@
 // Pixels are 16-bit to leave headroom for intermediate results (Sobel
 // magnitudes, ROOT-transformed values).
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -18,8 +19,10 @@ public:
     if (width <= 0 || height <= 0) {
       throw std::invalid_argument{"media: image dimensions must be positive"};
     }
-    pixels_.assign(static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
-                   fill);
+    // Zero-filled by value-initialisation (a memset): a fill loop over a
+    // runtime value stores one 16-bit pixel at a time.
+    pixels_.resize(static_cast<std::size_t>(width) * static_cast<std::size_t>(height));
+    if (fill != 0) std::fill(pixels_.begin(), pixels_.end(), fill);
   }
 
   [[nodiscard]] int width() const noexcept { return width_; }

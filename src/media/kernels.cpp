@@ -2,11 +2,120 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace symbad::media {
 
 namespace {
+
+// GCC vector-extension types (clang accepts them too). At the x86-64
+// baseline a 16-byte vector is one SSE2 register.
+
+/// Eight 16-bit pixels: one neighbour of eight consecutive pixels.
+using Px8 = std::uint16_t __attribute__((vector_size(16)));
+/// What comparing two Px8 gives: a lane mask, each lane 0 or all ones.
+using I16x8 = std::int16_t __attribute__((vector_size(16)));
+using I32x4 = std::int32_t __attribute__((vector_size(16)));
+
+/// Eight 32-bit lanes in one 32-byte vector: only converted to or from.
+using Wide8 = std::int32_t __attribute__((vector_size(32)));
+
+/// Eight signed 32-bit lanes, to which EDGE and BAY widen their pixels so
+/// that no sum of 16-bit pixels overflows a lane. Two 16-byte halves: GCC
+/// compiles a 32-byte vector's comparisons lane by lane without AVX, and
+/// passes one by value differently with and without it. An int operand
+/// stands for eight equal lanes.
+struct I32x8 {
+  I32x4 lo;
+  I32x4 hi;
+
+  I32x8() = default;
+  I32x8(const I32x4& low, const I32x4& high) noexcept : lo{low}, hi{high} {}
+  I32x8(int value) noexcept : lo{I32x4{} + value}, hi{I32x4{} + value} {}
+};
+I32x8 operator+(const I32x8& a, const I32x8& b) noexcept { return {a.lo + b.lo, a.hi + b.hi}; }
+I32x8 operator-(const I32x8& a, const I32x8& b) noexcept { return {a.lo - b.lo, a.hi - b.hi}; }
+I32x8 operator*(const I32x8& a, const I32x8& b) noexcept { return {a.lo * b.lo, a.hi * b.hi}; }
+I32x8 operator&(const I32x8& a, const I32x8& b) noexcept { return {a.lo & b.lo, a.hi & b.hi}; }
+I32x8 operator|(const I32x8& a, const I32x8& b) noexcept { return {a.lo | b.lo, a.hi | b.hi}; }
+I32x8 operator^(const I32x8& a, const I32x8& b) noexcept { return {a.lo ^ b.lo, a.hi ^ b.hi}; }
+I32x8 operator==(const I32x8& a, const I32x8& b) noexcept { return {a.lo == b.lo, a.hi == b.hi}; }
+I32x8 operator!=(const I32x8& a, const I32x8& b) noexcept { return {a.lo != b.lo, a.hi != b.hi}; }
+I32x8 operator<(const I32x8& a, const I32x8& b) noexcept { return {a.lo < b.lo, a.hi < b.hi}; }
+I32x8 operator>(const I32x8& a, const I32x8& b) noexcept { return {a.lo > b.lo, a.hi > b.hi}; }
+I32x8 operator>=(const I32x8& a, const I32x8& b) noexcept { return {a.lo >= b.lo, a.hi >= b.hi}; }
+I32x8 operator>>(const I32x8& a, int n) noexcept { return {a.lo >> n, a.hi >> n}; }
+I32x8 operator~(const I32x8& a) noexcept { return {~a.lo, ~a.hi}; }
+
+/// The sum of the lanes.
+template <typename V>
+std::int64_t lane_sum(const V& lanes) noexcept {
+  if constexpr (std::is_same_v<V, I32x8>) {
+    return lane_sum(lanes.lo) + lane_sum(lanes.hi);
+  } else {
+    std::array<std::remove_cvref_t<decltype(lanes[0])>, sizeof(V) / sizeof(lanes[0])> values{};
+    std::memcpy(values.data(), &lanes, sizeof lanes);
+    std::int64_t sum = 0;
+    for (const auto v : values) sum += v;
+    return sum;
+  }
+}
+
+/// `a` where `mask` holds, else `b`: a ?: on one pixel, a blend on lanes.
+template <typename M, typename V>
+V select(const M& mask, const V& a, const V& b) noexcept {
+  if constexpr (std::is_same_v<M, bool>) {
+    return mask ? a : b;
+  } else {
+    const V m = (V)mask;  // same lane width: a reinterpretation
+    return (a & m) | (b & ~m);
+  }
+}
+
+/// `v` negated where `mask` holds. On lanes, (v ^ m) - m with m = -1 is
+/// the two's complement -v, and with m = 0 is v.
+template <typename M, typename V>
+V negate_where(const M& mask, const V& v) noexcept {
+  if constexpr (std::is_same_v<M, bool>) {
+    return mask ? -v : v;
+  } else {
+    const V m = (V)mask;
+    return (v ^ m) - m;
+  }
+}
+
+/// `like`'s type holding `value` in every lane (or its one pixel).
+template <typename V>
+V splat(const V& /*like*/, int value) noexcept {
+  return static_cast<V>(value);
+}
+
+/// A pixel as an int, or eight pixels as 32-bit lanes.
+int widen(std::uint16_t pixel) noexcept { return pixel; }
+I32x8 widen(const Px8& pixels) noexcept {
+  const Wide8 wide = __builtin_convertvector(pixels, Wide8);
+  I32x8 lanes{};
+  std::memcpy(&lanes, &wide, sizeof lanes);
+  return lanes;
+}
+
+/// Writes one pixel, or eight from (x, y) rightwards (32-bit lanes
+/// truncate to 16 bits, as a cast of one pixel does).
+void store(Image& img, int x, int y, int value) noexcept {
+  img.px(x, y) = static_cast<std::uint16_t>(value);
+}
+void store(Image& img, int x, int y, const Px8& values) noexcept {
+  std::memcpy(&img.px(x, y), &values, sizeof values);
+}
+void store(Image& img, int x, int y, const I32x8& values) noexcept {
+  Wide8 wide{};
+  std::memcpy(&wide, &values, sizeof wide);
+  store(img, x, y, __builtin_convertvector(wide, Px8));
+}
 
 /// The coverage hits of one kernel call, counted in locals and added to the
 /// kernel's module once, when the call ends. Every kernel with a coverage
@@ -16,7 +125,14 @@ namespace {
 /// outcome, so that instantiation contains no coverage code. With `Cov`
 /// true the body evaluates the same outcomes the per-hit instrumentation
 /// did, so the module ends with the same hit counts.
-template <bool Cov, int Stmts, int Branches, int Conds>
+///
+/// An outcome is a bool for one pixel, or a lane mask of type `Lanes` for
+/// eight, one lane per pixel. A mask's hits add up lane by lane in a
+/// `Lanes` vector (a set lane is -1, so subtracting the mask adds one),
+/// which fold_lanes() sums into the counts. A body adds at most 16 outcomes
+/// to a point per call, and for_each_3x3 folds at least every 1024 calls,
+/// so not even a 16-bit lane overflows.
+template <bool Cov, int Stmts, int Branches, int Conds, typename Lanes = I32x8>
 class Tally {
 public:
   /// Declares the kernel's points up front, so unexecuted ones count
@@ -30,6 +146,7 @@ public:
   }
   ~Tally() {
     if constexpr (Cov) {
+      fold_lanes();
       for (int i = 0; i < Stmts; ++i) module_->add_statement(i, stmt_[slot(i)]);
       for (int i = 0; i < Branches; ++i) {
         module_->add_branch(i, branch_true_[slot(i)], branch_[slot(i)] - branch_true_[slot(i)]);
@@ -42,30 +159,80 @@ public:
   Tally(const Tally&) = delete;
   Tally& operator=(const Tally&) = delete;
 
-  void stmt(int id) noexcept {
-    if constexpr (Cov) ++stmt_[slot(id)];
+  /// `times` executions of statement `id`.
+  void stmt(int id, std::uint64_t times = 1) noexcept {
+    if constexpr (Cov) stmt_[slot(id)] += times;
+  }
+  /// One execution of statement `id` per pixel of `where`.
+  template <typename M>
+  void stmt_on(int id, const M& where) noexcept {
+    if constexpr (Cov) add(stmt_[slot(id)], stmt_lanes_[slot(id)], where);
   }
   // Outcomes count as (evaluations, true ones), so a data-dependent
   // outcome adds without a branch.
-  bool branch(int id, bool taken) noexcept {
+  template <typename M>
+  M branch(int id, const M& taken) noexcept {
     if constexpr (Cov) {
-      ++branch_[slot(id)];
-      branch_true_[slot(id)] += static_cast<std::uint64_t>(taken);
+      branch_[slot(id)] += pixels<M>();
+      add(branch_true_[slot(id)], branch_true_lanes_[slot(id)], taken);
     }
     return taken;
   }
-  bool cond(int id, bool value) noexcept {
+  /// A branch evaluated only on the pixels of `active`, as one in an else.
+  template <typename M>
+  M branch(int id, const M& taken, const M& active) noexcept {
     if constexpr (Cov) {
-      ++cond_[slot(id)];
-      cond_true_[slot(id)] += static_cast<std::uint64_t>(value);
+      add(branch_[slot(id)], branch_lanes_[slot(id)], active);
+      add(branch_true_[slot(id)], branch_true_lanes_[slot(id)], static_cast<M>(taken & active));
+    }
+    return taken;
+  }
+  template <typename M>
+  M cond(int id, const M& value) noexcept {
+    if constexpr (Cov) {
+      cond_[slot(id)] += pixels<M>();
+      add(cond_true_[slot(id)], cond_true_lanes_[slot(id)], value);
     }
     return value;
+  }
+
+  /// Adds the lane counts into the totals and clears them.
+  void fold_lanes() noexcept {
+    if constexpr (Cov) {
+      fold(stmt_, stmt_lanes_);
+      fold(branch_, branch_lanes_);
+      fold(branch_true_, branch_true_lanes_);
+      fold(cond_true_, cond_true_lanes_);
+    }
   }
 
 private:
   template <int N>
   using Counts = std::array<std::uint64_t, Cov ? N : 0>;
+  template <int N>
+  using LaneCounts = std::array<Lanes, Cov ? N : 0>;
   static constexpr std::size_t slot(int id) noexcept { return static_cast<std::size_t>(id); }
+
+  /// How many pixels an outcome of type M covers.
+  template <typename M>
+  static constexpr std::uint64_t pixels() noexcept {
+    return std::is_same_v<M, bool> ? 1 : 8;
+  }
+  template <typename M>
+  static void add(std::uint64_t& count, Lanes& lanes, const M& outcome) noexcept {
+    if constexpr (std::is_same_v<M, bool>) {
+      count += outcome ? 1 : 0;
+    } else {
+      lanes = lanes - outcome;
+    }
+  }
+  template <std::size_t N>
+  static void fold(std::array<std::uint64_t, N>& counts, std::array<Lanes, N>& lanes) noexcept {
+    for (std::size_t i = 0; i < N; ++i) {
+      counts[i] += static_cast<std::uint64_t>(lane_sum(lanes[i]));
+      lanes[i] = Lanes{};
+    }
+  }
 
   verif::CovModule* module_;
   Counts<Stmts> stmt_{};
@@ -73,33 +240,95 @@ private:
   Counts<Branches> branch_true_{};
   Counts<Conds> cond_{};
   Counts<Conds> cond_true_{};
+  LaneCounts<Stmts> stmt_lanes_{};
+  LaneCounts<Branches> branch_lanes_{};
+  LaneCounts<Branches> branch_true_lanes_{};
+  LaneCounts<Conds> cond_true_lanes_{};
 };
 
-/// Calls `pixel(x, y, at)` for every pixel of `img` in row-major order;
-/// `at(dx, dy)` reads the neighbour (x + dx, y + dy) for |dx|, |dy| <= 1.
-/// On the one-pixel border ring `at` reads through Image::clamped (the 2D
-/// kernels' border policy); inside the ring no neighbour leaves the image,
-/// so `at` reads three row pointers directly.
-template <typename Pixel>
-void for_each_3x3(const Image& img, Pixel&& pixel) {
+// The neighbour readers of for_each_3x3. `at(dx, dy)` reads the neighbour
+// (x + dx, y + dy), |dx|, |dy| <= 1, of each pixel the call covers; `lanes`
+// is how many pixels that is, `column()` their x and `on_ring()` whether
+// they lie on the image's one-pixel border ring.
+
+/// The rows above, at and below one image row, from the padded copy
+/// for_each_3x3 reads.
+struct Rows3 {
+  std::array<const std::uint16_t*, 3> row;
+  int width;
+  bool ring_row;  ///< the first or the last row
+};
+
+/// One pixel.
+struct PixelAt {
+  static constexpr std::uint64_t lanes = 1;
+  Rows3 rows;
+  int x;
+  std::uint16_t operator()(int dx, int dy) const noexcept {
+    return rows.row[static_cast<std::size_t>(dy + 1)][x + dx];
+  }
+  [[nodiscard]] int column() const noexcept { return x; }
+  [[nodiscard]] bool on_ring() const noexcept {
+    return rows.ring_row || x == 0 || x == rows.width - 1;
+  }
+};
+
+/// Eight consecutive pixels from x, one per lane. Each lane runs the body's
+/// scan order for its own pixel.
+struct LaneAt {
+  static constexpr std::uint64_t lanes = 8;
+  Rows3 rows;
+  int x;
+  Px8 operator()(int dx, int dy) const noexcept {
+    Px8 v{};
+    std::memcpy(&v, rows.row[static_cast<std::size_t>(dy + 1)] + x + dx, sizeof v);
+    return v;
+  }
+  [[nodiscard]] I32x8 column() const noexcept {
+    return I32x8{I32x4{0, 1, 2, 3}, I32x4{4, 5, 6, 7}} + x;
+  }
+  [[nodiscard]] I32x8 on_ring() const noexcept {
+    const I32x8 col = column();
+    return (col == 0) | (col == rows.width - 1) | I32x8{rows.ring_row ? -1 : 0};
+  }
+};
+
+/// Calls `pixel(x, y, at)` for every pixel of `img` in row-major order:
+/// eight pixels per call while the row has eight left (x being the first),
+/// then one at a time, and folds `cov`'s lane counts often enough that
+/// they stay exact. The reads go to a copy of the image whose rows repeat
+/// their first and last pixels on either side, and the row above the first
+/// (below the last) is that row itself. That is the 2D kernels' border
+/// policy, Image::clamped, so no read tests a bound.
+template <typename Tally, typename Pixel>
+void for_each_3x3(const Image& img, Tally& cov, Pixel&& pixel) {
   const int w = img.width();
   const int h = img.height();
-  const std::uint16_t* const base = img.data().data();
-  const auto clamped = [&img](int x, int y) {
-    return [&img, x, y](int dx, int dy) { return img.clamped(x + dx, y + dy); };
+  const auto stride = static_cast<std::size_t>(w) + 2;
+  std::vector<std::uint16_t> padded(stride * static_cast<std::size_t>(h));
+  const auto src = img.data();
+  for (std::size_t y = 0; y < static_cast<std::size_t>(h); ++y) {
+    std::uint16_t* const row = padded.data() + y * stride;
+    std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(y * (stride - 2)), w, row + 1);
+    row[0] = row[1];
+    row[w + 1] = row[w];
+  }
+  const auto row = [&](int y) -> const std::uint16_t* {
+    return padded.data() + static_cast<std::size_t>(std::clamp(y, 0, h - 1)) * stride + 1;
   };
+  constexpr int lanes = static_cast<int>(LaneAt::lanes);
+  std::uint32_t lane_calls = 0;
   for (int y = 0; y < h; ++y) {
-    if (y == 0 || y == h - 1 || w < 3) {
-      for (int x = 0; x < w; ++x) pixel(x, y, clamped(x, y));
-      continue;
+    const Rows3 rows{{row(y - 1), row(y), row(y + 1)}, w, y == 0 || y == h - 1};
+    int x = 0;
+    for (; x + lanes <= w; x += lanes) {
+      pixel(x, y, LaneAt{rows, x});
+      if (++lane_calls == 1024) {
+        cov.fold_lanes();
+        lane_calls = 0;
+      }
     }
-    const std::uint16_t* const mid = base + static_cast<std::ptrdiff_t>(y) * w;
-    const std::uint16_t* const rows[3] = {mid - w, mid, mid + w};
-    pixel(0, y, clamped(0, y));
-    for (int x = 1; x < w - 1; ++x) {
-      pixel(x, y, [&rows, x](int dx, int dy) { return rows[dy + 1][x + dx]; });
-    }
-    pixel(w - 1, y, clamped(w - 1, y));
+    for (; x < w; ++x) pixel(x, y, PixelAt{rows, x});
   }
 }
 
@@ -124,43 +353,41 @@ Image bay_body(const Image& bayer, Ctx ctx) {
   const int h = bayer.height();
   Image luma{w, h};
 
-  for_each_3x3(bayer, [&](int x, int y, auto at) {
+  for_each_3x3(bayer, cov, [&](int x, int y, auto at) {
+    // RGGB pattern: red sites at (even, even), blue at (odd, odd), green
+    // between. Each pixel takes its site's bilinear reconstruction from
+    // clamped neighbours; every site's is computed and the site selects.
     const bool even_row = (y & 1) == 0;
-    const bool even_col = (x & 1) == 0;
-    int r = 0;
-    int g = 0;
-    int b = 0;
-    // RGGB pattern reconstruction (bilinear from clamped neighbours).
-    if (cov.branch(0, even_row && even_col)) {
-      // red site
-      cov.stmt(1);
-      r = at(0, 0);
-      g = (at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1)) / 4;
-      b = (at(-1, -1) + at(1, -1) + at(-1, 1) + at(1, 1)) / 4;
-    } else if (cov.branch(1, !even_row && !even_col)) {
-      // blue site
-      cov.stmt(2);
-      b = at(0, 0);
-      g = (at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1)) / 4;
-      r = (at(-1, -1) + at(1, -1) + at(-1, 1) + at(1, 1)) / 4;
-    } else {
-      // green site; red/blue neighbours depend on the row parity.
-      cov.stmt(3);
-      g = at(0, 0);
-      if (cov.branch(2, even_row)) {
-        r = (at(-1, 0) + at(1, 0)) / 2;
-        b = (at(0, -1) + at(0, 1)) / 2;
-      } else {
-        b = (at(-1, 0) + at(1, 0)) / 2;
-        r = (at(0, -1) + at(0, 1)) / 2;
-      }
-    }
+    const auto green = ((at.column() ^ y) & 1) != 0;
+    const auto colour = green == 0;  // a red site on even rows, blue on odd ones
+    const auto none = splat(colour, 0);
+    const auto red = cov.branch(0, even_row ? colour : none);
+    const auto blue = cov.branch(1, even_row ? none : colour, red == 0);  // evaluated off red
+    cov.stmt_on(1, red);
+    cov.stmt_on(2, blue);
+    cov.stmt_on(3, green);
+    (void)cov.branch(2, splat(green, even_row ? -1 : 0), green);  // evaluated on green
+
+    const auto centre = widen(at(0, 0));
+    const auto left_right = widen(at(-1, 0)) + widen(at(1, 0));
+    const auto up_down = widen(at(0, -1)) + widen(at(0, 1));
+    const auto corners =
+        widen(at(-1, -1)) + widen(at(1, -1)) + widen(at(-1, 1)) + widen(at(1, 1));
+    // A red or blue site keeps its own colour, takes green from the cross
+    // and the other colour from the corners. A green site takes the colour
+    // of its row's red or blue sites from left and right, the other from
+    // above and below. (Pixel sums are >= 0: the shifts are the divisions.)
+    const auto own = select(green, left_right >> 1, centre);
+    const auto g = select(green, centre, (left_right + up_down) >> 2);
+    const auto other = select(green, up_down >> 1, corners >> 2);
+    const auto& r = even_row ? own : other;
+    const auto& b = even_row ? other : own;
     // ITU-601-ish integer luma.
-    int value = (77 * r + 150 * g + 29 * b) >> 8;
-    if (cov.cond(0, value > 255)) value = 255;
-    if (cov.cond(1, value < 0)) value = 0;
-    (void)cov.branch(3, (x == 0 || y == 0 || x == w - 1 || y == h - 1));
-    luma.px(x, y) = static_cast<std::uint16_t>(value);
+    auto value = (77 * r + 150 * g + 29 * b) >> 8;
+    value = select(cov.cond(0, value > 255), splat(value, 255), value);
+    value = select(cov.cond(1, value < 0), splat(value, 0), value);
+    (void)cov.branch(3, at.on_ring());
+    store(luma, x, y, value);
   });
   cov.stmt(4);
   ctx.add_ops(static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h) * 12);
@@ -171,18 +398,17 @@ Image bay_body(const Image& bayer, Ctx ctx) {
 
 template <bool Cov>
 Image erode_body(const Image& in, Ctx ctx) {
-  Tally<Cov, 3, 1, 1> cov{ctx.cov};
+  Tally<Cov, 3, 1, 1, I16x8> cov{ctx.cov};  // pixel comparisons: 16-bit lane masks
   cov.stmt(0);
   const int w = in.width();
   const int h = in.height();
   Image out{w, h};
-  for_each_3x3(in, [&](int x, int y, auto at) {
+  for_each_3x3(in, cov, [&](int x, int y, auto at) {
+    using Px = decltype(at(0, 0));
     // Row by row from the top-left neighbour: the order fixes how many
     // `v < m` outcomes come out true.
-    std::uint16_t m = 0xFFFF;
-    const auto scan = [&m, &cov](std::uint16_t v) {
-      if (cov.cond(0, v < m)) m = v;
-    };
+    auto m = static_cast<Px>(~Px{});  // 0xFFFF
+    const auto scan = [&m, &cov](const Px& v) { m = select(cov.cond(0, v < m), v, m); };
     scan(at(-1, -1));
     scan(at(0, -1));
     scan(at(1, -1));
@@ -193,8 +419,8 @@ Image erode_body(const Image& in, Ctx ctx) {
     scan(at(0, 1));
     scan(at(1, 1));
     (void)cov.branch(0, m == at(0, 0));
-    out.px(x, y) = m;
-    cov.stmt(1);
+    store(out, x, y, m);
+    cov.stmt(1, at.lanes);
   });
   cov.stmt(2);
   ctx.add_ops(static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h) * 18);
@@ -216,7 +442,11 @@ Image root_body(const Image& in, Ctx ctx) {
   for (std::size_t i = 0; i < src.size(); ++i) {
     const std::uint32_t v = src[i];
     (void)cov.cond(0, v == 0);
-    dst[i] = cov.branch(0, v > 255) ? isqrt32(v << 8) : table[v];
+    if (cov.branch(0, v > 255)) [[unlikely]] {  // only a bit fault upstream widens a pixel
+      dst[i] = isqrt32(v << 8);
+    } else {
+      dst[i] = table[v];
+    }
     cov.stmt(1);
   }
   cov.stmt(2);
@@ -235,23 +465,22 @@ EdgeResult sobel_body(const Image& in, std::uint16_t threshold, Ctx ctx) {
   const int w = in.width();
   const int h = in.height();
   EdgeResult r{Image{w, h}, Image{w, h}};
-  for_each_3x3(in, [&](int x, int y, auto at) {
-    const int p00 = at(-1, -1);
-    const int p10 = at(0, -1);
-    const int p20 = at(1, -1);
-    const int p01 = at(-1, 0);
-    const int p21 = at(1, 0);
-    const int p02 = at(-1, 1);
-    const int p12 = at(0, 1);
-    const int p22 = at(1, 1);
-    const int gx = (p20 + 2 * p21 + p22) - (p00 + 2 * p01 + p02);
-    const int gy = (p02 + 2 * p12 + p22) - (p00 + 2 * p10 + p20);
-    int mag = (cov.cond(0, gx < 0) ? -gx : gx) + (cov.cond(1, gy < 0) ? -gy : gy);
-    if (mag > 0xFFFF) mag = 0xFFFF;
-    r.magnitude.px(x, y) = static_cast<std::uint16_t>(mag);
-    const bool is_edge = cov.branch(0, mag >= threshold);
-    r.binary.px(x, y) = is_edge ? 1 : 0;
-    cov.stmt(1);
+  for_each_3x3(in, cov, [&](int x, int y, auto at) {
+    const auto p00 = widen(at(-1, -1));
+    const auto p10 = widen(at(0, -1));
+    const auto p20 = widen(at(1, -1));
+    const auto p01 = widen(at(-1, 0));
+    const auto p21 = widen(at(1, 0));
+    const auto p02 = widen(at(-1, 1));
+    const auto p12 = widen(at(0, 1));
+    const auto p22 = widen(at(1, 1));
+    const auto gx = (p20 + 2 * p21 + p22) - (p00 + 2 * p01 + p02);
+    const auto gy = (p02 + 2 * p12 + p22) - (p00 + 2 * p10 + p20);
+    auto mag = negate_where(cov.cond(0, gx < 0), gx) + negate_where(cov.cond(1, gy < 0), gy);
+    mag = select(mag > 0xFFFF, splat(mag, 0xFFFF), mag);
+    store(r.magnitude, x, y, mag);
+    store(r.binary, x, y, cov.branch(0, mag >= threshold) & 1);
+    cov.stmt(1, at.lanes);
   });
   cov.stmt(2);
   ctx.add_ops(static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h) * 22);
@@ -266,17 +495,29 @@ EllipseFit ellipse_body(const Image& binary, Ctx ctx) {
   cov.stmt(0);
   const int w = binary.width();
   const int h = binary.height();
+  // Raw moments in one pass: the mass, first and second moments per row,
+  // then the rows' sums weighted by y and y^2.
   std::int64_t m00 = 0;
   std::int64_t m10 = 0;
   std::int64_t m01 = 0;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (cov.cond(0, binary.px(x, y) != 0)) {
-        ++m00;
-        m10 += x;
-        m01 += y;
-      }
+  std::int64_t m20 = 0;
+  std::int64_t m02 = 0;
+  const std::uint16_t* px = binary.data().data();
+  for (std::int64_t y = 0; y < h; ++y) {
+    std::int64_t n = 0;
+    std::int64_t sx = 0;
+    std::int64_t sxx = 0;
+    for (std::int64_t x = 0; x < w; ++x, ++px) {
+      const std::int64_t on = cov.cond(0, *px != 0) ? 1 : 0;
+      n += on;
+      sx += on * x;
+      sxx += on * x * x;
     }
+    m00 += n;
+    m10 += sx;
+    m01 += n * y;
+    m20 += sxx;
+    m02 += n * y * y;
   }
   EllipseFit fit;
   fit.m00 = m00;
@@ -289,19 +530,12 @@ EllipseFit ellipse_body(const Image& binary, Ctx ctx) {
   fit.cx = static_cast<int>(m10 / m00);
   fit.cy = static_cast<int>(m01 / m00);
 
-  // Central second moments -> axis estimates.
-  std::int64_t mu20 = 0;
-  std::int64_t mu02 = 0;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (binary.px(x, y) != 0) {
-        const std::int64_t dx = x - fit.cx;
-        const std::int64_t dy = y - fit.cy;
-        mu20 += dx * dx;
-        mu02 += dy * dy;
-      }
-    }
-  }
+  // Central second moments -> axis estimates. Expanding the square,
+  // sum (x - cx)^2 = sum x^2 - 2 cx sum x + m00 cx^2: exact in int64.
+  const std::int64_t cx = fit.cx;
+  const std::int64_t cy = fit.cy;
+  const std::int64_t mu20 = m20 - 2 * cx * m10 + m00 * cx * cx;
+  const std::int64_t mu02 = m02 - 2 * cy * m01 + m00 * cy * cy;
   // For an elliptical ring, sigma ~ a/sqrt(2): a = 2*sigma is a usable
   // half-axis estimate for cropping purposes.
   fit.axis_a = static_cast<int>(2 * isqrt32(static_cast<std::uint32_t>(mu20 / m00)));

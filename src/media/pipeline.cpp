@@ -64,27 +64,6 @@ media::Ctx stage_ctx(const char* stage_name, PipelineProfile* profile,
   return ctx;
 }
 
-/// DISTANCE over the database + WINNER on `result.features`.
-void match(RecognitionResult& result, const FaceDatabase& db, PipelineProfile* profile) {
-  std::uint64_t ops = 0;
-  media::Ctx dist_ctx = stage_ctx(stage::distance, profile, &ops);
-  result.distances.reserve(db.size());
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    result.distances.push_back(
-        calc_distance(result.features, db.entry(i).features, dist_ctx));
-  }
-  if (profile != nullptr) profile->add(stage::distance, ops);
-  ops = 0;
-
-  media::Ctx win_ctx = stage_ctx(stage::winner, profile, &ops);
-  result.winner = pick_winner(result.distances, win_ctx);
-  if (profile != nullptr) profile->add(stage::winner, ops);
-
-  if (result.winner.index >= 0) {
-    result.identity = db.identity_of(static_cast<std::size_t>(result.winner.index));
-  }
-}
-
 }  // namespace
 
 std::vector<std::string> PipelineProfile::ranking() const {
@@ -184,6 +163,29 @@ void run_front_end(FrontEndValues& values, Boundary from, const PipelineConfig& 
   if (traces != nullptr) traces->features = values.features.checksum();
 }
 
+RecognitionResult match(FeatureVec features, const FaceDatabase& db, PipelineProfile* profile) {
+  RecognitionResult result;
+  result.features = std::move(features);
+  std::uint64_t ops = 0;
+  media::Ctx dist_ctx = stage_ctx(stage::distance, profile, &ops);
+  result.distances.reserve(db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    result.distances.push_back(
+        calc_distance(result.features, db.entry(i).features, dist_ctx));
+  }
+  if (profile != nullptr) profile->add(stage::distance, ops);
+  ops = 0;
+
+  media::Ctx win_ctx = stage_ctx(stage::winner, profile, &ops);
+  result.winner = pick_winner(result.distances, win_ctx);
+  if (profile != nullptr) profile->add(stage::winner, ops);
+
+  if (result.winner.index >= 0) {
+    result.identity = db.identity_of(static_cast<std::size_t>(result.winner.index));
+  }
+  return result;
+}
+
 FeatureVec extract_features(const Image& bayer, const PipelineConfig& config,
                             PipelineProfile* profile, StageTraces* traces,
                             const verif::BitFault* fault, FrontEndState* state) {
@@ -196,19 +198,20 @@ FeatureVec extract_features(const Image& bayer, const PipelineConfig& config,
 RecognitionResult recognize(const Image& bayer, const FaceDatabase& db,
                             const PipelineConfig& config, PipelineProfile* profile,
                             const verif::BitFault* fault, FrontEndState* state) {
-  RecognitionResult result;
-  result.features =
-      extract_features(bayer, config, profile, &result.traces, fault, state);
-  match(result, db, profile);
+  StageTraces traces;
+  RecognitionResult result =
+      match(extract_features(bayer, config, profile, &traces, fault, state), db, profile);
+  result.traces = traces;
   return result;
 }
 
 GoldenRun golden_run(Image bayer, const FaceDatabase& db, const PipelineConfig& config) {
   GoldenRun golden;
   golden.values.bayer = std::move(bayer);
-  run_front_end(golden.values, Boundary::frame, config, nullptr, &golden.result.traces);
-  golden.result.features = golden.values.features;
-  match(golden.result, db, nullptr);
+  StageTraces traces;
+  run_front_end(golden.values, Boundary::frame, config, nullptr, &traces);
+  golden.result = match(golden.values.features, db);
+  golden.result.traces = traces;
   return golden;
 }
 
@@ -240,11 +243,10 @@ std::optional<RecognitionResult> simulate_fault(const GoldenRun& golden,
   } else {
     return std::nullopt;  // not excited
   }
-  RecognitionResult result;
-  result.traces = golden.result.traces;
-  run_front_end(values, from, config, nullptr, &result.traces);
-  result.features = std::move(values.features);
-  match(result, db, nullptr);
+  StageTraces traces = golden.result.traces;
+  run_front_end(values, from, config, nullptr, &traces);
+  RecognitionResult result = match(std::move(values.features), db);
+  result.traces = traces;
   return result;
 }
 

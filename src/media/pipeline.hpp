@@ -122,8 +122,14 @@ struct RecognitionResult {
   StageTraces traces;
 };
 
+/// The back end: DISTANCE of `features` against every database template,
+/// then WINNER. The result's traces stay zero: a caller that reads no
+/// stage checksum runs extract_features without traces and then this.
+[[nodiscard]] RecognitionResult match(FeatureVec features, const FaceDatabase& db,
+                                      PipelineProfile* profile = nullptr);
+
 /// The complete reference pipeline: front end + DISTANCE over the database
-/// + WINNER.
+/// + WINNER, with the stage checksums in the result's traces.
 [[nodiscard]] RecognitionResult recognize(const Image& bayer, const FaceDatabase& db,
                                           const PipelineConfig& config = {},
                                           PipelineProfile* profile = nullptr,

@@ -30,10 +30,19 @@ public:
     return Time{v * 1'000'000'000'000};
   }
 
-  /// Clock period of a frequency given in hertz (rounded to whole ps).
+  /// Clock period of a frequency given in hertz (truncated to whole ps).
+  /// Throws std::invalid_argument unless `hz` is finite and the period is
+  /// in [1 ps, 9e18 ps): above 1e12 Hz it would truncate to 0 ps, and NaN,
+  /// infinite, negative or slower rates have no such int64 period.
   static constexpr Time period_of_hz(double hz) {
-    if (hz <= 0.0) throw std::invalid_argument{"Time::period_of_hz: hz must be > 0"};
-    return Time{static_cast<std::int64_t>(1e12 / hz)};
+    // Written so that NaN, whose comparisons are all false, fails too; an
+    // infinite rate gives a 0 ps period.
+    const double ps = hz > 0.0 ? 1e12 / hz : 0.0;
+    if (!(ps >= 1.0 && ps < 9e18)) {
+      throw std::invalid_argument{
+          "Time::period_of_hz: hz must be finite with a period in [1 ps, 9e18 ps)"};
+    }
+    return Time{static_cast<std::int64_t>(ps)};
   }
 
   /// `n` cycles of clock period `period`.

@@ -68,7 +68,8 @@ public:
   /// transaction; every burst counts as one transaction, and the target
   /// completes each at the wake that ends it. No words: no transaction. Throws
   /// std::invalid_argument for `max_burst == 0`, and std::out_of_range at
-  /// the start of a burst whose address is unmapped.
+  /// the start of a burst whose address is unmapped, after releasing the
+  /// grant.
   ///
   /// The grant is not fair, so a per-burst release would be re-taken before
   /// any waiter woke: holding it changes nothing. The stream wakes once per

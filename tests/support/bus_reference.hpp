@@ -3,8 +3,9 @@
 // reference the stream is compared against (test_platform's
 // `Bus.StreamMatchesPerBurstTransports`). Every transaction here takes the
 // grant, waits out its own occupancy in one kernel wait, completes at the
-// target and releases the grant; `stream` is the loop that chopped a run of
-// words into bursts of at most `max_burst` beats, one `transport` each.
+// target and releases the grant (also when an unmapped address throws);
+// `stream` is the loop that chopped a run of words into bursts of at most
+// `max_burst` beats, one `transport` each.
 
 #include <cstdint>
 #include <stdexcept>
@@ -38,13 +39,20 @@ public:
       if (waited > worst_wait_) worst_wait_ = waited;
       total_wait_ += waited;
     }
-    tlm::Target& target = resolve(payload.address);
-    const sim::Time duration = transaction_time(payload);
+    tlm::Target* target = nullptr;
+    sim::Time duration;
+    try {
+      target = &resolve(payload.address);
+      duration = transaction_time(payload);
+    } catch (...) {
+      grant_.unlock();  // an unmapped burst releases the grant as it throws
+      throw;
+    }
     busy_ += duration;
     ++transactions_;
     beats_ += payload.beats;
     co_await kernel_->wait(duration);
-    target.complete(payload);
+    target->complete(payload);
     grant_.unlock();
   }
 

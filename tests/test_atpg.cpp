@@ -90,6 +90,59 @@ TEST(Atpg, SeededMemoryBugDetectedByMultiFrameBench) {
   EXPECT_TRUE(laerte.detects_seeded_memory_bug(tb));
 }
 
+namespace {
+
+/// detects_seeded_memory_bug as two full pipeline runs per frame, the clean
+/// one and the buggy one carrying the stale window across frames.
+bool reference_detects_memory_bug(const atpg::Laerte& laerte, const atpg::Laerte::Config& config,
+                                  const atpg::Testbench& tb) {
+  media::PipelineConfig buggy = config.pipeline;
+  buggy.seeded_memory_bug = true;
+  media::FrontEndState state;
+  for (const auto& s : tb.frames) {
+    const auto frame = media::camera_capture(media::FaceParams::for_identity(s.identity),
+                                             s.to_pose(), config.image_size);
+    const auto golden = media::recognize(frame, laerte.database(), config.pipeline);
+    const auto faulty =
+        media::recognize(frame, laerte.database(), buggy, nullptr, nullptr, &state);
+    if (golden.traces.window != faulty.traces.window ||
+        golden.winner.index != faulty.winner.index) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+TEST(Atpg, SeededMemoryBugVerdictMatchesTwoFullRunsPerFrame) {
+  const atpg::Laerte::Config config{4, 2, 64, {}, 6};
+  auto& laerte = engine();
+  std::vector<atpg::Testbench> benches;
+  atpg::Testbench single;
+  single.frames.push_back(atpg::Stimulus{});
+  benches.push_back(single);                       // undetected: nothing is stale yet
+  benches.push_back(laerte.random_testbench(6, 21));  // detected
+  atpg::Testbench repeated;
+  repeated.frames.assign(3, atpg::Stimulus{});
+  benches.push_back(repeated);
+  auto rng = symbad::test::rng("Atpg.memory_bug");
+  for (int k = 0; k < 12; ++k) {
+    benches.push_back(
+        laerte.random_testbench(1 + static_cast<int>(rng.below(4)), rng.next()));
+  }
+  benches.push_back(laerte.genetic_testbench(3, 4, 2, rng.next()));
+  int detected = 0;
+  for (std::size_t i = 0; i < benches.size(); ++i) {
+    const bool want = reference_detects_memory_bug(laerte, config, benches[i]);
+    EXPECT_EQ(laerte.detects_seeded_memory_bug(benches[i]), want) << "testbench " << i;
+    detected += want ? 1 : 0;
+  }
+  // Both verdicts occur.
+  EXPECT_GT(detected, 0);
+  EXPECT_LT(detected, static_cast<int>(benches.size()));
+}
+
 // ------------------------------------------------- bit-fault grading
 
 namespace {

@@ -339,6 +339,29 @@ TEST(Pipeline, RecognisesUnseenPoses) {
   EXPECT_GE(correct * 100, total * 80) << correct << "/" << total;
 }
 
+TEST(Pipeline, MatchIsRecognizeWithoutTraces) {
+  // recognize() is extract_features() with traces, then match(); without
+  // traces the front end computes no stage checksum and the rest agrees.
+  const auto db = media::FaceDatabase::enroll(4, 2);
+  for (int id = 0; id < 4; ++id) {
+    const auto frame =
+        media::camera_capture(media::FaceParams::for_identity(id), query_pose(id, 3));
+    media::PipelineProfile full_profile;
+    media::PipelineProfile match_profile;
+    const auto full = media::recognize(frame, db, {}, &full_profile);
+    const auto matched =
+        media::match(media::extract_features(frame, {}, &match_profile), db, &match_profile);
+    EXPECT_EQ(matched.winner.index, full.winner.index);
+    EXPECT_EQ(matched.identity, full.identity);
+    EXPECT_EQ(matched.distances, full.distances);
+    EXPECT_EQ(matched.features, full.features);
+    EXPECT_EQ(matched.traces.bay, 0u);
+    EXPECT_EQ(matched.traces.features, 0u);
+    EXPECT_NE(full.traces.bay, 0u);
+    EXPECT_EQ(match_profile.by_stage(), full_profile.by_stage());
+  }
+}
+
 TEST(Pipeline, DeterministicResults) {
   const auto db = media::FaceDatabase::enroll(5, 3);
   const auto params = media::FaceParams::for_identity(2);
@@ -771,6 +794,46 @@ TEST(KernelReference, EveryShapeUpTo9x9WithRandom16BitPixels) {
   }
 }
 
+TEST(KernelReference, WideShapesReachEveryLaneAndTail) {
+  // Widths 1..40 put every interior length from none to four 8-pixel
+  // vectors plus every tail length under the kernels, and 63..65 bracket
+  // the frame size; heights 1..3 have no interior row or just one.
+  auto rng = symbad::test::rng("KernelReference.wide");
+  std::vector<int> widths(40);
+  std::iota(widths.begin(), widths.end(), 1);
+  widths.insert(widths.end(), {63, 64, 65});
+  for (const int h : {1, 2, 3, 7, 64}) {
+    for (const int w : widths) {
+      for (const std::uint64_t bound : {2ull, 256ull, 65536ull}) {
+        Image img{w, h};
+        Image other{w, h};
+        for (auto& p : img.data()) p = static_cast<std::uint16_t>(rng.below(bound));
+        for (auto& p : other.data()) p = static_cast<std::uint16_t>(rng.below(bound));
+        const auto threshold = static_cast<std::uint16_t>(rng.below(bound));
+        expect_image_kernels_match(img, other, threshold,
+                                   std::to_string(w) + "x" + std::to_string(h) + "<" +
+                                       std::to_string(bound));
+      }
+    }
+  }
+}
+
+TEST(KernelReference, LaneHitCountsFoldBeforeTheyOverflow) {
+  // Pixels falling along EROSION's scan order make every one of its nine
+  // `v < m` outcomes true, nine hits per lane per call. Over 256x130 pixels
+  // (4,160 calls of eight) a 16-bit lane would overflow unless the tally
+  // folds its lane counts as it goes.
+  Image img{256, 130};
+  Image other{256, 130};
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      img.px(x, y) = static_cast<std::uint16_t>(65535 - (x + 3 * y));
+      other.px(x, y) = static_cast<std::uint16_t>(x * y);
+    }
+  }
+  expect_image_kernels_match(img, other, 300, "falling 256x130");
+}
+
 TEST(KernelReference, FeatureKernelsOnRandomVectors) {
   auto rng = symbad::test::rng("KernelReference.features");
   for (int trial = 0; trial < 40; ++trial) {
@@ -865,9 +928,11 @@ TEST(FaceReference, RenderAndCaptureOfEveryIdentityUnderWildPoses) {
     for (const bool glasses : {false, true}) {
       auto params = media::FaceParams::for_identity(id);
       params.glasses = glasses;
-      for (int k = 0; k < 6; ++k) {
+      // One random size, then the frame size and its neighbours.
+      const int sizes[] = {0, 64, 64, 64, 64, 64, 63, 65};
+      for (int k = 0; k < 8; ++k) {
         const auto pose = wild_pose(rng);
-        const int size = k == 0 ? static_cast<int>(rng.range(1, 96)) : 64;
+        const int size = k == 0 ? static_cast<int>(rng.range(1, 96)) : sizes[k];
         const std::string what = "identity " + std::to_string(id) + " pose " +
                                  std::to_string(k) + " size " + std::to_string(size);
         EXPECT_EQ(media::render_face(params, pose, size), ref::render_face(params, pose, size))

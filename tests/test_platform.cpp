@@ -152,8 +152,38 @@ TEST(Bus, RejectsConfigurationsItCannotModel) {
                std::invalid_argument);
   EXPECT_THROW((void)build({std::numeric_limits<double>::quiet_NaN(), 1, 1}),
                std::invalid_argument);
+  EXPECT_THROW((void)build({-std::numeric_limits<double>::infinity(), 1, 1}),
+               std::invalid_argument);
   EXPECT_THROW((void)build({1e-9, 1, 1}), std::invalid_argument);  // period past Time::max
   EXPECT_EQ(build({1e12, 0, 1}), Time::ps(1));  // the fastest clock, no arbitration
+}
+
+TEST(Bus, StreamReleasesTheGrantWhenABurstThrows) {
+  // The first initiator's stream crosses from RAM into unmapped space while
+  // the second waits on the grant. The first catches the throw in its own
+  // process; the grant is free again, so the second's stream completes.
+  Platform p;
+  const Time burst = p.bus.transaction_time({tlm::Command::read, 0x0, 4, "t"});
+  Time caught_at = Time::max();
+  Time second_done = Time::max();
+  auto first = [](Platform& pl, Time* at) -> sim::Process {
+    try {
+      co_await pl.bus.stream({tlm::Command::read, 0x1000'0000 - 16, 8, "first"}, 4);
+    } catch (const std::out_of_range&) {
+      *at = pl.kernel.now();
+    }
+  };
+  auto second = [](Platform& pl, Time* done) -> sim::Process {
+    co_await pl.bus.stream({tlm::Command::read, 0x0, 8, "second"}, 4);
+    *done = pl.kernel.now();
+  };
+  p.kernel.spawn(first(p, &caught_at));
+  p.kernel.spawn(second(p, &second_done));
+  p.kernel.run();
+  EXPECT_EQ(caught_at, burst);  // thrown when the mapped burst ended
+  EXPECT_EQ(second_done, burst * 3);
+  EXPECT_EQ(p.bus.transactions(), 3u);
+  EXPECT_EQ(p.ram.read_beats(), 12u);
 }
 
 TEST(Bus, RejectsMappingsThatWrapPastTheAddressSpace) {
@@ -457,6 +487,16 @@ TEST(Cpu, AnnotationScalesWithOpsAndClock) {
   EXPECT_EQ(slow.cycles_for(1000), 2000u);
 }
 
+TEST(Cpu, RejectsClockRatesWithoutAPeriod) {
+  for (const double hz : {2e12, 1e-9, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((cpu::TimingModel{cpu::CpuConfig{"ARM7", hz, 2.0, 0.25}}),
+                 std::invalid_argument)
+        << hz;
+  }
+}
+
 namespace {
 
 sim::Process cpu_workload(cpu::CpuModel& core, Time* done) {
@@ -613,6 +653,19 @@ TEST(Fpga, DuplicateContextNamesRejected) {
   contexts[1].name = "config1";
   EXPECT_THROW((fpga::FpgaDevice{p.kernel, "efpga", contexts, p.bus, {}}),
                std::invalid_argument);
+}
+
+TEST(Fpga, RejectsFabricClocksWithoutAPeriod) {
+  Platform p;
+  for (const double hz : {2e12, 1e-9, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    fpga::FpgaDevice::Config config;
+    config.fabric_clock_hz = hz;
+    EXPECT_THROW((fpga::FpgaDevice{p.kernel, "efpga", two_contexts(), p.bus, config}),
+                 std::invalid_argument)
+        << hz;
+  }
 }
 
 TEST(Fpga, FabricFasterThanCpuForSameOps) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -42,6 +43,19 @@ TEST(Time, PeriodOfHz) {
   EXPECT_EQ(Time::period_of_hz(50e6), Time::ns(20));
   EXPECT_EQ(Time::period_of_hz(1e9), Time::ns(1));
   EXPECT_THROW(Time::period_of_hz(0.0), std::invalid_argument);
+}
+
+TEST(Time, PeriodOfHzRejectsRatesWithoutAWholePicosecondPeriod) {
+  // The period must be finite and in [1 ps, 9e18 ps): above 1e12 Hz it
+  // would truncate to 0 ps; NaN, infinities, negative and very slow rates
+  // have no int64 picosecond count.
+  EXPECT_EQ(Time::period_of_hz(1e12), Time::ps(1));
+  EXPECT_EQ(Time::period_of_hz(1.0), Time::sec(1));
+  for (const double hz : {2e12, 1e-9, -50e6, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)Time::period_of_hz(hz), std::invalid_argument) << hz;
+  }
 }
 
 TEST(Time, Ordering) {
