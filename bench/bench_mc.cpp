@@ -133,6 +133,44 @@ void BM_Mc_CheckAllWrapperSuite(benchmark::State& state) {
 }
 BENCHMARK(BM_Mc_CheckAllWrapperSuite)->Unit(benchmark::kMillisecond);
 
+void BM_Mc_CheckAllLiveConeOnRoot(benchmark::State& state) {
+  // Options::live_cone on the ROOT core: a datapath property (full 24-bit
+  // cone) falsifies mid-horizon — sqrt(op<<8) sets result[11] once
+  // op >= 16384, first reachable when the 12-cycle pipe drains — while the
+  // control property (busy/done cone only) survives to the full bound.
+  // With live_cone on (Arg 1), every bound after the falsification stops
+  // encoding the retired datapath cone.
+  const auto n = app::build_root_rtl();
+  const mc::BmcChecker checker{n};
+  std::vector<mc::Property> props;
+  props.push_back(mc::Property::invariant(
+      "done_implies_result11_clear",
+      mc::Expr::signal("done").implies(!mc::Expr::signal("result[11]"))));
+  props.push_back(mc::Property::invariant(
+      "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done"))));
+  mc::ModelChecker::Options options;
+  options.max_bound = 20;
+  options.induction_depth = 3;
+  options.live_cone = state.range(0) != 0;
+  options.canonical_counterexample = false;  // falsification-only sweep
+  mc::MultiCheckResult result;
+  std::optional<obs::Scope> last;
+  for (auto _ : state) {
+    last.emplace();
+    result = checker.check_all(props, options);
+    benchmark::DoNotOptimize(result.results.size());
+  }
+  state.counters["live_cone"] = static_cast<double>(state.range(0));
+  state.counters["cone_recomputes"] =
+      static_cast<double>(last->delta("mc.portfolio.cone_recomputes"));
+  state.counters["falsified_bound"] = static_cast<double>(result.results[0].bound_used);
+  state.counters["encoded_vars"] =
+      static_cast<double>(last->delta("mc.portfolio.encoded_vars"));
+  state.counters["encoded_clauses"] =
+      static_cast<double>(last->delta("mc.portfolio.encoded_clauses"));
+}
+BENCHMARK(BM_Mc_CheckAllLiveConeOnRoot)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_Mc_SharedSolverInductionProof(benchmark::State& state) {
   // An inductive invariant on the DISTANCE PE: the k-induction solve runs
   // on the same solver (and learned clauses) as the preceding BMC sweep.

@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <optional>
 
 #include "app/rtl_blocks.hpp"
@@ -16,26 +15,13 @@ namespace {
 
 using namespace symbad;
 
-/// The fault-grading benches export hard-gated gates_*/encoded_* counters
-/// (nonzero in BM_Pcc_DistancePeSampledFaults, the campaign on SAT), which
-/// must not wobble with ambient SYMBAD_OPT* knobs — scrub them before any
-/// benchmark runs.
-const bool kEnvScrubbed = [] {
-  for (const char* knob : {"SYMBAD_OPT", "SYMBAD_OPT_SWEEP",
-                           "SYMBAD_OPT_SWEEP_ROUNDS",
-                           "SYMBAD_OPT_SWEEP_MAX_PROOFS"}) {
-    ::unsetenv(knob);
-  }
-  return true;
-}();
-
 /// Shared body of the multi-fault grading benches: runs the PCC campaign
 /// and exports the deterministic formal-grading footprint, the last
 /// iteration's registry deltas: the SAT engine's per-fault encodings
-/// (pcc.* gates_before / gates_after / encoded_vars / encoded_clauses) and
-/// the table engine's enumerated pairs (tables_pairs). All five are
-/// hard-gated by scripts/bench_compare.py, so a campaign that changes
-/// engine fails the gate until it is re-recorded.
+/// (pcc.encoded_vars / encoded_clauses) and the table engine's enumerated
+/// pairs (tables_pairs). All three are hard-gated by
+/// scripts/bench_compare.py, so a campaign that changes engine fails the
+/// gate until it is re-recorded.
 pcc::PccReport run_fault_grading(benchmark::State& state, const rtl::Netlist& n,
                                  const std::vector<mc::Property>& properties,
                                  pcc::PccOptions options) {
@@ -47,8 +33,6 @@ pcc::PccReport run_fault_grading(benchmark::State& state, const rtl::Netlist& n,
     benchmark::DoNotOptimize(report.detected);
   }
   state.counters["coverage_pct"] = report.coverage_percent();
-  state.counters["gates_before"] = static_cast<double>(last->delta("pcc.opt_gates_before"));
-  state.counters["gates_after"] = static_cast<double>(last->delta("pcc.opt_gates_after"));
   state.counters["encoded_vars"] = static_cast<double>(last->delta("pcc.encoded_vars"));
   state.counters["encoded_clauses"] = static_cast<double>(last->delta("pcc.encoded_clauses"));
   state.counters["tables_pairs"] = static_cast<double>(last->delta("mc.tables.pairs"));

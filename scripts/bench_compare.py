@@ -59,10 +59,9 @@ def main() -> int:
                                 r"encoded_|gates_|gen_|lint_|obs_|sim_callbacks|tables_",
                         help="regex of counter names that hard-fail on regression "
                              "(host-independent metrics only: allocation counts, "
-                             "SAT conflicts — incl. the optimizer's sweep_conflicts "
-                             "— encoded CNF vars/clauses and optimizer gate counts, "
+                             "SAT conflicts, encoded CNF vars/clauses, "
                              "incl. the fault-grading campaigns' per-fault "
-                             "gates_*/encoded_* sums, the platform "
+                             "encoded_* sums, the platform "
                              "generator's gen_tasks/gen_gates/gen_beats "
                              "per-seed structure counts, the lint engine's "
                              "lint_rules_checked/lint_sat_proofs/"
@@ -72,9 +71,7 @@ def main() -> int:
                              "the table engine's tables_checks/"
                              "tables_pairs, and the simulations' "
                              "sim_callbacks (kernel callbacks per run) and "
-                             "bus_transactions/bus_beats; "
-                             "sweep_proofs is deliberately ungated because that "
-                             "gate is one-sided — more proofs are better)")
+                             "bus_transactions/bus_beats)")
     args = parser.parse_args()
 
     baseline = load(args.baseline)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the Symbad repro: the tier-1 build+test loop, a parallel-safety
 # pass over the unit label, a perf-regression pass over the
-# SAT/MC/opt/kernel/lint benches against the committed BENCH_BASELINE.json,
+# SAT/MC/kernel/lint benches against the committed BENCH_BASELINE.json,
 # the flow benchmark's own correctness checks (every workload at seed 0:
 # golden output digests and paper figures), an AddressSanitizer
 # configure/build/ctest pass with the threaded campaign runner explicitly
@@ -15,12 +15,11 @@
 # ThreadSanitizer pass over the threaded campaign/generator suites, and an
 # opt-in clang-tidy sweep (skipped when the tool is not installed).
 # Timings are warn-only (this runs on a shared 1-core host where wall-clock
-# swings with neighbours);
-# allocation-count, conflict-count, encoded-CNF-size, optimizer gate/sweep,
-# lint rule/proof/prune and table-engine pair counters are host-independent
-# and hard-fail beyond 20%; a gated counter that disappears or falls from
-# nonzero to 0 hard-fails too (re-record the baseline if that is
-# intentional). Any failure exits nonzero.
+# swings with neighbours); allocation-count, conflict-count,
+# encoded-CNF-size, lint rule/proof/prune and table-engine pair counters are
+# host-independent and hard-fail beyond 20%; a gated counter that disappears
+# or falls from nonzero to 0 hard-fails too (re-record the baseline if that
+# is intentional). Any failure exits nonzero.
 #
 # Usage: scripts/ci.sh [jobs]   (jobs defaults to nproc)
 
@@ -43,8 +42,8 @@ ctest --test-dir build --output-on-failure -L unit -j "$((JOBS * 2))"
 SYMBAD_OBS=2 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 SYMBAD_OBS=0 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 
-echo "==> [3/9] perf regression: SAT/MC/opt/kernel/lint/obs benches vs BENCH_BASELINE.json"
-BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_opt bench_level2_sim bench_level3_sim bench_gen bench_lint bench_obs" \
+echo "==> [3/9] perf regression: SAT/MC/kernel/lint/obs benches vs BENCH_BASELINE.json"
+BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_level2_sim bench_level3_sim bench_gen bench_lint bench_obs" \
   BENCH_OUT=build/bench_candidate.json \
   BENCH_JSON_DIR=build/bench_candidate \
   scripts/bench_baseline.sh build

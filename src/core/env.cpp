@@ -31,10 +31,4 @@ std::optional<long> parse_env_int(const char* name, long lo, long hi) {
   return parse_env_value(name, value, lo, hi);
 }
 
-std::optional<bool> parse_env_flag(const char* name) {
-  const auto v = parse_env_int(name, 0, 1);
-  if (!v) return std::nullopt;
-  return *v != 0;
-}
-
 }  // namespace symbad::core

@@ -4,10 +4,9 @@
 // The repo's determinism contract requires misconfigured knobs to fail
 // loudly instead of silently falling back (ARCHITECTURE.md): `atoi`-style
 // parsing used to map garbage ("abc") and nonsense ("-3") to whatever the
-// caller's default was. Three subsystems (exec's worker count, opt's
-// SYMBAD_OPT* pipeline knobs, sat's SYMBAD_SAT_COMPACT compaction mode)
-// each grew their own copy of the same strict `strtol` loop; this header
-// is the single shared implementation they all call now.
+// caller's default was. Every subsystem that reads a knob (exec's worker
+// count, sat's SYMBAD_SAT_COMPACT compaction mode, the lint and obs levels,
+// gen's sweep sizes) calls this one strict `strtol` loop.
 
 #include <optional>
 
@@ -24,8 +23,5 @@ long parse_env_value(const char* name, const char* value, long lo, long hi);
 /// strictly parsed value (see parse_env_value; garbage throws, it never
 /// falls back).
 std::optional<long> parse_env_int(const char* name, long lo, long hi);
-
-/// Boolean knob: accepts exactly "0" or "1". Unset -> std::nullopt.
-std::optional<bool> parse_env_flag(const char* name);
 
 }  // namespace symbad::core

@@ -76,9 +76,7 @@ rtl::Netlist random_netlist(verif::Rng& rng, const NetlistShape& shape,
   for (int g = 0; g < shape.gates; ++g) {
     rtl::Net fresh = -1;
     // When redundancy is disabled the Bernoulli draw is skipped entirely so
-    // clean-logic consumers get an undisturbed stream; with the default
-    // 0.25 the draw sequence is bit-identical to the original test_opt
-    // fuzz harness this recipe was promoted from.
+    // clean-logic consumers get an undisturbed stream.
     if (shape.redundancy > 0.0 && rng.chance(shape.redundancy)) {
       // Redundancy injection.
       switch (rng.below(5)) {

@@ -7,7 +7,7 @@
 // the corpus: one `uint64_t` seed deterministically expands into a complete
 // design point — task graph, partition with a movable-task set for the
 // explorer, platform parameters, a bursty traffic stream (gen/traffic.hpp)
-// and an `rtl::Netlist` — so campaigns, the optimizer and the model checker
+// and an `rtl::Netlist` — so campaigns, the linter and the model checker
 // are exercised on platforms nobody hand-picked.
 //
 // Determinism contract: all randomness is drawn from `verif::Rng` streams
@@ -77,9 +77,9 @@ struct TierBounds {
 
 /// Shape of one random netlist. `redundancy` is the probability a gate is a
 /// deliberately redundant construction (structural duplicate, double
-/// negation, x&x, x&~x, equal-arm mux) so the optimizer has real work;
-/// set it <= 0 to skip the redundancy draw entirely (clean stream for
-/// consumers that want plain random logic).
+/// negation, x&x, x&~x, equal-arm mux) so the CNF encoder's folds have
+/// real work; set it <= 0 to skip the redundancy draw entirely (clean
+/// stream for consumers that want plain random logic).
 struct NetlistShape {
   int inputs = 4;
   int dffs = 2;
@@ -89,10 +89,10 @@ struct NetlistShape {
 };
 
 /// Seeded random netlist over every GateKind (dff and mux included). The
-/// recipe is the one test_opt's fuzz harness grew: a pool of nets seeded
-/// with inputs, flip-flops and both constants; each new gate either injects
-/// redundancy or draws a random gate over pool picks; flip-flop next-states
-/// close sequential loops; outputs bias towards late nets for deep cones.
+/// recipe: a pool of nets seeded with inputs, flip-flops and both
+/// constants; each new gate either injects redundancy or draws a random
+/// gate over pool picks; flip-flop next-states close sequential loops;
+/// outputs bias towards late nets for deep cones.
 [[nodiscard]] rtl::Netlist random_netlist(verif::Rng& rng, const NetlistShape& shape,
                                           std::string name = "fuzz");
 

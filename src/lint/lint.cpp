@@ -58,8 +58,8 @@ using rtl::Net;
 
 /// Shared semantic machinery for Linter::semantic and FaultPruner: random
 /// free-state signature simulation filters candidates, then one-frame
-/// StateInit::free_state assumption solves prove them (the SatSweeper
-/// recipe without the pairing — candidates here compare against constants).
+/// StateInit::free_state assumption solves prove them (candidates compare
+/// against constants).
 struct ConstProof {
   std::vector<signed char> value;  ///< -1 unknown, 0/1 proven per net
   std::size_t candidates = 0;

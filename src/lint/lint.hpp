@@ -4,8 +4,7 @@
 // (core::TaskGraph) — in the spirit of CrocoPat's relational structural
 // analysis (Beyer & Noack), specialised to the Symbad IR.
 //
-// The generator emits thousands of netlists and the optimizer rewrites
-// them, once per graded fault in a campaign; until this module the only
+// The generator emits thousands of netlists; until this module the only
 // thing standing between a malformed netlist and a wrong verdict was
 // dynamic fuzzing (an out-of-range operand surfaced as an `.at` throw at
 // runtime). The linter turns that defect class into a cheap deterministic
@@ -18,11 +17,11 @@
 //    next state never depends on a primary input, task-graph cycles /
 //    self-loops / duplicate channels / isolated tasks;
 //  * semantic — SAT-backed on the existing incremental sat::Solver using a
-//    one-frame free-state CnfEncoder encoding (the SatSweeper recipe:
-//    random-pattern signatures filter candidates, assumption solves prove
-//    them): provably-constant nets, unreachable mux arms, and
-//    provably-undetectable fault sites that pcc prunes a priori through
-//    FaultPruner instead of burning a campaign slot.
+//    one-frame free-state CnfEncoder encoding (random-pattern signatures
+//    filter candidates, assumption solves prove them): provably-constant
+//    nets, unreachable mux arms, and provably-undetectable fault sites that
+//    pcc prunes a priori through FaultPruner instead of burning a campaign
+//    slot.
 //
 // Reports are deterministic: findings are emitted in a fixed scan order,
 // every finding carries a stable rule ID ("NL001", "TG002", ...), and the
@@ -31,10 +30,10 @@
 //
 // Wiring (SYMBAD_LINT = 0 off / 1 structural / 2 +semantic, default 1,
 // strict core::parse_env_int): every generated netlist and platform graph
-// lints clean before entering a campaign (gen), every optimizer output
-// lints clean (opt), and mc/pcc run the fault-site prune. Error-severity
-// findings throw at those boundaries; warnings (expected-by-construction
-// structure like the generator's dangling pool nets) do not.
+// lints clean before entering a campaign (gen), and pcc runs the
+// fault-site prune. Error-severity findings throw at that boundary;
+// warnings (expected-by-construction structure like the generator's
+// dangling pool nets) do not.
 
 #include <cstddef>
 #include <cstdint>
@@ -123,7 +122,7 @@ struct Options {
   /// automatically when structural errors make the netlist unencodable.
   bool semantic = false;
   /// 64-pattern signature words filtering const-net candidates before any
-  /// SAT proof (the SatSweeper recipe — more rounds, fewer refuted solves).
+  /// SAT proof (more rounds, fewer refuted solves).
   int sat_rounds = 4;
   /// Seed of the deterministic signature patterns.
   std::uint64_t seed = 0x11A75EEDULL;
@@ -239,7 +238,7 @@ void enforce(const LintReport& report);
 
 /// The default-on IR-boundary self-check: analyzes under the SYMBAD_LINT
 /// mode (no-op when off) and throws on error findings. `where` names the
-/// boundary in the exception ("gen", "opt").
+/// boundary in the exception (e.g. "gen").
 void check_netlist(const rtl::Netlist& netlist, const char* where);
 void check_graph(const core::TaskGraph& graph, const char* where);
 

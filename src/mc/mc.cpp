@@ -8,7 +8,6 @@
 
 #include "mc/tables.hpp"
 #include "obs/obs.hpp"
-#include "opt/optimizer.hpp"
 
 namespace symbad::mc {
 
@@ -221,16 +220,13 @@ std::vector<std::string> collect_observed(std::span<const Property> properties,
 /// One long-lived solver + frame chain + encode cache serving every BMC
 /// bound, the k-induction step and (in check_all) every property. Assuming
 /// `act_reset` pins frame 0 to the reset state (BMC); leaving it free makes
-/// frame 0 an arbitrary state (induction). With preprocessing on, the
-/// encoding target is the opt::-optimized netlist (faults baked in as
-/// constants, only the observed outputs preserved when the cone reduction
-/// is also on); with cone-of-influence reduction the chain only ever
-/// encodes the union cone of the checked properties.
+/// frame 0 an arbitrary state (induction). Injected faults go to the
+/// encoder, which replaces each faulted net by its constant in every frame;
+/// with cone-of-influence reduction the chain only ever encodes the union
+/// cone of the checked properties.
 struct Session {
-  const rtl::Netlist* original;
-  const std::map<rtl::Net, bool>* faults;  ///< original-net keyed
-  std::optional<opt::OptimizeResult> optimized;
-  const rtl::Netlist* netlist;  ///< encoding target (optimized or original)
+  const rtl::Netlist* netlist;
+  const std::map<rtl::Net, bool>* faults;
   sat::Solver solver;
   rtl::CnfEncoder encoder;
   EncodeCache cache;
@@ -240,32 +236,9 @@ struct Session {
   /// appends a smaller one. Empty when the reduction is off.
   std::deque<std::vector<char>> cones;
 
-  static std::optional<opt::OptimizeResult> preprocess(
-      const rtl::Netlist& n, std::span<const Property> properties,
-      const std::map<rtl::Net, bool>& faults, const CheckOptions& options) {
-    if (!options.optimize) return std::nullopt;
-    opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
-    if (!oo.enabled) return std::nullopt;
-    if (options.cone_of_influence) oo.preserve_outputs = collect_observed(properties);
-    if (!faults.empty()) {
-      oo.faults = &faults;
-      // A faulty check is one netlist rebuild per fault: sweeping would
-      // re-prove the same fault-independent merges for every fault and
-      // cannot amortize. The structural pass still folds the cone
-      // downstream of the baked fault constant, which is where the
-      // per-fault reduction comes from.
-      oo.sweep = false;
-    }
-    return opt::optimize(n, oo);
-  }
-
   Session(const rtl::Netlist& n, std::span<const Property> properties,
           const std::map<rtl::Net, bool>& faults_in, const CheckOptions& options)
-      : original{&n},
-        faults{&faults_in},
-        optimized{preprocess(n, properties, faults_in, options)},
-        netlist{optimized ? &optimized->netlist : &n},
-        encoder{*netlist, solver} {
+      : netlist{&n}, faults{&faults_in}, encoder{n, solver} {
     solver.set_reduce_options(options.sat_reduce);
     act_reset = Lit::positive(solver.new_var());
     rtl::CnfEncoder::ChainOptions chain;
@@ -275,8 +248,7 @@ struct Session {
       cones.push_back(netlist->cone_of_influence(roots_of(properties)));
       chain.cone = &cones.back();
     }
-    // With preprocessing the faults are already baked into the netlist.
-    if (!faults_in.empty() && !optimized) chain.faults = &faults_in;
+    if (!faults_in.empty()) chain.faults = &faults_in;
     encoder.begin_chain(chain);
   }
 
@@ -288,19 +260,9 @@ struct Session {
     return roots;
   }
 
-  /// Literal of an *original* primary input at chain frame f; invalid when
-  /// the input is outside the encoded cone (or orphaned by optimization),
-  /// in which case its value cannot matter.
-  Lit input_lit(std::size_t f, rtl::Net original_input) {
-    const rtl::Net target =
-        optimized ? optimized->map.translate(original_input) : original_input;
-    if (target < 0) return Lit{};
-    return encoder.frame(f).lit(target);
-  }
-
   /// Value pinned onto an input by an injected stuck-at fault, if any.
-  std::optional<bool> forced_input(rtl::Net original_input) const {
-    const auto it = faults->find(original_input);
+  std::optional<bool> forced_input(rtl::Net input) const {
+    const auto it = faults->find(input);
     if (it == faults->end()) return std::nullopt;
     return it->second;
   }
@@ -386,13 +348,13 @@ Counterexample model_counterexample(Session& s, int last_frame) {
   Counterexample cex;
   for (int f = 0; f <= last_frame; ++f) {
     std::map<std::string, bool> values;
-    for (const rtl::Net in : s.original->inputs()) {
-      const std::string& name = s.original->net_name(in);
+    for (const rtl::Net in : s.netlist->inputs()) {
+      const std::string& name = s.netlist->net_name(in);
       if (const auto forced = s.forced_input(in)) {
         values[name] = *forced;
         continue;
       }
-      const Lit l = s.input_lit(static_cast<std::size_t>(f), in);
+      const Lit l = s.encoder.frame(static_cast<std::size_t>(f)).lit(in);
       values[name] = l.valid() && (s.solver.model_value(l.var()) != l.negated());
     }
     cex.inputs.push_back(std::move(values));
@@ -419,15 +381,15 @@ Counterexample canonical_counterexample(Session& s, int last_frame,
   Counterexample cex;
   for (int f = 0; f <= last_frame; ++f) {
     std::map<std::string, bool> values;
-    for (const rtl::Net in : s.original->inputs()) {
-      const std::string& name = s.original->net_name(in);
+    for (const rtl::Net in : s.netlist->inputs()) {
+      const std::string& name = s.netlist->net_name(in);
       if (const auto forced = s.forced_input(in)) {
         // Stuck-at on a primary input: the trace reports the forced value
         // (a constant literal in the encoding — nothing to minimise).
         values[name] = *forced;
         continue;
       }
-      const Lit l = s.input_lit(static_cast<std::size_t>(f), in);
+      const Lit l = s.encoder.frame(static_cast<std::size_t>(f)).lit(in);
       if (!l.valid()) {  // out of the cone: cannot matter, canonically false
         values[name] = false;
         continue;
@@ -454,14 +416,13 @@ Counterexample canonical_counterexample(Session& s, int last_frame,
 }
 
 /// The footprint a session leaves behind — encoded frames, solver size,
-/// clause-arena bytes and compactions, and the preprocessed netlist's gate
-/// counts — under one prefix: "mc." for check, "mc.portfolio." for
-/// check_all. Every quantity is deterministic for a fixed check (the solver
+/// clause-arena bytes and compactions — under one prefix: "mc." for check,
+/// "mc.portfolio." for check_all. Every quantity is deterministic for a fixed check (the solver
 /// is single-threaded and the encoding canonical), so the counters hold the
 /// worker-count byte-identity contract.
 struct FootprintObs {
   obs::Counter frames_encoded, encoded_vars, encoded_clauses, arena_bytes, arena_live,
-      compactions, opt_gates_before, opt_gates_after;
+      compactions;
 
   explicit FootprintObs(const std::string& prefix) {
     auto& registry = obs::Registry::instance();
@@ -471,8 +432,6 @@ struct FootprintObs {
     arena_bytes = registry.counter(prefix + "arena_bytes");
     arena_live = registry.counter(prefix + "arena_live");
     compactions = registry.counter(prefix + "compactions");
-    opt_gates_before = registry.counter(prefix + "opt_gates_before");
-    opt_gates_after = registry.counter(prefix + "opt_gates_after");
   }
 
   void add(const Session& s) const {
@@ -482,10 +441,6 @@ struct FootprintObs {
     arena_bytes.add(s.solver.arena_bytes());
     arena_live.add(s.solver.arena_live_bytes());
     compactions.add(s.solver.statistics().arena_compactions);
-    if (s.optimized) {
-      opt_gates_before.add(s.optimized->gates_before());
-      opt_gates_after.add(s.optimized->gates_after());
-    }
   }
 };
 

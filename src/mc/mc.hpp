@@ -162,9 +162,7 @@ struct Counterexample {
 ///   mc.cex_conflicts       — counterexample canonicalisation;
 ///   mc.encoded_vars, mc.encoded_clauses, mc.arena_bytes, mc.arena_live,
 ///   mc.compactions         — the session solver after the check (with the
-///                            cone reduction these shrink to the cone);
-///   mc.opt_gates_before, mc.opt_gates_after — the preprocessed netlist
-///                            (0 with preprocessing off).
+///                            cone reduction these shrink to the cone).
 struct CheckResult {
   CheckStatus status = CheckStatus::no_cex_within_bound;
   int bound_used = 0;
@@ -178,8 +176,8 @@ struct CheckResult {
 /// mc.tables.checks and .pairs from a table check, and from a SAT check the
 /// shared solver's .frames_encoded, .sat_conflicts (every portfolio and
 /// induction solve), .cone_recomputes (Options::live_cone shrinks), and
-/// .encoded_vars, .encoded_clauses, .arena_bytes, .arena_live,
-/// .compactions, .opt_gates_before, .opt_gates_after as for CheckResult.
+/// .encoded_vars, .encoded_clauses, .arena_bytes, .arena_live and
+/// .compactions as for CheckResult.
 struct MultiCheckResult {
   std::vector<CheckResult> results;  ///< one per property, input order
 
@@ -194,7 +192,7 @@ struct MultiCheckResult {
 
 /// Options of a check. `max_bound` and `induction_depth` shape every answer;
 /// `canonical_counterexample` shapes the SAT engine's traces (the table
-/// engine's are always canonical); the other four only shape the SAT
+/// engine's are always canonical); the other three only shape the SAT
 /// encoding, so the table engine ignores them. Both engines throw
 /// std::invalid_argument on a negative `induction_depth` and
 /// std::out_of_range on a fault whose net is not in the netlist.
@@ -218,16 +216,6 @@ struct CheckOptions {
   /// platform. Costs at most one solve per input bit that wants to be
   /// true; disable for falsification-only sweeps that discard traces.
   bool canonical_counterexample = true;
-  /// SAT only. Run the netlist through the opt:: pass pipeline (structural
-  /// hashing, rewriting, SAT sweeping, dead-gate elimination) before
-  /// encoding. Injected faults are baked into the optimized netlist as
-  /// constants, and with `cone_of_influence` set only the observed outputs
-  /// are preserved, so the reductions compound. Exact, like the cone
-  /// reduction: verdicts, bound_used and canonical counterexamples are
-  /// bit-identical with preprocessing on or off — only the encoding
-  /// shrinks. The SYMBAD_OPT* environment knobs tune or disable the
-  /// pipeline globally (see opt::OptimizerOptions::from_env).
-  bool optimize = true;
   /// SAT only. In `check_all`: when a property is retired at some bound,
   /// recompute the cone-of-influence union over the *surviving* properties
   /// so later frames stop encoding the retired property's cone. Exact for
@@ -243,9 +231,12 @@ struct CheckOptions {
 };
 
 /// The SAT engine: lazy incremental BMC from reset plus k-induction on one
-/// session solver per call (see the file comment). ModelChecker sends it
-/// every check whose cone is too large for the table engine; tests and
-/// benches call it directly to pin SAT behaviour and cost.
+/// session solver per call (see the file comment). It encodes the netlist
+/// it was given, cut to the cone of influence; injected faults go to
+/// rtl::CnfEncoder, which replaces each faulted net by its constant in every
+/// frame. ModelChecker sends it every check whose cone is too large for the
+/// table engine; tests and benches call it directly to pin SAT behaviour
+/// and cost.
 class BmcChecker {
 public:
   using Options = CheckOptions;
@@ -321,9 +312,9 @@ private:
   const rtl::Netlist* netlist_;
 };
 
-/// Output names a property set observes (sorted, deduplicated) — the
-/// preserve set of a check over these properties, and the observed set a
-/// lint::FaultPruner proves fault invisibility against.
+/// Output names a property set observes (sorted, deduplicated) — the roots
+/// of a check's cone of influence, and the observed set a lint::FaultPruner
+/// proves fault invisibility against.
 [[nodiscard]] std::vector<std::string> observed_outputs(
     std::span<const Property> properties);
 

@@ -196,12 +196,11 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // Registry bridge: the verdict tallies and sim_passes are added once per
   // campaign, the formal-grading footprint once per BMC-graded fault (read
   // back from that fault's mc.portfolio.* counters). All deterministic
-  // (fault order, sampling, grading verdicts and opt/encode footprints are
+  // (fault order, sampling, grading verdicts and encode footprints are
   // seed-fixed).
   struct PccObs {
     obs::Counter campaigns, faults_total, detected, detected_by_simulation,
-        detected_by_bmc, lint_pruned, encoded_vars, encoded_clauses,
-        opt_gates_before, opt_gates_after, sim_passes;
+        detected_by_bmc, lint_pruned, encoded_vars, encoded_clauses, sim_passes;
   };
   auto& registry = obs::Registry::instance();
   static const PccObs counters{
@@ -213,8 +212,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
       registry.counter("pcc.lint_pruned"),
       registry.counter("pcc.encoded_vars"),
       registry.counter("pcc.encoded_clauses"),
-      registry.counter("pcc.opt_gates_before"),
-      registry.counter("pcc.opt_gates_after"),
       registry.counter("pcc.sim_passes"),
   };
 
@@ -226,7 +223,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // PCC only asks *whether* a property falsifies on the faulty netlist;
   // the traces are discarded, so skip counterexample canonicalisation.
   mc_opts.canonical_counterexample = false;
-  mc_opts.optimize = options.optimize;
 
   // A-priori fault prune (PccOptions::lint_prune): faults the FaultPruner
   // proves cannot change any observed output skip the BMC stage. The sim
@@ -257,9 +253,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
       continue;
     }
     const auto [net, stuck_to] = faults[k];
-    FaultOutcome outcome;
-    outcome.net = net;
-    outcome.stuck_to = stuck_to;
 
     if (pruner && pruner->undetectable(net, stuck_to)) {
       if (!good_design_probed) {
@@ -277,7 +270,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
         // The faulty design's observed behaviour is provably the good
         // design's, and the good design passes: undetected, no BMC slot.
         ++report.lint_pruned_faults;
-        report.undetected.push_back(outcome);
+        report.undetected.push_back({net, stuck_to});
         continue;
       }
     }
@@ -287,20 +280,14 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     std::map<rtl::Net, bool> fault_map{{net, stuck_to}};
     const obs::Scope bmc_cost;
     const auto multi = checker.check_all_with_faults(properties, fault_map, mc_opts);
-    counters.opt_gates_before.add(bmc_cost.delta("mc.portfolio.opt_gates_before"));
-    counters.opt_gates_after.add(bmc_cost.delta("mc.portfolio.opt_gates_after"));
     counters.encoded_vars.add(bmc_cost.delta("mc.portfolio.encoded_vars"));
     counters.encoded_clauses.add(bmc_cost.delta("mc.portfolio.encoded_clauses"));
-    for (std::size_t i = 0; i < properties.size(); ++i) {
-      if (multi.results[i].status == mc::CheckStatus::falsified) {
-        outcome.detected = true;
-        outcome.detected_by = properties[i].name;
-        ++report.detected;
-        ++report.detected_by_bmc;
-        break;
-      }
+    if (multi.count(mc::CheckStatus::falsified) > 0) {
+      ++report.detected;
+      ++report.detected_by_bmc;
+    } else {
+      report.undetected.push_back({net, stuck_to});
     }
-    if (!outcome.detected) report.undetected.push_back(outcome);
   }
 
   counters.campaigns.inc();

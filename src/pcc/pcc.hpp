@@ -13,7 +13,6 @@
 // checking on the faulty netlist for the faults simulation missed.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mc/mc.hpp"
@@ -21,20 +20,16 @@
 
 namespace symbad::pcc {
 
+/// A stuck-at fault no property detects.
 struct FaultOutcome {
   rtl::Net net = -1;
   bool stuck_to = false;
-  bool detected = false;
-  std::string detected_by;  ///< property name
-  bool detected_by_simulation = false;
 };
 
 /// Verdicts of one campaign. Its cost lives only in the `pcc.*` registry
 /// counters: besides the verdict tallies, pcc.sim_passes and the
-/// formal-grading footprint summed over the faults that reached BMC —
-/// pcc.opt_gates_before/after (gates entering/leaving the per-fault
-/// pipeline, 0 with preprocessing off) and pcc.encoded_vars/clauses
-/// (solver size per fault). All deterministic.
+/// formal-grading footprint summed over the faults that reached BMC,
+/// pcc.encoded_vars/clauses (solver size per fault). All deterministic.
 struct PccReport {
   std::size_t total_faults = 0;
   std::size_t detected = 0;
@@ -60,12 +55,6 @@ struct PccOptions {
   /// Evaluate at most this many faults (0 = all), sampled uniformly.
   std::size_t max_faults = 0;
   std::uint64_t seed = 0x9CC5EEDULL;
-  /// Preprocess the faulty netlists through the opt:: pass pipeline before
-  /// BMC grading: each graded fault gets one optimizer rebuild with the
-  /// fault baked in as a constant and the SAT sweep off (a per-fault sweep
-  /// would re-prove the same fault-independent merges every time).
-  /// Detection verdicts are identical with preprocessing on or off.
-  bool optimize = true;
   /// Skip the BMC stage for faults a lint::FaultPruner proves undetectable
   /// (outside every observed-output cone; under SYMBAD_LINT=2 also sites
   /// whose net provably equals the stuck value). The simulation pre-pass

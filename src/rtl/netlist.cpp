@@ -157,12 +157,6 @@ std::vector<Net> Netlist::register_support(const std::vector<Net>& roots) const 
   return support;
 }
 
-GateHistogram Netlist::gate_histogram() const {
-  GateHistogram hist{};
-  for (const auto& g : gates_) ++hist[gate_index(g.kind)];
-  return hist;
-}
-
 double Netlist::area_estimate() const {
   // Unit-area weights loosely modelled on standard-cell relative sizes.
   double area = 0.0;

@@ -10,7 +10,6 @@
 // creation order; sequential loops close only through flip-flops
 // (`connect_next`).
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -34,23 +33,13 @@ enum class GateKind : std::uint8_t {
   dff,  ///< state element; `a` is the next-state net once connected
 };
 
-/// Number of GateKind enumerators, for flat per-kind tables.
+/// Number of GateKind enumerators: a kind value at or above it is invalid.
 inline constexpr std::size_t kGateKindCount = 9;
 
-/// Index of a GateKind in a flat per-kind table.
-[[nodiscard]] constexpr std::size_t gate_index(GateKind k) noexcept {
-  return static_cast<std::size_t>(k);
-}
-
-// A new enumerator must bump kGateKindCount with it, or every flat table
-// (gate_histogram and friends) indexes out of bounds.
-static_assert(gate_index(GateKind::dff) + 1 == kGateKindCount,
+// A new enumerator must bump kGateKindCount with it, or lint's kind check
+// rejects the new kind.
+static_assert(static_cast<std::size_t>(GateKind::dff) + 1 == kGateKindCount,
               "kGateKindCount is out of sync with the GateKind enum");
-
-/// Gate count per kind, indexed by `gate_index` — a flat array instead of
-/// a std::map so per-pass statistics (the optimizer queries it after every
-/// pass) cost no allocation.
-using GateHistogram = std::array<std::size_t, kGateKindCount>;
 
 [[nodiscard]] constexpr const char* to_string(GateKind k) noexcept {
   switch (k) {
@@ -106,9 +95,6 @@ public:
   [[nodiscard]] Net input(const std::string& name) const;
   [[nodiscard]] Net output(const std::string& name) const;
   [[nodiscard]] const std::string& net_name(Net n) const;
-  [[nodiscard]] bool has_input(const std::string& name) const {
-    return input_index_.contains(name);
-  }
 
   // ------------------------------------------------- structural queries
   /// Backward cone of influence of `roots`: result[net] != 0 iff `net`'s
@@ -121,9 +107,6 @@ public:
   /// order — the register support of a property over those roots.
   [[nodiscard]] std::vector<Net> register_support(const std::vector<Net>& roots) const;
 
-  /// Count of gates per kind — the "silicon usage" proxy used by the
-  /// architecture-exploration grading; index with `gate_index(kind)`.
-  [[nodiscard]] GateHistogram gate_histogram() const;
   /// Unit-area estimate (gate-count weighted by kind).
   [[nodiscard]] double area_estimate() const;
 

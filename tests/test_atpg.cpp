@@ -472,3 +472,21 @@ TEST(SatAtpgOracle, VerdictsMatchExhaustiveSimulation) {
   symbad::test::expect_matches_oracle(
       pe, 3, engine.generate_tests(symbad::test::all_stuck_at_faults(pe)), pe.name());
 }
+
+TEST(SatAtpgOracle, SharedAndPerFaultEnginesMatchTheOracle) {
+  // One engine serving the whole fault list (learned clauses, retired
+  // miters and root-pinned cones carried from fault to fault) and one
+  // fresh engine per fault must both match the exhaustive-simulation
+  // oracle on every stuck-at fault of every net.
+  for (const auto& n : {app::build_wrapper_fsm(), app::build_distance_rtl(2, 4)}) {
+    const auto faults = symbad::test::all_stuck_at_faults(n);
+    atpg::SatEngine shared{n, {3}};
+    symbad::test::expect_matches_oracle(n, 3, shared.generate_tests(faults),
+                                        n.name() + " shared");
+    std::vector<atpg::SatEngine::FaultResult> fresh;
+    for (const auto& [net, stuck_to] : faults) {
+      fresh.push_back({net, stuck_to, atpg::sat_generate_test(n, net, stuck_to, 3)});
+    }
+    symbad::test::expect_matches_oracle(n, 3, fresh, n.name() + " fresh");
+  }
+}

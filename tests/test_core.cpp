@@ -449,7 +449,7 @@ TEST(Explorer, FindsAcceleratedParetoPoints) {
 // ------------------------------------------------- strict env-knob parsing
 
 // The shared strict parser behind every SYMBAD_* integer knob
-// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_OPT*, SYMBAD_SAT_COMPACT). The
+// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_SAT_COMPACT, SYMBAD_LINT, ...). The
 // exhaustive accept/reject matrix lives here, next to the implementation;
 // the subsystems keep one integration test each that garbage still throws
 // through their entry points.
@@ -499,7 +499,6 @@ TEST(EnvParse, EnvReaderDistinguishesUnsetFromInvalid) {
   const EnvVarGuard guard{"SYMBAD_TEST_ENV_KNOB"};
   ::unsetenv("SYMBAD_TEST_ENV_KNOB");
   EXPECT_EQ(core::parse_env_int("SYMBAD_TEST_ENV_KNOB", 0, 9), std::nullopt);
-  EXPECT_EQ(core::parse_env_flag("SYMBAD_TEST_ENV_KNOB"), std::nullopt);
 
   ::setenv("SYMBAD_TEST_ENV_KNOB", "7", 1);
   EXPECT_EQ(core::parse_env_int("SYMBAD_TEST_ENV_KNOB", 0, 9), 7);
@@ -509,14 +508,15 @@ TEST(EnvParse, EnvReaderDistinguishesUnsetFromInvalid) {
 }
 
 TEST(EnvParse, FlagAcceptsExactlyZeroAndOne) {
+  // A boolean knob (SYMBAD_GEN_CORPUS_WRITE) is an integer knob in [0, 1].
   const EnvVarGuard guard{"SYMBAD_TEST_ENV_KNOB"};
   ::setenv("SYMBAD_TEST_ENV_KNOB", "0", 1);
-  EXPECT_EQ(core::parse_env_flag("SYMBAD_TEST_ENV_KNOB"), false);
+  EXPECT_EQ(core::parse_env_int("SYMBAD_TEST_ENV_KNOB", 0, 1), 0);
   ::setenv("SYMBAD_TEST_ENV_KNOB", "1", 1);
-  EXPECT_EQ(core::parse_env_flag("SYMBAD_TEST_ENV_KNOB"), true);
+  EXPECT_EQ(core::parse_env_int("SYMBAD_TEST_ENV_KNOB", 0, 1), 1);
   for (const char* bad : {"2", "true", "yes", ""}) {
     ::setenv("SYMBAD_TEST_ENV_KNOB", bad, 1);
-    EXPECT_THROW((void)core::parse_env_flag("SYMBAD_TEST_ENV_KNOB"),
+    EXPECT_THROW((void)core::parse_env_int("SYMBAD_TEST_ENV_KNOB", 0, 1),
                  std::invalid_argument)
         << "value \"" << bad << '"';
   }

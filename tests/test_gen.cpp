@@ -666,7 +666,7 @@ std::string render_manifest() {
 
 TEST(GenCorpus, ManifestMatchesRegeneratedDigests) {
   const std::string fresh = render_manifest();
-  if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
+  if (core::parse_env_int("SYMBAD_GEN_CORPUS_WRITE", 0, 1).value_or(0) != 0) {
     std::ofstream out{kManifestPath, std::ios::trunc};
     ASSERT_TRUE(out.good()) << "cannot write " << kManifestPath;
     out << fresh;

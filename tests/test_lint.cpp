@@ -1,8 +1,7 @@
 // Tests for the static-analysis engine (src/lint): per-rule positive
 // detection with exact rule IDs, lint-cleanliness of every seed design and
-// generated tier, per-fault optimizer output cleanliness, the FaultPruner and
-// its pcc campaign wiring (coverage identity), and the strict SYMBAD_LINT
-// environment knob.
+// generated tier, the FaultPruner and its pcc campaign wiring (coverage
+// identity), and the strict SYMBAD_LINT environment knob.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "lint/lint.hpp"
 #include "mc/mc.hpp"
 #include "obs/obs.hpp"
-#include "opt/optimizer.hpp"
 #include "pcc/pcc.hpp"
 #include "rtl/netlist.hpp"
 #include "support/test_util.hpp"
@@ -28,7 +26,6 @@ namespace core = symbad::core;
 namespace gen = symbad::gen;
 namespace lint = symbad::lint;
 namespace mc = symbad::mc;
-namespace opt = symbad::opt;
 namespace pcc = symbad::pcc;
 namespace rtl = symbad::rtl;
 
@@ -437,32 +434,6 @@ TEST(LintClean, GeneratedTaskGraphsHaveNoErrorFindings) {
       const auto report = linter.analyze(p.graph);
       EXPECT_EQ(report.error_count(), 0u)
           << gen::to_string(tier) << " seed " << p.seed << "\n" << report.to_string();
-    }
-  }
-}
-
-TEST(LintClean, OptimizerPerFaultOutputsHaveNoErrorFindings) {
-  // The per-fault rebuild a fault campaign runs (fault baked in, sweep off)
-  // lints error-free. The boundary self-check inside opt:: already throws
-  // on errors; this pins the reports directly.
-  const lint::Linter linter{};
-  for (int i = 0; i < 4; ++i) {
-    const auto n = gen::generate_netlist(gen::SweepConfig{}.seed_at(i),
-                                         gen::SizeTier::medium);
-    // A handful of fault sites spread across the netlist.
-    for (std::size_t site = 5; site < n.gate_count(); site += n.gate_count() / 3) {
-      const auto kind = n.gate(static_cast<rtl::Net>(site)).kind;
-      if (kind == rtl::GateKind::input || kind == rtl::GateKind::const0 ||
-          kind == rtl::GateKind::const1) {
-        continue;
-      }
-      const std::map<rtl::Net, bool> faults{{static_cast<rtl::Net>(site), true}};
-      auto options = opt::OptimizerOptions::from_env();
-      options.faults = &faults;
-      options.sweep = false;
-      const auto report = linter.analyze(opt::optimize(n, options).netlist);
-      EXPECT_EQ(report.error_count(), 0u) << "site " << site << "\n"
-                                          << report.to_string();
     }
   }
 }

@@ -447,7 +447,6 @@ constexpr const char* kPortfolioCounters[] = {
     "mc.portfolio.cone_recomputes",  "mc.portfolio.encoded_vars",
     "mc.portfolio.encoded_clauses",  "mc.portfolio.arena_bytes",
     "mc.portfolio.arena_live",       "mc.portfolio.compactions",
-    "mc.portfolio.opt_gates_before", "mc.portfolio.opt_gates_after",
     "sat.solves",                    "sat.decisions",
     "sat.propagations",              "sat.conflicts",
 };
@@ -512,9 +511,10 @@ TEST(ObsScope, NestedScopesAndLevelZero) {
 }
 
 TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
-  // The figures CheckResult and MultiCheckResult reported for these
-  // wrapper checks while they still carried cost fields, on the SAT engine
-  // (through ModelChecker the wrapper's checks go to the table engine).
+  // The counters that replaced CheckResult's and MultiCheckResult's cost
+  // fields, pinned for these wrapper checks on the SAT engine (through
+  // ModelChecker the wrapper's checks go to the table engine). The encoding
+  // figures are those of the netlist as given, cut to the cone of influence.
   const LevelGuard guard;
   obs::Registry::instance().set_level(1);
   const auto fsm = app::build_wrapper_fsm();
@@ -532,10 +532,10 @@ TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
   EXPECT_EQ(proved.delta("mc.induction_conflicts"), 1u);
   EXPECT_EQ(proved.delta("mc.cex_conflicts"), 0u);
   EXPECT_EQ(proved.delta("mc.frames_encoded"), 22u);
-  EXPECT_EQ(proved.delta("mc.encoded_vars"), 491u);
-  EXPECT_EQ(proved.delta("mc.encoded_clauses"), 1265u);
-  EXPECT_EQ(proved.delta("mc.arena_bytes"), 16864u);
-  EXPECT_EQ(proved.delta("mc.arena_live"), 16864u);
+  EXPECT_EQ(proved.delta("mc.encoded_vars"), 557u);
+  EXPECT_EQ(proved.delta("mc.encoded_clauses"), 1463u);
+  EXPECT_EQ(proved.delta("mc.arena_bytes"), 19504u);
+  EXPECT_EQ(proved.delta("mc.arena_live"), 19504u);
   EXPECT_EQ(proved.delta("mc.compactions"), 0u);
 
   const obs::Scope falsified;
@@ -547,22 +547,20 @@ TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
   EXPECT_EQ(falsified.delta("mc.induction_conflicts"), 0u);
   EXPECT_EQ(falsified.delta("mc.cex_conflicts"), 1u);
   EXPECT_EQ(falsified.delta("mc.frames_encoded"), 4u);
-  EXPECT_EQ(falsified.delta("mc.encoded_vars"), 84u);
-  EXPECT_EQ(falsified.delta("mc.encoded_clauses"), 206u);
-  EXPECT_EQ(falsified.delta("mc.arena_bytes"), 2784u);
-  EXPECT_EQ(falsified.delta("mc.arena_live"), 2784u);
+  EXPECT_EQ(falsified.delta("mc.encoded_vars"), 88u);
+  EXPECT_EQ(falsified.delta("mc.encoded_clauses"), 218u);
+  EXPECT_EQ(falsified.delta("mc.arena_bytes"), 2948u);
+  EXPECT_EQ(falsified.delta("mc.arena_live"), 2948u);
 
   const obs::Scope portfolio;
   (void)checker.check_all(props, {12, 4});
-  EXPECT_EQ(portfolio.delta("mc.portfolio.sat_conflicts"), 153u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.sat_conflicts"), 154u);
   EXPECT_EQ(portfolio.delta("mc.portfolio.frames_encoded"), 14u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_vars"), 963u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_clauses"), 2535u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_bytes"), 37976u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_live"), 37976u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_vars"), 1005u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_clauses"), 2661u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_bytes"), 39736u);
+  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_live"), 39736u);
   EXPECT_EQ(portfolio.delta("mc.portfolio.compactions"), 0u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.opt_gates_before"), 33u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.opt_gates_after"), 28u);
 }
 
 // ---------------------------------------------------------- chrome trace
