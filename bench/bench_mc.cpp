@@ -175,7 +175,7 @@ void BM_Mc_SharedSolverInductionProof(benchmark::State& state) {
   // An inductive invariant on the DISTANCE PE: the k-induction solve runs
   // on the same solver (and learned clauses) as the preceding BMC sweep.
   const auto n = app::build_distance_rtl(8, 16);
-  const mc::ModelChecker checker{n};
+  const mc::BmcChecker checker{n};
   const auto prop = mc::Property::next(
       "overflow_sticky",
       mc::Expr::signal("overflow") && !mc::Expr::signal("clear_in"),

@@ -75,8 +75,8 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "==> [6/9] threaded campaign runner + SAT arena under ASan (4 workers;"
 echo "    step 5's full ctest already covers every suite sanitized — these"
-echo "    re-runs exist for the non-default worker count and for the"
-echo "    compaction paths forced through every reduction)"
+echo "    re-runs exist for non-default knobs: the worker count, compaction"
+echo "    forced through every reduction, lint off and semantic, spans on)"
 SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_exec
 SYMBAD_SAT_COMPACT=2 ./build-asan/test_sat
 # Generator + generative differential sweeps sanitized (coroutine traffic
@@ -85,6 +85,10 @@ SYMBAD_SAT_COMPACT=2 ./build-asan/test_sat
 # Lint boundary self-checks + SAT-backed semantic tier sanitized, with the
 # strict-mode prover forced on.
 SYMBAD_LINT=2 ./build-asan/test_lint
+# PCC with the fault-site prune off: every ROOT fault, out-of-cone ones
+# included, goes through the campaign's shared table engine and the
+# simulator's cone walk.
+SYMBAD_LINT=0 ./build-asan/test_mc_pcc
 # Observability layer sanitized with spans on and the threaded campaign at
 # the non-default worker count (thread-shard registration/retirement and
 # the span flush path under concurrent workers).

@@ -503,9 +503,9 @@ void detail::validate_check(const rtl::Netlist& netlist,
 CheckResult ModelChecker::check_with_faults(const Property& property,
                                             const std::map<rtl::Net, bool>& faults,
                                             Options options) const {
-  const TableCone cone = table_cone(*netlist_, {&property, 1});
+  TableCone cone = table_cone(*netlist_, {&property, 1});
   if (cone.fits()) {
-    return TableChecker{*netlist_}.check_cone(cone, property, faults, options);
+    return TableEngine{*netlist_, std::move(cone), {&property, 1}}.check(faults, options);
   }
   return BmcChecker{*netlist_}.check_with_faults(property, faults, options);
 }
@@ -513,9 +513,10 @@ CheckResult ModelChecker::check_with_faults(const Property& property,
 MultiCheckResult ModelChecker::check_all_with_faults(const std::vector<Property>& properties,
                                                      const std::map<rtl::Net, bool>& faults,
                                                      Options options) const {
-  const TableCone cone = table_cone(*netlist_, {properties.data(), properties.size()});
+  const std::span<const Property> all{properties.data(), properties.size()};
+  TableCone cone = table_cone(*netlist_, all);
   if (cone.fits()) {
-    return TableChecker{*netlist_}.check_all_cone(cone, properties, faults, options);
+    return TableEngine{*netlist_, std::move(cone), all}.check_all(faults, options);
   }
   return BmcChecker{*netlist_}.check_all_with_faults(properties, faults, options);
 }

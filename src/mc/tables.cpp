@@ -46,8 +46,13 @@ int window(const Property& property) {
 /// inputs — the order canonical counterexamples minimise in.
 class Tables {
 public:
+  /// Tabulates the cone on `sim`, a simulator of it with `faults` injected;
+  /// `p_exprs`/`q_exprs` are the properties' compiled antecedents and
+  /// consequents.
   Tables(const rtl::Netlist& netlist, const TableCone& cone,
-         std::span<const Property> properties, const std::map<rtl::Net, bool>& faults)
+         std::span<const Property> properties, const std::map<rtl::Net, bool>& faults,
+         rtl::Simulator& sim, std::span<const CompiledExpr> p_exprs,
+         std::span<const CompiledExpr> q_exprs)
       : netlist_{&netlist},
         cone_{&cone},
         faults_{&faults},
@@ -58,13 +63,7 @@ public:
         next_(pairs_, 0),
         p_(properties.size(), Set(pairs_, 0)),
         q_(properties.size()) {
-    rtl::Simulator sim{netlist};
-    for (const auto& [net, value] : faults) sim.inject_stuck_at(net, value);
-    std::vector<CompiledExpr> p_exprs;
-    std::vector<CompiledExpr> q_exprs;
     for (std::size_t i = 0; i < properties.size(); ++i) {
-      p_exprs.push_back(properties[i].antecedent.compile(netlist));
-      q_exprs.push_back(properties[i].consequent.compile(netlist));
       if (properties[i].kind != PropertyKind::invariant) q_[i].assign(pairs_, 0);
     }
     const auto& ffs = cone.flip_flops;
@@ -321,59 +320,62 @@ void count_table_check(const TableCone& cone) {
 TableCone table_cone(const rtl::Netlist& netlist, std::span<const Property> properties) {
   std::vector<rtl::Net> roots;
   for (const auto& name : observed_outputs(properties)) roots.push_back(netlist.output(name));
-  const std::vector<char> in_cone = netlist.cone_of_influence(roots);
   TableCone cone;
-  cone.gates = static_cast<std::size_t>(std::count(in_cone.begin(), in_cone.end(), 1));
+  cone.nets = netlist.cone_of_influence(roots);
+  cone.gates = static_cast<std::size_t>(std::count(cone.nets.begin(), cone.nets.end(), 1));
   for (const rtl::Net ff : netlist.flip_flops()) {
-    if (in_cone[static_cast<std::size_t>(ff)] != 0) cone.flip_flops.push_back(ff);
+    if (cone.nets[static_cast<std::size_t>(ff)] != 0) cone.flip_flops.push_back(ff);
   }
   for (const rtl::Net in : netlist.inputs()) {
-    if (in_cone[static_cast<std::size_t>(in)] != 0) cone.inputs.push_back(in);
+    if (cone.nets[static_cast<std::size_t>(in)] != 0) cone.inputs.push_back(in);
   }
   return cone;
 }
 
-CheckResult TableChecker::check_with_faults(const Property& property,
-                                            const std::map<rtl::Net, bool>& faults,
-                                            Options options) const {
-  return check_cone(table_cone(*netlist_, {&property, 1}), property, faults, options);
+TableEngine::TableEngine(const rtl::Netlist& netlist, TableCone cone,
+                         std::span<const Property> properties)
+    : netlist_{&netlist},
+      cone_{std::move(cone)},
+      properties_{properties},
+      sim_{netlist, cone_.nets} {
+  for (const auto& property : properties) {
+    p_.push_back(property.antecedent.compile(netlist));
+    q_.push_back(property.consequent.compile(netlist));
+  }
 }
 
-MultiCheckResult TableChecker::check_all_with_faults(const std::vector<Property>& properties,
-                                                     const std::map<rtl::Net, bool>& faults,
-                                                     Options options) const {
-  return check_all_cone(table_cone(*netlist_, {properties.data(), properties.size()}),
-                        properties, faults, options);
+std::vector<CheckResult> TableEngine::decide(const std::map<rtl::Net, bool>& faults,
+                                             const CheckOptions& options) {
+  sim_.clear_faults();
+  for (const auto& [net, value] : faults) sim_.inject_stuck_at(net, value);
+  return Tables{*netlist_, cone_, properties_, faults, sim_, p_, q_}.decide(options);
 }
 
-CheckResult TableChecker::check_cone(const TableCone& cone, const Property& property,
-                                     const std::map<rtl::Net, bool>& faults,
-                                     const Options& options) const {
+CheckResult TableEngine::check(const std::map<rtl::Net, bool>& faults,
+                               const CheckOptions& options) {
   OBS_SPAN("mc.check");
+  if (properties_.size() != 1) throw std::logic_error{"mc: check needs a one-property engine"};
   detail::validate_check(*netlist_, faults, options);
-  require_enumerable(cone);
+  require_enumerable(cone_);
   struct CheckObs {
     obs::Counter checks, bounds_used;
   };
   auto& registry = obs::Registry::instance();
   static const CheckObs counters{registry.counter("mc.checks"),
                                  registry.counter("mc.bounds_used")};
-  CheckResult result =
-      std::move(Tables{*netlist_, cone, {&property, 1}, faults}.decide(options).front());
+  CheckResult result = std::move(decide(faults, options).front());
   counters.checks.inc();
   counters.bounds_used.add(
       static_cast<std::uint64_t>(std::max(result.bound_used, 0)));
-  count_table_check(cone);
+  count_table_check(cone_);
   return result;
 }
 
-MultiCheckResult TableChecker::check_all_cone(const TableCone& cone,
-                                              const std::vector<Property>& properties,
-                                              const std::map<rtl::Net, bool>& faults,
-                                              const Options& options) const {
+MultiCheckResult TableEngine::check_all(const std::map<rtl::Net, bool>& faults,
+                                        const CheckOptions& options) {
   OBS_SPAN("mc.check_all");
   detail::validate_check(*netlist_, faults, options);
-  require_enumerable(cone);
+  require_enumerable(cone_);
   struct PortfolioObs {
     obs::Counter checks, properties;
   };
@@ -382,12 +384,25 @@ MultiCheckResult TableChecker::check_all_cone(const TableCone& cone,
                                      registry.counter("mc.portfolio.properties")};
   counters.checks.inc();
   MultiCheckResult multi;
-  if (properties.empty()) return multi;  // one check, nothing else to count
-  multi.results = Tables{*netlist_, cone, {properties.data(), properties.size()}, faults}
-                      .decide(options);
-  counters.properties.add(properties.size());
-  count_table_check(cone);
+  if (properties_.empty()) return multi;  // one check, nothing else to count
+  multi.results = decide(faults, options);
+  counters.properties.add(properties_.size());
+  count_table_check(cone_);
   return multi;
+}
+
+CheckResult TableChecker::check_with_faults(const Property& property,
+                                            const std::map<rtl::Net, bool>& faults,
+                                            Options options) const {
+  return TableEngine{*netlist_, table_cone(*netlist_, {&property, 1}), {&property, 1}}.check(
+      faults, options);
+}
+
+MultiCheckResult TableChecker::check_all_with_faults(const std::vector<Property>& properties,
+                                                     const std::map<rtl::Net, bool>& faults,
+                                                     Options options) const {
+  const std::span<const Property> all{properties.data(), properties.size()};
+  return TableEngine{*netlist_, table_cone(*netlist_, all), all}.check_all(faults, options);
 }
 
 }  // namespace symbad::mc

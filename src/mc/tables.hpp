@@ -37,6 +37,7 @@ namespace symbad::mc {
 /// The cone of influence of a property set's observed outputs, as the table
 /// engine enumerates it.
 struct TableCone {
+  std::vector<char> nets;            ///< the cone's net mask (Netlist::cone_of_influence)
   std::vector<rtl::Net> flip_flops;  ///< S flip-flops in the cone, declaration order
   std::vector<rtl::Net> inputs;      ///< I primary inputs in the cone, declaration order
   std::size_t gates = 0;             ///< G: every net in the cone
@@ -68,10 +69,44 @@ struct TableCone {
 [[nodiscard]] TableCone table_cone(const rtl::Netlist& netlist,
                                    std::span<const Property> properties);
 
+/// The table engine's reusable part for one property set and its cone: the
+/// cone-form simulator and the compiled properties. Each check clears the
+/// simulator's faults, injects its own, tabulates the cone and searches the
+/// tables, so a fault campaign builds one engine and checks every fault on
+/// it. The checks answer and count exactly as TableChecker's entry points.
+class TableEngine {
+public:
+  /// `cone` is `table_cone(netlist, properties)`; `properties` must outlive
+  /// the engine. Throws std::out_of_range on an unknown output.
+  TableEngine(const rtl::Netlist& netlist, TableCone cone,
+              std::span<const Property> properties);
+
+  /// TableChecker::check_with_faults of the engine's one property
+  /// (std::logic_error unless the engine holds exactly one).
+  [[nodiscard]] CheckResult check(const std::map<rtl::Net, bool>& faults,
+                                  const CheckOptions& options);
+  /// TableChecker::check_all_with_faults over the engine's properties.
+  [[nodiscard]] MultiCheckResult check_all(const std::map<rtl::Net, bool>& faults,
+                                           const CheckOptions& options);
+
+private:
+  /// Every property's verdict under `faults`.
+  [[nodiscard]] std::vector<CheckResult> decide(const std::map<rtl::Net, bool>& faults,
+                                                const CheckOptions& options);
+
+  const rtl::Netlist* netlist_;
+  TableCone cone_;
+  std::span<const Property> properties_;
+  rtl::Simulator sim_;
+  std::vector<CompiledExpr> p_;  ///< per property: the antecedent
+  std::vector<CompiledExpr> q_;  ///< per property: the consequent
+};
+
 /// The table engine. Same entry points and answers as BmcChecker; it
 /// ignores the options that only shape the SAT encoding and always returns
-/// canonical counterexamples. Throws std::invalid_argument when the cone
-/// exceeds TableCone::kMaxPairBits.
+/// canonical counterexamples. Each call builds a TableEngine on the
+/// properties' cone and checks once. Throws std::invalid_argument when the
+/// cone exceeds TableCone::kMaxPairBits.
 class TableChecker {
 public:
   using Options = CheckOptions;
@@ -93,15 +128,6 @@ public:
       Options options) const;
 
 private:
-  friend class ModelChecker;  // dispatches with the cone it already sized
-  [[nodiscard]] CheckResult check_cone(const TableCone& cone, const Property& property,
-                                       const std::map<rtl::Net, bool>& faults,
-                                       const Options& options) const;
-  [[nodiscard]] MultiCheckResult check_all_cone(const TableCone& cone,
-                                                const std::vector<Property>& properties,
-                                                const std::map<rtl::Net, bool>& faults,
-                                                const Options& options) const;
-
   const rtl::Netlist* netlist_;
 };
 

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <map>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "lint/lint.hpp"
+#include "mc/tables.hpp"
 #include "obs/obs.hpp"
 #include "verif/rng.hpp"
 
@@ -91,7 +94,12 @@ private:
 /// lanes above j* read the wrong offsets, stop drawing, and are re-graded
 /// by the next pass, which starts where the per-fault loop would: j*·D plus
 /// the draws j* used.
-std::vector<char> simulate_detects(const rtl::Netlist& netlist,
+///
+/// The simulator walks only `cone`, the properties' cone of influence, and
+/// only cone inputs are drawn, each at its unchanged offset (input k of a
+/// cycle reads draw k): nothing outside the cone reaches a property, so a
+/// lane's verdict and the committed draws are the full walk's.
+std::vector<char> simulate_detects(const rtl::Netlist& netlist, const std::vector<char>& cone,
                                    const std::vector<mc::Property>& properties,
                                    const std::vector<std::pair<rtl::Net, bool>>& faults,
                                    const PccOptions& options, std::uint64_t& passes) {
@@ -104,7 +112,11 @@ std::vector<char> simulate_detects(const rtl::Netlist& netlist,
   const std::uint64_t draws_per_fault = static_cast<std::uint64_t>(runs) *
                                         static_cast<std::uint64_t>(cycles) * draws_per_cycle;
 
-  rtl::Simulator sim{netlist};
+  rtl::Simulator sim{netlist, cone};
+  std::vector<std::size_t> drawn_inputs;  // declaration indices of the cone's inputs
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    if (cone[static_cast<std::size_t>(inputs[k])] != 0) drawn_inputs.push_back(k);
+  }
   std::vector<LaneCheck> checks;
   checks.reserve(properties.size());
   for (const auto& prop : properties) checks.emplace_back(prop, netlist);
@@ -132,7 +144,7 @@ std::vector<char> simulate_detects(const rtl::Netlist& netlist,
             (static_cast<std::uint64_t>(run) * static_cast<std::uint64_t>(cycles) +
              static_cast<std::uint64_t>(cycle)) *
             draws_per_cycle;
-        for (std::size_t k = 0; k < inputs.size(); ++k) {
+        for (const std::size_t k : drawn_inputs) {
           LaneWord bits = 0;
           for (LaneWord l = live; l != 0; l &= l - 1) {
             const int j = std::countr_zero(l);
@@ -217,7 +229,8 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
 
   PccReport report;
   report.total_faults = faults.size();
-  const mc::ModelChecker checker{netlist};
+  const std::span<const mc::Property> observed{properties.data(), properties.size()};
+  mc::TableCone cone = mc::table_cone(netlist, observed);
   mc::ModelChecker::Options mc_opts;
   mc_opts.max_bound = options.bmc_bound;
   // PCC only asks *whether* a property falsifies on the faulty netlist;
@@ -237,15 +250,28 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   if (options.lint_prune && lint::mode_from_env() != lint::Mode::off) {
     lint::FaultPruner::Options po;
     po.semantic = lint::mode_from_env() == lint::Mode::semantic;
-    pruner.emplace(netlist,
-                   mc::observed_outputs({properties.data(), properties.size()}),
-                   po);
+    pruner.emplace(netlist, mc::observed_outputs(observed), po);
   }
   bool good_design_probed = false;
 
   std::uint64_t sim_passes = 0;
   const std::vector<char> by_sim =
-      simulate_detects(netlist, properties, faults, options, sim_passes);
+      simulate_detects(netlist, cone.nets, properties, faults, options, sim_passes);
+
+  // Formal grading. A cone the table engine takes gets one engine for the
+  // campaign: the probe and every fault reuse its cone simulator and
+  // compiled properties. A larger cone sends each fault to the SAT engine.
+  std::optional<mc::TableEngine> tables;
+  if (cone.fits()) tables.emplace(netlist, std::move(cone), observed);
+  // Portfolio BMC: all properties on one solver per fault — undetectable
+  // faults (the common case) cost one UNSAT solve per bound for the whole
+  // property set instead of one BMC sweep per property.
+  const mc::BmcChecker sat{netlist};
+  const auto grade = [&](const std::map<rtl::Net, bool>& fault_map) {
+    return tables ? tables->check_all(fault_map, mc_opts)
+                  : sat.check_all_with_faults(properties, fault_map, mc_opts);
+  };
+
   for (std::size_t k = 0; k < faults.size(); ++k) {
     if (by_sim[k] != 0) {
       ++report.detected;
@@ -257,13 +283,8 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     if (pruner && pruner->undetectable(net, stuck_to)) {
       if (!good_design_probed) {
         good_design_probed = true;
-        const auto probe =
-            checker.check_all_with_faults(properties, {}, mc_opts);
-        for (const auto& r : probe.results) {
-          if (r.status == mc::CheckStatus::falsified) {
-            pruner.reset();  // good design dirty: prune off for the campaign
-            break;
-          }
+        if (grade({}).count(mc::CheckStatus::falsified) > 0) {
+          pruner.reset();  // good design dirty: prune off for the campaign
         }
       }
       if (pruner) {
@@ -274,12 +295,8 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
         continue;
       }
     }
-    // Portfolio BMC: all properties on one solver per fault — undetectable
-    // faults (the common case) cost one UNSAT solve per bound for the whole
-    // property set instead of one BMC sweep per property.
-    std::map<rtl::Net, bool> fault_map{{net, stuck_to}};
     const obs::Scope bmc_cost;
-    const auto multi = checker.check_all_with_faults(properties, fault_map, mc_opts);
+    const auto multi = grade({{net, stuck_to}});
     counters.encoded_vars.add(bmc_cost.delta("mc.portfolio.encoded_vars"));
     counters.encoded_clauses.add(bmc_cost.delta("mc.portfolio.encoded_clauses"));
     if (multi.count(mc::CheckStatus::falsified) > 0) {

@@ -58,12 +58,13 @@ struct PccOptions {
   /// Skip the BMC stage for faults a lint::FaultPruner proves undetectable
   /// (outside every observed-output cone; under SYMBAD_LINT=2 also sites
   /// whose net provably equals the stuck value). The simulation pre-pass
-  /// still runs for every fault — it consumes the shared campaign rng, and
-  /// skipping it would shift the stimuli of later faults. Exactness is
-  /// guarded by a one-time fault-free BMC probe: a pruned fault is reported
-  /// undetected only if the *good* design passes every property (else the
-  /// prune is disabled for the campaign). Verdicts and coverage are
-  /// identical with the prune on or off; gated globally by SYMBAD_LINT=0.
+  /// still runs for every fault, on the observed cone — it consumes the
+  /// shared campaign rng, and skipping it would shift the stimuli of later
+  /// faults. Exactness is guarded by a one-time fault-free BMC probe: a
+  /// pruned fault is reported undetected only if the *good* design passes
+  /// every property (else the prune is disabled for the campaign). Verdicts
+  /// and coverage are identical with the prune on or off; gated globally by
+  /// SYMBAD_LINT=0.
   bool lint_prune = true;
 };
 

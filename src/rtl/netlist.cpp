@@ -216,35 +216,51 @@ void Netlist::validate() const {
 
 // ----------------------------------------------------------- Simulator
 
-Simulator::Simulator(const Netlist& netlist) : netlist_{&netlist} {
+Simulator::Simulator(const Netlist& netlist)
+    : Simulator{netlist, std::vector<char>(netlist.gate_count(), 1)} {}
+
+Simulator::Simulator(const Netlist& netlist, const std::vector<char>& cone)
+    : netlist_{&netlist} {
   netlist.validate();
   const std::size_t n = netlist.gate_count();
-  std::vector<std::uint32_t> slot(n, 0);
-  const auto& dffs = netlist.flip_flops();
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const Gate& g = netlist.gate(dffs[i]);
-    slot[static_cast<std::size_t>(dffs[i])] = static_cast<std::uint32_t>(i);
-    next_.push_back(static_cast<std::uint32_t>(g.a));
+  if (cone.size() != n) throw std::invalid_argument{"rtl: cone mask is not sized to the netlist"};
+  const auto walked = static_cast<std::uint32_t>(
+      std::count_if(cone.begin(), cone.end(), [](char c) { return c != 0; }));
+  slot_.resize(n);
+  for (std::uint32_t i = 0, at = 0; i < n; ++i) slot_[i] = cone[i] != 0 ? at++ : walked;
+  // Unused operand slots (-1) read slot 0; the gate switch never looks.
+  const auto operand = [&](Net x) {
+    if (x < 0) return 0u;
+    if (cone[static_cast<std::size_t>(x)] == 0) {
+      throw std::invalid_argument{"rtl: cone mask is not closed under fan-in"};
+    }
+    return slot_[static_cast<std::size_t>(x)];
+  };
+  std::vector<std::uint32_t> cut(n, 0);  // per walked input / flip-flop: its slot
+  for (const Net d : netlist.flip_flops()) {
+    if (cone[static_cast<std::size_t>(d)] == 0) continue;
+    const Gate& g = netlist.gate(d);
+    cut[static_cast<std::size_t>(d)] = static_cast<std::uint32_t>(next_.size());
+    next_.push_back(operand(g.a));
     init_.push_back(g.init ? kAllLanes : 0);
   }
-  const auto& ins = netlist.inputs();
-  for (std::size_t i = 0; i < ins.size(); ++i) {
-    slot[static_cast<std::size_t>(ins[i])] = static_cast<std::uint32_t>(i);
+  std::uint32_t inputs = 0;
+  for (const Net in : netlist.inputs()) {
+    if (cone[static_cast<std::size_t>(in)] != 0) cut[static_cast<std::size_t>(in)] = inputs++;
   }
-  // Unused operand slots (-1) read net 0; the gate switch never looks.
-  const auto operand = [](Net x) { return x < 0 ? 0u : static_cast<std::uint32_t>(x); };
-  ops_.reserve(n);
+  ops_.reserve(walked);
   for (std::size_t i = 0; i < n; ++i) {
+    if (cone[i] == 0) continue;
     const Gate& g = netlist.gate(static_cast<Net>(i));
     if (g.kind == GateKind::input || g.kind == GateKind::dff) {
-      ops_.push_back(Op{g.kind, slot[i], 0, 0});
+      ops_.push_back(Op{g.kind, cut[i], 0, 0});
     } else {
       ops_.push_back(Op{g.kind, operand(g.a), operand(g.b), operand(g.c)});
     }
   }
-  values_.assign(n, 0);
-  state_.assign(dffs.size(), 0);
-  inputs_.assign(ins.size(), 0);
+  values_.assign(walked + std::size_t{1}, 0);
+  state_.assign(next_.size(), 0);
+  inputs_.assign(inputs, 0);
   reset();
 }
 
@@ -260,38 +276,38 @@ void Simulator::set_input(const std::string& name, bool value) {
 }
 
 void Simulator::set_input(Net input_net, bool value) {
-  if (input_net < 0 || static_cast<std::size_t>(input_net) >= ops_.size() ||
-      ops_[static_cast<std::size_t>(input_net)].kind != GateKind::input) {
+  if (input_net < 0 || static_cast<std::size_t>(input_net) >= slot_.size() ||
+      netlist_->gate(input_net).kind != GateKind::input) {
     throw std::invalid_argument{"rtl: not an input net"};
   }
-  inputs_[ops_[static_cast<std::size_t>(input_net)].a] = value ? kAllLanes : 0;
-  stale_ = true;
+  set_word(input_net, value ? kAllLanes : 0);
 }
 
 void Simulator::set_word(Net cut, LaneWord lanes) {
-  if (cut < 0 || static_cast<std::size_t>(cut) >= ops_.size()) {
+  if (cut < 0 || static_cast<std::size_t>(cut) >= slot_.size()) {
     throw std::invalid_argument{"rtl: set_word on unknown net"};
   }
-  const Op& op = ops_[static_cast<std::size_t>(cut)];
-  if (op.kind == GateKind::input) {
-    inputs_[op.a] = lanes;
-  } else if (op.kind == GateKind::dff) {
-    state_[op.a] = lanes;
-  } else {
-    throw std::invalid_argument{"rtl: set_word on a net that is neither input nor flip-flop"};
+  const std::uint32_t at = slot_[static_cast<std::size_t>(cut)];
+  if (at == ops_.size()) {  // outside the cone: no walked gate reads it
+    const GateKind kind = netlist_->gate(cut).kind;
+    if (kind == GateKind::input || kind == GateKind::dff) return;
+  } else if (const Op& op = ops_[at]; op.kind == GateKind::input || op.kind == GateKind::dff) {
+    (op.kind == GateKind::input ? inputs_ : state_)[op.a] = lanes;
+    stale_ = true;
+    return;
   }
-  stale_ = true;
+  throw std::invalid_argument{"rtl: set_word on a net that is neither input nor flip-flop"};
 }
 
 void Simulator::eval() {
-  // The one gate switch of the repository's simulation paths. Faulted nets
-  // are visited in net order alongside the walk, so a fault-free netlist
+  // The one gate switch of the repository's simulation paths. Faulted
+  // slots are visited in order alongside the walk, so a fault-free netlist
   // pays one compare per gate.
   const std::size_t n = ops_.size();
   LaneWord* const v = values_.data();
   const StuckAt* fault = faults_.data();
   const StuckAt* const fault_end = fault + faults_.size();
-  std::size_t next_fault = fault != fault_end ? fault->net : n;
+  std::size_t next_fault = fault != fault_end ? fault->slot : n;
   for (std::size_t i = 0; i < n; ++i) {
     const Op& op = ops_[i];
     LaneWord w = 0;
@@ -309,7 +325,7 @@ void Simulator::eval() {
     if (i == next_fault) {
       w = (w & fault->keep) | fault->force;
       ++fault;
-      next_fault = fault != fault_end ? fault->net : n;
+      next_fault = fault != fault_end ? fault->slot : n;
     }
     v[i] = w;
   }
@@ -328,13 +344,14 @@ bool Simulator::output(const std::string& name) const {
 }
 
 void Simulator::inject_stuck_at(Net net, bool value, LaneWord lanes) {
-  if (net < 0 || static_cast<std::size_t>(net) >= ops_.size()) {
+  if (net < 0 || static_cast<std::size_t>(net) >= slot_.size()) {
     throw std::out_of_range{"rtl: fault on unknown net"};
   }
-  const auto at = static_cast<std::size_t>(net);
+  const std::size_t at = slot_[static_cast<std::size_t>(net)];
+  if (at == ops_.size()) return;  // outside the cone: no walked gate reads it
   auto it = std::lower_bound(faults_.begin(), faults_.end(), at,
-                             [](const StuckAt& f, std::size_t x) { return f.net < x; });
-  if (it == faults_.end() || it->net != at) it = faults_.insert(it, StuckAt{at, kAllLanes, 0});
+                             [](const StuckAt& f, std::size_t x) { return f.slot < x; });
+  if (it == faults_.end() || it->slot != at) it = faults_.insert(it, StuckAt{at, kAllLanes, 0});
   it->keep &= ~lanes;
   it->force = value ? it->force | lanes : it->force & ~lanes;
   stale_ = true;

@@ -130,10 +130,11 @@ private:
 /// Two-valued cycle-accurate simulator for a Netlist, 64 lanes wide: every
 /// net holds one word whose bit j is its value in lane j, so one gate walk
 /// simulates 64 independent patterns (or 64 differently-faulted copies of
-/// the design). This is the repository's one gate evaluator — PCC's fault
-/// pre-pass, the SAT sweeper's and lint's signature passes, the table
-/// model-checking engine (64 (state, input) pairs per walk) and every test
-/// simulate through it.
+/// the design). This is the repository's one gate evaluator: PCC's fault
+/// pre-pass and the table model-checking engine (64 (state, input) pairs
+/// per walk) run its cone form, lint's constant-candidate signature pass
+/// and `rtl::wordops`' read/drive helpers its full form, and every test
+/// simulates through it.
 ///
 /// The scalar API is the one-lane case: `set_input` and the two-argument
 /// `inject_stuck_at` broadcast to every lane, `value`/`output` read lane 0.
@@ -146,7 +147,14 @@ public:
   static constexpr int kLanes = 64;
   static constexpr LaneWord kAllLanes = ~LaneWord{0};
 
+  /// Walks every net.
   explicit Simulator(const Netlist& netlist);
+  /// The cone form: walks only the nets set in `cone`, a mask indexed like
+  /// the gates and closed under fan-in, as `Netlist::cone_of_influence`
+  /// gives it (std::invalid_argument otherwise). Nets outside the cone read
+  /// 0; words written to them and faults injected on them are accepted and
+  /// have no effect. The every-net constructor is the all-ones case.
+  Simulator(const Netlist& netlist, const std::vector<char>& cone);
 
   /// Returns flip-flops to their reset values and clears input values
   /// (injected faults stay).
@@ -168,40 +176,47 @@ public:
   /// cleared.
   void inject_stuck_at(Net net, bool value) { inject_stuck_at(net, value, kAllLanes); }
   void clear_faults();
+  /// Whether a fault inside the walked nets is injected.
   [[nodiscard]] bool has_faults() const noexcept { return !faults_.empty(); }
 
   // ------------------------------------------------------- lane API
   /// All 64 lanes of `n` as of the last evaluation.
-  [[nodiscard]] LaneWord word(Net n) const { return values_.at(static_cast<std::size_t>(n)); }
+  [[nodiscard]] LaneWord word(Net n) const {
+    return values_[slot_.at(static_cast<std::size_t>(n))];
+  }
   /// Writes one word to a cut point: an input's value per lane, or — the
-  /// free-state mode the signature passes use — a flip-flop's current state
-  /// per lane, bypassing reset and latching. Takes effect at the next eval.
+  /// free-state mode the signature pass and the table engine use — a
+  /// flip-flop's current state per lane, bypassing reset and latching.
+  /// Takes effect at the next eval.
   void set_word(Net cut, LaneWord lanes);
   /// Forces `net` to `value` in the lanes set in `lanes`; other lanes keep
   /// whatever they were forced to before.
   void inject_stuck_at(Net net, bool value, LaneWord lanes);
 
 private:
-  /// One gate of the flat walk. For inputs and flip-flops `a` is the slot
-  /// in `inputs_` / `state_` rather than a net.
+  /// One gate of the flat walk, operands as value slots. For inputs and
+  /// flip-flops `a` is the slot in `inputs_` / `state_` instead.
   struct Op {
     GateKind kind;
     std::uint32_t a, b, c;
   };
-  /// Per-lane stuck-at masks of one net: value = (value & keep) | force.
+  /// Per-lane stuck-at masks of one value slot: value = (value & keep) | force.
   struct StuckAt {
-    std::size_t net;
+    std::size_t slot;
     LaneWord keep, force;
   };
 
   const Netlist* netlist_;
-  std::vector<Op> ops_;
-  std::vector<std::uint32_t> next_;  // per flip-flop slot: next-state net
+  // Value slots: the walked nets in net order, then one slot no gate
+  // writes, which every other net reads (0).
+  std::vector<std::uint32_t> slot_;  // per net: its value slot
+  std::vector<Op> ops_;              // per walked slot
+  std::vector<std::uint32_t> next_;  // per flip-flop slot: next-state value slot
   std::vector<LaneWord> init_;       // per flip-flop slot: reset word
-  std::vector<LaneWord> values_;     // per net
-  std::vector<LaneWord> state_;      // per flip-flop slot, declaration order
-  std::vector<LaneWord> inputs_;     // per input slot, declaration order
-  std::vector<StuckAt> faults_;      // sorted by net, one entry per net
+  std::vector<LaneWord> values_;     // per value slot
+  std::vector<LaneWord> state_;      // per walked flip-flop, declaration order
+  std::vector<LaneWord> inputs_;     // per walked input, declaration order
+  std::vector<StuckAt> faults_;      // sorted by slot, one entry per slot
   std::uint64_t cycles_ = 0;
   bool stale_ = false;  // an input, state word or fault changed since eval
 };

@@ -1018,6 +1018,92 @@ TEST(Pcc, SatGradedVerdictsMatchStuckAtCopies) {
   }
 }
 
+TEST(Pcc, TableGradedVerdictsMatchStuckAtCopies) {
+  // The table-path twin of SatGradedVerdictsMatchStuckAtCopies: campaigns
+  // whose cone fits the table engine, graded without simulation, so one
+  // engine grades every fault lint does not prune (every fault with the
+  // prune off, out-of-cone ones included). Each fault's verdict must equal a
+  // plain BmcChecker::check_all of its stuck-at copy. The wrapper plans are
+  // referenced fault by fault; ROOT's every in-cone fault and every 16th
+  // out-of-cone one, the rest of which no property observes.
+  const auto fsm = app::build_wrapper_fsm();
+  const auto root = app::build_root_rtl();
+  const std::vector<mc::Property> exclusive{mc::Property::invariant(
+      "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")))};
+  struct Campaign {
+    const char* what;
+    const rtl::Netlist* netlist;
+    std::vector<mc::Property> props;
+    int bound;
+    std::size_t outside_stride;  ///< reference every n-th out-of-cone fault
+  };
+  const std::vector<Campaign> campaigns{
+      {"wrapper initial", &fsm, app::wrapper_properties_initial(), 6, 1},
+      {"wrapper extended", &fsm, app::wrapper_properties_extended(), 6, 1},
+      {"root busy/done", &root, exclusive, 4, 16}};
+  for (const auto& c : campaigns) {
+    const rtl::Netlist& n = *c.netlist;
+    const auto cone = mc::table_cone(n, {c.props.data(), c.props.size()});
+    ASSERT_TRUE(cone.fits()) << c.what;
+    mc::ModelChecker::Options mc_options;
+    mc_options.max_bound = c.bound;
+    std::size_t detected = 0;
+    std::vector<std::pair<rtl::Net, bool>> undetected;
+    std::size_t outside = 0;
+    for (std::size_t i = 0; i < n.gate_count(); ++i) {
+      const auto net = static_cast<rtl::Net>(i);
+      const auto kind = n.gate(net).kind;
+      if (kind == rtl::GateKind::const0 || kind == rtl::GateKind::const1 ||
+          kind == rtl::GateKind::input) {
+        continue;
+      }
+      const bool in_cone = cone.nets[i] != 0;
+      for (const bool stuck_to : {false, true}) {
+        if (!in_cone && outside++ % c.outside_stride != 0) {
+          undetected.emplace_back(net, stuck_to);
+          continue;
+        }
+        const auto copy = symbad::test::with_stuck_at(n, net, stuck_to);
+        if (mc::BmcChecker{copy}.check_all(c.props, mc_options).count(
+                mc::CheckStatus::falsified) > 0) {
+          ASSERT_TRUE(in_cone) << c.what << " net " << net;
+          ++detected;
+        } else {
+          undetected.emplace_back(net, stuck_to);
+        }
+      }
+    }
+    EXPECT_GE(detected, 1u) << c.what;
+    for (const bool lint_prune : {true, false}) {
+      const std::string what = std::string{c.what} + (lint_prune ? " prune on" : " prune off");
+      pcc::PccOptions options;
+      options.bmc_bound = c.bound;
+      options.simulation_runs = 0;
+      options.lint_prune = lint_prune;
+      const symbad::test::CountersOn counting;
+      const obs::Scope cost;
+      const auto report = pcc::check_property_coverage(n, c.props, options);
+      EXPECT_EQ(report.total_faults, detected + undetected.size()) << what;
+      EXPECT_EQ(report.detected, detected) << what;
+      EXPECT_EQ(report.detected_by_bmc, detected) << what;
+      EXPECT_EQ(report.detected_by_simulation, 0u) << what;
+      std::vector<std::pair<rtl::Net, bool>> got;
+      for (const auto& f : report.undetected) got.emplace_back(f.net, f.stuck_to);
+      EXPECT_EQ(got, undetected) << what;
+      // Every fault not pruned went to the tables, plus the one good-design
+      // probe a prune needs.
+      const std::size_t pruned = report.lint_pruned_faults;
+      EXPECT_GT(cost.delta("mc.tables.checks"), 0u) << what;
+      EXPECT_EQ(cost.delta("mc.tables.checks"),
+                report.total_faults - pruned + (pruned > 0 ? 1 : 0))
+          << what;
+      if (!lint_prune) {
+        EXPECT_EQ(pruned, 0u) << what;
+      }
+    }
+  }
+}
+
 TEST(McFaults, GeneratedTierSweepMatchesStuckAtCopies) {
   // The generated corpus (small/medium/large tiers), one stuck-at site per
   // netlist in both polarities, alternating an internal net and a primary

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gen/gen.hpp"
@@ -307,6 +308,120 @@ TEST(LaneSimulator, FreeStateWordsMatchForcedOneLaneRuns) {
       }
     }
   }
+}
+
+namespace {
+
+/// Every net of `cone` reads `full`'s word in `part`; every other net reads 0.
+::testing::AssertionResult cone_matches(const Simulator& part, const Simulator& full,
+                                        const std::vector<char>& cone) {
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    const Net net = static_cast<Net>(i);
+    const LaneWord want = cone[i] != 0 ? full.word(net) : 0;
+    if (part.word(net) != want) {
+      return ::testing::AssertionFailure()
+             << "net " << i << (cone[i] != 0 ? " (in cone)" : " (outside)") << " reads "
+             << part.word(net) << ", want " << want;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(LaneSimulator, ConeWalkMatchesTheFullWalk) {
+  // The cone form against the every-net walk on the same writes: random and
+  // generated netlists, the cone of a random output subset, lane-masked
+  // faults inside and outside the cone, free-state flip-flop words, random
+  // input words, several evals and clocks.
+  auto rng = symbad::test::rng("lane_simulator_cone");
+  std::vector<Netlist> netlists;
+  for (const auto tier : kTiers) netlists.push_back(gen::generate_netlist(rng.next(), tier));
+  for (int i = 0; i < 4; ++i) netlists.push_back(gen::random_netlist(rng, {5, 4, 60, 4, 0.25}));
+  std::size_t partial = 0;
+  for (const Netlist& n : netlists) {
+    std::vector<Net> outputs;
+    for (const auto& [name, net] : n.outputs()) outputs.push_back(net);
+    ASSERT_FALSE(outputs.empty());
+    for (int round = 0; round < 4; ++round) {
+      std::vector<Net> roots;
+      for (const Net out : outputs) {
+        if ((rng.next() & 1) != 0) roots.push_back(out);
+      }
+      if (roots.empty()) roots.push_back(outputs[rng.below(outputs.size())]);
+      const auto cone = n.cone_of_influence(roots);
+      std::vector<Net> inside;
+      std::vector<Net> outside;
+      for (std::size_t i = 0; i < cone.size(); ++i) {
+        (cone[i] != 0 ? inside : outside).push_back(static_cast<Net>(i));
+      }
+      if (!outside.empty()) ++partial;
+      Simulator full{n};
+      Simulator part{n, cone};
+      for (const auto* sites : {&inside, &outside}) {
+        for (std::uint64_t f = 0; f < 3 && !sites->empty(); ++f) {
+          const Net site = (*sites)[rng.below(sites->size())];
+          const bool stuck_to = (rng.next() & 1) != 0;
+          const LaneWord lanes = rng.next();
+          full.inject_stuck_at(site, stuck_to, lanes);
+          part.inject_stuck_at(site, stuck_to, lanes);
+        }
+      }
+      for (const Net ff : n.flip_flops()) {
+        const LaneWord w = rng.next();
+        full.set_word(ff, w);
+        part.set_word(ff, w);
+      }
+      const std::string what =
+          n.name() + " " + std::to_string(n.gate_count()) + " nets, round " + std::to_string(round);
+      for (int cycle = 0; cycle < 5; ++cycle) {
+        for (const Net in : n.inputs()) {
+          const LaneWord w = rng.next();
+          full.set_word(in, w);
+          part.set_word(in, w);
+        }
+        full.eval();
+        part.eval();
+        ASSERT_TRUE(cone_matches(part, full, cone)) << what << " cycle " << cycle << " eval";
+        full.step();
+        part.step();
+        ASSERT_TRUE(cone_matches(part, full, cone)) << what << " cycle " << cycle << " step";
+      }
+      // Unknown nets still throw; a net outside the cone that is no cut
+      // point is still no cut point.
+      const auto gates = static_cast<Net>(n.gate_count());
+      for (const Net bad : {Net{-1}, gates}) {
+        EXPECT_THROW((void)part.word(bad), std::out_of_range);
+        EXPECT_THROW(part.set_word(bad, 1), std::invalid_argument);
+        EXPECT_THROW(part.inject_stuck_at(bad, true), std::out_of_range);
+      }
+      for (const Net net : outside) {
+        const auto kind = n.gate(net).kind;
+        if (kind != rtl::GateKind::input && kind != rtl::GateKind::dff) {
+          EXPECT_THROW(part.set_word(net, 1), std::invalid_argument) << what;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(partial, 0u);
+}
+
+TEST(LaneSimulator, ConeMaskMustBeSizedAndClosedUnderFanIn) {
+  Netlist n;
+  const Net a = n.add_input("a");
+  const Net ff = n.add_dff(false, "ff");
+  const Net g = n.add_and(a, ff);
+  n.connect_next(ff, g);
+  n.set_output("y", g);
+  EXPECT_THROW((Simulator{n, std::vector<char>(2, 1)}), std::invalid_argument);
+  // The AND without its operand `a`; the flip-flop without its next state.
+  EXPECT_THROW((Simulator{n, std::vector<char>{0, 1, 1}}), std::invalid_argument);
+  EXPECT_THROW((Simulator{n, std::vector<char>{0, 1, 0}}), std::invalid_argument);
+  const Simulator all{n, n.cone_of_influence({g})};
+  EXPECT_EQ(all.word(g), 0u);
+  const Simulator none{n, std::vector<char>(3, 0)};
+  EXPECT_EQ(none.word(g), 0u);
 }
 
 TEST(LaneSimulator, SetWordRejectsNetsThatAreNotCutPoints) {
