@@ -1,20 +1,15 @@
 // E-LINT — static-analysis throughput: structural and semantic lint sweeps
-// over the seeded generator tiers, plus the a-priori fault-site prune that
-// the pcc campaigns run before BMC grading. The lint_rules_checked /
-// lint_sat_proofs / lint_pruned_faults counters come from the fixed 16-seed
-// set (or the ROOT core), are deterministic and host-independent, and are
-// hard-gated by scripts/bench_compare.py.
+// over the seeded generator tiers. The lint_rules_checked / lint_sat_proofs
+// counters come from the fixed 16-seed set, are deterministic and
+// host-independent, and are hard-gated by scripts/bench_compare.py.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
-#include "app/rtl_blocks.hpp"
 #include "bench_common.hpp"
 #include "gen/gen.hpp"
 #include "lint/lint.hpp"
-#include "mc/mc.hpp"
-#include "pcc/pcc.hpp"
 
 namespace {
 
@@ -96,38 +91,6 @@ void BM_Lint_TaskGraphSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Lint_TaskGraphSweep)->Arg(0)->Arg(2)->Unit(benchmark::kMicrosecond);
-
-void BM_Lint_PccFaultPrune(benchmark::State& state) {
-  // The pcc campaign's a-priori prune on the ROOT core with one control-path
-  // property: datapath faults skip BMC entirely. lint_pruned_faults is a
-  // verdict-preserving cost counter — the same campaign with the prune off
-  // grades every one of those faults through the solver.
-  const bool prune = state.range(0) != 0;
-  const auto netlist = app::build_root_rtl();
-  std::vector<mc::Property> properties;
-  properties.push_back(mc::Property::invariant(
-      "busy_xor_done_weak",
-      !(mc::Expr::signal("busy") && mc::Expr::signal("done"))));
-  pcc::PccOptions options;
-  options.bmc_bound = 3;
-  options.simulation_cycles = 16;
-  options.simulation_runs = 2;
-  options.max_faults = 40;
-  options.lint_prune = prune;
-  std::uint64_t pruned = 0;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    const auto report = pcc::check_property_coverage(netlist, properties, options);
-    pruned += report.lint_pruned_faults;
-    ++runs;
-    benchmark::DoNotOptimize(report.detected);
-  }
-  state.counters["lint_pruned_faults"] =
-      static_cast<double>(pruned) / static_cast<double>(runs);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(options.max_faults));
-}
-BENCHMARK(BM_Lint_PccFaultPrune)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -70,12 +70,11 @@ void BM_Mc_EarlyFalsificationUnderDeepHorizon(benchmark::State& state) {
 BENCHMARK(BM_Mc_EarlyFalsificationUnderDeepHorizon)->Unit(benchmark::kMillisecond);
 
 void BM_Mc_ConeOfInfluenceOnRootControl(benchmark::State& state) {
-  // The COI tentpole on a multi-output netlist: the ROOT core carries a
-  // 12-bit result datapath, but the property observes only the control
-  // outputs (busy/done) — a strict subset — so the cone reduction drops the
-  // datapath from every frame. Arg(0) = reduction off, Arg(1) = on; the
-  // encoded_vars / encoded_clauses counters are deterministic and pin the
-  // measured reduction (and, with the encode cache, stay flat per bound).
+  // The cone cut on a multi-output netlist: the ROOT core carries a 12-bit
+  // result datapath, but the property observes only the control outputs
+  // (busy/done) — a strict subset — so the datapath is encoded in no frame.
+  // The encoded_vars / encoded_clauses counters are deterministic and pin
+  // the cut (and, with the encode cache, stay flat per bound).
   const auto n = app::build_root_rtl();
   const mc::BmcChecker checker{n};
   const auto prop = mc::Property::invariant(
@@ -84,14 +83,12 @@ void BM_Mc_ConeOfInfluenceOnRootControl(benchmark::State& state) {
   mc::ModelChecker::Options options;
   options.max_bound = 15;
   options.induction_depth = 3;
-  options.cone_of_influence = state.range(0) != 0;
   std::optional<obs::Scope> last;
   for (auto _ : state) {
     last.emplace();
     const auto result = checker.check(prop, options);
     benchmark::DoNotOptimize(result.status);
   }
-  state.counters["coi"] = static_cast<double>(state.range(0));
   state.counters["encoded_vars"] = static_cast<double>(last->delta("mc.encoded_vars"));
   state.counters["encoded_clauses"] = static_cast<double>(last->delta("mc.encoded_clauses"));
   state.counters["sat_conflicts_total"] =
@@ -99,7 +96,7 @@ void BM_Mc_ConeOfInfluenceOnRootControl(benchmark::State& state) {
   state.counters["arena_bytes"] = static_cast<double>(last->delta("mc.arena_bytes"));
   state.counters["arena_live"] = static_cast<double>(last->delta("mc.arena_live"));
 }
-BENCHMARK(BM_Mc_ConeOfInfluenceOnRootControl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Mc_ConeOfInfluenceOnRootControl)->Unit(benchmark::kMillisecond);
 
 void BM_Mc_CheckAllWrapperSuite(benchmark::State& state) {
   // The portfolio API on the paper's verification plan: all 12 wrapper
@@ -133,13 +130,12 @@ void BM_Mc_CheckAllWrapperSuite(benchmark::State& state) {
 }
 BENCHMARK(BM_Mc_CheckAllWrapperSuite)->Unit(benchmark::kMillisecond);
 
-void BM_Mc_CheckAllLiveConeOnRoot(benchmark::State& state) {
-  // Options::live_cone on the ROOT core: a datapath property (full 24-bit
-  // cone) falsifies mid-horizon — sqrt(op<<8) sets result[11] once
+void BM_Mc_CheckAllMixedConesOnRoot(benchmark::State& state) {
+  // A portfolio over two cones of the ROOT core: a datapath property (full
+  // 24-bit cone) falsifies mid-horizon — sqrt(op<<8) sets result[11] once
   // op >= 16384, first reachable when the 12-cycle pipe drains — while the
   // control property (busy/done cone only) survives to the full bound.
-  // With live_cone on (Arg 1), every bound after the falsification stops
-  // encoding the retired datapath cone.
+  // Every frame encodes the union cone of both properties.
   const auto n = app::build_root_rtl();
   const mc::BmcChecker checker{n};
   std::vector<mc::Property> props;
@@ -151,7 +147,6 @@ void BM_Mc_CheckAllLiveConeOnRoot(benchmark::State& state) {
   mc::ModelChecker::Options options;
   options.max_bound = 20;
   options.induction_depth = 3;
-  options.live_cone = state.range(0) != 0;
   options.canonical_counterexample = false;  // falsification-only sweep
   mc::MultiCheckResult result;
   std::optional<obs::Scope> last;
@@ -160,16 +155,13 @@ void BM_Mc_CheckAllLiveConeOnRoot(benchmark::State& state) {
     result = checker.check_all(props, options);
     benchmark::DoNotOptimize(result.results.size());
   }
-  state.counters["live_cone"] = static_cast<double>(state.range(0));
-  state.counters["cone_recomputes"] =
-      static_cast<double>(last->delta("mc.portfolio.cone_recomputes"));
   state.counters["falsified_bound"] = static_cast<double>(result.results[0].bound_used);
   state.counters["encoded_vars"] =
       static_cast<double>(last->delta("mc.portfolio.encoded_vars"));
   state.counters["encoded_clauses"] =
       static_cast<double>(last->delta("mc.portfolio.encoded_clauses"));
 }
-BENCHMARK(BM_Mc_CheckAllLiveConeOnRoot)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Mc_CheckAllMixedConesOnRoot)->Unit(benchmark::kMillisecond);
 
 void BM_Mc_SharedSolverInductionProof(benchmark::State& state) {
   // An inductive invariant on the DISTANCE PE: the k-induction solve runs

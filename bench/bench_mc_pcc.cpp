@@ -165,9 +165,10 @@ BENCHMARK(BM_Pcc_RootFaultCampaign)->Unit(benchmark::kMillisecond);
 void BM_Pcc_RootFullFaultCampaign(benchmark::State& state) {
   // The same campaign over ROOT's full 1,760-fault list, as flowbench's
   // fault_grading runs it: the pre-pass walks the busy/done cone (56 of 980
-  // nets) and draws its one input, and one table engine grades the
-  // good-design probe and every fault lint does not prune. tables_checks
-  // counts those checks, sim_passes the pre-pass's 64-lane passes.
+  // nets) and draws its one input, the simulation-missed faults outside
+  // that cone are pruned (lint_pruned_faults), and one table engine grades
+  // the good-design probe and every other fault. tables_checks counts those
+  // checks, sim_passes the pre-pass's 64-lane passes.
   const auto n = app::build_root_rtl();
   const std::vector<mc::Property> properties{mc::Property::invariant(
       "busy_done_exclusive", !(mc::Expr::signal("busy") && mc::Expr::signal("done")))};
@@ -184,6 +185,7 @@ void BM_Pcc_RootFullFaultCampaign(benchmark::State& state) {
   }
   state.counters["faults"] = static_cast<double>(report.total_faults);
   state.counters["detected"] = static_cast<double>(report.detected);
+  state.counters["lint_pruned_faults"] = static_cast<double>(report.lint_pruned_faults);
   state.counters["tables_checks"] = static_cast<double>(last->delta("mc.tables.checks"));
   state.counters["sim_passes"] = static_cast<double>(last->delta("pcc.sim_passes"));
 }

@@ -16,7 +16,7 @@
 # opt-in clang-tidy sweep (skipped when the tool is not installed).
 # Timings are warn-only (this runs on a shared 1-core host where wall-clock
 # swings with neighbours); allocation-count, conflict-count,
-# encoded-CNF-size, lint rule/proof/prune and table-engine pair counters are
+# encoded-CNF-size, lint rule/proof, PCC prune and table-engine pair counters are
 # host-independent and hard-fail beyond 20%; a gated counter that disappears
 # or falls from nonzero to 0 hard-fails too (re-record the baseline if that
 # is intentional). Any failure exits nonzero.
@@ -73,21 +73,21 @@ SYMBAD_SANITIZE=address cmake -B build-asan -S .
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "==> [6/9] threaded campaign runner + SAT arena under ASan (4 workers;"
-echo "    step 5's full ctest already covers every suite sanitized — these"
-echo "    re-runs exist for non-default knobs: the worker count, compaction"
-echo "    forced through every reduction, lint off and semantic, spans on)"
+echo "==> [6/9] threaded campaign runner + knob re-runs under ASan (4 workers;"
+echo "    step 5's full ctest already covers every suite sanitized, arena"
+echo "    compaction forced on every reduction included (SatReduce.*) — these"
+echo "    re-runs exist for non-default knobs: the worker count, lint off and"
+echo "    semantic, spans on)"
 SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_exec
-SYMBAD_SAT_COMPACT=2 ./build-asan/test_sat
 # Generator + generative differential sweeps sanitized (coroutine traffic
 # replay and the campaign worker pool both allocate aggressively).
 ./build-asan/test_gen
 # Lint boundary self-checks + SAT-backed semantic tier sanitized, with the
 # strict-mode prover forced on.
 SYMBAD_LINT=2 ./build-asan/test_lint
-# PCC with the fault-site prune off: every ROOT fault, out-of-cone ones
-# included, goes through the campaign's shared table engine and the
-# simulator's cone walk.
+# PCC with lint off: its prune and figures do not depend on the lint level
+# (the prune is the observed cone mc computes), so the whole suite, the
+# pinned ROOT and wrapper figures included, must pass unchanged.
 SYMBAD_LINT=0 ./build-asan/test_mc_pcc
 # Observability layer sanitized with spans on and the threaded campaign at
 # the non-default worker count (thread-shard registration/retirement and
@@ -109,7 +109,7 @@ cmake --build build-ubsan -j "$JOBS" --target test_sat test_rtl test_mc_pcc test
 # halt_on_error: UBSan's checks recover by default, which would let a
 # finding scroll past with the suite still green.
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
-SYMBAD_SAT_COMPACT=2 ./build-ubsan/test_sat
+./build-ubsan/test_sat
 ./build-ubsan/test_rtl
 ./build-ubsan/test_mc_pcc
 ./build-ubsan/test_atpg

@@ -56,19 +56,21 @@ using rtl::Net;
 
 // --------------------------------------------------- const-net proving
 
-/// Shared semantic machinery for Linter::semantic and FaultPruner: random
-/// free-state signature simulation filters candidates, then one-frame
-/// StateInit::free_state assumption solves prove them (candidates compare
-/// against constants).
+/// 64-pattern signature words filtering const-net candidates before any SAT
+/// proof, and the seed of their deterministic patterns.
+constexpr int kSignatureRounds = 4;
+constexpr std::uint64_t kSignatureSeed = 0x11A75EEDULL;
+
+/// The semantic tier's constant proofs: random free-state signature
+/// simulation filters candidates, then one-frame StateInit::free_state
+/// assumption solves prove them (candidates compare against constants).
 struct ConstProof {
   std::vector<signed char> value;  ///< -1 unknown, 0/1 proven per net
-  std::size_t candidates = 0;
   std::size_t proofs = 0;          ///< assumption solves issued
   std::uint64_t conflicts = 0;
 };
 
-ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed,
-                           std::size_t max_proofs) {
+ConstProof prove_constants(const rtl::Netlist& n) {
   const std::size_t count = n.gate_count();
   ConstProof out;
   out.value.assign(count, -1);
@@ -79,7 +81,7 @@ ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed
   // points drawn from one stream in net order. A net whose word never
   // leaves all-zeros / all-ones across every round is a const candidate;
   // everything else is refuted for free.
-  verif::Rng rng{seed};
+  verif::Rng rng{kSignatureSeed};
   std::vector<Net> cuts;
   for (std::size_t i = 0; i < count; ++i) {
     const GateKind k = n.gate(static_cast<Net>(i)).kind;
@@ -87,7 +89,7 @@ ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed
   }
   rtl::Simulator sim{n};
   std::vector<signed char> cand(count, -2);  // -2 unseen, -1 refuted, 0/1 value
-  for (int r = 0; r < rounds; ++r) {
+  for (int r = 0; r < kSignatureRounds; ++r) {
     for (const Net cut : cuts) sim.set_word(cut, rng.next());  // free variables
     sim.eval();
     for (std::size_t i = 0; i < count; ++i) {
@@ -115,8 +117,6 @@ ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed
     // Constants are constant by kind (not a discovery), and input/dff
     // literals are free variables — never provably constant.
     if (!is_comb(k)) continue;
-    ++out.candidates;
-    if (max_proofs != 0 && out.proofs >= max_proofs) continue;
     const sat::Lit l = frame.lit(static_cast<Net>(i));
     const sat::Lit counter = cand[i] == 1 ? ~l : l;
     ++out.proofs;
@@ -544,8 +544,7 @@ void Linter::semantic(const rtl::Netlist& n, LintReport& r) const {
     if (!suppressed(rule)) ++r.rules_checked;
   }
 
-  const ConstProof proof = prove_constants(n, options_.sat_rounds, options_.seed,
-                                           options_.max_sat_proofs);
+  const ConstProof proof = prove_constants(n);
   r.sat_proofs += proof.proofs;
   r.sat_conflicts += proof.conflicts;
 
@@ -568,8 +567,9 @@ void Linter::semantic(const rtl::Netlist& n, LintReport& r) const {
   }
 
   // Provably-undetectable stuck-at sites relative to the netlist's own
-  // outputs — the a-priori prune pcc runs through FaultPruner, surfaced
-  // here as a summary so semantic reports carry the figure.
+  // outputs, as a summary figure. PCC prunes the out-of-cone half itself,
+  // against the outputs its properties observe (mc::table_cone); a site
+  // stuck at its proven constant it grades like any other.
   if (!suppressed(Rule::undetectable_fault)) {
     std::vector<Net> roots;
     for (const auto& [name, net] : n.outputs()) roots.push_back(net);
@@ -733,42 +733,6 @@ LintReport Linter::analyze(const core::TaskGraph& graph) const {
   }
   publish_obs(r);
   return r;
-}
-
-// ----------------------------------------------------------- fault pruner
-
-FaultPruner::FaultPruner(const rtl::Netlist& netlist,
-                         const std::vector<std::string>& observed, Options options) {
-  std::vector<Net> roots;
-  roots.reserve(observed.size());
-  for (const auto& name : observed) roots.push_back(netlist.output(name));
-  cone_ = netlist.cone_of_influence(roots);
-  const_val_.assign(netlist.gate_count(), -1);
-  if (options.semantic) {
-    const ConstProof proof = prove_constants(netlist, options.sat_rounds,
-                                             options.seed, options.max_sat_proofs);
-    const_val_ = proof.value;
-    sat_proofs_ = proof.proofs;
-    sat_conflicts_ = proof.conflicts;
-  }
-  for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-    const GateKind k = netlist.gate(static_cast<Net>(i)).kind;
-    if (k == GateKind::const0 || k == GateKind::const1 || k == GateKind::input) {
-      continue;
-    }
-    if (cone_[i] == 0) {
-      prunable_ += 2;
-    } else if (const_val_[i] >= 0) {
-      prunable_ += 1;
-    }
-  }
-}
-
-bool FaultPruner::undetectable(rtl::Net net, bool stuck_to) const {
-  if (net < 0 || static_cast<std::size_t>(net) >= cone_.size()) return false;
-  const auto i = static_cast<std::size_t>(net);
-  if (cone_[i] == 0) return true;  // invisible to every observed output
-  return const_val_[i] == static_cast<signed char>(stuck_to ? 1 : 0);
 }
 
 // ---------------------------------------------------- boundary self-check

@@ -19,9 +19,9 @@
 //  * semantic — SAT-backed on the existing incremental sat::Solver using a
 //    one-frame free-state CnfEncoder encoding (random-pattern signatures
 //    filter candidates, assumption solves prove them): provably-constant
-//    nets, unreachable mux arms, and provably-undetectable fault sites that
-//    pcc prunes a priori through FaultPruner instead of burning a campaign
-//    slot.
+//    nets, unreachable mux arms, and a count of provably-undetectable
+//    stuck-at sites (outside every output cone, or stuck at a proven
+//    constant).
 //
 // Reports are deterministic: findings are emitted in a fixed scan order,
 // every finding carries a stable rule ID ("NL001", "TG002", ...), and the
@@ -30,10 +30,10 @@
 //
 // Wiring (SYMBAD_LINT = 0 off / 1 structural / 2 +semantic, default 1,
 // strict core::parse_env_int): every generated netlist and platform graph
-// lints clean before entering a campaign (gen), and pcc runs the
-// fault-site prune. Error-severity findings throw at that boundary;
-// warnings (expected-by-construction structure like the generator's
-// dangling pool nets) do not.
+// lints clean before entering a campaign (gen). Error-severity findings
+// throw at that boundary; warnings (expected-by-construction structure like
+// the generator's dangling pool nets) do not. Nothing else reads the level:
+// PCC's fault prune is the observed cone mc computes, at every level.
 
 #include <cstddef>
 #include <cstdint>
@@ -121,13 +121,6 @@ struct Options {
   /// undetectable fault sites) after the structural rules. Skipped
   /// automatically when structural errors make the netlist unencodable.
   bool semantic = false;
-  /// 64-pattern signature words filtering const-net candidates before any
-  /// SAT proof (more rounds, fewer refuted solves).
-  int sat_rounds = 4;
-  /// Seed of the deterministic signature patterns.
-  std::uint64_t seed = 0x11A75EEDULL;
-  /// Cap on semantic assumption solves, 0 = unlimited.
-  std::size_t max_sat_proofs = 0;
   /// Rules to skip entirely (not evaluated, not counted in rules_checked).
   /// The suppression channel for expected-by-construction findings.
   std::vector<Rule> suppress;
@@ -173,56 +166,6 @@ private:
   void semantic(const rtl::Netlist& netlist, LintReport& report) const;
 
   Options options_{};
-};
-
-// ----------------------------------------------------------- fault pruner
-
-/// Campaign-level prune of provably-undetectable stuck-at fault sites,
-/// built once per (netlist, observed-output set) and queried per fault:
-///
-///  * structural — the net is outside the backward cone of influence of
-///    every observed output. The COI traversal crosses register boundaries
-///    (Netlist::cone_of_influence), so the closure covers propagation
-///    through any number of frames: the fault cannot change any observed
-///    output at any time, under any stimulus.
-///  * semantic (Options::semantic) — the net is proven equal to the stuck
-///    value over free inputs AND free state, so forcing it is a pointwise
-///    no-op in every state good or corrupted; the faulty netlist computes
-///    the same function as the good one.
-///
-/// Either way the faulty design's observed behaviour is identical to the
-/// good design's, which is what makes the pcc prune exact (see pcc.cpp for
-/// the good-design-probe subtlety).
-class FaultPruner {
-public:
-  struct Options {
-    bool semantic = false;
-    int sat_rounds = 4;
-    std::uint64_t seed = 0x11A75EEDULL;
-    std::size_t max_sat_proofs = 0;
-  };
-
-  /// `observed` are output names of `netlist` (mc::observed_outputs of the
-  /// property set); unknown names throw. The netlist must outlive nothing —
-  /// the pruner copies what it needs.
-  FaultPruner(const rtl::Netlist& netlist, const std::vector<std::string>& observed,
-              Options options);
-  FaultPruner(const rtl::Netlist& netlist, const std::vector<std::string>& observed)
-      : FaultPruner{netlist, observed, Options{}} {}
-
-  [[nodiscard]] bool undetectable(rtl::Net net, bool stuck_to) const;
-  /// Stuck-at sites (net, polarity pairs over non-const, non-input nets)
-  /// this pruner would prune — the lint_pruned_faults bench figure.
-  [[nodiscard]] std::size_t prunable_sites() const noexcept { return prunable_; }
-  [[nodiscard]] std::size_t sat_proofs() const noexcept { return sat_proofs_; }
-  [[nodiscard]] std::uint64_t sat_conflicts() const noexcept { return sat_conflicts_; }
-
-private:
-  std::vector<char> cone_;             ///< COI of the observed outputs
-  std::vector<signed char> const_val_; ///< -1 unknown, 0/1 proven (semantic)
-  std::size_t prunable_ = 0;
-  std::size_t sat_proofs_ = 0;
-  std::uint64_t sat_conflicts_ = 0;
 };
 
 // ---------------------------------------------------- boundary self-check

@@ -1,7 +1,6 @@
 #include "mc/mc.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -200,64 +199,35 @@ Property Property::respond(std::string name, Expr p, Expr q, int within) {
 
 namespace {
 
-/// Output names a property set observes (with duplicates removed). The
-/// optional `decided` mask drops retired properties (live-cone
-/// recomputation passes it to keep only the survivors). The maskless form
-/// is public as mc::observed_outputs.
-std::vector<std::string> collect_observed(std::span<const Property> properties,
-                                          const std::vector<char>* decided = nullptr) {
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < properties.size(); ++i) {
-    if (decided != nullptr && (*decided)[i] != 0) continue;
-    properties[i].antecedent.collect_signals(names);
-    properties[i].consequent.collect_signals(names);
-  }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  return names;
-}
-
 /// One long-lived solver + frame chain + encode cache serving every BMC
 /// bound, the k-induction step and (in check_all) every property. Assuming
 /// `act_reset` pins frame 0 to the reset state (BMC); leaving it free makes
 /// frame 0 an arbitrary state (induction). Injected faults go to the
 /// encoder, which replaces each faulted net by its constant in every frame;
-/// with cone-of-influence reduction the chain only ever encodes the union
-/// cone of the checked properties.
+/// the chain only ever encodes the union cone of the checked properties.
 struct Session {
   const rtl::Netlist* netlist;
   const std::map<rtl::Net, bool>* faults;
+  std::vector<char> cone;  ///< table_cone's mask, which the chain encodes
   sat::Solver solver;
   rtl::CnfEncoder encoder;
   EncodeCache cache;
   Lit act_reset;
-  /// Chain-cone storage: back() is the live cone. A deque so the pointer
-  /// handed to the encoder stays valid when live-cone recomputation
-  /// appends a smaller one. Empty when the reduction is off.
-  std::deque<std::vector<char>> cones;
 
   Session(const rtl::Netlist& n, std::span<const Property> properties,
           const std::map<rtl::Net, bool>& faults_in, const CheckOptions& options)
-      : netlist{&n}, faults{&faults_in}, encoder{n, solver} {
+      : netlist{&n},
+        faults{&faults_in},
+        cone{table_cone(n, properties).nets},
+        encoder{n, solver} {
     solver.set_reduce_options(options.sat_reduce);
     act_reset = Lit::positive(solver.new_var());
     rtl::CnfEncoder::ChainOptions chain;
     chain.first_state = rtl::StateInit::reset;
     chain.conditional_reset = act_reset;
-    if (options.cone_of_influence) {
-      cones.push_back(netlist->cone_of_influence(roots_of(properties)));
-      chain.cone = &cones.back();
-    }
+    chain.cone = &cone;
     if (!faults_in.empty()) chain.faults = &faults_in;
     encoder.begin_chain(chain);
-  }
-
-  std::vector<rtl::Net> roots_of(std::span<const Property> properties) const {
-    std::vector<rtl::Net> roots;
-    for (const auto& name : collect_observed(properties)) {
-      roots.push_back(netlist->output(name));
-    }
-    return roots;
   }
 
   /// Value pinned onto an input by an injected stuck-at fault, if any.
@@ -265,29 +235,6 @@ struct Session {
     const auto it = faults->find(input);
     if (it == faults->end()) return std::nullopt;
     return it->second;
-  }
-
-  /// Live-cone recomputation (Options::live_cone): restrict frames not yet
-  /// encoded to the union cone of the still-undecided properties. Returns
-  /// true when the cone actually shrank. Exact — the new cone is a union
-  /// over a subset of the old root set, hence a subset of the old cone and
-  /// still closed under structural support.
-  bool shrink_cone(const std::vector<Property>& properties,
-                   const std::vector<char>& decided) {
-    if (cones.empty()) return false;  // reduction off
-    std::vector<rtl::Net> roots;
-    for (const auto& name :
-         collect_observed({properties.data(), properties.size()}, &decided)) {
-      roots.push_back(netlist->output(name));
-    }
-    std::vector<char> cone = netlist->cone_of_influence(roots);
-    const auto in_cone = [](const std::vector<char>& c) {
-      return std::count_if(c.begin(), c.end(), [](char v) { return v != 0; });
-    };
-    if (in_cone(cone) >= in_cone(cones.back())) return false;
-    cones.push_back(std::move(cone));
-    encoder.set_chain_cone(&cones.back());
-    return true;
   }
 };
 
@@ -367,9 +314,9 @@ Counterexample model_counterexample(Session& s, int last_frame) {
 /// trace with the prefix still exists (one assumption solve per bit the
 /// current model has true; bits already false are pinned for free — the
 /// current model is the witness). The result depends only on the netlist,
-/// the property and the violation assumptions in `fixed` — not on CNF shape
-/// (cone on/off), learned clauses or decision heuristics — which is what
-/// makes counterexamples bit-identical across encodings and platforms.
+/// the property and the violation assumptions in `fixed` — not on CNF shape,
+/// learned clauses or decision heuristics — which is what makes
+/// counterexamples bit-identical across encodings, engines and platforms.
 Counterexample canonical_counterexample(Session& s, int last_frame,
                                         std::vector<Lit> fixed) {
   // Establish the invariant the greedy walk relies on: the solver's
@@ -484,7 +431,14 @@ void publish(const Session& s, const CheckResult& result, const SolveCost& cost)
 }  // namespace
 
 std::vector<std::string> observed_outputs(std::span<const Property> properties) {
-  return collect_observed(properties);
+  std::vector<std::string> names;
+  for (const auto& property : properties) {
+    property.antecedent.collect_signals(names);
+    property.consequent.collect_signals(names);
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
 }
 
 void detail::validate_check(const rtl::Netlist& netlist,
@@ -577,7 +531,7 @@ MultiCheckResult BmcChecker::check_all_with_faults(
   OBS_SPAN("mc.check_all");
   detail::validate_check(*netlist_, faults, options);
   struct PortfolioObs {
-    obs::Counter checks, properties, sat_conflicts, cone_recomputes;
+    obs::Counter checks, properties, sat_conflicts;
     FootprintObs footprint;
   };
   auto& registry = obs::Registry::instance();
@@ -585,7 +539,6 @@ MultiCheckResult BmcChecker::check_all_with_faults(
       registry.counter("mc.portfolio.checks"),
       registry.counter("mc.portfolio.properties"),
       registry.counter("mc.portfolio.sat_conflicts"),
-      registry.counter("mc.portfolio.cone_recomputes"),
       FootprintObs{"mc.portfolio."},
   };
   counters.checks.inc();
@@ -600,11 +553,9 @@ MultiCheckResult BmcChecker::check_all_with_faults(
   std::vector<char> decided(n, 0);
   std::size_t undecided = n;
   std::uint64_t conflicts = 0;  // portfolio and induction solves
-  std::uint64_t cone_recomputes = 0;
 
   // ---------------- portfolio BMC ---------------------------------------
   for (int b = 0; b <= options.max_bound && undecided > 0; ++b) {
-    const std::size_t undecided_entering_bound = undecided;
     // Violation literal per undecided property: v <-> (its violation
     // conjuncts at bound b). Both directions, so a model classifies every
     // violated property, not just the one the portfolio clause picked.
@@ -673,13 +624,6 @@ MultiCheckResult BmcChecker::check_all_with_faults(
       }
     }
     s.solver.add_unit(~sel);  // retire this bound's portfolio clause
-    // Retired properties need no further frames: shrink the cone the chain
-    // encodes from the next bound on to the union over the survivors
-    // (the "incremental COI across check_all bound batches" reduction).
-    if (options.live_cone && undecided > 0 && undecided < undecided_entering_bound &&
-        b < options.max_bound && s.shrink_cone(properties, decided)) {
-      ++cone_recomputes;
-    }
   }
 
   // ---------------- shared-solver induction for the survivors -----------
@@ -703,7 +647,6 @@ MultiCheckResult BmcChecker::check_all_with_faults(
 
   counters.properties.add(n);
   counters.sat_conflicts.add(conflicts);
-  counters.cone_recomputes.add(cone_recomputes);
   counters.footprint.add(s);
   return multi;
 }

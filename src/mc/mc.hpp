@@ -161,8 +161,9 @@ struct Counterexample {
 ///   mc.induction_conflicts — the k-induction solve (0 when it did not run);
 ///   mc.cex_conflicts       — counterexample canonicalisation;
 ///   mc.encoded_vars, mc.encoded_clauses, mc.arena_bytes, mc.arena_live,
-///   mc.compactions         — the session solver after the check (with the
-///                            cone reduction these shrink to the cone).
+///   mc.compactions         — the session solver after the check (the
+///                            encoding is cut to the cone, so these count
+///                            the cone only).
 struct CheckResult {
   CheckStatus status = CheckStatus::no_cex_within_bound;
   int bound_used = 0;
@@ -175,9 +176,8 @@ struct CheckResult {
 /// either engine): mc.portfolio.checks and .properties from both engines,
 /// mc.tables.checks and .pairs from a table check, and from a SAT check the
 /// shared solver's .frames_encoded, .sat_conflicts (every portfolio and
-/// induction solve), .cone_recomputes (Options::live_cone shrinks), and
-/// .encoded_vars, .encoded_clauses, .arena_bytes, .arena_live and
-/// .compactions as for CheckResult.
+/// induction solve), and .encoded_vars, .encoded_clauses, .arena_bytes,
+/// .arena_live and .compactions as for CheckResult.
 struct MultiCheckResult {
   std::vector<CheckResult> results;  ///< one per property, input order
 
@@ -192,9 +192,9 @@ struct MultiCheckResult {
 
 /// Options of a check. `max_bound` and `induction_depth` shape every answer;
 /// `canonical_counterexample` shapes the SAT engine's traces (the table
-/// engine's are always canonical); the other three only shape the SAT
-/// encoding, so the table engine ignores them. Both engines throw
-/// std::invalid_argument on a negative `induction_depth` and
+/// engine's are always canonical); `sat_reduce` only shapes the SAT
+/// solver's memory management, so the table engine ignores it. Both engines
+/// throw std::invalid_argument on a negative `induction_depth` and
 /// std::out_of_range on a fault whose net is not in the netlist.
 struct CheckOptions {
   int max_bound = 20;
@@ -202,26 +202,14 @@ struct CheckOptions {
   /// (max_bound >= induction_depth - 1); otherwise the status of a clean
   /// safety property is no_cex_within_bound.
   int induction_depth = 4;
-  /// SAT only. Restrict the per-frame encoding to the property's structural
-  /// cone of influence (back-traversal from the observed outputs through
-  /// gate operands and registers, `Netlist::cone_of_influence`). Exact:
-  /// verdicts, bound_used and (canonical) counterexamples are identical
-  /// with the reduction on or off — only solver size changes.
-  bool cone_of_influence = true;
   /// Canonicalise counterexamples to the lexicographically-least violating
   /// input trace (frame-major, inputs in declaration order, false < true)
   /// by greedy assumption solves after the falsifying solve. Makes the
   /// extracted trace a pure function of the netlist and property —
-  /// independent of CNF shape (cone on/off), solver heuristics and
-  /// platform. Costs at most one solve per input bit that wants to be
-  /// true; disable for falsification-only sweeps that discard traces.
+  /// independent of CNF shape, solver heuristics and platform. Costs at
+  /// most one solve per input bit that wants to be true; disable for
+  /// falsification-only sweeps that discard traces.
   bool canonical_counterexample = true;
-  /// SAT only. In `check_all`: when a property is retired at some bound,
-  /// recompute the cone-of-influence union over the *surviving* properties
-  /// so later frames stop encoding the retired property's cone. Exact for
-  /// the same reason the base reduction is. Only meaningful with
-  /// `cone_of_influence`.
-  bool live_cone = true;
   /// SAT only. Learned-DB reduction policy (including the arena
   /// CompactMode) handed to the session solver. Defaults match
   /// sat::Solver's; tests force aggressive reduction and compaction through
@@ -232,11 +220,13 @@ struct CheckOptions {
 
 /// The SAT engine: lazy incremental BMC from reset plus k-induction on one
 /// session solver per call (see the file comment). It encodes the netlist
-/// it was given, cut to the cone of influence; injected faults go to
-/// rtl::CnfEncoder, which replaces each faulted net by its constant in every
-/// frame. ModelChecker sends it every check whose cone is too large for the
-/// table engine; tests and benches call it directly to pin SAT behaviour
-/// and cost.
+/// it was given, cut to the cone of influence of the observed outputs
+/// (`table_cone`, the same cone the table engine enumerates): nothing
+/// outside it reaches a property, so the cut changes solver size, never an
+/// answer. Injected faults go to rtl::CnfEncoder, which replaces each
+/// faulted net by its constant in every frame. ModelChecker sends it every
+/// check whose cone is too large for the table engine; tests and benches
+/// call it directly to pin SAT behaviour and cost.
 class BmcChecker {
 public:
   using Options = CheckOptions;
@@ -255,8 +245,8 @@ public:
   /// solve (one UNSAT clears the whole vector at that bound), falsified
   /// properties are retired by unit-asserting ~activation so their portfolio
   /// clauses drop out of propagation, and survivors share the k-induction
-  /// phase on the same solver. The cone of influence is the union over all
-  /// properties. Verdicts match per-property `check` exactly.
+  /// phase on the same solver. Every frame is cut to the union cone of all
+  /// the properties. Verdicts match per-property `check` exactly.
   [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties,
                                            Options options) const {
     return check_all_with_faults(properties, {}, options);
@@ -312,9 +302,9 @@ private:
   const rtl::Netlist* netlist_;
 };
 
-/// Output names a property set observes (sorted, deduplicated) — the roots
-/// of a check's cone of influence, and the observed set a lint::FaultPruner
-/// proves fault invisibility against.
+/// Output names a property set observes (sorted, deduplicated): the roots
+/// of the cone of influence `table_cone` computes for a check or a PCC
+/// campaign.
 [[nodiscard]] std::vector<std::string> observed_outputs(
     std::span<const Property> properties);
 

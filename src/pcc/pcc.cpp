@@ -8,7 +8,6 @@
 #include <span>
 #include <utility>
 
-#include "lint/lint.hpp"
 #include "mc/tables.hpp"
 #include "obs/obs.hpp"
 #include "verif/rng.hpp"
@@ -230,30 +229,18 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   PccReport report;
   report.total_faults = faults.size();
   const std::span<const mc::Property> observed{properties.data(), properties.size()};
-  mc::TableCone cone = mc::table_cone(netlist, observed);
+  // The observed cone: the pre-pass simulates it, the table engine
+  // enumerates it, and the prune below reads it.
+  const mc::TableCone cone = mc::table_cone(netlist, observed);
   mc::ModelChecker::Options mc_opts;
   mc_opts.max_bound = options.bmc_bound;
   // PCC only asks *whether* a property falsifies on the faulty netlist;
   // the traces are discarded, so skip counterexample canonicalisation.
   mc_opts.canonical_counterexample = false;
 
-  // A-priori fault prune (PccOptions::lint_prune): faults the FaultPruner
-  // proves cannot change any observed output skip the BMC stage. The sim
-  // pre-pass is NOT skipped — it draws from the shared sequential rng, and
-  // dropping a fault's draws would shift every later fault's stimuli (the
-  // prune must leave verdicts bit-identical). "Pruned => undetected" is
-  // only exact when the GOOD design is BMC-clean (a property the fault-free
-  // design already falsifies is "detected" for every fault in this grading,
-  // visible or not), so the first prunable sim-missed fault lazily runs one
-  // fault-free probe; a dirty probe disables the prune for the campaign.
-  std::optional<lint::FaultPruner> pruner;
-  if (options.lint_prune && lint::mode_from_env() != lint::Mode::off) {
-    lint::FaultPruner::Options po;
-    po.semantic = lint::mode_from_env() == lint::Mode::semantic;
-    pruner.emplace(netlist, mc::observed_outputs(observed), po);
-  }
-  bool good_design_probed = false;
-
+  // The pre-pass grades every fault, out-of-cone ones included: it draws
+  // from the shared sequential rng, and dropping a fault's draws would
+  // shift every later fault's stimuli.
   std::uint64_t sim_passes = 0;
   const std::vector<char> by_sim =
       simulate_detects(netlist, cone.nets, properties, faults, options, sim_passes);
@@ -262,7 +249,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // campaign: the probe and every fault reuse its cone simulator and
   // compiled properties. A larger cone sends each fault to the SAT engine.
   std::optional<mc::TableEngine> tables;
-  if (cone.fits()) tables.emplace(netlist, std::move(cone), observed);
+  if (cone.fits()) tables.emplace(netlist, cone, observed);
   // Portfolio BMC: all properties on one solver per fault — undetectable
   // faults (the common case) cost one UNSAT solve per bound for the whole
   // property set instead of one BMC sweep per property.
@@ -272,6 +259,13 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
                   : sat.check_all_with_faults(properties, fault_map, mc_opts);
   };
 
+  // A fault outside the cone leaves every observed output as the good
+  // design drives it, so it is undetected exactly when the good design
+  // passes every property. One fault-free check, run lazily by the first
+  // such fault, settles that for the campaign; a dirty good design (a
+  // property it already falsifies detects every fault) turns the prune off
+  // and sends the out-of-cone faults to formal grading too.
+  std::optional<bool> good_design_passes;
   for (std::size_t k = 0; k < faults.size(); ++k) {
     if (by_sim[k] != 0) {
       ++report.detected;
@@ -280,16 +274,11 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     }
     const auto [net, stuck_to] = faults[k];
 
-    if (pruner && pruner->undetectable(net, stuck_to)) {
-      if (!good_design_probed) {
-        good_design_probed = true;
-        if (grade({}).count(mc::CheckStatus::falsified) > 0) {
-          pruner.reset();  // good design dirty: prune off for the campaign
-        }
+    if (cone.nets[static_cast<std::size_t>(net)] == 0) {
+      if (!good_design_passes) {
+        good_design_passes = grade({}).count(mc::CheckStatus::falsified) == 0;
       }
-      if (pruner) {
-        // The faulty design's observed behaviour is provably the good
-        // design's, and the good design passes: undetected, no BMC slot.
+      if (*good_design_passes) {
         ++report.lint_pruned_faults;
         report.undetected.push_back({net, stuck_to});
         continue;

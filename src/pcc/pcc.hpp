@@ -10,7 +10,11 @@
 //
 // Detection mixes functional and formal verification exactly as [13]
 // advocates: a cheap random-simulation pre-pass first, then bounded model
-// checking on the faulty netlist for the faults simulation missed.
+// checking on the faulty netlist for the faults simulation missed. Both
+// stages work on one cone of influence of the properties' observed outputs
+// (mc::table_cone), computed once per campaign: the pre-pass simulates only
+// the cone, and a missed fault outside it is undetected without a formal
+// check.
 
 #include <cstdint>
 #include <vector>
@@ -36,9 +40,10 @@ struct PccReport {
   std::size_t detected_by_simulation = 0;
   std::size_t detected_by_bmc = 0;
   std::vector<FaultOutcome> undetected;  ///< the missing-property hints
-  /// Faults classified undetected by the lint::FaultPruner proof instead of
-  /// a BMC run (PccOptions::lint_prune). Counted inside `undetected` too —
-  /// the prune changes cost, never verdicts.
+  /// Simulation-missed faults classified undetected without a formal check
+  /// because their net lies outside the observed cone: no stimulus can make
+  /// them change an observed output. Counted inside `undetected` too — the
+  /// prune changes cost, never verdicts.
   std::size_t lint_pruned_faults = 0;
 
   [[nodiscard]] double coverage_percent() const noexcept {
@@ -55,17 +60,6 @@ struct PccOptions {
   /// Evaluate at most this many faults (0 = all), sampled uniformly.
   std::size_t max_faults = 0;
   std::uint64_t seed = 0x9CC5EEDULL;
-  /// Skip the BMC stage for faults a lint::FaultPruner proves undetectable
-  /// (outside every observed-output cone; under SYMBAD_LINT=2 also sites
-  /// whose net provably equals the stuck value). The simulation pre-pass
-  /// still runs for every fault, on the observed cone — it consumes the
-  /// shared campaign rng, and skipping it would shift the stimuli of later
-  /// faults. Exactness is guarded by a one-time fault-free BMC probe: a
-  /// pruned fault is reported undetected only if the *good* design passes
-  /// every property (else the prune is disabled for the campaign). Verdicts
-  /// and coverage are identical with the prune on or off; gated globally by
-  /// SYMBAD_LINT=0.
-  bool lint_prune = true;
 };
 
 /// Grades `properties` against stuck-at faults on every internal net of

@@ -202,17 +202,6 @@ void CnfEncoder::begin_chain(const ChainOptions& options) {
   chain_started_ = true;
 }
 
-void CnfEncoder::set_chain_cone(const std::vector<char>* cone) {
-  if (!chain_started_) {
-    throw std::logic_error{"cnf: set_chain_cone before begin_chain"};
-  }
-  if (cone == nullptr && chain_opts_.cone != nullptr && !chain_.empty()) {
-    throw std::logic_error{
-        "cnf: cannot lift a chain cone after frames were encoded under it"};
-  }
-  chain_opts_.cone = cone;
-}
-
 std::size_t CnfEncoder::push_frame() {
   if (!chain_started_) {
     throw std::logic_error{"cnf: push_frame before begin_chain"};

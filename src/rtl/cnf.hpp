@@ -111,16 +111,6 @@ public:
   /// them — chains share one solver, so restarting mid-solve is a caller
   /// bug; use one chain per encoder.
   void begin_chain(const ChainOptions& options);
-  /// Replaces the chain's cone restriction for frames *not yet encoded*
-  /// (already-encoded frames keep their literals). The new cone must be a
-  /// subset of the current one and closed under structural support, so a
-  /// chained frame's in-cone flip-flop always finds its next-state literal
-  /// in the previous frame. The model checker's multi-property portfolio
-  /// uses this to drop a retired property's cone from later bounds. The
-  /// pointee must outlive the chain; nullptr lifts the restriction only if
-  /// no frame was encoded under a cone yet (otherwise chained frames would
-  /// read literals that were never created — rejected).
-  void set_chain_cone(const std::vector<char>* cone);
   /// Appends one frame to the chain and returns its index.
   std::size_t push_frame();
   /// The chain frame at index k; encodes lazily up to k. The reference is

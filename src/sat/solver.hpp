@@ -65,11 +65,10 @@ enum class Value : std::uint8_t { false_value, true_value, undef };
 enum class Result { sat, unsat, unknown };
 
 /// Arena compaction policy, applied as part of learned-DB reduction.
-/// `env_default` resolves to the SYMBAD_SAT_COMPACT environment knob
-/// (0 = never, 1 = automatic, 2 = always; automatic when unset).
 /// Compaction is pure memory management: verdicts, models, and every
-/// search statistic are bit-identical across all three modes.
-enum class CompactMode : std::uint8_t { env_default, never, automatic, always };
+/// search statistic are bit-identical across all three modes, which is why
+/// `never` and `always` serve as each other's reference in the tests.
+enum class CompactMode : std::uint8_t { never, automatic, always };
 
 /// CDCL solver. Add variables and clauses, then call `solve` (optionally
 /// under assumptions); on `sat`, read the model with `model_value`.
@@ -96,15 +95,12 @@ public:
     std::uint64_t increment = 500;
     std::uint32_t keep_lbd = 2;
     /// Arena compaction runs at the end of a reduction pass when this mode
-    /// (after env_default resolution) says so: `always` compacts on every
-    /// pass, `automatic` once dead words reach 1/4 of the arena (and at
-    /// least 1024 words), `never` lets dead words accumulate.
-    CompactMode compact = CompactMode::env_default;
+    /// says so: `always` compacts on every pass, `automatic` once dead words
+    /// reach 1/4 of the arena (and at least 1024 words), `never` lets dead
+    /// words accumulate.
+    CompactMode compact = CompactMode::automatic;
   };
 
-  /// Reads SYMBAD_SAT_COMPACT (strict: anything but an integer in [0, 2]
-  /// throws std::invalid_argument) to seed the CompactMode::env_default
-  /// resolution; see ReduceOptions::compact.
   Solver();
   ~Solver();
   Solver(const Solver&) = delete;
@@ -156,7 +152,6 @@ public:
   [[nodiscard]] std::size_t problem_clause_count() const noexcept;
 
   void set_reduce_options(const ReduceOptions& options) noexcept;
-  [[nodiscard]] const ReduceOptions& reduce_options() const noexcept;
 
   /// Clause-arena footprint: total words currently occupied (including dead
   /// words awaiting compaction) and the live subset, both in bytes. Both are

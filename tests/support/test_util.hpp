@@ -25,6 +25,9 @@
 //  4. Telemetry level. Engine cost lives only in the obs registry, read
 //     per call through an obs::Scope; a test that asserts such a delta
 //     holds a CountersOn, so it passes at any SYMBAD_OBS setting.
+//
+//  5. Environment knobs. They are process globals, so a test that sets one
+//     holds an EnvGuard, which restores the previous state on exit.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +35,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -138,6 +142,35 @@ public:
 
 private:
   int previous_;
+};
+
+// ----------------------------------------------------------- environment
+
+/// Sets (or, with nullptr, unsets) one environment variable for its
+/// lifetime and restores the previous state afterwards.
+class EnvGuard {
+public:
+  EnvGuard(const char* name, const char* value) : name_{name} {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value == nullptr) {
+      ::unsetenv(name);
+    } else {
+      ::setenv(name, value, 1);
+    }
+  }
+  ~EnvGuard() {
+    if (old_.has_value()) {
+      ::setenv(name_.c_str(), old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+private:
+  std::string name_;
+  std::optional<std::string> old_;
 };
 
 // -------------------------------------------------------------- tmp dirs

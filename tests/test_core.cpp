@@ -449,7 +449,7 @@ TEST(Explorer, FindsAcceleratedParetoPoints) {
 // ------------------------------------------------- strict env-knob parsing
 
 // The shared strict parser behind every SYMBAD_* integer knob
-// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_SAT_COMPACT, SYMBAD_LINT, ...). The
+// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_LINT, SYMBAD_OBS, ...). The
 // exhaustive accept/reject matrix lives here, next to the implementation;
 // the subsystems keep one integration test each that garbage still throws
 // through their entry points.

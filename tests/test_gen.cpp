@@ -36,38 +36,9 @@ namespace sim = symbad::sim;
 namespace verif = symbad::verif;
 namespace stage = symbad::media::stage;
 
+using symbad::test::EnvGuard;
+
 namespace {
-
-/// Scoped environment override that restores the previous state on exit
-/// (the gen knobs are process globals; leaking one would couple tests).
-class EnvGuard {
-public:
-  EnvGuard(const char* name, const char* value) : name_{name} {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 constexpr gen::SizeTier kAllTiers[] = {gen::SizeTier::small, gen::SizeTier::medium,
                                        gen::SizeTier::large};

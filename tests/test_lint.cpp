@@ -1,13 +1,10 @@
 // Tests for the static-analysis engine (src/lint): per-rule positive
 // detection with exact rule IDs, lint-cleanliness of every seed design and
-// generated tier, the FaultPruner and its pcc campaign wiring (coverage
-// identity), and the strict SYMBAD_LINT environment knob.
+// generated tier, and the strict SYMBAD_LINT environment knob.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,8 +13,6 @@
 #include "gen/gen.hpp"
 #include "lint/lint.hpp"
 #include "mc/mc.hpp"
-#include "obs/obs.hpp"
-#include "pcc/pcc.hpp"
 #include "rtl/netlist.hpp"
 #include "support/test_util.hpp"
 
@@ -26,38 +21,12 @@ namespace core = symbad::core;
 namespace gen = symbad::gen;
 namespace lint = symbad::lint;
 namespace mc = symbad::mc;
-namespace pcc = symbad::pcc;
 namespace rtl = symbad::rtl;
 
 using lint::Rule;
+using symbad::test::EnvGuard;
 
 namespace {
-
-/// Scoped environment override restoring the previous value on destruction.
-class EnvGuard {
-public:
-  EnvGuard(const char* name, const char* value) : name_{name} {
-    if (const char* old = std::getenv(name)) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (old_.has_value()) {
-      ::setenv(name_.c_str(), old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-  std::string name_;
-  std::optional<std::string> old_;
-};
 
 /// Small clean fixture: two inputs, one register, an output cone covering
 /// every gate. Lints with zero findings, so per-rule tests mutate it.
@@ -438,7 +407,7 @@ TEST(LintClean, GeneratedTaskGraphsHaveNoErrorFindings) {
   }
 }
 
-// ------------------------------------------------------------- FaultPruner
+// ------------------------------------------------------- mc faulty check
 
 namespace {
 
@@ -460,43 +429,10 @@ rtl::Netlist two_cone_netlist() {
 
 }  // namespace
 
-TEST(LintFaultPruner, StructuralConeMembership) {
-  const auto n = two_cone_netlist();
-  const lint::FaultPruner pruner{n, {"o"}};
-  const rtl::Net obs = n.output("o");
-  const rtl::Net side = n.output("s");
-  EXPECT_FALSE(pruner.undetectable(obs, false));
-  EXPECT_FALSE(pruner.undetectable(obs, true));
-  EXPECT_TRUE(pruner.undetectable(side, false));  // outside the "o" cone
-  EXPECT_TRUE(pruner.undetectable(side, true));
-  EXPECT_GT(pruner.prunable_sites(), 0u);
-  EXPECT_EQ(pruner.sat_proofs(), 0u);  // structural tier: no solver
-}
-
-TEST(LintFaultPruner, SemanticProvenConstSite) {
-  // side2 = and(not(b), b) is provably 0: stuck-at-0 on it is a no-op even
-  // when it IS observed.
-  const auto n = two_cone_netlist();
-  lint::FaultPruner::Options o;
-  o.semantic = true;
-  const lint::FaultPruner pruner{n, {"o", "s"}, o};
-  const rtl::Net side2 = n.output("s");
-  EXPECT_TRUE(pruner.undetectable(side2, false));
-  EXPECT_FALSE(pruner.undetectable(side2, true));
-  EXPECT_GT(pruner.sat_proofs(), 0u);
-}
-
-TEST(LintFaultPruner, UnknownObservedOutputThrows) {
-  const auto n = two_cone_netlist();
-  EXPECT_THROW((lint::FaultPruner{n, {"nonexistent"}}), std::exception);
-}
-
-// ------------------------------------------------------- mc faulty check
-
 TEST(LintMcPrune, VerdictAndCounterexampleIdenticalWithPrunedInputFault) {
   // Fault map: one visible fault plus a stuck-at-1 on an input that only
-  // feeds the unobserved output (a site the FaultPruner proves invisible).
-  // The trace still reports that input at its forced value.
+  // feeds the unobserved output (outside the property's cone). The trace
+  // still reports that input at its forced value.
   const auto n = two_cone_netlist();
   const mc::ModelChecker checker{n};
   const auto prop = mc::Property::invariant("o_never", !mc::Expr::signal("o"));
@@ -510,108 +446,6 @@ TEST(LintMcPrune, VerdictAndCounterexampleIdenticalWithPrunedInputFault) {
   for (const auto& frame : result.counterexample->inputs) {
     EXPECT_TRUE(frame.at("b"));
   }
-}
-
-// ------------------------------------------------------ pcc prune identity
-
-namespace {
-
-/// Field-by-field PccReport verdict/coverage comparison (the prune may only
-/// change cost counters, never classification).
-void expect_same_coverage(const pcc::PccReport& a, const pcc::PccReport& b) {
-  EXPECT_EQ(a.total_faults, b.total_faults);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.detected_by_simulation, b.detected_by_simulation);
-  EXPECT_EQ(a.detected_by_bmc, b.detected_by_bmc);
-  EXPECT_DOUBLE_EQ(a.coverage_percent(), b.coverage_percent());
-  ASSERT_EQ(a.undetected.size(), b.undetected.size());
-  for (std::size_t i = 0; i < a.undetected.size(); ++i) {
-    EXPECT_EQ(a.undetected[i].net, b.undetected[i].net) << i;
-    EXPECT_EQ(a.undetected[i].stuck_to, b.undetected[i].stuck_to) << i;
-  }
-}
-
-}  // namespace
-
-TEST(LintPccPrune, CoverageIdenticalAndFaultsActuallyPruned) {
-  // ROOT core, one control-path property: the result datapath is outside
-  // the observed cone, so its faults are BMC-undetectable — the prune must
-  // classify them without BMC and match the unpruned report exactly.
-  const auto n = app::build_root_rtl();
-  std::vector<mc::Property> properties;
-  properties.push_back(mc::Property::invariant(
-      "busy_xor_done_weak",
-      !(mc::Expr::signal("busy") && mc::Expr::signal("done"))));
-  pcc::PccOptions options;
-  options.bmc_bound = 3;
-  options.simulation_cycles = 16;
-  options.simulation_runs = 2;
-  options.max_faults = 40;
-  options.lint_prune = true;
-  const symbad::test::CountersOn counting;
-  const symbad::obs::Scope pruned_cost;
-  const auto pruned = pcc::check_property_coverage(n, properties, options);
-  const auto pruned_checks = pruned_cost.delta("mc.portfolio.checks");
-  options.lint_prune = false;
-  const symbad::obs::Scope full_cost;
-  const auto full = pcc::check_property_coverage(n, properties, options);
-  expect_same_coverage(pruned, full);
-  EXPECT_GT(pruned.lint_pruned_faults, 0u);
-  EXPECT_EQ(full.lint_pruned_faults, 0u);
-  // Every pruned fault is one formal check the campaign did not pay for,
-  // less the one fault-free probe the prune runs (a count both engines
-  // keep; this cone goes to the table engine).
-  EXPECT_EQ(pruned_checks + pruned.lint_pruned_faults - 1,
-            full_cost.delta("mc.portfolio.checks"));
-}
-
-TEST(LintPccPrune, DirtyGoodDesignDisablesPrune) {
-  // A property the GOOD design falsifies: "pruned => undetected" would be
-  // unsound (that property detects every fault in this grading), so the
-  // one-time probe must disable the prune — and the reports still match.
-  const auto n = app::build_root_rtl();
-  std::vector<mc::Property> properties;
-  properties.push_back(
-      mc::Property::invariant("never_busy", !mc::Expr::signal("busy")));
-  pcc::PccOptions options;
-  options.bmc_bound = 3;
-  options.simulation_cycles = 8;
-  options.simulation_runs = 1;
-  options.max_faults = 10;
-  options.lint_prune = true;
-  const auto pruned = pcc::check_property_coverage(n, properties, options);
-  options.lint_prune = false;
-  const auto full = pcc::check_property_coverage(n, properties, options);
-  expect_same_coverage(pruned, full);
-  EXPECT_EQ(pruned.lint_pruned_faults, 0u);
-}
-
-TEST(LintPccPrune, WrapperCampaignIdenticalUnderPrune) {
-  const auto n = app::build_wrapper_fsm();
-  pcc::PccOptions options;
-  options.bmc_bound = 6;
-  options.lint_prune = true;
-  const auto pruned =
-      pcc::check_property_coverage(n, app::wrapper_properties_initial(), options);
-  options.lint_prune = false;
-  const auto full =
-      pcc::check_property_coverage(n, app::wrapper_properties_initial(), options);
-  expect_same_coverage(pruned, full);
-}
-
-TEST(LintPccPrune, GatedOffBySymbadLint0) {
-  EnvGuard guard{"SYMBAD_LINT", "0"};
-  const auto n = app::build_root_rtl();
-  std::vector<mc::Property> properties;
-  properties.push_back(mc::Property::invariant(
-      "busy_xor_done_weak",
-      !(mc::Expr::signal("busy") && mc::Expr::signal("done"))));
-  pcc::PccOptions options;
-  options.bmc_bound = 2;
-  options.max_faults = 6;
-  options.lint_prune = true;
-  const auto report = pcc::check_property_coverage(n, properties, options);
-  EXPECT_EQ(report.lint_pruned_faults, 0u);
 }
 
 // -------------------------------------------------- env knob & enforcement

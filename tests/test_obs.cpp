@@ -444,11 +444,11 @@ namespace {
 constexpr const char* kPortfolioCounters[] = {
     "mc.portfolio.checks",           "mc.portfolio.properties",
     "mc.portfolio.frames_encoded",   "mc.portfolio.sat_conflicts",
-    "mc.portfolio.cone_recomputes",  "mc.portfolio.encoded_vars",
-    "mc.portfolio.encoded_clauses",  "mc.portfolio.arena_bytes",
-    "mc.portfolio.arena_live",       "mc.portfolio.compactions",
-    "sat.solves",                    "sat.decisions",
-    "sat.propagations",              "sat.conflicts",
+    "mc.portfolio.encoded_vars",     "mc.portfolio.encoded_clauses",
+    "mc.portfolio.arena_bytes",      "mc.portfolio.arena_live",
+    "mc.portfolio.compactions",      "sat.solves",
+    "sat.decisions",                 "sat.propagations",
+    "sat.conflicts",
 };
 
 /// Deltas of kPortfolioCounters over one SAT check_all of the extended

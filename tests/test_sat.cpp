@@ -4,10 +4,7 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sat/instances.hpp"
@@ -176,25 +173,51 @@ TEST(Sat, UnknownVariableThrows) {
 
 using sat::add_pigeonhole;  // shared generator (src/sat/instances.hpp)
 
-TEST(SatReduce, LearnedClauseCountStaysBounded) {
-  Solver s;
-  Solver::ReduceOptions opts;
-  opts.base = 200;
-  opts.increment = 100;
-  s.set_reduce_options(opts);
-  add_pigeonhole(s, 7);
-  ASSERT_EQ(s.solve(), Result::unsat);
+namespace {
 
-  const auto& stats = s.statistics();
-  EXPECT_GT(stats.conflicts, 1000u);
-  EXPECT_GE(stats.db_reductions, 1u);
-  EXPECT_GT(stats.learned_removed, 0u);
-  // The live database stays far below the total ever learned ...
-  EXPECT_LT(s.learned_clause_count(), stats.learned_clauses / 2);
-  // ... and within the configured ceiling (plus glue/binary clauses, which
-  // reduction deliberately never touches).
-  EXPECT_LT(s.learned_clause_count(),
-            opts.base + stats.db_reductions * opts.increment + stats.learned_clauses / 4);
+/// Every SatReduce.* instance runs with the default compaction and with a
+/// compaction after every reduction pass, so each reducing instance also
+/// drives the arena mover (under ASan and UBSan in CI).
+constexpr sat::CompactMode kCompactModes[] = {sat::CompactMode::automatic,
+                                              sat::CompactMode::always};
+
+const char* compact_name(sat::CompactMode mode) {
+  return mode == sat::CompactMode::always ? "compact always" : "compact automatic";
+}
+
+/// A reducing instance under CompactMode::always has compacted.
+void expect_compacted_if_forced(const Solver& s, sat::CompactMode mode) {
+  if (mode == sat::CompactMode::always && s.statistics().learned_removed > 0) {
+    EXPECT_GT(s.statistics().arena_compactions, 0u);
+  }
+}
+
+}  // namespace
+
+TEST(SatReduce, LearnedClauseCountStaysBounded) {
+  for (const auto compact : kCompactModes) {
+    SCOPED_TRACE(compact_name(compact));
+    Solver s;
+    Solver::ReduceOptions opts;
+    opts.base = 200;
+    opts.increment = 100;
+    opts.compact = compact;
+    s.set_reduce_options(opts);
+    add_pigeonhole(s, 7);
+    ASSERT_EQ(s.solve(), Result::unsat);
+
+    const auto& stats = s.statistics();
+    EXPECT_GT(stats.conflicts, 1000u);
+    EXPECT_GE(stats.db_reductions, 1u);
+    EXPECT_GT(stats.learned_removed, 0u);
+    // The live database stays far below the total ever learned ...
+    EXPECT_LT(s.learned_clause_count(), stats.learned_clauses / 2);
+    // ... and within the configured ceiling (plus glue/binary clauses, which
+    // reduction deliberately never touches).
+    EXPECT_LT(s.learned_clause_count(),
+              opts.base + stats.db_reductions * opts.increment + stats.learned_clauses / 4);
+    expect_compacted_if_forced(s, compact);
+  }
 }
 
 TEST(SatReduce, VerdictsIdenticalWithReductionOnAndOff) {
@@ -214,12 +237,13 @@ TEST(SatReduce, VerdictsIdenticalWithReductionOnAndOff) {
       }
       clauses.push_back(std::move(clause));
     }
-    auto solve_with = [&](bool reduce_enabled) {
+    auto solve_with = [&](bool reduce_enabled, sat::CompactMode compact) {
       Solver s;
       Solver::ReduceOptions opts;
       opts.enabled = reduce_enabled;
       opts.base = 20;  // aggressive: reduce constantly when enabled
       opts.increment = 10;
+      opts.compact = compact;
       s.set_reduce_options(opts);
       for (int i = 0; i < n; ++i) (void)s.new_var();
       for (const auto& clause : clauses) s.add_clause(clause);
@@ -233,9 +257,13 @@ TEST(SatReduce, VerdictsIdenticalWithReductionOnAndOff) {
           EXPECT_TRUE(satisfied) << "seed " << seed;
         }
       }
+      expect_compacted_if_forced(s, compact);
       return r;
     };
-    EXPECT_EQ(solve_with(false), solve_with(true)) << "seed " << seed;
+    for (const auto compact : kCompactModes) {
+      EXPECT_EQ(solve_with(false, compact), solve_with(true, compact))
+          << "seed " << seed << " " << compact_name(compact);
+    }
   }
 }
 
@@ -249,43 +277,48 @@ TEST(SatReduce, DeletionWindowHasNoStaleReferences) {
   // longest life: solve -> reduce -> solve must re-walk the watch lists
   // rebuilt by the previous round. Run under CI's ASan and UBSan builds
   // (scripts/ci.sh steps 5-7), a silent use-after-free here becomes loud.
-  Solver s;
-  Solver::ReduceOptions opts;
-  opts.base = 1;
-  opts.increment = 1;
-  opts.keep_lbd = 0;  // as aggressive as the policy allows
-  s.set_reduce_options(opts);
-  const Var g1 = s.new_var();
-  const Var g2 = s.new_var();
-  add_pigeonhole(s, 5, Lit::positive(g1));
-  add_pigeonhole(s, 6, Lit::positive(g2));
-  for (int round = 0; round < 8; ++round) {
-    switch (round % 4) {
-      case 0:
-        EXPECT_EQ(s.solve({Lit::negative(g1)}), Result::unsat) << round;
-        break;
-      case 1:
-        ASSERT_EQ(s.solve({Lit::negative(g2), Lit::positive(g1)}), Result::unsat)
-            << round;
-        break;
-      case 2:
-        ASSERT_EQ(s.solve(), Result::sat) << round;
-        EXPECT_TRUE(s.model_value(g1));
-        EXPECT_TRUE(s.model_value(g2));
-        break;
-      default:
-        // Add fresh clauses between solves so attach interleaves with the
-        // torn-down DB, then query again.
-        const Var extra = s.new_var();
-        EXPECT_TRUE(s.add_ternary(Lit::positive(extra), Lit::positive(g1),
-                                  Lit::positive(g2)));
-        EXPECT_EQ(s.solve({Lit::negative(extra), Lit::negative(g1)}), Result::unsat)
-            << round;
-        break;
+  for (const auto compact : kCompactModes) {
+    SCOPED_TRACE(compact_name(compact));
+    Solver s;
+    Solver::ReduceOptions opts;
+    opts.base = 1;
+    opts.increment = 1;
+    opts.keep_lbd = 0;  // as aggressive as the policy allows
+    opts.compact = compact;
+    s.set_reduce_options(opts);
+    const Var g1 = s.new_var();
+    const Var g2 = s.new_var();
+    add_pigeonhole(s, 5, Lit::positive(g1));
+    add_pigeonhole(s, 6, Lit::positive(g2));
+    for (int round = 0; round < 8; ++round) {
+      switch (round % 4) {
+        case 0:
+          EXPECT_EQ(s.solve({Lit::negative(g1)}), Result::unsat) << round;
+          break;
+        case 1:
+          ASSERT_EQ(s.solve({Lit::negative(g2), Lit::positive(g1)}), Result::unsat)
+              << round;
+          break;
+        case 2:
+          ASSERT_EQ(s.solve(), Result::sat) << round;
+          EXPECT_TRUE(s.model_value(g1));
+          EXPECT_TRUE(s.model_value(g2));
+          break;
+        default:
+          // Add fresh clauses between solves so attach interleaves with the
+          // torn-down DB, then query again.
+          const Var extra = s.new_var();
+          EXPECT_TRUE(s.add_ternary(Lit::positive(extra), Lit::positive(g1),
+                                    Lit::positive(g2)));
+          EXPECT_EQ(s.solve({Lit::negative(extra), Lit::negative(g1)}), Result::unsat)
+              << round;
+          break;
+      }
     }
+    EXPECT_GE(s.statistics().db_reductions, 2u);
+    EXPECT_GT(s.statistics().learned_removed, 0u);
+    expect_compacted_if_forced(s, compact);
   }
-  EXPECT_GE(s.statistics().db_reductions, 2u);
-  EXPECT_GT(s.statistics().learned_removed, 0u);
 }
 
 TEST(SatReduce, IncrementalSolvesStayCorrectUnderAggressiveReduction) {
@@ -295,24 +328,29 @@ TEST(SatReduce, IncrementalSolvesStayCorrectUnderAggressiveReduction) {
   // between solves (binary and glue <= keep_lbd learned clauses are exempt
   // from deletion by design — deleting them would break the asserting-
   // reason invariants this sweep leans on).
-  Solver s;
-  Solver::ReduceOptions opts;
-  opts.base = 1;
-  opts.increment = 1;
-  opts.keep_lbd = 2;
-  s.set_reduce_options(opts);
-  const Var g = s.new_var();
-  add_pigeonhole(s, 6, Lit::positive(g));
-  for (int round = 0; round < 6; ++round) {
-    if (round % 2 == 0) {
-      EXPECT_EQ(s.solve({Lit::negative(g)}), Result::unsat) << "round " << round;
-    } else {
-      ASSERT_EQ(s.solve(), Result::sat) << "round " << round;
-      EXPECT_TRUE(s.model_value(g));
+  for (const auto compact : kCompactModes) {
+    SCOPED_TRACE(compact_name(compact));
+    Solver s;
+    Solver::ReduceOptions opts;
+    opts.base = 1;
+    opts.increment = 1;
+    opts.keep_lbd = 2;
+    opts.compact = compact;
+    s.set_reduce_options(opts);
+    const Var g = s.new_var();
+    add_pigeonhole(s, 6, Lit::positive(g));
+    for (int round = 0; round < 6; ++round) {
+      if (round % 2 == 0) {
+        EXPECT_EQ(s.solve({Lit::negative(g)}), Result::unsat) << "round " << round;
+      } else {
+        ASSERT_EQ(s.solve(), Result::sat) << "round " << round;
+        EXPECT_TRUE(s.model_value(g));
+      }
     }
+    EXPECT_GE(s.statistics().db_reductions, 1u);
+    EXPECT_GT(s.statistics().learned_removed, 0u);
+    expect_compacted_if_forced(s, compact);
   }
-  EXPECT_GE(s.statistics().db_reductions, 1u);
-  EXPECT_GT(s.statistics().learned_removed, 0u);
 }
 
 // ---------------------------------------------- incremental statistics
@@ -553,21 +591,6 @@ void expect_identical_runs(const ArenaRunRecord& a, const ArenaRunRecord& b) {
   EXPECT_EQ(a.arena_live, b.arena_live);
 }
 
-/// Save/restore guard for one environment variable.
-struct CompactEnvGuard {
-  CompactEnvGuard() {
-    if (const char* v = std::getenv(kName)) saved_ = v;
-  }
-  ~CompactEnvGuard() {
-    if (saved_) {
-      ::setenv(kName, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-  static constexpr const char* kName = "SYMBAD_SAT_COMPACT";
-  std::optional<std::string> saved_;
-};
 
 }  // namespace
 
@@ -658,21 +681,4 @@ TEST(SatArena, AddClauseStaysOffTheAllocatorOnceWarm) {
 
   EXPECT_GT(s.problem_clause_count(), warm_clauses + kBatch / 2);
   EXPECT_LT(allocations, 64u) << "for " << kBatch << " clauses";
-}
-
-TEST(SatArena, CompactEnvKnobIsStrictAndSelectsTheMode) {
-  const CompactEnvGuard guard;
-  for (const char* bad : {"abc", "3", "-1", " 1", "1x", ""}) {
-    ::setenv(CompactEnvGuard::kName, bad, 1);
-    EXPECT_THROW((void)Solver{}, std::invalid_argument) << '"' << bad << '"';
-  }
-  // 2 = always, 0 = never, resolved through ReduceOptions::env_default —
-  // and the choice must not leak into solver behaviour.
-  ::setenv(CompactEnvGuard::kName, "2", 1);
-  const auto forced = run_arena_workload(sat::CompactMode::env_default);
-  ::setenv(CompactEnvGuard::kName, "0", 1);
-  const auto never = run_arena_workload(sat::CompactMode::env_default);
-  EXPECT_GT(forced.final_stats.arena_compactions, 0u);
-  EXPECT_EQ(never.final_stats.arena_compactions, 0u);
-  expect_identical_runs(never, forced);
 }
