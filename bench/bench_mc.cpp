@@ -40,10 +40,7 @@ void BM_Mc_LazyBmcDeepUnrolling(benchmark::State& state) {
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["bound"] = static_cast<double>(state.range(0));
-  state.counters["sat_conflicts_total"] =
-      static_cast<double>(last->delta("mc.sat_conflicts"));
-  state.counters["sat_conflicts_induction"] =
-      static_cast<double>(last->delta("mc.induction_conflicts"));
+  state.counters["sat_conflicts_total"] = static_cast<double>(last->delta("mc.sat_conflicts"));
 }
 BENCHMARK(BM_Mc_LazyBmcDeepUnrolling)->Arg(15)->Arg(30)->Unit(benchmark::kMillisecond);
 
@@ -64,8 +61,7 @@ void BM_Mc_EarlyFalsificationUnderDeepHorizon(benchmark::State& state) {
   }
   state.counters["falsified"] = result.status == mc::CheckStatus::falsified ? 1.0 : 0.0;
   state.counters["bound_used"] = static_cast<double>(result.bound_used);
-  state.counters["sat_conflicts"] =
-      static_cast<double>(last->delta("mc.decisive_conflicts"));
+  state.counters["sat_conflicts"] = static_cast<double>(last->delta("mc.sat_conflicts"));
 }
 BENCHMARK(BM_Mc_EarlyFalsificationUnderDeepHorizon)->Unit(benchmark::kMillisecond);
 
@@ -91,8 +87,7 @@ void BM_Mc_ConeOfInfluenceOnRootControl(benchmark::State& state) {
   }
   state.counters["encoded_vars"] = static_cast<double>(last->delta("mc.encoded_vars"));
   state.counters["encoded_clauses"] = static_cast<double>(last->delta("mc.encoded_clauses"));
-  state.counters["sat_conflicts_total"] =
-      static_cast<double>(last->delta("mc.sat_conflicts"));
+  state.counters["sat_conflicts_total"] = static_cast<double>(last->delta("mc.sat_conflicts"));
   state.counters["arena_bytes"] = static_cast<double>(last->delta("mc.arena_bytes"));
   state.counters["arena_live"] = static_cast<double>(last->delta("mc.arena_live"));
 }
@@ -117,16 +112,12 @@ void BM_Mc_CheckAllWrapperSuite(benchmark::State& state) {
   }
   state.counters["properties"] = static_cast<double>(result.results.size());
   state.counters["falsified"] = static_cast<double>(result.count(mc::CheckStatus::falsified));
-  state.counters["encoded_vars"] =
-      static_cast<double>(last->delta("mc.portfolio.encoded_vars"));
-  state.counters["encoded_clauses"] =
-      static_cast<double>(last->delta("mc.portfolio.encoded_clauses"));
-  state.counters["sat_conflicts_total"] =
-      static_cast<double>(last->delta("mc.portfolio.sat_conflicts"));
-  state.counters["arena_bytes"] = static_cast<double>(last->delta("mc.portfolio.arena_bytes"));
-  state.counters["arena_live"] = static_cast<double>(last->delta("mc.portfolio.arena_live"));
-  state.counters["sat_compactions"] =
-      static_cast<double>(last->delta("mc.portfolio.compactions"));
+  state.counters["encoded_vars"] = static_cast<double>(last->delta("mc.encoded_vars"));
+  state.counters["encoded_clauses"] = static_cast<double>(last->delta("mc.encoded_clauses"));
+  state.counters["sat_conflicts_total"] = static_cast<double>(last->delta("mc.sat_conflicts"));
+  state.counters["arena_bytes"] = static_cast<double>(last->delta("mc.arena_bytes"));
+  state.counters["arena_live"] = static_cast<double>(last->delta("mc.arena_live"));
+  state.counters["sat_compactions"] = static_cast<double>(last->delta("mc.compactions"));
 }
 BENCHMARK(BM_Mc_CheckAllWrapperSuite)->Unit(benchmark::kMillisecond);
 
@@ -156,10 +147,8 @@ void BM_Mc_CheckAllMixedConesOnRoot(benchmark::State& state) {
     benchmark::DoNotOptimize(result.results.size());
   }
   state.counters["falsified_bound"] = static_cast<double>(result.results[0].bound_used);
-  state.counters["encoded_vars"] =
-      static_cast<double>(last->delta("mc.portfolio.encoded_vars"));
-  state.counters["encoded_clauses"] =
-      static_cast<double>(last->delta("mc.portfolio.encoded_clauses"));
+  state.counters["encoded_vars"] = static_cast<double>(last->delta("mc.encoded_vars"));
+  state.counters["encoded_clauses"] = static_cast<double>(last->delta("mc.encoded_clauses"));
 }
 BENCHMARK(BM_Mc_CheckAllMixedConesOnRoot)->Unit(benchmark::kMillisecond);
 
@@ -180,10 +169,7 @@ void BM_Mc_SharedSolverInductionProof(benchmark::State& state) {
     benchmark::DoNotOptimize(result.status);
   }
   state.counters["proved"] = result.status == mc::CheckStatus::proved ? 1.0 : 0.0;
-  state.counters["sat_conflicts_induction"] =
-      static_cast<double>(last->delta("mc.induction_conflicts"));
-  state.counters["sat_conflicts_total"] =
-      static_cast<double>(last->delta("mc.sat_conflicts"));
+  state.counters["sat_conflicts_total"] = static_cast<double>(last->delta("mc.sat_conflicts"));
 }
 BENCHMARK(BM_Mc_SharedSolverInductionProof)->Arg(10)->Unit(benchmark::kMillisecond);
 
@@ -210,8 +196,7 @@ void BM_Mc_TablesWrapperEveryFault(benchmark::State& state) {
     last.emplace();
     falsified = 0;
     for (const auto& faults : variants) {
-      falsified += checker.check_all_with_faults(props, faults, options)
-                       .count(mc::CheckStatus::falsified);
+      falsified += checker.check_all(props, options, faults).count(mc::CheckStatus::falsified);
     }
     benchmark::DoNotOptimize(falsified);
   }

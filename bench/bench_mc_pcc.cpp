@@ -71,8 +71,7 @@ void BM_Mc_RootCoreInvariant(benchmark::State& state) {
   }
   state.counters["bound"] = static_cast<double>(state.range(0));
   state.counters["falsified"] = result.status == mc::CheckStatus::falsified ? 1.0 : 0.0;
-  state.counters["sat_conflicts"] =
-      static_cast<double>(last->delta("mc.decisive_conflicts"));
+  state.counters["sat_conflicts"] = static_cast<double>(last->delta("mc.sat_conflicts"));
 }
 BENCHMARK(BM_Mc_RootCoreInvariant)->Arg(5)->Arg(15)->Unit(benchmark::kMillisecond);
 

@@ -70,7 +70,7 @@ int main() {
                   static_cast<unsigned long long>(cost.delta("mc.tables.pairs")));
     } else {
       std::printf("  %-28s %s (%llu conflicts)\n", prop.name.c_str(), verdict,
-                  static_cast<unsigned long long>(cost.delta("mc.decisive_conflicts")));
+                  static_cast<unsigned long long>(cost.delta("mc.sat_conflicts")));
     }
   }
   // A deliberately false property, to show counter-example extraction.

@@ -199,12 +199,12 @@ Property Property::respond(std::string name, Expr p, Expr q, int within) {
 
 namespace {
 
-/// One long-lived solver + frame chain + encode cache serving every BMC
-/// bound, the k-induction step and (in check_all) every property. Assuming
+/// One long-lived solver + frame chain + encode cache serving every
+/// property, BMC bound and k-induction step of one check. Assuming
 /// `act_reset` pins frame 0 to the reset state (BMC); leaving it free makes
 /// frame 0 an arbitrary state (induction). Injected faults go to the
 /// encoder, which replaces each faulted net by its constant in every frame;
-/// the chain only ever encodes the union cone of the checked properties.
+/// the chain only ever encodes `cone`, the checked properties' union cone.
 struct Session {
   const rtl::Netlist* netlist;
   const std::map<rtl::Net, bool>* faults;
@@ -214,11 +214,11 @@ struct Session {
   EncodeCache cache;
   Lit act_reset;
 
-  Session(const rtl::Netlist& n, std::span<const Property> properties,
+  Session(const rtl::Netlist& n, std::vector<char> cone_mask,
           const std::map<rtl::Net, bool>& faults_in, const CheckOptions& options)
       : netlist{&n},
         faults{&faults_in},
-        cone{table_cone(n, properties).nets},
+        cone{std::move(cone_mask)},
         encoder{n, solver} {
     solver.set_reduce_options(options.sat_reduce);
     act_reset = Lit::positive(solver.new_var());
@@ -320,8 +320,8 @@ Counterexample model_counterexample(Session& s, int last_frame) {
 Counterexample canonical_counterexample(Session& s, int last_frame,
                                         std::vector<Lit> fixed) {
   // Establish the invariant the greedy walk relies on: the solver's
-  // current model satisfies `fixed`. The caller's decisive solve usually
-  // just did, but in check_all canonicalising one property's trace
+  // current model satisfies `fixed`. The portfolio solve that classified
+  // the property usually just did, but canonicalising one property's trace
   // overwrites the model a co-falsified property was classified on — this
   // (cheap, assumption-driven) solve re-derives a witness either way.
   (void)s.solver.solve(fixed);
@@ -362,72 +362,6 @@ Counterexample canonical_counterexample(Session& s, int last_frame,
   return cex;
 }
 
-/// The footprint a session leaves behind — encoded frames, solver size,
-/// clause-arena bytes and compactions — under one prefix: "mc." for check,
-/// "mc.portfolio." for check_all. Every quantity is deterministic for a fixed check (the solver
-/// is single-threaded and the encoding canonical), so the counters hold the
-/// worker-count byte-identity contract.
-struct FootprintObs {
-  obs::Counter frames_encoded, encoded_vars, encoded_clauses, arena_bytes, arena_live,
-      compactions;
-
-  explicit FootprintObs(const std::string& prefix) {
-    auto& registry = obs::Registry::instance();
-    frames_encoded = registry.counter(prefix + "frames_encoded");
-    encoded_vars = registry.counter(prefix + "encoded_vars");
-    encoded_clauses = registry.counter(prefix + "encoded_clauses");
-    arena_bytes = registry.counter(prefix + "arena_bytes");
-    arena_live = registry.counter(prefix + "arena_live");
-    compactions = registry.counter(prefix + "compactions");
-  }
-
-  void add(const Session& s) const {
-    frames_encoded.add(s.encoder.frame_count());
-    encoded_vars.add(static_cast<std::uint64_t>(s.solver.variable_count()));
-    encoded_clauses.add(s.solver.problem_clause_count());
-    arena_bytes.add(s.solver.arena_bytes());
-    arena_live.add(s.solver.arena_live_bytes());
-    compactions.add(s.solver.statistics().arena_compactions);
-  }
-};
-
-/// Conflicts of one check's BMC and induction solves.
-struct SolveCost {
-  std::uint64_t conflicts = 0;  ///< every BMC and induction solve
-  std::uint64_t decisive = 0;   ///< the solve that settled the verdict
-  std::uint64_t induction = 0;  ///< the k-induction solve
-};
-
-/// Adds a finished check to the registry. Both exits of check_with_faults
-/// call it once, so nothing is counted twice.
-void publish(const Session& s, const CheckResult& result, const SolveCost& cost) {
-  struct McObs {
-    obs::Counter checks, bounds_used, sat_conflicts, decisive_conflicts,
-        induction_conflicts, cex_conflicts;
-    FootprintObs footprint;
-  };
-  auto& registry = obs::Registry::instance();
-  static const McObs counters{
-      registry.counter("mc.checks"),
-      registry.counter("mc.bounds_used"),
-      registry.counter("mc.sat_conflicts"),
-      registry.counter("mc.decisive_conflicts"),
-      registry.counter("mc.induction_conflicts"),
-      registry.counter("mc.cex_conflicts"),
-      FootprintObs{"mc."},
-  };
-  counters.checks.inc();
-  counters.bounds_used.add(static_cast<std::uint64_t>(
-      result.bound_used < 0 ? 0 : result.bound_used));
-  counters.sat_conflicts.add(cost.conflicts);
-  counters.decisive_conflicts.add(cost.decisive);
-  counters.induction_conflicts.add(cost.induction);
-  // The session solver ran nothing but these solves and the counterexample
-  // canonicalisation, so the rest of its conflicts are the latter's.
-  counters.cex_conflicts.add(s.solver.statistics().conflicts - cost.conflicts);
-  counters.footprint.add(s);
-}
-
 }  // namespace
 
 std::vector<std::string> observed_outputs(std::span<const Property> properties) {
@@ -454,98 +388,37 @@ void detail::validate_check(const rtl::Netlist& netlist,
   }
 }
 
-CheckResult ModelChecker::check_with_faults(const Property& property,
-                                            const std::map<rtl::Net, bool>& faults,
-                                            Options options) const {
-  TableCone cone = table_cone(*netlist_, {&property, 1});
-  if (cone.fits()) {
-    return TableEngine{*netlist_, std::move(cone), {&property, 1}}.check(faults, options);
-  }
-  return BmcChecker{*netlist_}.check_with_faults(property, faults, options);
-}
+namespace {
 
-MultiCheckResult ModelChecker::check_all_with_faults(const std::vector<Property>& properties,
-                                                     const std::map<rtl::Net, bool>& faults,
-                                                     Options options) const {
-  const std::span<const Property> all{properties.data(), properties.size()};
-  TableCone cone = table_cone(*netlist_, all);
-  if (cone.fits()) {
-    return TableEngine{*netlist_, std::move(cone), all}.check_all(faults, options);
-  }
-  return BmcChecker{*netlist_}.check_all_with_faults(properties, faults, options);
-}
-
-CheckResult BmcChecker::check_with_faults(const Property& property,
-                                          const std::map<rtl::Net, bool>& faults,
-                                          Options options) const {
-  OBS_SPAN("mc.check");
-  detail::validate_check(*netlist_, faults, options);
-  CheckResult result;
-  SolveCost cost;
-  Session s{*netlist_, {&property, 1}, faults, options};
-
-  // ---------------- BMC from reset --------------------------------------
-  for (int i = 0; i <= options.max_bound; ++i) {
-    std::vector<Lit> assumptions{s.act_reset};
-    const int last = violation_assumptions(property, i, s, assumptions);
-    const bool sat_at_bound = s.solver.solve(assumptions) == sat::Result::sat;
-    cost.decisive = s.solver.last_solve_statistics().conflicts;
-    cost.conflicts += cost.decisive;
-    if (sat_at_bound) {
-      result.status = CheckStatus::falsified;
-      result.bound_used = i;
-      result.counterexample = options.canonical_counterexample
-                                  ? canonical_counterexample(s, last, assumptions)
-                                  : model_counterexample(s, last);
-      publish(s, result, cost);
-      return result;
-    }
-  }
-  result.bound_used = options.max_bound;
-
-  // ---------------- k-induction (safety forms only) ---------------------
-  // Assume the property on frames 0..k-1 and refute it at frame k, with
-  // the initial state left free (act_reset not assumed). The step proves
-  // nothing unless BMC covered its base case, frames 0..k-1. Bounded
-  // response stays no_cex_within_bound.
-  const int k = options.induction_depth;
-  if (property.kind != PropertyKind::bounded_response && options.max_bound >= k - 1) {
-    std::vector<Lit> assumptions;
-    for (int f = 0; f < k; ++f) assumptions.push_back(holds_at(property, f, s));
-    assumptions.push_back(~holds_at(property, k, s));
-    const bool induction_closed = s.solver.solve(assumptions) == sat::Result::unsat;
-    cost.induction = s.solver.last_solve_statistics().conflicts;
-    cost.conflicts += cost.induction;
-    if (induction_closed) {
-      result.status = CheckStatus::proved;
-      cost.decisive = cost.induction;
-    }
-  }
-  publish(s, result, cost);
-  return result;
-}
-
-MultiCheckResult BmcChecker::check_all_with_faults(
-    const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
-    Options options) const {
+/// The SAT engine's one BMC + k-induction loop (see BmcChecker): every
+/// property on one session solver whose chain encodes `cone`, the
+/// properties' `table_cone` mask.
+MultiCheckResult sat_check_all(const rtl::Netlist& netlist,
+                               std::span<const Property> properties, std::vector<char> cone,
+                               const std::map<rtl::Net, bool>& faults,
+                               const CheckOptions& options) {
   OBS_SPAN("mc.check_all");
-  detail::validate_check(*netlist_, faults, options);
-  struct PortfolioObs {
-    obs::Counter checks, properties, sat_conflicts;
-    FootprintObs footprint;
+  detail::validate_check(netlist, faults, options);
+  // Every figure is deterministic for a fixed check (the solver is
+  // single-threaded and the encoding canonical), so the counters hold the
+  // worker-count byte-identity contract.
+  struct SatObs {
+    obs::Counter checks, properties, sat_conflicts, frames_encoded, encoded_vars,
+        encoded_clauses, arena_bytes, arena_live, compactions;
   };
   auto& registry = obs::Registry::instance();
-  static const PortfolioObs counters{
-      registry.counter("mc.portfolio.checks"),
-      registry.counter("mc.portfolio.properties"),
-      registry.counter("mc.portfolio.sat_conflicts"),
-      FootprintObs{"mc.portfolio."},
+  static const SatObs counters{
+      registry.counter("mc.checks"),          registry.counter("mc.properties"),
+      registry.counter("mc.sat_conflicts"),   registry.counter("mc.frames_encoded"),
+      registry.counter("mc.encoded_vars"),    registry.counter("mc.encoded_clauses"),
+      registry.counter("mc.arena_bytes"),     registry.counter("mc.arena_live"),
+      registry.counter("mc.compactions"),
   };
   counters.checks.inc();
   MultiCheckResult multi;
   multi.results.resize(properties.size());
   if (properties.empty()) return multi;  // one check, nothing else to count
-  Session s{*netlist_, {properties.data(), properties.size()}, faults, options};
+  Session s{netlist, std::move(cone), faults, options};
 
   const std::size_t n = properties.size();
   std::vector<Lit> activation(n);
@@ -627,7 +500,10 @@ MultiCheckResult BmcChecker::check_all_with_faults(
   }
 
   // ---------------- shared-solver induction for the survivors -----------
-  // Only when BMC covered the induction base, frames 0..k-1.
+  // Assume the property on frames 0..k-1 and refute it at frame k, with
+  // the initial state left free (act_reset not assumed); only when BMC
+  // covered that base case, frames 0..k-1. Bounded response stays
+  // no_cex_within_bound.
   const int k = options.induction_depth;
   for (std::size_t i = 0; i < n; ++i) {
     if (decided[i] != 0) continue;
@@ -647,8 +523,33 @@ MultiCheckResult BmcChecker::check_all_with_faults(
 
   counters.properties.add(n);
   counters.sat_conflicts.add(conflicts);
-  counters.footprint.add(s);
+  counters.frames_encoded.add(s.encoder.frame_count());
+  counters.encoded_vars.add(static_cast<std::uint64_t>(s.solver.variable_count()));
+  counters.encoded_clauses.add(s.solver.problem_clause_count());
+  counters.arena_bytes.add(s.solver.arena_bytes());
+  counters.arena_live.add(s.solver.arena_live_bytes());
+  counters.compactions.add(s.solver.statistics().arena_compactions);
   return multi;
+}
+
+}  // namespace
+
+MultiCheckResult ModelChecker::check_all(const std::vector<Property>& properties,
+                                         Options options,
+                                         const std::map<rtl::Net, bool>& faults) const {
+  const std::span<const Property> all{properties.data(), properties.size()};
+  TableCone cone = table_cone(*netlist_, all);
+  if (cone.fits()) {
+    return TableEngine{*netlist_, std::move(cone), all}.check_all(faults, options);
+  }
+  return sat_check_all(*netlist_, all, std::move(cone.nets), faults, options);
+}
+
+MultiCheckResult BmcChecker::check_all(const std::vector<Property>& properties,
+                                       Options options,
+                                       const std::map<rtl::Net, bool>& faults) const {
+  const std::span<const Property> all{properties.data(), properties.size()};
+  return sat_check_all(*netlist_, all, table_cone(*netlist_, all).nets, faults, options);
 }
 
 }  // namespace symbad::mc

@@ -17,15 +17,17 @@
 //     the properties' cone of influence on the 64-lane simulator and
 //     searches the resulting transition table exactly;
 //   * BmcChecker is SAT-based bounded model checking plus k-induction.
-// ModelChecker, the entry point every flow stage calls, picks the table
-// engine when the cone passes `TableCone::fits` and SAT otherwise.
+// ModelChecker, the entry point every flow stage calls, computes the cone
+// once and hands it to the table engine when it passes `TableCone::fits`
+// and to SAT otherwise. On every checker, `check` is `check_all` of one
+// property.
 //
 // The BMC unrolling is lazy and incremental: one long-lived SAT solver
-// serves every bound, transition frames are encoded only when a bound
-// needs them, and the k-induction step reuses the same solver — the reset
-// state is pinned behind an activation literal that BMC assumes and the
-// induction step leaves free. Learned clauses therefore carry over from
-// bound i to bound i+1 and into the induction solve.
+// serves every property and bound, transition frames are encoded only when
+// a bound needs them, and the k-induction step reuses the same solver — the
+// reset state is pinned behind an activation literal that BMC assumes and
+// the induction step leaves free. Learned clauses therefore carry over from
+// bound i to bound i+1 and into the induction solves.
 
 #include <cstdint>
 #include <map>
@@ -147,37 +149,28 @@ struct Counterexample {
   std::vector<std::map<std::string, bool>> inputs;
 };
 
-/// Verdict of one property check. Its cost lives only in the registry,
-/// added once per call; read one call's cost through an obs::Scope:
-///   mc.checks, mc.bounds_used — both engines;
-///   mc.tables.checks, mc.tables.pairs — a table check: 1, and the
-///                            2^(S+I) (state, input) pairs it enumerated;
-/// and, from a SAT check only (a table check leaves them untouched):
-///   mc.frames_encoded;
-///   mc.sat_conflicts       — every BMC and induction solve;
-///   mc.decisive_conflicts  — the falsifying bound's solve when falsified,
-///                            the induction solve when proved, else the
-///                            deepest bound's solve;
-///   mc.induction_conflicts — the k-induction solve (0 when it did not run);
-///   mc.cex_conflicts       — counterexample canonicalisation;
-///   mc.encoded_vars, mc.encoded_clauses, mc.arena_bytes, mc.arena_live,
-///   mc.compactions         — the session solver after the check (the
-///                            encoding is cut to the cone, so these count
-///                            the cone only).
+/// Verdict of one property check.
 struct CheckResult {
   CheckStatus status = CheckStatus::no_cex_within_bound;
   int bound_used = 0;
   std::optional<Counterexample> counterexample;
 };
 
-/// Outcome of a multi-property portfolio check (ModelChecker::check_all):
-/// per-property verdicts. Its cost lives only in the registry, added once
-/// per call (an empty property list counts one check and nothing else, on
-/// either engine): mc.portfolio.checks and .properties from both engines,
-/// mc.tables.checks and .pairs from a table check, and from a SAT check the
-/// shared solver's .frames_encoded, .sat_conflicts (every portfolio and
-/// induction solve), and .encoded_vars, .encoded_clauses, .arena_bytes,
-/// .arena_live and .compactions as for CheckResult.
+/// Per-property verdicts of one check_all (a `check` is a check_all of one
+/// property). Its cost lives only in the registry, added once per call (an
+/// empty property list counts one check and nothing else, on either
+/// engine); read one call's cost through an obs::Scope:
+///   mc.checks, mc.properties — both engines: 1, and the properties checked;
+///   mc.tables.checks, mc.tables.pairs — a table check: 1, and the
+///                            2^(S+I) (state, input) pairs it enumerated;
+/// and, from a SAT check only (a table check leaves them untouched):
+///   mc.sat_conflicts       — every BMC and induction solve (not the
+///                            counterexample canonicalisation);
+///   mc.frames_encoded, mc.encoded_vars, mc.encoded_clauses,
+///   mc.arena_bytes, mc.arena_live,
+///   mc.compactions         — the session solver after the check (the
+///                            encoding is cut to the cone, so these count
+///                            the cone only).
 struct MultiCheckResult {
   std::vector<CheckResult> results;  ///< one per property, input order
 
@@ -194,8 +187,10 @@ struct MultiCheckResult {
 /// `canonical_counterexample` shapes the SAT engine's traces (the table
 /// engine's are always canonical); `sat_reduce` only shapes the SAT
 /// solver's memory management, so the table engine ignores it. Both engines
-/// throw std::invalid_argument on a negative `induction_depth` and
-/// std::out_of_range on a fault whose net is not in the netlist.
+/// throw std::invalid_argument on a negative `induction_depth` or a
+/// bounded-response property with a negative `response_bound` (through
+/// `table_cone`), and std::out_of_range on a fault whose net is not in the
+/// netlist.
 struct CheckOptions {
   int max_bound = 20;
   /// k for k-induction. The step runs only when BMC covered its base case
@@ -219,7 +214,12 @@ struct CheckOptions {
 };
 
 /// The SAT engine: lazy incremental BMC from reset plus k-induction on one
-/// session solver per call (see the file comment). It encodes the netlist
+/// session solver per call (see the file comment). Every property holds an
+/// activation literal; each bound asks "does any still-undecided property
+/// fail here?" in one portfolio solve (one UNSAT clears every survivor at
+/// that bound), falsified properties are retired by unit-asserting
+/// ~activation so their clauses drop out of propagation, and the survivors
+/// share the k-induction phase on the same solver. It encodes the netlist
 /// it was given, cut to the cone of influence of the observed outputs
 /// (`table_cone`, the same cone the table engine enumerates): nothing
 /// outside it reaches a property, so the cut changes solver size, never an
@@ -233,70 +233,36 @@ public:
 
   explicit BmcChecker(const rtl::Netlist& netlist) : netlist_{&netlist} {}
 
-  [[nodiscard]] CheckResult check(const Property& property, Options options) const {
-    return check_with_faults(property, {}, options);
+  [[nodiscard]] CheckResult check(const Property& property, Options options = {},
+                                  const std::map<rtl::Net, bool>& faults = {}) const {
+    return std::move(check_all({property}, options, faults).results.front());
   }
-  [[nodiscard]] CheckResult check_with_faults(const Property& property,
-                                              const std::map<rtl::Net, bool>& faults,
-                                              Options options) const;
-  /// Multi-property portfolio: checks every property on ONE long-lived
-  /// solver. Each property holds an activation literal; each bound asks
-  /// "does any still-undecided property fail here?" in a single portfolio
-  /// solve (one UNSAT clears the whole vector at that bound), falsified
-  /// properties are retired by unit-asserting ~activation so their portfolio
-  /// clauses drop out of propagation, and survivors share the k-induction
-  /// phase on the same solver. Every frame is cut to the union cone of all
-  /// the properties. Verdicts match per-property `check` exactly.
   [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties,
-                                           Options options) const {
-    return check_all_with_faults(properties, {}, options);
-  }
-  [[nodiscard]] MultiCheckResult check_all_with_faults(
-      const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
-      Options options) const;
+                                           Options options = {},
+                                           const std::map<rtl::Net, bool>& faults = {}) const;
 
 private:
   const rtl::Netlist* netlist_;
 };
 
 /// The model checker the flow calls (PCC, flowbench, the examples). Each
-/// call takes the cone of influence of the properties' observed outputs
-/// (`table_cone`) and hands the check to the table engine when the cone
-/// `fits`, else to BmcChecker; both engines give the same answer, so only
-/// cost depends on the choice.
+/// call computes the cone of influence of the properties' observed outputs
+/// once (`table_cone`) and hands it to the table engine when it `fits`,
+/// else to the SAT engine; both engines give the same answer, so only cost
+/// depends on the choice.
 class ModelChecker {
 public:
   using Options = CheckOptions;
 
   explicit ModelChecker(const rtl::Netlist& netlist) : netlist_{&netlist} {}
 
-  [[nodiscard]] CheckResult check(const Property& property, Options options) const {
-    return check_with_faults(property, {}, options);
+  [[nodiscard]] CheckResult check(const Property& property, Options options = {},
+                                  const std::map<rtl::Net, bool>& faults = {}) const {
+    return std::move(check_all({property}, options, faults).results.front());
   }
-  [[nodiscard]] CheckResult check(const Property& property) const {
-    return check(property, Options{});
-  }
-
-  /// Checks a property on a *faulty* variant of the netlist (used by PCC).
-  [[nodiscard]] CheckResult check_with_faults(const Property& property,
-                                              const std::map<rtl::Net, bool>& faults,
-                                              Options options) const;
-
-  /// Multi-property check: one verdict per property, equal to per-property
-  /// `check` (the SAT engine shares one portfolio solver, the table engine
-  /// one table).
   [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties,
-                                           Options options) const {
-    return check_all_with_faults(properties, {}, options);
-  }
-  [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties) const {
-    return check_all(properties, Options{});
-  }
-  /// Multi-property check on a faulty netlist variant (PCC's inner loop:
-  /// one fault, many properties).
-  [[nodiscard]] MultiCheckResult check_all_with_faults(
-      const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
-      Options options) const;
+                                           Options options = {},
+                                           const std::map<rtl::Net, bool>& faults = {}) const;
 
 private:
   const rtl::Netlist* netlist_;

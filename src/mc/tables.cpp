@@ -303,21 +303,14 @@ void require_enumerable(const TableCone& cone) {
   }
 }
 
-/// mc.tables.* for one table check.
-void count_table_check(const TableCone& cone) {
-  struct TableObs {
-    obs::Counter checks, pairs;
-  };
-  auto& registry = obs::Registry::instance();
-  static const TableObs counters{registry.counter("mc.tables.checks"),
-                                 registry.counter("mc.tables.pairs")};
-  counters.checks.inc();
-  counters.pairs.add(cone.pairs());
-}
-
 }  // namespace
 
 TableCone table_cone(const rtl::Netlist& netlist, std::span<const Property> properties) {
+  for (const auto& property : properties) {
+    if (property.kind == PropertyKind::bounded_response && property.response_bound < 0) {
+      throw std::invalid_argument{"mc: negative response bound"};
+    }
+  }
   std::vector<rtl::Net> roots;
   for (const auto& name : observed_outputs(properties)) roots.push_back(netlist.output(name));
   TableCone cone;
@@ -344,63 +337,34 @@ TableEngine::TableEngine(const rtl::Netlist& netlist, TableCone cone,
   }
 }
 
-std::vector<CheckResult> TableEngine::decide(const std::map<rtl::Net, bool>& faults,
-                                             const CheckOptions& options) {
-  sim_.clear_faults();
-  for (const auto& [net, value] : faults) sim_.inject_stuck_at(net, value);
-  return Tables{*netlist_, cone_, properties_, faults, sim_, p_, q_}.decide(options);
-}
-
-CheckResult TableEngine::check(const std::map<rtl::Net, bool>& faults,
-                               const CheckOptions& options) {
-  OBS_SPAN("mc.check");
-  if (properties_.size() != 1) throw std::logic_error{"mc: check needs a one-property engine"};
-  detail::validate_check(*netlist_, faults, options);
-  require_enumerable(cone_);
-  struct CheckObs {
-    obs::Counter checks, bounds_used;
-  };
-  auto& registry = obs::Registry::instance();
-  static const CheckObs counters{registry.counter("mc.checks"),
-                                 registry.counter("mc.bounds_used")};
-  CheckResult result = std::move(decide(faults, options).front());
-  counters.checks.inc();
-  counters.bounds_used.add(
-      static_cast<std::uint64_t>(std::max(result.bound_used, 0)));
-  count_table_check(cone_);
-  return result;
-}
-
 MultiCheckResult TableEngine::check_all(const std::map<rtl::Net, bool>& faults,
                                         const CheckOptions& options) {
   OBS_SPAN("mc.check_all");
   detail::validate_check(*netlist_, faults, options);
   require_enumerable(cone_);
-  struct PortfolioObs {
-    obs::Counter checks, properties;
+  struct TableObs {
+    obs::Counter checks, properties, tables_checks, tables_pairs;
   };
   auto& registry = obs::Registry::instance();
-  static const PortfolioObs counters{registry.counter("mc.portfolio.checks"),
-                                     registry.counter("mc.portfolio.properties")};
+  static const TableObs counters{registry.counter("mc.checks"),
+                                 registry.counter("mc.properties"),
+                                 registry.counter("mc.tables.checks"),
+                                 registry.counter("mc.tables.pairs")};
   counters.checks.inc();
   MultiCheckResult multi;
   if (properties_.empty()) return multi;  // one check, nothing else to count
-  multi.results = decide(faults, options);
+  sim_.clear_faults();
+  for (const auto& [net, value] : faults) sim_.inject_stuck_at(net, value);
+  multi.results = Tables{*netlist_, cone_, properties_, faults, sim_, p_, q_}.decide(options);
   counters.properties.add(properties_.size());
-  count_table_check(cone_);
+  counters.tables_checks.inc();
+  counters.tables_pairs.add(cone_.pairs());
   return multi;
 }
 
-CheckResult TableChecker::check_with_faults(const Property& property,
-                                            const std::map<rtl::Net, bool>& faults,
-                                            Options options) const {
-  return TableEngine{*netlist_, table_cone(*netlist_, {&property, 1}), {&property, 1}}.check(
-      faults, options);
-}
-
-MultiCheckResult TableChecker::check_all_with_faults(const std::vector<Property>& properties,
-                                                     const std::map<rtl::Net, bool>& faults,
-                                                     Options options) const {
+MultiCheckResult TableChecker::check_all(const std::vector<Property>& properties,
+                                         Options options,
+                                         const std::map<rtl::Net, bool>& faults) const {
   const std::span<const Property> all{properties.data(), properties.size()};
   return TableEngine{*netlist_, table_cone(*netlist_, all), all}.check_all(faults, options);
 }

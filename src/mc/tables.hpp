@@ -65,7 +65,11 @@ struct TableCone {
 };
 
 /// The cone `Netlist::cone_of_influence` gives for the outputs `properties`
-/// observe (throws std::out_of_range on an unknown output).
+/// observe. Every check and PCC campaign calls it before any other work, so
+/// it also rejects the property sets no engine can check: throws
+/// std::out_of_range on an unknown output and std::invalid_argument on a
+/// bounded-response property with a negative `response_bound` (one built
+/// as an aggregate, past `Property::respond`'s check).
 [[nodiscard]] TableCone table_cone(const rtl::Netlist& netlist,
                                    std::span<const Property> properties);
 
@@ -73,7 +77,7 @@ struct TableCone {
 /// cone-form simulator and the compiled properties. Each check clears the
 /// simulator's faults, injects its own, tabulates the cone and searches the
 /// tables, so a fault campaign builds one engine and checks every fault on
-/// it. The checks answer and count exactly as TableChecker's entry points.
+/// it. The checks answer and count exactly as TableChecker::check_all.
 class TableEngine {
 public:
   /// `cone` is `table_cone(netlist, properties)`; `properties` must outlive
@@ -81,19 +85,11 @@ public:
   TableEngine(const rtl::Netlist& netlist, TableCone cone,
               std::span<const Property> properties);
 
-  /// TableChecker::check_with_faults of the engine's one property
-  /// (std::logic_error unless the engine holds exactly one).
-  [[nodiscard]] CheckResult check(const std::map<rtl::Net, bool>& faults,
-                                  const CheckOptions& options);
-  /// TableChecker::check_all_with_faults over the engine's properties.
+  /// TableChecker::check_all over the engine's properties.
   [[nodiscard]] MultiCheckResult check_all(const std::map<rtl::Net, bool>& faults,
                                            const CheckOptions& options);
 
 private:
-  /// Every property's verdict under `faults`.
-  [[nodiscard]] std::vector<CheckResult> decide(const std::map<rtl::Net, bool>& faults,
-                                                const CheckOptions& options);
-
   const rtl::Netlist* netlist_;
   TableCone cone_;
   std::span<const Property> properties_;
@@ -113,19 +109,13 @@ public:
 
   explicit TableChecker(const rtl::Netlist& netlist) : netlist_{&netlist} {}
 
-  [[nodiscard]] CheckResult check(const Property& property, Options options) const {
-    return check_with_faults(property, {}, options);
+  [[nodiscard]] CheckResult check(const Property& property, Options options = {},
+                                  const std::map<rtl::Net, bool>& faults = {}) const {
+    return std::move(check_all({property}, options, faults).results.front());
   }
-  [[nodiscard]] CheckResult check_with_faults(const Property& property,
-                                              const std::map<rtl::Net, bool>& faults,
-                                              Options options) const;
   [[nodiscard]] MultiCheckResult check_all(const std::vector<Property>& properties,
-                                           Options options) const {
-    return check_all_with_faults(properties, {}, options);
-  }
-  [[nodiscard]] MultiCheckResult check_all_with_faults(
-      const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
-      Options options) const;
+                                           Options options = {},
+                                           const std::map<rtl::Net, bool>& faults = {}) const;
 
 private:
   const rtl::Netlist* netlist_;

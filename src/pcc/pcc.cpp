@@ -182,6 +182,12 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
                                   const std::vector<mc::Property>& properties,
                                   const PccOptions& options) {
   OBS_SPAN("pcc.check_property_coverage");
+  const std::span<const mc::Property> observed{properties.data(), properties.size()};
+  // The observed cone, computed before anything else (it rejects property
+  // sets no engine can check): the pre-pass simulates it, the table engine
+  // enumerates it, and the prune below reads it.
+  const mc::TableCone cone = mc::table_cone(netlist, observed);
+
   // Candidate faults: both stuck-at polarities on every internal net.
   std::vector<std::pair<rtl::Net, bool>> faults;
   for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
@@ -206,7 +212,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
 
   // Registry bridge: the verdict tallies and sim_passes are added once per
   // campaign, the formal-grading footprint once per BMC-graded fault (read
-  // back from that fault's mc.portfolio.* counters). All deterministic
+  // back from that fault's mc.encoded_* counters). All deterministic
   // (fault order, sampling, grading verdicts and encode footprints are
   // seed-fixed).
   struct PccObs {
@@ -228,10 +234,6 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
 
   PccReport report;
   report.total_faults = faults.size();
-  const std::span<const mc::Property> observed{properties.data(), properties.size()};
-  // The observed cone: the pre-pass simulates it, the table engine
-  // enumerates it, and the prune below reads it.
-  const mc::TableCone cone = mc::table_cone(netlist, observed);
   mc::ModelChecker::Options mc_opts;
   mc_opts.max_bound = options.bmc_bound;
   // PCC only asks *whether* a property falsifies on the faulty netlist;
@@ -256,7 +258,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   const mc::BmcChecker sat{netlist};
   const auto grade = [&](const std::map<rtl::Net, bool>& fault_map) {
     return tables ? tables->check_all(fault_map, mc_opts)
-                  : sat.check_all_with_faults(properties, fault_map, mc_opts);
+                  : sat.check_all(properties, mc_opts, fault_map);
   };
 
   // A fault outside the cone leaves every observed output as the good
@@ -286,8 +288,8 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     }
     const obs::Scope bmc_cost;
     const auto multi = grade({{net, stuck_to}});
-    counters.encoded_vars.add(bmc_cost.delta("mc.portfolio.encoded_vars"));
-    counters.encoded_clauses.add(bmc_cost.delta("mc.portfolio.encoded_clauses"));
+    counters.encoded_vars.add(bmc_cost.delta("mc.encoded_vars"));
+    counters.encoded_clauses.add(bmc_cost.delta("mc.encoded_clauses"));
     if (multi.count(mc::CheckStatus::falsified) > 0) {
       ++report.detected;
       ++report.detected_by_bmc;

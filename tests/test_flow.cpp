@@ -120,7 +120,7 @@ TEST(ExplicitMc, WrapperFsmStateSpaceIsTiny) {
   (void)mc::ModelChecker{n}.check_all(props);
   EXPECT_EQ(cost.delta("mc.tables.checks"), 1u);
   EXPECT_EQ(cost.delta("mc.tables.pairs"), 32u);
-  EXPECT_EQ(cost.delta("mc.portfolio.encoded_vars"), 0u);
+  EXPECT_EQ(cost.delta("mc.encoded_vars"), 0u);
 }
 
 TEST(ExplicitMc, ProvesWrapperInvariantsExhaustively) {

@@ -440,7 +440,7 @@ TEST(LintMcPrune, VerdictAndCounterexampleIdenticalWithPrunedInputFault) {
                                         {n.output("o"), true}};
   mc::ModelChecker::Options options;
   options.max_bound = 4;
-  const auto result = checker.check_with_faults(prop, faults, options);
+  const auto result = checker.check(prop, options, faults);
   ASSERT_EQ(result.status, mc::CheckStatus::falsified);
   ASSERT_TRUE(result.counterexample.has_value());
   for (const auto& frame : result.counterexample->inputs) {

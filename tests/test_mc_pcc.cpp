@@ -134,22 +134,22 @@ TEST(Mc, BoundedResponse) {
 }
 
 TEST(Mc, ConflictCountsArePerBoundDeltas) {
+  // mc.sat_conflicts sums the per-solve conflict deltas of every BMC and
+  // induction solve; sat.conflicts counts every solve the session ran.
   const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
   const mc::BmcChecker checker{n};
 
-  // Falsified at bound 7: no induction solve, and the decisive figure (the
-  // failing bound's solve) is part of the BMC total.
+  // Falsified at bound 7 and canonicalised: the canonicalisation solves
+  // count in sat.conflicts only.
   const obs::Scope falsified_cost;
   const auto falsified =
       checker.check(mc::Property::invariant("never_max", !mc::Expr::signal("at_max")), {});
   ASSERT_EQ(falsified.status, mc::CheckStatus::falsified);
-  EXPECT_EQ(falsified_cost.delta("mc.induction_conflicts"), 0u);
-  EXPECT_LE(falsified_cost.delta("mc.decisive_conflicts"),
-            falsified_cost.delta("mc.sat_conflicts"));
+  EXPECT_LE(falsified_cost.delta("mc.sat_conflicts"), falsified_cost.delta("sat.conflicts"));
 
-  // Proved: induction's delta is part of the total, and the decisive
-  // figure is the induction solve's.
+  // Proved: nothing is canonicalised, so every solve is a BMC or induction
+  // solve and the two figures agree.
   const obs::Scope proved_cost;
   const auto proved = checker.check(mc::Property::invariant(
       "at_max_means_all_ones",
@@ -157,10 +157,7 @@ TEST(Mc, ConflictCountsArePerBoundDeltas) {
                                          mc::Expr::signal("c[1]") &&
                                          mc::Expr::signal("c[2]"))), {});
   ASSERT_EQ(proved.status, mc::CheckStatus::proved);
-  EXPECT_EQ(proved_cost.delta("mc.decisive_conflicts"),
-            proved_cost.delta("mc.induction_conflicts"));
-  EXPECT_LE(proved_cost.delta("mc.induction_conflicts"),
-            proved_cost.delta("mc.sat_conflicts"));
+  EXPECT_EQ(proved_cost.delta("mc.sat_conflicts"), proved_cost.delta("sat.conflicts"));
 }
 
 TEST(Mc, CounterexampleReplaysOnSimulator) {
@@ -218,7 +215,7 @@ CostedCheck costed_check(const mc::BmcChecker& checker, const mc::Property& prop
                          const std::map<symbad::rtl::Net, bool>& faults,
                          const mc::ModelChecker::Options& options) {
   const obs::Scope cost;
-  CostedCheck c{checker.check_with_faults(prop, faults, options)};
+  CostedCheck c{checker.check(prop, options, faults)};
   c.vars = cost.delta("mc.encoded_vars");
   c.clauses = cost.delta("mc.encoded_clauses");
   c.conflicts = cost.delta("mc.sat_conflicts");
@@ -246,8 +243,8 @@ void expect_same_result(const mc::CheckResult& sat, const mc::CheckResult& table
 void expect_cut_matches_tables(const rtl::Netlist& n, const mc::Property& prop,
                                const std::map<rtl::Net, bool>& faults,
                                const mc::ModelChecker::Options& options) {
-  expect_same_result(mc::BmcChecker{n}.check_with_faults(prop, faults, options),
-                     mc::TableChecker{n}.check_with_faults(prop, faults, options), prop.name);
+  expect_same_result(mc::BmcChecker{n}.check(prop, options, faults),
+                     mc::TableChecker{n}.check(prop, options, faults), prop.name);
 }
 
 }  // namespace
@@ -491,7 +488,7 @@ void expect_portfolio_matches_singles(const mc::MultiCheckResult& multi,
                                       const std::string& what) {
   ASSERT_EQ(multi.results.size(), props.size()) << what;
   for (std::size_t i = 0; i < props.size(); ++i) {
-    const auto single = checker.check_with_faults(props[i], faults, options);
+    const auto single = checker.check(props[i], options, faults);
     const auto& shared = multi.results[i];
     EXPECT_EQ(shared.status, single.status) << what << " " << props[i].name;
     EXPECT_EQ(shared.bound_used, single.bound_used) << what << " " << props[i].name;
@@ -552,7 +549,7 @@ TEST(McPortfolio, CheckAllMatchesIndividualChecks) {
   const mc::ModelChecker::Options options;
   const obs::Scope multi_cost;
   const auto multi = checker.check_all(props, options);
-  EXPECT_GT(multi_cost.delta("mc.portfolio.frames_encoded"), 0u);
+  EXPECT_GT(multi_cost.delta("mc.frames_encoded"), 0u);
   expect_portfolio_matches_singles(multi, checker, props, {}, options, "counter");
   EXPECT_EQ(multi.count(mc::CheckStatus::falsified), 3u);
   EXPECT_EQ(multi.count(mc::CheckStatus::proved), 2u);
@@ -569,7 +566,7 @@ TEST(McPortfolio, CheckAllMatchesIndividualChecks) {
     for (const bool stuck_to : {false, true}) {
       const std::map<rtl::Net, bool> faults{{site, stuck_to}};
       expect_portfolio_matches_singles(
-          fsm_checker.check_all_with_faults(plan, faults, {6, 3}), fsm_checker, plan, faults,
+          fsm_checker.check_all(plan, {6, 3}, faults), fsm_checker, plan, faults,
           {6, 3}, "wrapper net " + std::to_string(site) + " stuck-at " +
                       std::to_string(stuck_to));
     }
@@ -620,20 +617,19 @@ TEST(McPortfolio, CheckAllConeEquivalence) {
 }
 
 TEST(McPortfolio, EmptyPropertyListIsEmptyResult) {
-  // An empty list still counts as one portfolio check, with nothing
-  // encoded or solved.
+  // An empty list still counts as one check, with nothing encoded or
+  // solved.
   const symbad::test::CountersOn counting;
   const auto n = saturating_counter();
   const mc::ModelChecker checker{n};
   const obs::Scope cost;
   const auto multi = checker.check_all({});
   EXPECT_TRUE(multi.results.empty());
-  EXPECT_EQ(cost.delta("mc.portfolio.checks"), 1u);
+  EXPECT_EQ(cost.delta("mc.checks"), 1u);
   for (const char* name :
-       {"mc.portfolio.properties", "mc.portfolio.frames_encoded",
-        "mc.portfolio.sat_conflicts", "mc.portfolio.encoded_vars",
-        "mc.portfolio.encoded_clauses", "mc.portfolio.arena_bytes",
-        "mc.portfolio.arena_live", "mc.portfolio.compactions", "sat.solves"}) {
+       {"mc.properties", "mc.tables.checks", "mc.tables.pairs", "mc.frames_encoded",
+        "mc.sat_conflicts", "mc.encoded_vars", "mc.encoded_clauses", "mc.arena_bytes",
+        "mc.arena_live", "mc.compactions", "sat.solves"}) {
     EXPECT_EQ(cost.delta(name), 0u) << name;
   }
 }
@@ -729,7 +725,7 @@ TEST(McCex, FaultyCounterexampleReplaysUnderInjectedFault) {
   ASSERT_GE(hold, 0);
   const std::map<symbad::rtl::Net, bool> faults{{hold, false}};
   const auto prop = mc::Property::invariant("never_max", !mc::Expr::signal("at_max"));
-  const auto result = checker.check_with_faults(prop, faults, {});
+  const auto result = checker.check(prop, {}, faults);
   ASSERT_EQ(result.status, mc::CheckStatus::falsified);
   ASSERT_TRUE(result.counterexample.has_value());
   // The canonical trace is all-false: the fault itself drives the counter.
@@ -1093,7 +1089,7 @@ TEST(McFaults, GeneratedTierSweepMatchesStuckAtCopies) {
       const mc::BmcChecker checker{n};
       for (const bool stuck_to : {false, true}) {
         const std::map<rtl::Net, bool> faults{{site, stuck_to}};
-        const auto multi = checker.check_all_with_faults(props, faults, options);
+        const auto multi = checker.check_all(props, options, faults);
         const auto copy = symbad::test::with_stuck_at(n, site, stuck_to);
         const mc::BmcChecker reference{copy};
         for (std::size_t k = 0; k < props.size(); ++k) {
@@ -1102,7 +1098,7 @@ TEST(McFaults, GeneratedTierSweepMatchesStuckAtCopies) {
                                    " stuck-at " + std::to_string(stuck_to) + " " +
                                    props[k].name;
           const auto want = reference.check(props[k], options);
-          const auto single = checker.check_with_faults(props[k], faults, options);
+          const auto single = checker.check(props[k], options, faults);
           for (const auto* got : {&single, &multi.results[k]}) {
             EXPECT_EQ(got->status, want.status) << what;
             EXPECT_EQ(got->bound_used, want.bound_used) << what;
@@ -1180,7 +1176,7 @@ const mc::Property* reference_simulate_detects(const rtl::Netlist& netlist,
 }
 
 /// The formal-grading footprint a campaign sums over its BMC-graded faults
-/// (pcc.* production counters, mc.portfolio.* per fault).
+/// (pcc.* production counters, mc.* per fault).
 constexpr const char* kFootprint[] = {"encoded_vars", "encoded_clauses"};
 
 /// A campaign's verdicts plus its footprint, in kFootprint order.
@@ -1279,9 +1275,9 @@ Graded reference_coverage(const rtl::Netlist& netlist,
     }
     std::map<rtl::Net, bool> fault_map{{net, stuck_to}};
     const obs::Scope cost;
-    const auto multi = checker.check_all_with_faults(properties, fault_map, mc_opts);
+    const auto multi = checker.check_all(properties, mc_opts, fault_map);
     for (std::size_t i = 0; i < std::size(kFootprint); ++i) {
-      graded.footprint[i] += cost.delta(std::string{"mc.portfolio."} + kFootprint[i]);
+      graded.footprint[i] += cost.delta(std::string{"mc."} + kFootprint[i]);
     }
     if (multi.count(mc::CheckStatus::falsified) > 0) {
       ++report.detected;
@@ -1647,8 +1643,8 @@ void expect_same_answers(const mc::MultiCheckResult& tables, const mc::MultiChec
 void expect_engines_agree(const rtl::Netlist& n, const std::vector<mc::Property>& props,
                           const std::map<rtl::Net, bool>& faults,
                           const mc::ModelChecker::Options& options, const std::string& what) {
-  const auto tables = mc::TableChecker{n}.check_all_with_faults(props, faults, options);
-  const auto sat = mc::BmcChecker{n}.check_all_with_faults(props, faults, options);
+  const auto tables = mc::TableChecker{n}.check_all(props, options, faults);
+  const auto sat = mc::BmcChecker{n}.check_all(props, options, faults);
   expect_same_answers(tables, sat, props,
                       what + " bound " + std::to_string(options.max_bound) + " depth " +
                           std::to_string(options.induction_depth));
@@ -1710,8 +1706,8 @@ TEST(McTables, CounterEveryFaultAgreesWithSat) {
     mc::MultiCheckResult sat;
     for (const auto& p : props) {
       tables.results.push_back(
-          mc::TableChecker{counter}.check_with_faults(p, variants[v], options));
-      sat.results.push_back(mc::BmcChecker{counter}.check_with_faults(p, variants[v], options));
+          mc::TableChecker{counter}.check(p, options, variants[v]));
+      sat.results.push_back(mc::BmcChecker{counter}.check(p, options, variants[v]));
     }
     expect_same_answers(tables, sat, props, what + " single checks");
   }
@@ -1750,11 +1746,11 @@ TEST(McTables, SingleChecksMatchTheTableCheckAll) {
   for (std::size_t f = 0; f < faults.size(); f += 7) {
     const std::map<rtl::Net, bool> fault{faults[f]};
     const auto options = bound_depth(f);
-    const auto all = mc::TableChecker{fsm}.check_all_with_faults(props, fault, options);
-    const auto dispatched = mc::ModelChecker{fsm}.check_all_with_faults(props, fault, options);
+    const auto all = mc::TableChecker{fsm}.check_all(props, options, fault);
+    const auto dispatched = mc::ModelChecker{fsm}.check_all(props, options, fault);
     mc::MultiCheckResult single;
     for (const auto& p : props) {
-      single.results.push_back(mc::TableChecker{fsm}.check_with_faults(p, fault, options));
+      single.results.push_back(mc::TableChecker{fsm}.check(p, options, fault));
     }
     expect_same_answers(single, all, props, "single vs all, fault " + std::to_string(f));
     expect_same_answers(dispatched, all, props, "dispatch, fault " + std::to_string(f));
@@ -1850,6 +1846,86 @@ TEST(McTables, RootBusyDoneEveryFaultAgreesWithSat) {
   }
 }
 
+// ------------------------------------------------- ModelChecker dispatch
+
+TEST(McDispatch, SatConesAnswerAndCountAsBmcChecker) {
+  // ModelChecker computes a check's cone once and hands the mask to the SAT
+  // engine when the cone does not fit the tables; BmcChecker computes its
+  // own. Verdict, bound_used, canonical counterexample and every SAT cost
+  // counter must be equal, fault-free and under two stuck-at faults inside
+  // the cone: equal footprints show the same cone was encoded.
+  const auto root = app::build_root_rtl();
+  const auto pe = app::build_distance_rtl(4, 6);
+  const auto sig = [](const char* name) { return mc::Expr::signal(name); };
+  const struct {
+    const char* what;
+    const rtl::Netlist& n;
+    mc::Property prop;
+    mc::ModelChecker::Options options;
+  } cases[] = {
+      {"root datapath", root,
+       mc::Property::invariant("done_implies_result11_clear",
+                               sig("done").implies(!sig("result[11]"))),
+       {13, 3}},
+      {"pe overflow", pe,
+       mc::Property::next("overflow_sticky", sig("overflow") && !sig("clear_in"),
+                          sig("overflow")),
+       {6, 3}},
+  };
+  constexpr const char* kCounters[] = {
+      "mc.checks",        "mc.properties",     "mc.tables.checks", "mc.tables.pairs",
+      "mc.sat_conflicts", "mc.frames_encoded", "mc.encoded_vars",  "mc.encoded_clauses",
+      "mc.arena_bytes",   "mc.arena_live",     "mc.compactions",   "sat.solves",
+      "sat.conflicts"};
+  const symbad::test::CountersOn counting;
+  std::size_t falsified = 0;
+  for (const auto& c : cases) {
+    const auto cone = mc::table_cone(c.n, {&c.prop, 1});
+    ASSERT_FALSE(cone.fits()) << c.what;
+    std::vector<rtl::Net> sites;  // internal nets of the cone
+    for (std::size_t i = 0; i < c.n.gate_count(); ++i) {
+      const auto kind = c.n.gate(static_cast<rtl::Net>(i)).kind;
+      if (cone.nets[i] != 0 && kind != rtl::GateKind::input &&
+          kind != rtl::GateKind::const0 && kind != rtl::GateKind::const1) {
+        sites.push_back(static_cast<rtl::Net>(i));
+      }
+    }
+    ASSERT_GE(sites.size(), 3u) << c.what;
+    const std::map<rtl::Net, bool> variants[] = {
+        {}, {{sites[sites.size() / 3], false}}, {{sites[2 * sites.size() / 3], true}}};
+    for (std::size_t v = 0; v < std::size(variants); ++v) {
+      const std::string what = std::string{c.what} + " variant " + std::to_string(v);
+      std::array<std::uint64_t, std::size(kCounters)> dispatched_cost{};
+      std::array<std::uint64_t, std::size(kCounters)> direct_cost{};
+      mc::CheckResult dispatched;
+      {
+        const obs::Scope cost;
+        dispatched = mc::ModelChecker{c.n}.check(c.prop, c.options, variants[v]);
+        for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+          dispatched_cost[i] = cost.delta(kCounters[i]);
+        }
+      }
+      mc::CheckResult direct;
+      {
+        const obs::Scope cost;
+        direct = mc::BmcChecker{c.n}.check(c.prop, c.options, variants[v]);
+        for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+          direct_cost[i] = cost.delta(kCounters[i]);
+        }
+      }
+      expect_same_result(dispatched, direct, what);
+      for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+        EXPECT_EQ(dispatched_cost[i], direct_cost[i]) << what << " " << kCounters[i];
+      }
+      EXPECT_EQ(dispatched_cost[0], 1u) << what;  // mc.checks
+      EXPECT_EQ(dispatched_cost[2], 0u) << what;  // mc.tables.checks
+      EXPECT_GT(dispatched_cost[6], 0u) << what;  // mc.encoded_vars
+      if (direct.status == mc::CheckStatus::falsified) ++falsified;
+    }
+  }
+  EXPECT_GT(falsified, 0u);
+}
+
 // ------------------------------------------------ check argument handling
 
 namespace {
@@ -1919,6 +1995,39 @@ TEST(McArguments, NegativeInductionDepthThrowsBeforeEitherEngineRuns) {
   EXPECT_THROW((void)mc::ModelChecker{pe}.check(overflow, options), std::invalid_argument);
 }
 
+TEST(McArguments, NegativeResponseBoundThrowsBeforeAnyWork) {
+  // Property's fields are public, so a bounded response built as an
+  // aggregate skips Property::respond's check. mc::table_cone rejects it,
+  // and every entry point and PCC call it before anything else: no check
+  // is counted and nothing is solved.
+  const auto fsm = app::build_wrapper_fsm();
+  mc::Property busy_acked;
+  busy_acked.name = "busy_acked";
+  busy_acked.kind = mc::PropertyKind::bounded_response;
+  busy_acked.antecedent = mc::Expr::signal("busy");
+  busy_acked.consequent = mc::Expr::signal("ack");
+  busy_acked.response_bound = -1;
+  const std::vector<mc::Property> props{busy_acked};
+  const mc::ModelChecker::Options options{8, 4};
+  const symbad::test::CountersOn counting;
+  const obs::Scope cost;
+  EXPECT_THROW((void)mc::table_cone(fsm, {props.data(), props.size()}),
+               std::invalid_argument);
+  EXPECT_THROW((void)mc::ModelChecker{fsm}.check(busy_acked, options), std::invalid_argument);
+  EXPECT_THROW((void)mc::ModelChecker{fsm}.check_all(props, options), std::invalid_argument);
+  EXPECT_THROW((void)mc::BmcChecker{fsm}.check(busy_acked, options), std::invalid_argument);
+  EXPECT_THROW((void)mc::BmcChecker{fsm}.check_all(props, options), std::invalid_argument);
+  EXPECT_THROW((void)mc::TableChecker{fsm}.check(busy_acked, options), std::invalid_argument);
+  EXPECT_THROW((void)mc::TableChecker{fsm}.check_all(props, options), std::invalid_argument);
+  pcc::PccOptions pcc_options;
+  pcc_options.bmc_bound = 8;
+  EXPECT_THROW((void)pcc::check_property_coverage(fsm, props, pcc_options),
+               std::invalid_argument);
+  for (const char* name : {"mc.checks", "sat.solves", "pcc.campaigns"}) {
+    EXPECT_EQ(cost.delta(name), 0u) << name;
+  }
+}
+
 TEST(McArguments, FaultOnUnknownNetThrowsFromBothEngines) {
   const auto fsm = app::build_wrapper_fsm();
   const auto props = app::wrapper_properties_initial();
@@ -1926,17 +2035,17 @@ TEST(McArguments, FaultOnUnknownNetThrowsFromBothEngines) {
   for (const rtl::Net net : {rtl::Net{-1}, gates, rtl::Net{100000}}) {
     const std::map<rtl::Net, bool> faults{{net, true}};
     const mc::ModelChecker::Options options{4, 2};
-    EXPECT_THROW((void)mc::ModelChecker{fsm}.check_with_faults(props[0], faults, options),
+    EXPECT_THROW((void)mc::ModelChecker{fsm}.check(props[0], options, faults),
                  std::out_of_range);
-    EXPECT_THROW((void)mc::ModelChecker{fsm}.check_all_with_faults(props, faults, options),
+    EXPECT_THROW((void)mc::ModelChecker{fsm}.check_all(props, options, faults),
                  std::out_of_range);
-    EXPECT_THROW((void)mc::BmcChecker{fsm}.check_with_faults(props[0], faults, options),
+    EXPECT_THROW((void)mc::BmcChecker{fsm}.check(props[0], options, faults),
                  std::out_of_range);
-    EXPECT_THROW((void)mc::BmcChecker{fsm}.check_all_with_faults(props, faults, options),
+    EXPECT_THROW((void)mc::BmcChecker{fsm}.check_all(props, options, faults),
                  std::out_of_range);
-    EXPECT_THROW((void)mc::TableChecker{fsm}.check_with_faults(props[0], faults, options),
+    EXPECT_THROW((void)mc::TableChecker{fsm}.check(props[0], options, faults),
                  std::out_of_range);
-    EXPECT_THROW((void)mc::TableChecker{fsm}.check_all_with_faults(props, faults, options),
+    EXPECT_THROW((void)mc::TableChecker{fsm}.check_all(props, options, faults),
                  std::out_of_range);
   }
 }

@@ -442,12 +442,9 @@ namespace {
 
 /// Every counter one SAT portfolio check of the wrapper plan adds to.
 constexpr const char* kPortfolioCounters[] = {
-    "mc.portfolio.checks",           "mc.portfolio.properties",
-    "mc.portfolio.frames_encoded",   "mc.portfolio.sat_conflicts",
-    "mc.portfolio.encoded_vars",     "mc.portfolio.encoded_clauses",
-    "mc.portfolio.arena_bytes",      "mc.portfolio.arena_live",
-    "mc.portfolio.compactions",      "sat.solves",
-    "sat.decisions",                 "sat.propagations",
+    "mc.checks",       "mc.properties",      "mc.frames_encoded", "mc.sat_conflicts",
+    "mc.encoded_vars", "mc.encoded_clauses", "mc.arena_bytes",    "mc.arena_live",
+    "mc.compactions",  "sat.solves",         "sat.decisions",     "sat.propagations",
     "sat.conflicts",
 };
 
@@ -470,7 +467,7 @@ TEST(ObsScope, DeltasStayExactWhileThreadsCountTheSameCounters) {
   const LevelGuard guard;
   obs::Registry::instance().set_level(1);
   const auto single = wrapper_suite_deltas();
-  EXPECT_EQ(single.front(), 1u);  // mc.portfolio.checks
+  EXPECT_EQ(single.front(), 1u);  // mc.checks
 
   std::vector<std::vector<std::uint64_t>> per_thread(4);
   std::latch start{static_cast<std::ptrdiff_t>(per_thread.size())};
@@ -513,8 +510,9 @@ TEST(ObsScope, NestedScopesAndLevelZero) {
 TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
   // The counters that replaced CheckResult's and MultiCheckResult's cost
   // fields, pinned for these wrapper checks on the SAT engine (through
-  // ModelChecker the wrapper's checks go to the table engine). The encoding
-  // figures are those of the netlist as given, cut to the cone of influence.
+  // ModelChecker the wrapper's checks go to the table engine). A single
+  // check is a one-property portfolio. The encoding figures are those of
+  // the netlist as given, cut to the cone of influence.
   const LevelGuard guard;
   obs::Registry::instance().set_level(1);
   const auto fsm = app::build_wrapper_fsm();
@@ -527,15 +525,12 @@ TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
 
   const obs::Scope proved;
   ASSERT_EQ(checker.check(*proved_prop, {}).status, mc::CheckStatus::proved);
-  EXPECT_EQ(proved.delta("mc.sat_conflicts"), 1u);
-  EXPECT_EQ(proved.delta("mc.decisive_conflicts"), 1u);
-  EXPECT_EQ(proved.delta("mc.induction_conflicts"), 1u);
-  EXPECT_EQ(proved.delta("mc.cex_conflicts"), 0u);
+  EXPECT_EQ(proved.delta("mc.sat_conflicts"), 22u);
   EXPECT_EQ(proved.delta("mc.frames_encoded"), 22u);
-  EXPECT_EQ(proved.delta("mc.encoded_vars"), 557u);
-  EXPECT_EQ(proved.delta("mc.encoded_clauses"), 1463u);
-  EXPECT_EQ(proved.delta("mc.arena_bytes"), 19504u);
-  EXPECT_EQ(proved.delta("mc.arena_live"), 19504u);
+  EXPECT_EQ(proved.delta("mc.encoded_vars"), 621u);
+  EXPECT_EQ(proved.delta("mc.encoded_clauses"), 1589u);
+  EXPECT_EQ(proved.delta("mc.arena_bytes"), 21136u);
+  EXPECT_EQ(proved.delta("mc.arena_live"), 21136u);
   EXPECT_EQ(proved.delta("mc.compactions"), 0u);
 
   const obs::Scope falsified;
@@ -543,24 +538,21 @@ TEST(ObsScope, McCostCountersMatchTheRetiredReportFields) {
                                                   !mc::Expr::signal("ack"));
   ASSERT_EQ(checker.check(never_acks, {}).status, mc::CheckStatus::falsified);
   EXPECT_EQ(falsified.delta("mc.sat_conflicts"), 1u);
-  EXPECT_EQ(falsified.delta("mc.decisive_conflicts"), 0u);
-  EXPECT_EQ(falsified.delta("mc.induction_conflicts"), 0u);
-  EXPECT_EQ(falsified.delta("mc.cex_conflicts"), 1u);
   EXPECT_EQ(falsified.delta("mc.frames_encoded"), 4u);
-  EXPECT_EQ(falsified.delta("mc.encoded_vars"), 88u);
-  EXPECT_EQ(falsified.delta("mc.encoded_clauses"), 218u);
-  EXPECT_EQ(falsified.delta("mc.arena_bytes"), 2948u);
-  EXPECT_EQ(falsified.delta("mc.arena_live"), 2948u);
+  EXPECT_EQ(falsified.delta("mc.encoded_vars"), 97u);
+  EXPECT_EQ(falsified.delta("mc.encoded_clauses"), 230u);
+  EXPECT_EQ(falsified.delta("mc.arena_bytes"), 3092u);
+  EXPECT_EQ(falsified.delta("mc.arena_live"), 3092u);
 
   const obs::Scope portfolio;
   (void)checker.check_all(props, {12, 4});
-  EXPECT_EQ(portfolio.delta("mc.portfolio.sat_conflicts"), 154u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.frames_encoded"), 14u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_vars"), 1005u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.encoded_clauses"), 2661u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_bytes"), 39736u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.arena_live"), 39736u);
-  EXPECT_EQ(portfolio.delta("mc.portfolio.compactions"), 0u);
+  EXPECT_EQ(portfolio.delta("mc.sat_conflicts"), 154u);
+  EXPECT_EQ(portfolio.delta("mc.frames_encoded"), 14u);
+  EXPECT_EQ(portfolio.delta("mc.encoded_vars"), 1005u);
+  EXPECT_EQ(portfolio.delta("mc.encoded_clauses"), 2661u);
+  EXPECT_EQ(portfolio.delta("mc.arena_bytes"), 39736u);
+  EXPECT_EQ(portfolio.delta("mc.arena_live"), 39736u);
+  EXPECT_EQ(portfolio.delta("mc.compactions"), 0u);
 }
 
 // ---------------------------------------------------------- chrome trace
@@ -666,8 +658,7 @@ TEST(ObsBridge, CheckResultMatchesRegistry) {
 
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.counter("mc.checks"), 1u);
-  EXPECT_EQ(snap.counter("mc.bounds_used"),
-            static_cast<std::uint64_t>(result.bound_used));
+  EXPECT_EQ(snap.counter("mc.properties"), 1u);
 }
 
 TEST(ObsBridge, MultiCheckResultMatchesRegistry) {
@@ -687,8 +678,8 @@ TEST(ObsBridge, MultiCheckResultMatchesRegistry) {
   ASSERT_EQ(multi.results.size(), 2u);
 
   const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.counter("mc.portfolio.checks"), 1u);
-  EXPECT_EQ(snap.counter("mc.portfolio.properties"), multi.results.size());
+  EXPECT_EQ(snap.counter("mc.checks"), 1u);
+  EXPECT_EQ(snap.counter("mc.properties"), multi.results.size());
 }
 
 TEST(ObsBridge, PccReportMatchesRegistry) {
