@@ -24,7 +24,7 @@ void BM_Level1_FullSystemSimulation(benchmark::State& state) {
     benchmark::DoNotOptimize(report.trace.size());
   }
   state.counters["frames"] = frames;
-  state.counters["kernel_callbacks"] = static_cast<double>(callbacks);
+  state.counters["sim_callbacks"] = static_cast<double>(callbacks);
   state.counters["frames_per_wall_s"] =
       benchmark::Counter(frames, benchmark::Counter::kIsIterationInvariantRate);
 }

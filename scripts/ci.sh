@@ -43,7 +43,7 @@ SYMBAD_OBS=2 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 SYMBAD_OBS=0 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 
 echo "==> [3/9] perf regression: SAT/MC/kernel/lint/obs benches vs BENCH_BASELINE.json"
-BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_level2_sim bench_level3_sim bench_gen bench_lint bench_obs" \
+BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_level1_sim bench_level2_sim bench_level3_sim bench_gen bench_lint bench_obs" \
   BENCH_OUT=build/bench_candidate.json \
   BENCH_JSON_DIR=build/bench_candidate \
   scripts/bench_baseline.sh build

@@ -68,8 +68,7 @@ media::PipelineProfile profile_reference(const media::FaceDatabase& db, int fram
     const int id = query_identity(f, db.identities());
     const auto capture = media::camera_capture(media::FaceParams::for_identity(id),
                                                query_pose(f), image_size);
-    // Only the ops profile is read: no stage checksums.
-    (void)media::match(media::extract_features(capture, {}, &profile), db, &profile);
+    (void)media::recognize(capture, db, {}, &profile);
   }
   return profile;
 }
@@ -121,10 +120,6 @@ FaceStageRuntime::FaceStageRuntime(const media::FaceDatabase& db,
                                    media::PipelineConfig config, int image_size)
     : db_{&db}, config_{config}, image_size_{image_size} {}
 
-FaceStageRuntime::FrameData& FaceStageRuntime::frame_data(int frame) {
-  return frames_[frame];
-}
-
 void FaceStageRuntime::set_query_schedule(std::vector<media::QueryRequest> schedule) {
   for (const auto& q : schedule) {
     if (q.identity < 0 || q.identity >= db_->identities()) {
@@ -138,8 +133,8 @@ void FaceStageRuntime::set_query_schedule(std::vector<media::QueryRequest> sched
 }
 
 void FaceStageRuntime::begin_frame(int frame) {
-  FrameData& data = frame_data(frame);
-  if (!data.bayer.empty()) return;  // both sources share the same frame
+  media::PipelineValues& values = frames_[frame];
+  if (!values.bayer.empty()) return;  // both sources share the same frame
   int id = query_identity(frame, db_->identities());
   media::Pose pose = query_pose(frame);
   if (!schedule_.empty()) {
@@ -147,89 +142,54 @@ void FaceStageRuntime::begin_frame(int frame) {
     id = q.identity;
     pose = q.pose;
   }
-  data.bayer = media::camera_capture(media::FaceParams::for_identity(id), pose,
-                                     image_size_);
+  values.bayer =
+      media::camera_capture(media::FaceParams::for_identity(id), pose, image_size_);
 }
 
 std::uint64_t FaceStageRuntime::execute_stage(const core::TaskNode& node, int frame) {
   const std::string& stage_name = node.name;
-  FrameData& d = frame_data(frame);
-  std::uint64_t ops = 0;
-  media::Ctx ctx;
-  ctx.cov = verif::CoverageDb::active_module(stage_name);
-  ctx.ops = &ops;
-
-  if (stage_name == stage::camera) {
-    begin_frame(frame);
-    d.traces[stage_name] = d.bayer.checksum();
-    return 64;
-  }
-  if (stage_name == stage::database) {
-    d.traces[stage_name] = static_cast<std::uint64_t>(db_->size());
-    return 64;
-  }
-  if (stage_name == stage::bay) {
-    begin_frame(frame);  // defensive: BAY needs the capture
-    d.luma = media::bay_demosaic_luma(d.bayer, ctx);
-    d.traces[stage_name] = d.luma.checksum();
-  } else if (stage_name == stage::erosion) {
-    d.eroded = media::erode3x3(d.luma, ctx);
-    d.traces[stage_name] = d.eroded.checksum();
-  } else if (stage_name == stage::root) {
-    d.rooted = media::root_transform(d.eroded, ctx);
-    d.traces[stage_name] = d.rooted.checksum();
-  } else if (stage_name == stage::edge) {
-    d.edge = media::sobel_edge(d.rooted, config_.edge_threshold, ctx);
-    d.traces[stage_name] = d.edge.binary.checksum();
-  } else if (stage_name == stage::ellipse) {
-    d.fit = media::fit_ellipse(d.edge.binary, ctx);
-    d.traces[stage_name] =
-        static_cast<std::uint64_t>(d.fit.cx) << 32 | static_cast<std::uint32_t>(d.fit.cy);
-  } else if (stage_name == stage::crtbord) {
-    d.window = media::crop_border(d.luma, d.fit, config_.window_size, ctx);
-    d.traces[stage_name] = d.window.checksum();
-  } else if (stage_name == stage::crtline) {
-    d.lines = media::create_lines(d.window, ctx);
-    d.traces[stage_name] = static_cast<std::uint64_t>(d.lines.total_elements());
-  } else if (stage_name == stage::calcline) {
-    d.features = media::calc_line_features(d.lines, ctx);
-    d.traces[stage_name] = d.features.checksum();
-  } else if (stage_name == stage::distance) {
-    d.distances.clear();
-    d.distances.reserve(db_->size());
-    for (std::size_t i = 0; i < db_->size(); ++i) {
-      d.distances.push_back(
-          media::calc_distance(d.features, db_->entry(i).features, ctx));
-    }
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const auto v : d.distances) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    }
-    d.traces[stage_name] = h;
-  } else if (stage_name == stage::winner) {
-    d.winner = media::pick_winner(d.distances, ctx);
-    const int identity =
-        d.winner.index >= 0
-            ? db_->identity_of(static_cast<std::size_t>(d.winner.index))
-            : -1;
+  // BAY captures too, defensively: it needs the frame.
+  if (stage_name == stage::camera || stage_name == stage::bay) begin_frame(frame);
+  // CAMERA and DATABASE are environment models with a nominal cost.
+  if (stage_name == stage::camera || stage_name == stage::database) return 64;
+  media::PipelineValues& values = frames_[frame];
+  const std::uint64_t ops = media::run_stage(stage_name, values, config_, db_);
+  if (stage_name == stage::winner) {
     if (static_cast<int>(identities_.size()) <= frame) {
       identities_.resize(static_cast<std::size_t>(frame) + 1, -1);
     }
-    identities_[static_cast<std::size_t>(frame)] = identity;
-    d.traces[stage_name] = static_cast<std::uint64_t>(static_cast<std::int64_t>(identity));
-    // Frame fully consumed: release its intermediate data.
-    d.traces.erase(stage::camera);
-  } else {
-    throw std::out_of_range{"face runtime: unknown stage '" + stage_name + "'"};
+    identities_[static_cast<std::size_t>(frame)] = values.identity;
   }
   return ops;
 }
 
 std::uint64_t FaceStageRuntime::trace_value(const core::TaskNode& node, int frame) {
-  const FrameData& d = frame_data(frame);
-  const auto it = d.traces.find(node.name);
-  return it == d.traces.end() ? 0 : it->second;
+  const media::PipelineValues& v = frames_[frame];
+  const std::string& stage_name = node.name;
+  if (stage_name == stage::camera) return v.bayer.checksum();
+  if (stage_name == stage::database) return db_->size();
+  if (stage_name == stage::bay) return v.luma.checksum();
+  if (stage_name == stage::erosion) return v.eroded.checksum();
+  if (stage_name == stage::root) return v.rooted.checksum();
+  if (stage_name == stage::edge) return v.edges.checksum();
+  if (stage_name == stage::ellipse) {
+    return static_cast<std::uint64_t>(v.fit.cx) << 32 | static_cast<std::uint32_t>(v.fit.cy);
+  }
+  if (stage_name == stage::crtbord) return v.window.checksum();
+  if (stage_name == stage::crtline) return v.lines.total_elements();
+  if (stage_name == stage::calcline) return v.features.checksum();
+  if (stage_name == stage::distance) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const auto d : v.distances) {
+      h ^= d;
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+  if (stage_name == stage::winner) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v.identity));
+  }
+  return 0;
 }
 
 std::uint32_t FaceStageRuntime::extra_read_words(const core::TaskNode& node) const {

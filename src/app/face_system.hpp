@@ -49,9 +49,10 @@ void annotate_from_profile(core::TaskGraph& graph, const media::PipelineProfile&
 /// reconfiguration) — the ablation of §3.3's tuning discussion.
 [[nodiscard]] core::Partition merged_context_partition(const core::TaskGraph& graph);
 
-/// Data semantics of the face recognition system: executes real media
-/// kernels per stage and keeps per-frame intermediate data, so every level's
-/// simulation computes (and traces) the same values as the C reference.
+/// Data semantics of the face recognition system: runs the C reference
+/// model's stages (media::run_stage) on per-frame values, so every level's
+/// simulation computes the reference's values, and traces each stage by a
+/// per-stage formula over its output.
 class FaceStageRuntime : public core::StageRuntime {
 public:
   FaceStageRuntime(const media::FaceDatabase& db, media::PipelineConfig config = {},
@@ -75,28 +76,11 @@ public:
   [[nodiscard]] const media::FaceDatabase& database() const noexcept { return *db_; }
 
 private:
-  struct FrameData {
-    media::Image bayer;
-    media::Image luma;
-    media::Image eroded;
-    media::Image rooted;
-    media::EdgeResult edge;
-    media::EllipseFit fit;
-    media::Image window;
-    media::LineProfiles lines;
-    media::FeatureVec features;
-    std::vector<std::uint32_t> distances;
-    media::Winner winner;
-    std::map<std::string, std::uint64_t> traces;
-  };
-
-  [[nodiscard]] FrameData& frame_data(int frame);
-
   const media::FaceDatabase* db_;
   media::PipelineConfig config_;
   int image_size_;
   std::vector<media::QueryRequest> schedule_;
-  std::map<int, FrameData> frames_;
+  std::map<int, media::PipelineValues> frames_;
   std::vector<int> identities_;
 };
 

@@ -94,7 +94,7 @@ Estimate Laerte::evaluate(const Testbench& tb, bool grade_bit_faults) {
   verif::CoverageDb cov;
   // The coverage runs double as the grading's golden runs: instrumentation
   // does not change what a kernel computes.
-  std::vector<media::GoldenRun> golden;
+  std::vector<media::PipelineValues> golden;
   {
     verif::CoverageDb::Scope scope{cov};
     for (const auto& s : tb.frames) {
@@ -115,9 +115,8 @@ Estimate Laerte::evaluate(const Testbench& tb, bool grade_bit_faults) {
       const auto faulty = media::simulate_fault(g, db_, config_.pipeline, fault);
       if (!faulty) continue;  // not excited: this frame's outputs stay golden
       ++resumed;
-      const bool differs = g.result.winner.index != faulty->winner.index ||
-                           g.result.distances != faulty->distances ||
-                           g.result.traces.features != faulty->traces.features;
+      const bool differs = g.winner.index != faulty->winner.index ||
+                           g.distances != faulty->distances || g.features != faulty->features;
       if (differs) {
         ++estimate.bit_faults.detected;
         break;
@@ -139,6 +138,9 @@ Testbench Laerte::random_testbench(int frames, std::uint64_t seed) const {
 
 Testbench Laerte::genetic_testbench(int frames, int population, int generations,
                                     std::uint64_t seed) {
+  if (frames < 1 || population < 1) {
+    throw std::invalid_argument{"genetic_testbench: frames and population must be >= 1"};
+  }
   verif::Rng rng{seed};
   struct Individual {
     Testbench tb;
@@ -158,9 +160,8 @@ Testbench Laerte::genetic_testbench(int frames, int population, int generations,
     for (const auto& s : tb.frames) {
       const auto [it, fresh] = frame_cov.try_emplace(s);
       if (fresh) {
-        // Fitness reads coverage only: no stage checksums.
         verif::CoverageDb::Scope scope{it->second};
-        (void)media::match(media::extract_features(capture(s), config_.pipeline), db_);
+        (void)media::recognize(capture(s), db_, config_.pipeline);
       }
       merged.merge_from(it->second);
     }
@@ -218,17 +219,15 @@ bool Laerte::detects_seeded_memory_bug(const Testbench& tb) const {
   buggy.seeded_memory_bug = true;
   media::FrontEndState state;
   for (const auto& s : tb.frames) {
-    // The bug only alters CRTBORD's window, so the buggy run shares BAY to
-    // EDGE with the golden one and resumes it below EDGE.
-    media::GoldenRun run = media::golden_run(capture(s), db_, config_.pipeline);
-    media::StageTraces traces;
-    media::run_front_end(run.values, media::Boundary::edge, buggy, nullptr, &traces, nullptr,
-                         &state);
-    const auto faulty = media::match(std::move(run.values.features), db_);
-    if (run.result.traces.window != traces.window ||
-        run.result.winner.index != faulty.winner.index) {
-      return true;
-    }
+    // The bug alters only CRTBORD's window, and every output below it is a
+    // function of the window: the buggy run recomputes CRTBORD on the clean
+    // front end's values, and the windows are compared.
+    media::PipelineValues values;
+    values.bayer = capture(s);
+    media::run_front_end(values, media::Boundary::frame, config_.pipeline);
+    const media::Image window = std::move(values.window);
+    media::run_stage(media::stage::crtbord, values, buggy, nullptr, &state);
+    if (values.window != window) return true;
   }
   return false;
 }

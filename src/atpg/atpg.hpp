@@ -88,6 +88,7 @@ public:
   /// Simulation-based engine 2: genetic optimisation of coverage. Each
   /// distinct stimulus is simulated once per call; a testbench's coverage is
   /// the merge of its frames' coverage.
+  /// Throws std::invalid_argument when `frames` or `population` is < 1.
   [[nodiscard]] Testbench genetic_testbench(int frames, int population, int generations,
                                             std::uint64_t seed);
 
@@ -97,7 +98,8 @@ public:
   /// Laerte++'s memory-inspection result, reproduced as a dynamic check:
   /// does `tb` expose the seeded uninitialised-window bug (different
   /// observable outputs between the clean and the buggy pipeline)? Each
-  /// frame is captured and run once; the buggy run resumes it below EDGE.
+  /// frame is captured and its front end run once; the buggy run recomputes
+  /// CRTBORD, whose window every output below it derives from.
   [[nodiscard]] bool detects_seeded_memory_bug(const Testbench& tb) const;
 
   [[nodiscard]] const media::FaceDatabase& database() const noexcept { return db_; }

@@ -116,8 +116,7 @@ public:
   /// Builds the data semantics of one scenario. Invoked on worker threads,
   /// possibly concurrently — it must not share mutable state between calls
   /// (immutable captures like a const database reference are fine). The
-  /// scenario's `seed` / `fault` / `seeded_bug` knobs are the factory's to
-  /// interpret.
+  /// scenario's `seed` is the factory's to interpret.
   using RuntimeFactory =
       std::function<std::unique_ptr<core::StageRuntime>(const Scenario&)>;
 

@@ -9,8 +9,8 @@
 // and safe to ship to a worker thread.
 //
 // Worker-count invariance: a Scenario carries *everything* that can affect
-// its run (graph, partition, level, platform parameters, frame count, seed,
-// fault knob). Nothing about the execution environment — which worker picks
+// its run (graph, partition, level, platform parameters, frame count,
+// seed). Nothing about the execution environment — which worker picks
 // the scenario up, how many workers exist, in what order scenarios finish —
 // may influence the result. The campaign runner upholds this by building a
 // fresh `StageRuntime` (and, inside `core::SystemModel::run`, a fresh
@@ -20,14 +20,12 @@
 // state or host time.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/partition.hpp"
 #include "core/system_model.hpp"
 #include "core/task_graph.hpp"
-#include "verif/fault.hpp"
 
 namespace symbad::exec {
 
@@ -43,15 +41,9 @@ struct Scenario {
   core::ModelLevel level = core::ModelLevel::untimed_functional;
   core::PlatformParams params{};
   int frames = 4;
-
-  // Optional knobs interpreted by the runtime factory, not by the runner:
-  /// Seed for stochastic runtimes (stimulus generation, fault campaigns).
+  /// Seed for stochastic runtimes (stimulus generation), interpreted by the
+  /// runtime factory, not by the runner.
   std::uint64_t seed = 0;
-  /// Inject one bit fault at a stage boundary (ATPG-style what-if runs).
-  std::optional<verif::BitFault> fault;
-  /// Ask the factory for a bug-seeded runtime variant (e.g. the paper's
-  /// uninitialised CRTBORD window buffer).
-  bool seeded_bug = false;
 };
 
 /// Refinement level as the paper's 1/2/3 numbering (for reports/ordering).

@@ -747,15 +747,6 @@ Winner winner_body(const std::vector<std::uint32_t>& distances, Ctx ctx) {
 
 }  // namespace
 
-const std::vector<std::string>& pipeline_stage_names() {
-  static const std::vector<std::string> names{
-      stage::bay,     stage::erosion,  stage::root,     stage::edge,
-      stage::ellipse, stage::crtbord,  stage::crtline,  stage::calcline,
-      stage::distance, stage::winner,
-  };
-  return names;
-}
-
 std::uint16_t isqrt32(std::uint32_t v) noexcept {
   // Binary restoring integer square root.
   std::uint32_t result = 0;

@@ -11,7 +11,6 @@
 // coverage off their pixel loops.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "media/image.hpp"
@@ -45,14 +44,10 @@ inline constexpr const char* ellipse = "ELLIPSE";
 inline constexpr const char* crtbord = "CRTBORD";
 inline constexpr const char* crtline = "CRTLINE";
 inline constexpr const char* calcline = "CALCLINE";
-inline constexpr const char* calcdist = "CALCDIST";
 inline constexpr const char* distance = "DISTANCE";
 inline constexpr const char* winner = "WINNER";
 inline constexpr const char* database = "DATABASE";
 }  // namespace stage
-
-/// All pipeline stage names in dataflow order (excluding camera/database).
-[[nodiscard]] const std::vector<std::string>& pipeline_stage_names();
 
 // --------------------------------------------------------------- stages
 

@@ -1,7 +1,9 @@
 #include "media/pipeline.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "media/database.hpp"
@@ -56,12 +58,50 @@ bool maybe_fault_features(FeatureVec& f, const char* stage_name, PortDirection p
   return patched != raw;
 }
 
-media::Ctx stage_ctx(const char* stage_name, PipelineProfile* profile,
-                     std::uint64_t* ops_slot) {
-  media::Ctx ctx;
-  ctx.cov = verif::CoverageDb::active_module(stage_name);
-  if (profile != nullptr) ctx.ops = ops_slot;
-  return ctx;
+/// Patches `fault` into the value at `boundary` if it targets that
+/// boundary's stage and port; returns whether the word changed.
+bool patch(PipelineValues& values, Boundary boundary, const BitFault* fault) {
+  const auto out = PortDirection::output;
+  switch (boundary) {
+    case Boundary::frame:
+      return maybe_fault_image(values.bayer, stage::bay, PortDirection::input, fault);
+    case Boundary::bay: return maybe_fault_image(values.luma, stage::bay, out, fault);
+    case Boundary::erosion: return maybe_fault_image(values.eroded, stage::erosion, out, fault);
+    case Boundary::root: return maybe_fault_image(values.rooted, stage::root, out, fault);
+    case Boundary::edge: return maybe_fault_image(values.edges, stage::edge, out, fault);
+    case Boundary::crtbord: return maybe_fault_image(values.window, stage::crtbord, out, fault);
+    case Boundary::calcline:
+      return maybe_fault_features(values.features, stage::calcline, out, fault);
+  }
+  return false;
+}
+
+constexpr Boundary kBoundaries[] = {Boundary::frame, Boundary::bay,     Boundary::erosion,
+                                    Boundary::root,  Boundary::edge,    Boundary::crtbord,
+                                    Boundary::calcline};
+
+/// The front end as the stages that compute each boundary below the frame.
+struct Segment {
+  Boundary to;
+  std::initializer_list<const char*> stages;
+};
+const Segment kFrontEnd[] = {
+    {Boundary::bay, {stage::bay}},
+    {Boundary::erosion, {stage::erosion}},
+    {Boundary::root, {stage::root}},
+    {Boundary::edge, {stage::edge}},
+    {Boundary::crtbord, {stage::ellipse, stage::crtbord}},
+    {Boundary::calcline, {stage::crtline, stage::calcline}},
+};
+
+/// The back end: DISTANCE of the features against every template of `db`,
+/// then WINNER.
+void match(PipelineValues& values, const FaceDatabase& db, const PipelineConfig& config,
+           PipelineProfile* profile) {
+  for (const char* stage_name : {stage::distance, stage::winner}) {
+    const std::uint64_t ops = run_stage(stage_name, values, config, &db);
+    if (profile != nullptr) profile->add(stage_name, ops);
+  }
 }
 
 }  // namespace
@@ -79,60 +119,31 @@ std::vector<std::string> PipelineProfile::ranking() const {
   return names;
 }
 
-void run_front_end(FrontEndValues& values, Boundary from, const PipelineConfig& config,
-                   PipelineProfile* profile, StageTraces* traces,
-                   const verif::BitFault* fault, FrontEndState* state) {
+std::uint64_t run_stage(std::string_view stage_name, PipelineValues& values,
+                        const PipelineConfig& config, const FaceDatabase* db,
+                        FrontEndState* state) {
   std::uint64_t ops = 0;
-  auto commit_ops = [&](const char* stage_name) {
-    if (profile != nullptr) profile->add(stage_name, ops);
-    ops = 0;
+  auto ctx = [&ops](const char* name) {
+    return Ctx{verif::CoverageDb::active_module(name), &ops};
   };
-
-  if (from == Boundary::frame) {
-    maybe_fault_image(values.bayer, stage::bay, PortDirection::input, fault);
-    values.luma = bay_demosaic_luma(values.bayer, stage_ctx(stage::bay, profile, &ops));
-    commit_ops(stage::bay);
-  }
-  if (from <= Boundary::bay) {
-    maybe_fault_image(values.luma, stage::bay, PortDirection::output, fault);
-    if (traces != nullptr) traces->bay = values.luma.checksum();
-  }
-
-  if (from < Boundary::erosion) {
-    values.eroded = erode3x3(values.luma, stage_ctx(stage::erosion, profile, &ops));
-    commit_ops(stage::erosion);
-  }
-  if (from <= Boundary::erosion) {
-    maybe_fault_image(values.eroded, stage::erosion, PortDirection::output, fault);
-    if (traces != nullptr) traces->erosion = values.eroded.checksum();
-  }
-
-  if (from < Boundary::root) {
-    values.rooted = root_transform(values.eroded, stage_ctx(stage::root, profile, &ops));
-    commit_ops(stage::root);
-  }
-  if (from <= Boundary::root) {
-    maybe_fault_image(values.rooted, stage::root, PortDirection::output, fault);
-    if (traces != nullptr) traces->root = values.rooted.checksum();
-  }
-
-  if (from < Boundary::edge) {
-    values.edges = sobel_edge(values.rooted, config.edge_threshold,
-                              stage_ctx(stage::edge, profile, &ops))
-                       .binary;
-    commit_ops(stage::edge);
-  }
-  if (from <= Boundary::edge) {
-    maybe_fault_image(values.edges, stage::edge, PortDirection::output, fault);
-    if (traces != nullptr) traces->edge = values.edges.checksum();
-  }
-
-  if (from < Boundary::crtbord) {
-    values.fit = fit_ellipse(values.edges, stage_ctx(stage::ellipse, profile, &ops));
-    commit_ops(stage::ellipse);
-    values.window = crop_border(values.luma, values.fit, config.window_size,
-                                stage_ctx(stage::crtbord, profile, &ops));
-    commit_ops(stage::crtbord);
+  auto database = [db](const char* name) -> const FaceDatabase& {
+    if (db == nullptr) {
+      throw std::invalid_argument{std::string{"run_stage: "} + name + " needs a database"};
+    }
+    return *db;
+  };
+  if (stage_name == stage::bay) {
+    values.luma = bay_demosaic_luma(values.bayer, ctx(stage::bay));
+  } else if (stage_name == stage::erosion) {
+    values.eroded = erode3x3(values.luma, ctx(stage::erosion));
+  } else if (stage_name == stage::root) {
+    values.rooted = root_transform(values.eroded, ctx(stage::root));
+  } else if (stage_name == stage::edge) {
+    values.edges = sobel_edge(values.rooted, config.edge_threshold, ctx(stage::edge)).binary;
+  } else if (stage_name == stage::ellipse) {
+    values.fit = fit_ellipse(values.edges, ctx(stage::ellipse));
+  } else if (stage_name == stage::crtbord) {
+    values.window = crop_border(values.luma, values.fit, config.window_size, ctx(stage::crtbord));
     if (config.seeded_memory_bug && state != nullptr) {
       // BUG (seeded, see PipelineConfig): the window buffer is recycled from
       // the previous frame without re-initialisation; its first row leaks.
@@ -146,108 +157,84 @@ void run_front_end(FrontEndValues& values, Boundary from, const PipelineConfig& 
       }
       stale = values.window;
     }
+  } else if (stage_name == stage::crtline) {
+    values.lines = create_lines(values.window, ctx(stage::crtline));
+  } else if (stage_name == stage::calcline) {
+    values.features = calc_line_features(values.lines, ctx(stage::calcline));
+  } else if (stage_name == stage::distance) {
+    const FaceDatabase& templates = database(stage::distance);
+    const Ctx dist_ctx = ctx(stage::distance);
+    values.distances.clear();
+    values.distances.reserve(templates.size());
+    for (const auto& entry : templates.entries()) {
+      values.distances.push_back(calc_distance(values.features, entry.features, dist_ctx));
+    }
+  } else if (stage_name == stage::winner) {
+    const FaceDatabase& templates = database(stage::winner);
+    values.winner = pick_winner(values.distances, ctx(stage::winner));
+    values.identity = values.winner.index >= 0
+                          ? templates.identity_of(static_cast<std::size_t>(values.winner.index))
+                          : -1;
+  } else {
+    throw std::out_of_range{"run_stage: unknown stage '" + std::string{stage_name} + "'"};
   }
-  if (from <= Boundary::crtbord) {
-    maybe_fault_image(values.window, stage::crtbord, PortDirection::output, fault);
-    if (traces != nullptr) traces->window = values.window.checksum();
-  }
-
-  if (from < Boundary::calcline) {
-    const LineProfiles lines =
-        create_lines(values.window, stage_ctx(stage::crtline, profile, &ops));
-    commit_ops(stage::crtline);
-    values.features = calc_line_features(lines, stage_ctx(stage::calcline, profile, &ops));
-    commit_ops(stage::calcline);
-  }
-  maybe_fault_features(values.features, stage::calcline, PortDirection::output, fault);
-  if (traces != nullptr) traces->features = values.features.checksum();
+  return ops;
 }
 
-RecognitionResult match(FeatureVec features, const FaceDatabase& db, PipelineProfile* profile) {
-  RecognitionResult result;
-  result.features = std::move(features);
-  std::uint64_t ops = 0;
-  media::Ctx dist_ctx = stage_ctx(stage::distance, profile, &ops);
-  result.distances.reserve(db.size());
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    result.distances.push_back(
-        calc_distance(result.features, db.entry(i).features, dist_ctx));
+void run_front_end(PipelineValues& values, Boundary from, const PipelineConfig& config,
+                   PipelineProfile* profile, const verif::BitFault* fault,
+                   FrontEndState* state) {
+  patch(values, from, fault);
+  for (const auto& [to, stages] : kFrontEnd) {
+    if (to <= from) continue;
+    for (const char* stage_name : stages) {
+      const std::uint64_t ops = run_stage(stage_name, values, config, nullptr, state);
+      if (profile != nullptr) profile->add(stage_name, ops);
+    }
+    patch(values, to, fault);
   }
-  if (profile != nullptr) profile->add(stage::distance, ops);
-  ops = 0;
-
-  media::Ctx win_ctx = stage_ctx(stage::winner, profile, &ops);
-  result.winner = pick_winner(result.distances, win_ctx);
-  if (profile != nullptr) profile->add(stage::winner, ops);
-
-  if (result.winner.index >= 0) {
-    result.identity = db.identity_of(static_cast<std::size_t>(result.winner.index));
-  }
-  return result;
 }
 
 FeatureVec extract_features(const Image& bayer, const PipelineConfig& config,
-                            PipelineProfile* profile, StageTraces* traces,
-                            const verif::BitFault* fault, FrontEndState* state) {
-  FrontEndValues values;
+                            PipelineProfile* profile, const verif::BitFault* fault,
+                            FrontEndState* state) {
+  PipelineValues values;
   values.bayer = bayer;
-  run_front_end(values, Boundary::frame, config, profile, traces, fault, state);
+  run_front_end(values, Boundary::frame, config, profile, fault, state);
   return std::move(values.features);
 }
 
-RecognitionResult recognize(const Image& bayer, const FaceDatabase& db,
-                            const PipelineConfig& config, PipelineProfile* profile,
-                            const verif::BitFault* fault, FrontEndState* state) {
-  StageTraces traces;
-  RecognitionResult result =
-      match(extract_features(bayer, config, profile, &traces, fault, state), db, profile);
-  result.traces = traces;
-  return result;
+PipelineValues recognize(const Image& bayer, const FaceDatabase& db,
+                         const PipelineConfig& config, PipelineProfile* profile,
+                         const verif::BitFault* fault, FrontEndState* state) {
+  PipelineValues values;
+  values.bayer = bayer;
+  run_front_end(values, Boundary::frame, config, profile, fault, state);
+  match(values, db, config, profile);
+  return values;
 }
 
-GoldenRun golden_run(Image bayer, const FaceDatabase& db, const PipelineConfig& config) {
-  GoldenRun golden;
-  golden.values.bayer = std::move(bayer);
-  StageTraces traces;
-  run_front_end(golden.values, Boundary::frame, config, nullptr, &traces);
-  golden.result = match(golden.values.features, db);
-  golden.result.traces = traces;
-  return golden;
+PipelineValues golden_run(const Image& bayer, const FaceDatabase& db,
+                          const PipelineConfig& config) {
+  return recognize(bayer, db, config);
 }
 
-std::optional<RecognitionResult> simulate_fault(const GoldenRun& golden,
-                                                const FaceDatabase& db,
-                                                const PipelineConfig& config,
-                                                const verif::BitFault& fault) {
+std::optional<PipelineValues> simulate_fault(const PipelineValues& golden,
+                                             const FaceDatabase& db,
+                                             const PipelineConfig& config,
+                                             const verif::BitFault& fault) {
   // The kernels are pure and grading runs without a FrontEndState, so the
   // stages above the faulted boundary would recompute their golden values,
   // and an unchanged word leaves every stage below it golden too.
-  FrontEndValues values = golden.values;
-  const BitFault* f = &fault;
-  const auto out = PortDirection::output;
-  Boundary from{};
-  if (maybe_fault_image(values.bayer, stage::bay, PortDirection::input, f)) {
-    from = Boundary::frame;
-  } else if (maybe_fault_image(values.luma, stage::bay, out, f)) {
-    from = Boundary::bay;
-  } else if (maybe_fault_image(values.eroded, stage::erosion, out, f)) {
-    from = Boundary::erosion;
-  } else if (maybe_fault_image(values.rooted, stage::root, out, f)) {
-    from = Boundary::root;
-  } else if (maybe_fault_image(values.edges, stage::edge, out, f)) {
-    from = Boundary::edge;
-  } else if (maybe_fault_image(values.window, stage::crtbord, out, f)) {
-    from = Boundary::crtbord;
-  } else if (maybe_fault_features(values.features, stage::calcline, out, f)) {
-    from = Boundary::calcline;
-  } else {
-    return std::nullopt;  // not excited
+  PipelineValues values = golden;
+  for (const Boundary at : kBoundaries) {
+    if (patch(values, at, &fault)) {
+      run_front_end(values, at, config);
+      match(values, db, config, nullptr);
+      return values;
+    }
   }
-  StageTraces traces = golden.result.traces;
-  run_front_end(values, from, config, nullptr, &traces);
-  RecognitionResult result = match(std::move(values.features), db);
-  result.traces = traces;
-  return result;
+  return std::nullopt;  // not excited
 }
 
 }  // namespace symbad::media

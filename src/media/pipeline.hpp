@@ -1,13 +1,17 @@
 #pragma once
 // The C reference model of the face recognition system (paper §4: "The
 // reference model of the complete system functionality is a collection of
-// programs written in C"). All refinement levels are verified against the
-// traces this model produces.
+// programs written in C"). It is the one implementation of the pipeline's
+// stage dataflow: `run_stage` runs any one stage, and the refinement levels
+// run it too. app::FaceStageRuntime computes each level's traces from this
+// model's stage values, and the levels are checked against each other's
+// traces.
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "media/image.hpp"
@@ -25,16 +29,6 @@ struct PipelineConfig {
   /// one row of stale data into the current frame (found by Laerte++'s
   /// memory inspection in the paper; found by ATPG comparison here).
   bool seeded_memory_bug = false;
-};
-
-/// Per-stage checksums recorded for cross-level trace comparison.
-struct StageTraces {
-  std::uint64_t bay = 0;
-  std::uint64_t erosion = 0;
-  std::uint64_t root = 0;
-  std::uint64_t edge = 0;
-  std::uint64_t window = 0;
-  std::uint64_t features = 0;
 };
 
 /// Operation counts per stage — the profiling data that drives the level-2
@@ -73,10 +67,11 @@ private:
   Image stale_window_;
 };
 
-/// Every stage-boundary value of one front-end run, from the raw frame (BAY
-/// input) to the feature vector (CALCLINE output). A staged run can restart
-/// below any of them, taking the values above as given.
-struct FrontEndValues {
+/// Every stage value of one recognition, from the raw frame (BAY input) to
+/// the resolved identity; each stage writes only its own output. A staged
+/// front-end run can restart below any `Boundary`, taking the values above
+/// it as given.
+struct PipelineValues {
   Image bayer;          ///< BAY input: the raw frame
   Image luma;           ///< BAY output
   Image eroded;         ///< EROSION output
@@ -84,66 +79,60 @@ struct FrontEndValues {
   Image edges;          ///< EDGE output (the binary edge map)
   EllipseFit fit;       ///< ELLIPSE output
   Image window;         ///< CRTBORD output
+  LineProfiles lines;   ///< CRTLINE output
   FeatureVec features;  ///< CALCLINE output
+  std::vector<std::uint32_t> distances;  ///< DISTANCE output, one per database entry
+  Winner winner;        ///< WINNER output
+  int identity = -1;    ///< WINNER's resolved identity (-1: none)
 };
+
+class FaceDatabase;  // defined in media/database.hpp
+
+/// Runs one pipeline stage, named by its media::stage name (BAY to WINNER),
+/// on `values`: it reads the values above it and writes its own output, and
+/// returns the stage's op count. CRTBORD cuts the BAY output around the
+/// ELLIPSE fit; with `config.seeded_memory_bug` and a `state` it leaks one
+/// row of the previous frame's window. DISTANCE compares the features with
+/// every template of `db`, and WINNER resolves the winner's identity there.
+/// Throws std::out_of_range for any other name, and std::invalid_argument
+/// for DISTANCE or WINNER without a database.
+std::uint64_t run_stage(std::string_view stage_name, PipelineValues& values,
+                        const PipelineConfig& config, const FaceDatabase* db = nullptr,
+                        FrontEndState* state = nullptr);
 
 /// The boundaries a staged run can start at, in dataflow order: the raw
 /// frame (a full run) or the output of a stage a bit fault can target.
 enum class Boundary : std::uint8_t { frame, bay, erosion, root, edge, crtbord, calcline };
 
 /// The staged front end (BAY .. CALCLINE) over `values`. The value at
-/// boundary `from` is taken as given and every boundary value below it is
-/// recomputed from the ones above (CRTBORD crops the BAY output). `fault`,
-/// when non-null, injects one bit fault at the named stage boundary if that
-/// boundary is `from` or below it (the ATPG's bit-coverage fault model);
-/// `traces` receives the checksums of those boundaries.
-void run_front_end(FrontEndValues& values, Boundary from,
+/// boundary `from` is taken as given and every stage below it runs, adding
+/// its ops to `profile` (CRTBORD re-reads the BAY output). `fault`, when
+/// non-null, injects one bit fault at the named stage boundary if that
+/// boundary is `from` or below it (the ATPG's bit-coverage fault model).
+void run_front_end(PipelineValues& values, Boundary from,
                    const PipelineConfig& config = {}, PipelineProfile* profile = nullptr,
-                   StageTraces* traces = nullptr, const verif::BitFault* fault = nullptr,
-                   FrontEndState* state = nullptr);
+                   const verif::BitFault* fault = nullptr, FrontEndState* state = nullptr);
 
 /// Runs the whole front end on one raw Bayer frame and returns the feature
 /// vector: run_front_end from the frame.
 [[nodiscard]] FeatureVec extract_features(const Image& bayer,
                                           const PipelineConfig& config = {},
                                           PipelineProfile* profile = nullptr,
-                                          StageTraces* traces = nullptr,
                                           const verif::BitFault* fault = nullptr,
                                           FrontEndState* state = nullptr);
 
-class FaceDatabase;  // defined in media/database.hpp
+/// The complete reference pipeline on one frame: the front end, DISTANCE
+/// over the database and WINNER, with every stage value kept.
+[[nodiscard]] PipelineValues recognize(const Image& bayer, const FaceDatabase& db,
+                                       const PipelineConfig& config = {},
+                                       PipelineProfile* profile = nullptr,
+                                       const verif::BitFault* fault = nullptr,
+                                       FrontEndState* state = nullptr);
 
-/// Result of recognising one frame against the database.
-struct RecognitionResult {
-  Winner winner;                         ///< winning database entry
-  int identity = -1;                     ///< resolved identity (-1: none)
-  std::vector<std::uint32_t> distances;  ///< one per database entry
-  FeatureVec features;
-  StageTraces traces;
-};
-
-/// The back end: DISTANCE of `features` against every database template,
-/// then WINNER. The result's traces stay zero: a caller that reads no
-/// stage checksum runs extract_features without traces and then this.
-[[nodiscard]] RecognitionResult match(FeatureVec features, const FaceDatabase& db,
-                                      PipelineProfile* profile = nullptr);
-
-/// The complete reference pipeline: front end + DISTANCE over the database
-/// + WINNER, with the stage checksums in the result's traces.
-[[nodiscard]] RecognitionResult recognize(const Image& bayer, const FaceDatabase& db,
-                                          const PipelineConfig& config = {},
-                                          PipelineProfile* profile = nullptr,
-                                          const verif::BitFault* fault = nullptr,
-                                          FrontEndState* state = nullptr);
-
-/// A fault-free recognition with every stage-boundary value kept: the
-/// reference a fault simulation resumes from.
-struct GoldenRun {
-  FrontEndValues values;
-  RecognitionResult result;
-};
-[[nodiscard]] GoldenRun golden_run(Image bayer, const FaceDatabase& db,
-                                   const PipelineConfig& config = {});
+/// A fault-free recognition without profile or state: the reference a fault
+/// simulation resumes from.
+[[nodiscard]] PipelineValues golden_run(const Image& bayer, const FaceDatabase& db,
+                                        const PipelineConfig& config = {});
 
 /// Fault simulation of one bit fault on the frame of `golden`, which must
 /// have been run against the same `db` and `config`. The fault is patched
@@ -152,8 +141,9 @@ struct GoldenRun {
 /// &fault). Returns nullopt when the fault is not excited: the patch leaves
 /// the word unchanged (or no boundary has that stage and port), so the
 /// faulty run equals the golden one.
-[[nodiscard]] std::optional<RecognitionResult> simulate_fault(
-    const GoldenRun& golden, const FaceDatabase& db, const PipelineConfig& config,
-    const verif::BitFault& fault);
+[[nodiscard]] std::optional<PipelineValues> simulate_fault(const PipelineValues& golden,
+                                                           const FaceDatabase& db,
+                                                           const PipelineConfig& config,
+                                                           const verif::BitFault& fault);
 
 }  // namespace symbad::media

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,20 @@ TEST(Atpg, BitFaultGrading) {
   EXPECT_GT(estimate.bit_faults.percent(), 25.0);
 }
 
+TEST(Atpg, GeneticTestbenchRejectsEmptyShapes) {
+  // No frame to mutate (the mutation draws below `frames`) or no individual
+  // to keep: rejected before any work.
+  atpg::Laerte laerte{atpg::Laerte::Config{4, 2, 64, {}, 2}};
+  const int shapes[][3] = {{0, 4, 2}, {3, 0, 0}, {3, 0, 2}, {-1, 4, 2}};
+  for (const auto& [frames, population, generations] : shapes) {
+    EXPECT_THROW((void)laerte.genetic_testbench(frames, population, generations, 7),
+                 std::invalid_argument)
+        << frames << " frames, population " << population << ", " << generations
+        << " generations";
+  }
+  EXPECT_EQ(laerte.genetic_testbench(3, 1, 2, 7).frames.size(), 3u);
+}
+
 TEST(Atpg, SeededMemoryBugDetectedByMultiFrameBench) {
   auto& laerte = engine();
   // One frame cannot expose a cross-frame leak; several frames do.
@@ -105,8 +120,7 @@ bool reference_detects_memory_bug(const atpg::Laerte& laerte, const atpg::Laerte
     const auto golden = media::recognize(frame, laerte.database(), config.pipeline);
     const auto faulty =
         media::recognize(frame, laerte.database(), buggy, nullptr, nullptr, &state);
-    if (golden.traces.window != faulty.traces.window ||
-        golden.winner.index != faulty.winner.index) {
+    if (golden.window != faulty.window || golden.winner.index != faulty.winner.index) {
       return true;
     }
   }
@@ -165,7 +179,7 @@ verif::FaultGrade reference_grade(const atpg::Laerte& laerte,
           media::recognize(frame, laerte.database(), config.pipeline, nullptr, &fault);
       const bool differs = golden.winner.index != faulty.winner.index ||
                            golden.distances != faulty.distances ||
-                           golden.traces.features != faulty.traces.features;
+                           golden.features != faulty.features;
       if (differs) {
         ++grade.detected;
         break;

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "app/face_system.hpp"
 #include "core/analytic.hpp"
@@ -19,6 +22,7 @@
 #include "core/system_model.hpp"
 #include "core/task_graph.hpp"
 #include "media/database.hpp"
+#include "media/pipeline.hpp"
 #include "support/test_util.hpp"
 
 namespace core = symbad::core;
@@ -226,6 +230,82 @@ TEST(FaceSystem, Level1ModelMatchesReference) {
         << "frame " << f;
   }
   EXPECT_EQ(report.trace.entries().size(), 12u * 4u);
+}
+
+namespace {
+
+/// The trace value a level records for `stage`, from that frame's
+/// reference values.
+std::uint64_t reference_trace(const std::string& stage, const media::PipelineValues& v,
+                              const media::FaceDatabase& db) {
+  namespace st = media::stage;
+  if (stage == st::camera) return v.bayer.checksum();
+  if (stage == st::database) return db.size();
+  if (stage == st::bay) return v.luma.checksum();
+  if (stage == st::erosion) return v.eroded.checksum();
+  if (stage == st::root) return v.rooted.checksum();
+  if (stage == st::edge) return v.edges.checksum();
+  if (stage == st::ellipse) {
+    return static_cast<std::uint64_t>(v.fit.cx) << 32 | static_cast<std::uint32_t>(v.fit.cy);
+  }
+  if (stage == st::crtbord) return v.window.checksum();
+  if (stage == st::crtline) return v.lines.total_elements();
+  if (stage == st::calcline) return v.features.checksum();
+  if (stage == st::distance) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const auto d : v.distances) {
+      h ^= d;
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+  if (stage == st::winner) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v.identity));
+  }
+  ADD_FAILURE() << "no trace formula for " << stage;
+  return 0;
+}
+
+}  // namespace
+
+TEST(FaceSystem, LevelTracesAreTheReferenceValues) {
+  // Each level's k-th trace entry of a stage is that stage's value on frame
+  // k of the C reference, CAMERA through WINNER plus DATABASE.
+  auto& cs = case_study();
+  constexpr int kFrames = 4;
+  std::vector<media::PipelineValues> reference;
+  for (int f = 0; f < kFrames; ++f) {
+    const int id = app::query_identity(f, cs.db.identities());
+    reference.push_back(media::golden_run(
+        media::camera_capture(media::FaceParams::for_identity(id), app::query_pose(f)), cs.db));
+  }
+  const std::pair<core::ModelLevel, core::Partition> levels[] = {
+      {core::ModelLevel::untimed_functional, core::Partition::all_software(cs.graph)},
+      {core::ModelLevel::timed_platform, app::paper_level2_partition(cs.graph)},
+      {core::ModelLevel::reconfigurable, app::paper_level3_partition(cs.graph)},
+  };
+  for (const auto& [level, partition] : levels) {
+    app::FaceStageRuntime runtime{cs.db};
+    core::SystemModel model{cs.graph, partition, runtime, {}, level};
+    const auto channels = model.run(kFrames).trace.by_channel();
+    EXPECT_EQ(channels.size(), cs.graph.task_count());
+    for (const auto& [stage, values] : channels) {
+      ASSERT_EQ(values.size(), reference.size()) << stage;
+      for (std::size_t k = 0; k < values.size(); ++k) {
+        EXPECT_EQ(values[k], reference_trace(stage, reference[k], cs.db))
+            << stage << " frame " << k << " level " << static_cast<int>(level) + 1;
+      }
+    }
+  }
+  // run_stage knows the pipeline stages only, and the back end needs the
+  // database.
+  media::PipelineValues values;
+  for (const char* name : {"CAMERA", "DATABASE", "CALCDIST", "bay", ""}) {
+    EXPECT_THROW(media::run_stage(name, values, {}), std::out_of_range) << name;
+  }
+  for (const char* name : {media::stage::distance, media::stage::winner}) {
+    EXPECT_THROW(media::run_stage(name, values, {}), std::invalid_argument) << name;
+  }
 }
 
 TEST(FaceSystem, Level2TraceMatchesLevel1) {

@@ -339,29 +339,6 @@ TEST(Pipeline, RecognisesUnseenPoses) {
   EXPECT_GE(correct * 100, total * 80) << correct << "/" << total;
 }
 
-TEST(Pipeline, MatchIsRecognizeWithoutTraces) {
-  // recognize() is extract_features() with traces, then match(); without
-  // traces the front end computes no stage checksum and the rest agrees.
-  const auto db = media::FaceDatabase::enroll(4, 2);
-  for (int id = 0; id < 4; ++id) {
-    const auto frame =
-        media::camera_capture(media::FaceParams::for_identity(id), query_pose(id, 3));
-    media::PipelineProfile full_profile;
-    media::PipelineProfile match_profile;
-    const auto full = media::recognize(frame, db, {}, &full_profile);
-    const auto matched =
-        media::match(media::extract_features(frame, {}, &match_profile), db, &match_profile);
-    EXPECT_EQ(matched.winner.index, full.winner.index);
-    EXPECT_EQ(matched.identity, full.identity);
-    EXPECT_EQ(matched.distances, full.distances);
-    EXPECT_EQ(matched.features, full.features);
-    EXPECT_EQ(matched.traces.bay, 0u);
-    EXPECT_EQ(matched.traces.features, 0u);
-    EXPECT_NE(full.traces.bay, 0u);
-    EXPECT_EQ(match_profile.by_stage(), full_profile.by_stage());
-  }
-}
-
 TEST(Pipeline, DeterministicResults) {
   const auto db = media::FaceDatabase::enroll(5, 3);
   const auto params = media::FaceParams::for_identity(2);
@@ -370,7 +347,7 @@ TEST(Pipeline, DeterministicResults) {
   const auto r2 = media::recognize(frame, db);
   EXPECT_EQ(r1.identity, r2.identity);
   EXPECT_EQ(r1.distances, r2.distances);
-  EXPECT_EQ(r1.traces.features, r2.traces.features);
+  EXPECT_EQ(r1.features, r2.features);
 }
 
 TEST(Pipeline, ProfileRanksRootAndDistanceHeaviest) {
@@ -422,11 +399,11 @@ TEST(Pipeline, SeededMemoryBugLeaksAcrossFrames) {
   // First frame: no stale data yet -> identical to good pipeline.
   const auto good_a = media::recognize(frame_a, db, good);
   const auto bug_a = media::recognize(frame_a, db, buggy, nullptr, nullptr, &state);
-  EXPECT_EQ(good_a.traces.window, bug_a.traces.window);
+  EXPECT_EQ(good_a.window, bug_a.window);
   // Second frame: window leaks one row from the previous frame.
   const auto good_b = media::recognize(frame_b, db, good);
   const auto bug_b = media::recognize(frame_b, db, buggy, nullptr, nullptr, &state);
-  EXPECT_NE(good_b.traces.window, bug_b.traces.window);
+  EXPECT_NE(good_b.window, bug_b.window);
 }
 
 TEST(Pipeline, BitFaultChangesObservableOutput) {
@@ -442,7 +419,7 @@ TEST(Pipeline, BitFaultChangesObservableOutput) {
   fault.bit = 7;
   fault.stuck_to = true;
   const auto faulty = media::recognize(frame, db, {}, nullptr, &fault);
-  EXPECT_NE(golden.traces.root, faulty.traces.root);
+  EXPECT_NE(golden.rooted, faulty.rooted);
 }
 
 // ------------------------------------------------------ front-end resume
@@ -450,8 +427,8 @@ TEST(Pipeline, BitFaultChangesObservableOutput) {
 namespace {
 
 /// The first field in which two recognition results differ ("" if none).
-std::string first_difference(const media::RecognitionResult& a,
-                             const media::RecognitionResult& b) {
+std::string first_difference(const media::PipelineValues& a,
+                             const media::PipelineValues& b) {
   if (a.winner.index != b.winner.index || a.winner.best != b.winner.best ||
       a.winner.second != b.winner.second || a.winner.confident != b.winner.confident) {
     return "winner";
@@ -459,17 +436,11 @@ std::string first_difference(const media::RecognitionResult& a,
   if (a.identity != b.identity) return "identity";
   if (a.distances != b.distances) return "distances";
   if (a.features != b.features) return "features";
-  const auto& ta = a.traces;
-  const auto& tb = b.traces;
-  if (ta.bay != tb.bay || ta.erosion != tb.erosion || ta.root != tb.root ||
-      ta.edge != tb.edge || ta.window != tb.window || ta.features != tb.features) {
-    return "traces";
-  }
   return "";
 }
 
-std::vector<media::GoldenRun> resume_goldens(const media::FaceDatabase& db) {
-  std::vector<media::GoldenRun> goldens;
+std::vector<media::PipelineValues> resume_goldens(const media::FaceDatabase& db) {
+  std::vector<media::PipelineValues> goldens;
   for (const int id : {0, 2, 3}) {
     const auto params = media::FaceParams::for_identity(id);
     goldens.push_back(media::golden_run(media::camera_capture(params, query_pose(id, id)), db));
@@ -510,22 +481,22 @@ TEST(FrontEndResume, MatchesFullRecomputeAtEveryBoundary) {
     for (const auto& golden : goldens) {
       const std::string stage_name = site.stage;
       const std::size_t words = stage_name == media::stage::crtbord
-                                    ? golden.values.window.pixel_count()
+                                    ? golden.window.pixel_count()
                                 : stage_name == media::stage::calcline
-                                    ? golden.values.features.v.size()
-                                    : golden.values.bayer.pixel_count();
+                                    ? golden.features.v.size()
+                                    : golden.bayer.pixel_count();
       for (int bit = 0; bit < 16; ++bit) {
         for (const bool stuck : {false, true}) {
           const verif::BitFault fault{site.stage, site.port,
                                       static_cast<int>(rng.below(4 * words)), bit, stuck};
-          const auto full = media::recognize(golden.values.bayer, db, {}, nullptr, &fault);
+          const auto full = media::recognize(golden.bayer, db, {}, nullptr, &fault);
           const auto resumed = media::simulate_fault(golden, db, {}, fault);
           if (resumed.has_value()) {
             ++excited;
             EXPECT_EQ(first_difference(*resumed, full), "") << fault.to_string();
           } else {
             ++quiet;
-            EXPECT_EQ(first_difference(golden.result, full), "") << fault.to_string();
+            EXPECT_EQ(first_difference(golden, full), "") << fault.to_string();
           }
         }
       }
@@ -546,8 +517,8 @@ TEST(FrontEndResume, WordIndicesWrapModuloTheBoundarySize) {
   const auto goldens = resume_goldens(db);
   for (const auto& golden : goldens) {
     const std::pair<const char*, std::size_t> boundaries[] = {
-        {media::stage::crtbord, golden.values.window.pixel_count()},
-        {media::stage::calcline, golden.values.features.v.size()},
+        {media::stage::crtbord, golden.window.pixel_count()},
+        {media::stage::calcline, golden.features.v.size()},
     };
     for (const auto& [stage_name, words] : boundaries) {
       for (const int word : {3, 17, 101}) {
@@ -570,13 +541,13 @@ TEST(FrontEndResume, WordIndicesWrapModuloTheBoundarySize) {
 
 TEST(FrontEndResume, RestartBelowAnyBoundaryReproducesTheRun) {
   // Without a fault, restarting at any boundary recomputes the golden
-  // values and traces below it from the values at and above it.
+  // values below it from the values at and above it.
   const auto db = media::FaceDatabase::enroll(4, 2);
   const auto golden = resume_goldens(db).front();
   using media::Boundary;
   for (const auto from : {Boundary::frame, Boundary::bay, Boundary::erosion, Boundary::root,
                           Boundary::edge, Boundary::crtbord, Boundary::calcline}) {
-    media::FrontEndValues values = golden.values;
+    media::PipelineValues values = golden;
     if (from < Boundary::bay) values.luma = {};
     if (from < Boundary::erosion) values.eroded = {};
     if (from < Boundary::root) values.rooted = {};
@@ -585,22 +556,21 @@ TEST(FrontEndResume, RestartBelowAnyBoundaryReproducesTheRun) {
       values.fit = {};
       values.window = {};
     }
-    if (from < Boundary::calcline) values.features = {};
-    media::StageTraces traces;
-    media::run_front_end(values, from, {}, nullptr, &traces);
+    if (from < Boundary::calcline) {
+      values.lines = {};
+      values.features = {};
+    }
+    media::run_front_end(values, from);
     const int at = static_cast<int>(from);
-    EXPECT_EQ(values.luma, golden.values.luma) << at;
-    EXPECT_EQ(values.eroded, golden.values.eroded) << at;
-    EXPECT_EQ(values.rooted, golden.values.rooted) << at;
-    EXPECT_EQ(values.edges, golden.values.edges) << at;
-    EXPECT_EQ(values.fit.m00, golden.values.fit.m00) << at;
-    EXPECT_EQ(values.window, golden.values.window) << at;
-    EXPECT_EQ(values.features, golden.values.features) << at;
-    EXPECT_EQ(traces.features, golden.result.traces.features) << at;
-    // Traces cover the boundaries from `from` on only.
-    EXPECT_EQ(traces.bay, from <= Boundary::bay ? golden.result.traces.bay : 0u) << at;
+    EXPECT_EQ(values.luma, golden.luma) << at;
+    EXPECT_EQ(values.eroded, golden.eroded) << at;
+    EXPECT_EQ(values.rooted, golden.rooted) << at;
+    EXPECT_EQ(values.edges, golden.edges) << at;
+    EXPECT_EQ(values.fit.m00, golden.fit.m00) << at;
+    EXPECT_EQ(values.window, golden.window) << at;
+    EXPECT_EQ(values.features, golden.features) << at;
   }
-  EXPECT_EQ(media::extract_features(golden.values.bayer), golden.values.features);
+  EXPECT_EQ(media::extract_features(golden.bayer), golden.features);
 }
 
 TEST(FrontEndResume, FaultBitsOutsideAPortWordAreRejected) {
@@ -620,7 +590,7 @@ TEST(FrontEndResume, FaultBitsOutsideAPortWordAreRejected) {
       const verif::BitFault fault{stage_name, port, 5, bit, true};
       EXPECT_THROW((void)media::simulate_fault(golden, db, {}, fault), std::invalid_argument)
           << fault.to_string();
-      EXPECT_THROW((void)media::recognize(golden.values.bayer, db, {}, nullptr, &fault),
+      EXPECT_THROW((void)media::recognize(golden.bayer, db, {}, nullptr, &fault),
                    std::invalid_argument)
           << fault.to_string();
     }
@@ -736,7 +706,7 @@ void expect_image_kernels_match(const Image& img, const Image& other, std::uint1
 /// The stages of a front-end run that starts from `v.bayer`, each on the
 /// boundary values `v` holds, then DISTANCE against every template of `db`
 /// and WINNER over those distances.
-void expect_stages_match(const media::FrontEndValues& v, const media::FaceDatabase& db,
+void expect_stages_match(const media::PipelineValues& v, const media::FaceDatabase& db,
                          const std::string& what) {
   const std::uint16_t threshold = media::PipelineConfig{}.edge_threshold;
   EXPECT_SAME_KERNEL(what + " BAY", bay_demosaic_luma, v.bayer);
@@ -875,7 +845,7 @@ TEST(KernelReference, FrontEndOfEveryIdentityUnderWildPoses) {
       params.glasses = (k % 2 == 0) != params.glasses;
       const auto frame = media::camera_capture(params, wild_pose(rng));
       const auto golden = media::golden_run(frame, db);
-      expect_stages_match(golden.values, db,
+      expect_stages_match(golden, db,
                           "identity " + std::to_string(id) + " pose " + std::to_string(k));
     }
   }
@@ -906,15 +876,15 @@ TEST(KernelReference, FaultSimulationAtEveryBoundaryAndBit) {
     for (int bit = 0; bit < 16; ++bit) {
       for (const bool stuck : {false, true}) {
         const verif::BitFault fault{stage_name, port,
-                                    static_cast<int>(golden.values.bayer.pixel_count() / 2 +
+                                    static_cast<int>(golden.bayer.pixel_count() / 2 +
                                                      rng.below(64)),
                                     bit, stuck};
-        media::FrontEndValues values;
-        values.bayer = golden.values.bayer;
-        media::run_front_end(values, media::Boundary::frame, {}, nullptr, nullptr, &fault);
+        media::PipelineValues values;
+        values.bayer = golden.bayer;
+        media::run_front_end(values, media::Boundary::frame, {}, nullptr, &fault);
         expect_stages_match(values, db, fault.to_string());
         const auto resumed = media::simulate_fault(golden, db, {}, fault);
-        EXPECT_EQ(resumed.has_value() ? resumed->features : golden.values.features,
+        EXPECT_EQ(resumed.has_value() ? resumed->features : golden.features,
                   values.features)
             << fault.to_string();
       }
