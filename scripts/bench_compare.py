@@ -63,8 +63,7 @@ def main() -> int:
                              "incl. the fault-grading campaigns' per-fault "
                              "encoded_* sums, the platform "
                              "generator's gen_tasks/gen_gates/gen_beats "
-                             "per-seed structure counts, the lint engine's "
-                             "lint_rules_checked/lint_sat_proofs figures, "
+                             "per-seed structure counts, "
                              "PCC's lint_pruned_faults and the obs layer's "
                              "obs_allocs/obs_span_drops/obs_spans_recorded/"
                              "obs_snapshot_entries zero-or-fixed contracts, "

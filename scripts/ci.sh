@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the Symbad repro: the tier-1 build+test loop, a parallel-safety
 # pass over the unit label, a perf-regression pass over the
-# SAT/MC/kernel/lint benches against the committed BENCH_BASELINE.json,
+# SAT/MC/kernel/obs benches against the committed BENCH_BASELINE.json,
 # the flow benchmark's own correctness checks (every workload at seed 0:
 # golden output digests and paper figures), an AddressSanitizer
 # configure/build/ctest pass with the threaded campaign runner explicitly
@@ -16,7 +16,7 @@
 # opt-in clang-tidy sweep (skipped when the tool is not installed).
 # Timings are warn-only (this runs on a shared 1-core host where wall-clock
 # swings with neighbours); allocation-count, conflict-count,
-# encoded-CNF-size, lint rule/proof, PCC prune and table-engine pair counters are
+# encoded-CNF-size, PCC prune and table-engine pair counters are
 # host-independent and hard-fail beyond 20%; a gated counter that disappears
 # or falls from nonzero to 0 hard-fails too (re-record the baseline if that
 # is intentional). Any failure exits nonzero.
@@ -42,8 +42,8 @@ ctest --test-dir build --output-on-failure -L unit -j "$((JOBS * 2))"
 SYMBAD_OBS=2 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 SYMBAD_OBS=0 ctest --test-dir build --output-on-failure -L unit -j "$JOBS"
 
-echo "==> [3/9] perf regression: SAT/MC/kernel/lint/obs benches vs BENCH_BASELINE.json"
-BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_level1_sim bench_level2_sim bench_level3_sim bench_gen bench_lint bench_obs" \
+echo "==> [3/9] perf regression: SAT/MC/kernel/obs benches vs BENCH_BASELINE.json"
+BENCH_ONLY="bench_sat bench_mc bench_mc_pcc bench_atpg bench_level1_sim bench_level2_sim bench_level3_sim bench_gen bench_obs" \
   BENCH_OUT=build/bench_candidate.json \
   BENCH_JSON_DIR=build/bench_candidate \
   scripts/bench_baseline.sh build
@@ -76,19 +76,11 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 echo "==> [6/9] threaded campaign runner + knob re-runs under ASan (4 workers;"
 echo "    step 5's full ctest already covers every suite sanitized, arena"
 echo "    compaction forced on every reduction included (SatReduce.*) — these"
-echo "    re-runs exist for non-default knobs: the worker count, lint off and"
-echo "    semantic, spans on)"
+echo "    re-runs exist for non-default knobs: the worker count and spans on)"
 SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_exec
 # Generator + generative differential sweeps sanitized (coroutine traffic
 # replay and the campaign worker pool both allocate aggressively).
 ./build-asan/test_gen
-# Lint boundary self-checks + SAT-backed semantic tier sanitized, with the
-# strict-mode prover forced on.
-SYMBAD_LINT=2 ./build-asan/test_lint
-# PCC with lint off: its prune and figures do not depend on the lint level
-# (the prune is the observed cone mc computes), so the whole suite, the
-# pinned ROOT and wrapper figures included, must pass unchanged.
-SYMBAD_LINT=0 ./build-asan/test_mc_pcc
 # Observability layer sanitized with spans on and the threaded campaign at
 # the non-default worker count (thread-shard registration/retirement and
 # the span flush path under concurrent workers).

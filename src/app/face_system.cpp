@@ -159,15 +159,23 @@ std::uint64_t FaceStageRuntime::execute_stage(const core::TaskNode& node, int fr
       identities_.resize(static_cast<std::size_t>(frame) + 1, -1);
     }
     identities_[static_cast<std::size_t>(frame)] = values.identity;
+    // WINNER is the graph's sink: every other stage of the frame has run
+    // and traced (a stage traces before it writes its outputs), so the
+    // frame's values are dead.
+    frames_.erase(frame);
   }
   return ops;
 }
 
 std::uint64_t FaceStageRuntime::trace_value(const core::TaskNode& node, int frame) {
-  const media::PipelineValues& v = frames_[frame];
   const std::string& stage_name = node.name;
-  if (stage_name == stage::camera) return v.bayer.checksum();
   if (stage_name == stage::database) return db_->size();
+  if (stage_name == stage::winner) {
+    return static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(identities_.at(static_cast<std::size_t>(frame))));
+  }
+  const media::PipelineValues& v = frames_.at(frame);
+  if (stage_name == stage::camera) return v.bayer.checksum();
   if (stage_name == stage::bay) return v.luma.checksum();
   if (stage_name == stage::erosion) return v.eroded.checksum();
   if (stage_name == stage::root) return v.rooted.checksum();
@@ -185,9 +193,6 @@ std::uint64_t FaceStageRuntime::trace_value(const core::TaskNode& node, int fram
       h *= 1099511628211ULL;
     }
     return h;
-  }
-  if (stage_name == stage::winner) {
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v.identity));
   }
   return 0;
 }

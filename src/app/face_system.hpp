@@ -52,7 +52,8 @@ void annotate_from_profile(core::TaskGraph& graph, const media::PipelineProfile&
 /// Data semantics of the face recognition system: runs the C reference
 /// model's stages (media::run_stage) on per-frame values, so every level's
 /// simulation computes the reference's values, and traces each stage by a
-/// per-stage formula over its output.
+/// per-stage formula over its output. A frame's values live from its
+/// capture until WINNER, the graph's sink, has run on it.
 class FaceStageRuntime : public core::StageRuntime {
 public:
   FaceStageRuntime(const media::FaceDatabase& db, media::PipelineConfig config = {},
@@ -74,6 +75,8 @@ public:
   /// Recognition results observed so far (index = frame).
   [[nodiscard]] const std::vector<int>& identities() const noexcept { return identities_; }
   [[nodiscard]] const media::FaceDatabase& database() const noexcept { return *db_; }
+  /// Frames whose stage values are held: captured, and not yet past WINNER.
+  [[nodiscard]] std::size_t live_frames() const noexcept { return frames_.size(); }
 
 private:
   const media::FaceDatabase* db_;

@@ -5,8 +5,8 @@
 // loudly instead of silently falling back (ARCHITECTURE.md): `atoi`-style
 // parsing used to map garbage ("abc") and nonsense ("-3") to whatever the
 // caller's default was. Every subsystem that reads a knob (exec's worker
-// count, the lint and obs levels, gen's sweep sizes) calls this one strict
-// `strtol` loop.
+// count, the obs level, gen's sweep sizes) calls this one strict `strtol`
+// loop.
 
 #include <optional>
 

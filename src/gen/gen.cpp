@@ -8,7 +8,6 @@
 
 #include "core/env.hpp"
 #include "gen/runtime.hpp"
-#include "lint/lint.hpp"
 #include "obs/obs.hpp"
 
 namespace symbad::gen {
@@ -120,11 +119,6 @@ rtl::Netlist random_netlist(verif::Rng& rng, const NetlistShape& shape,
     n.set_output("o" + std::to_string(o), pool[idx]);
   }
   n.validate();
-  // Default-on boundary self-check (SYMBAD_LINT): a generated netlist must
-  // be free of error-severity lint findings before any campaign sees it.
-  // The pool nets the recipe leaves outside every output cone are a
-  // warning by design (NL007 dangling-logic), not an error.
-  lint::check_netlist(n, "gen");
   return n;
 }
 
@@ -217,9 +211,6 @@ GeneratedPlatform generate_platform(std::uint64_t seed, SizeTier tier) {
     if (p.movable.size() < 8 && prng.chance(0.5)) p.movable.push_back(task);
   }
   p.partition.validate(p.graph);
-  // Same boundary contract for the task graph: generated platforms enter
-  // campaigns lint-clean (cycles and self-loops are error findings).
-  lint::check_graph(p.graph, "gen");
 
   // --- platform parameters -------------------------------------------
   verif::Rng rrng = verif::Rng{seed}.fork(kParamsSalt);

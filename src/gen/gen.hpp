@@ -7,8 +7,8 @@
 // the corpus: one `uint64_t` seed deterministically expands into a complete
 // design point — task graph, partition with a movable-task set for the
 // explorer, platform parameters, a bursty traffic stream (gen/traffic.hpp)
-// and an `rtl::Netlist` — so campaigns, the linter and the model checker
-// are exercised on platforms nobody hand-picked.
+// and an `rtl::Netlist` — so campaigns and the model checker are exercised
+// on platforms nobody hand-picked.
 //
 // Determinism contract: all randomness is drawn from `verif::Rng` streams
 // forked from the seed with fixed salts; no host state, time, iteration

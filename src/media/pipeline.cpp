@@ -4,6 +4,7 @@
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "media/database.hpp"
@@ -27,8 +28,10 @@ bool targets(const BitFault* fault, const char* stage_name, PortDirection port) 
 
 /// Applies a bit fault to an image if it targets `stage_name`/`port`;
 /// returns whether the patched pixel changed. Words index modulo the pixel
-/// count; bits 16..31 lie above a 16-bit pixel and leave it unchanged.
-bool maybe_fault_image(Image& image, const char* stage_name, PortDirection port,
+/// count; bits 16..31 lie above a 16-bit pixel and leave it unchanged. A
+/// const image is only tested, never written.
+template <class ImageT>
+bool maybe_fault_image(ImageT& image, const char* stage_name, PortDirection port,
                        const BitFault* fault) {
   if (!targets(fault, stage_name, port)) return false;
   const auto n = image.pixel_count();
@@ -39,12 +42,13 @@ bool maybe_fault_image(Image& image, const char* stage_name, PortDirection port,
       pixel, static_cast<int>(idx),
       BitFault{fault->stage, fault->port, static_cast<int>(idx), fault->bit, fault->stuck_to}));
   const bool changed = patched != pixel;
-  pixel = patched;
+  if constexpr (!std::is_const_v<ImageT>) pixel = patched;
   return changed;
 }
 
 /// The feature-vector counterpart of maybe_fault_image (bits modulo 16).
-bool maybe_fault_features(FeatureVec& f, const char* stage_name, PortDirection port,
+template <class FeatureVecT>
+bool maybe_fault_features(FeatureVecT& f, const char* stage_name, PortDirection port,
                           const BitFault* fault) {
   if (!targets(fault, stage_name, port)) return false;
   if (f.v.empty()) return false;
@@ -54,13 +58,17 @@ bool maybe_fault_features(FeatureVec& f, const char* stage_name, PortDirection p
       raw, static_cast<int>(idx),
       BitFault{fault->stage, fault->port, static_cast<int>(idx), fault->bit % 16,
                fault->stuck_to});
-  f.v[idx] = static_cast<std::int16_t>(static_cast<std::uint16_t>(patched));
+  if constexpr (!std::is_const_v<FeatureVecT>) {
+    f.v[idx] = static_cast<std::int16_t>(static_cast<std::uint16_t>(patched));
+  }
   return patched != raw;
 }
 
 /// Patches `fault` into the value at `boundary` if it targets that
-/// boundary's stage and port; returns whether the word changed.
-bool patch(PipelineValues& values, Boundary boundary, const BitFault* fault) {
+/// boundary's stage and port; returns whether the word changed. On const
+/// values it only tests whether the word would change.
+template <class Values>
+bool patch(Values& values, Boundary boundary, const BitFault* fault) {
   const auto out = PortDirection::output;
   switch (boundary) {
     case Boundary::frame:
@@ -225,11 +233,13 @@ std::optional<PipelineValues> simulate_fault(const PipelineValues& golden,
                                              const verif::BitFault& fault) {
   // The kernels are pure and grading runs without a FrontEndState, so the
   // stages above the faulted boundary would recompute their golden values,
-  // and an unchanged word leaves every stage below it golden too.
-  PipelineValues values = golden;
+  // and an unchanged word leaves every stage below it golden too. A fault
+  // targets one stage port, so at most one boundary can excite it: the word
+  // is tested on the golden values, which are copied only when it changes.
   for (const Boundary at : kBoundaries) {
-    if (patch(values, at, &fault)) {
-      run_front_end(values, at, config);
+    if (patch(golden, at, &fault)) {
+      PipelineValues values = golden;
+      run_front_end(values, at, config, nullptr, &fault);
       match(values, db, config, nullptr);
       return values;
     }

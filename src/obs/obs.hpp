@@ -5,7 +5,7 @@
 //
 // Before this module every subsystem kept private accounting with no common
 // schema and no export path: `sat::Statistics`, `exec`'s host throughput,
-// `CheckResult`/`PccReport` fields, bench-only `gen_*`/`lint_*` counters.
+// `CheckResult`/`PccReport` fields, bench-only `gen_*` counters.
 // The registry is the one process-wide sink they all publish into, so a
 // campaign coordinator (or a human with `chrome://tracing`) can watch the
 // sim kernel, the campaign workers, the SAT core and the formal engines

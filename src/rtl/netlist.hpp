@@ -33,14 +33,6 @@ enum class GateKind : std::uint8_t {
   dff,  ///< state element; `a` is the next-state net once connected
 };
 
-/// Number of GateKind enumerators: a kind value at or above it is invalid.
-inline constexpr std::size_t kGateKindCount = 9;
-
-// A new enumerator must bump kGateKindCount with it, or lint's kind check
-// rejects the new kind.
-static_assert(static_cast<std::size_t>(GateKind::dff) + 1 == kGateKindCount,
-              "kGateKindCount is out of sync with the GateKind enum");
-
 [[nodiscard]] constexpr const char* to_string(GateKind k) noexcept {
   switch (k) {
     case GateKind::const0: return "const0";
@@ -132,9 +124,8 @@ private:
 /// simulates 64 independent patterns (or 64 differently-faulted copies of
 /// the design). This is the repository's one gate evaluator: PCC's fault
 /// pre-pass and the table model-checking engine (64 (state, input) pairs
-/// per walk) run its cone form, lint's constant-candidate signature pass
-/// and `rtl::wordops`' read/drive helpers its full form, and every test
-/// simulates through it.
+/// per walk) run its cone form, `rtl::wordops`' read/drive helpers its
+/// full form, and every test simulates through it.
 ///
 /// The scalar API is the one-lane case: `set_input` and the two-argument
 /// `inject_stuck_at` broadcast to every lane, `value`/`output` read lane 0.

@@ -66,6 +66,15 @@ TEST(TaskGraph, CycleDetected) {
   EXPECT_THROW((void)g.topological_ids(), std::logic_error);
 }
 
+TEST(TaskGraph, SelfLoopDetected) {
+  // A self-loop is a channel like any other until an order is asked for.
+  core::TaskGraph g;
+  g.add_task("a");
+  g.add_channel("a", "a", 1);
+  EXPECT_THROW((void)g.topological_order(), std::logic_error);
+  EXPECT_THROW((void)g.topological_ids(), std::logic_error);
+}
+
 TEST(TaskGraph, IdsAreDeclarationIndices) {
   core::TaskGraph g;
   g.add_task("sink");
@@ -140,10 +149,10 @@ public:
 }  // namespace
 
 TEST(SystemModel, ParallelChannelsKeepSeparateFifoPeaks) {
-  // Parallel channels are legal (lint TG003 only warns). Each keeps its own
-  // FIFO and fifo_peaks entry: the k-th (k >= 2) parallel channel is keyed
-  // "from->to#k", and a plain key that a task name happens to spell
-  // ("a->b#2" below) stays with its single channel.
+  // Parallel channels are legal. Each keeps its own FIFO and fifo_peaks
+  // entry: the k-th (k >= 2) parallel channel is keyed "from->to#k", and a
+  // plain key that a task name happens to spell ("a->b#2" below) stays with
+  // its single channel.
   core::TaskGraph g;
   g.add_task("a");
   g.add_task("b");
@@ -305,6 +314,30 @@ TEST(FaceSystem, LevelTracesAreTheReferenceValues) {
   }
   for (const char* name : {media::stage::distance, media::stage::winner}) {
     EXPECT_THROW(media::run_stage(name, values, {}), std::invalid_argument) << name;
+  }
+}
+
+TEST(FaceSystem, NoFrameOutlivesItsRun) {
+  // A frame's values are dropped once WINNER has run on it, so a run's
+  // memory does not grow with its frame count. A second run on the same
+  // runtime recaptures every frame and traces the same values.
+  auto& cs = case_study();
+  constexpr int kFrames = 5;
+  const std::pair<core::ModelLevel, core::Partition> levels[] = {
+      {core::ModelLevel::untimed_functional, core::Partition::all_software(cs.graph)},
+      {core::ModelLevel::timed_platform, app::paper_level2_partition(cs.graph)},
+      {core::ModelLevel::reconfigurable, app::paper_level3_partition(cs.graph)},
+  };
+  for (const auto& [level, partition] : levels) {
+    app::FaceStageRuntime runtime{cs.db};
+    core::SystemModel model{cs.graph, partition, runtime, {}, level};
+    const auto first = model.run(kFrames);
+    EXPECT_EQ(runtime.live_frames(), 0u) << "level " << static_cast<int>(level) + 1;
+    EXPECT_EQ(runtime.identities().size(), static_cast<std::size_t>(kFrames));
+    const auto second = model.run(kFrames);
+    EXPECT_EQ(runtime.live_frames(), 0u) << "level " << static_cast<int>(level) + 1;
+    EXPECT_EQ(second.trace.by_channel(), first.trace.by_channel())
+        << "level " << static_cast<int>(level) + 1;
   }
 }
 
@@ -529,34 +562,10 @@ TEST(Explorer, FindsAcceleratedParetoPoints) {
 // ------------------------------------------------- strict env-knob parsing
 
 // The shared strict parser behind every SYMBAD_* integer knob
-// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_LINT, SYMBAD_OBS, ...). The
-// exhaustive accept/reject matrix lives here, next to the implementation;
-// the subsystems keep one integration test each that garbage still throws
-// through their entry points.
-
-namespace {
-
-/// Saves/restores one environment variable around a test body.
-struct EnvVarGuard {
-  const char* name;
-  std::string saved;
-  bool was_set = false;
-  explicit EnvVarGuard(const char* n) : name{n} {
-    if (const char* v = std::getenv(name)) {
-      saved = v;
-      was_set = true;
-    }
-  }
-  ~EnvVarGuard() {
-    if (was_set) {
-      ::setenv(name, saved.c_str(), 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-};
-
-}  // namespace
+// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_OBS, ...). The exhaustive accept/reject
+// matrix lives here, next to the implementation; the subsystems keep one
+// integration test each that garbage still throws through their entry
+// points.
 
 TEST(EnvParse, ValueParserAcceptsExactIntegersInRange) {
   EXPECT_EQ(core::parse_env_value("K", "1", 1, 64), 1);
@@ -576,8 +585,7 @@ TEST(EnvParse, ValueParserRejectsGarbageAndOutOfRange) {
 }
 
 TEST(EnvParse, EnvReaderDistinguishesUnsetFromInvalid) {
-  const EnvVarGuard guard{"SYMBAD_TEST_ENV_KNOB"};
-  ::unsetenv("SYMBAD_TEST_ENV_KNOB");
+  const symbad::test::EnvGuard guard{"SYMBAD_TEST_ENV_KNOB", nullptr};
   EXPECT_EQ(core::parse_env_int("SYMBAD_TEST_ENV_KNOB", 0, 9), std::nullopt);
 
   ::setenv("SYMBAD_TEST_ENV_KNOB", "7", 1);
@@ -589,7 +597,7 @@ TEST(EnvParse, EnvReaderDistinguishesUnsetFromInvalid) {
 
 TEST(EnvParse, FlagAcceptsExactlyZeroAndOne) {
   // A boolean knob (SYMBAD_GEN_CORPUS_WRITE) is an integer knob in [0, 1].
-  const EnvVarGuard guard{"SYMBAD_TEST_ENV_KNOB"};
+  const symbad::test::EnvGuard guard{"SYMBAD_TEST_ENV_KNOB", nullptr};
   ::setenv("SYMBAD_TEST_ENV_KNOB", "0", 1);
   EXPECT_EQ(core::parse_env_int("SYMBAD_TEST_ENV_KNOB", 0, 1), 0);
   ::setenv("SYMBAD_TEST_ENV_KNOB", "1", 1);

@@ -297,37 +297,15 @@ TEST(Campaign, ResolveWorkersClampsAndHonoursExplicitRequest) {
   EXPECT_GE(exec::CampaignRunner::resolve_workers(0), 1);
 }
 
-namespace {
-
-/// Restores SYMBAD_CAMPAIGN_WORKERS on scope exit (CI sets it for the ASan
-/// pass; the parsing tests below must not leak their values into siblings).
-struct WorkersEnvGuard {
-  std::string saved;
-  bool was_set = false;
-  WorkersEnvGuard() {
-    if (const char* v = std::getenv("SYMBAD_CAMPAIGN_WORKERS")) {
-      saved = v;
-      was_set = true;
-    }
-  }
-  ~WorkersEnvGuard() {
-    if (was_set) {
-      ::setenv("SYMBAD_CAMPAIGN_WORKERS", saved.c_str(), 1);
-    } else {
-      ::unsetenv("SYMBAD_CAMPAIGN_WORKERS");
-    }
-  }
-};
-
-}  // namespace
-
 TEST(Campaign, ResolveWorkersParsesEnvironmentStrictly) {
   // Campaign-level integration of the shared strict parser: the worker
   // knob is honoured, an explicit request bypasses the environment, and
   // garbage fails loudly instead of silently falling back to hardware
   // concurrency. The exhaustive reject/accept matrix lives with the
   // parser itself (core::parse_env_int, tests/test_core.cpp).
-  const WorkersEnvGuard guard;
+  // Restores SYMBAD_CAMPAIGN_WORKERS on exit (CI sets it for the ASan
+  // pass; the values below must not leak into sibling tests).
+  const symbad::test::EnvGuard guard{"SYMBAD_CAMPAIGN_WORKERS", nullptr};
 
   ::setenv("SYMBAD_CAMPAIGN_WORKERS", "3", 1);
   EXPECT_EQ(exec::CampaignRunner::resolve_workers(0), 3);

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <fstream>
 #include <latch>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -58,28 +57,6 @@ class LevelGuard {
  private:
   int level_;
   std::string trace_path_;
-};
-
-/// Sets (or unsets, for nullopt) an environment variable and restores the
-/// previous state on scope exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, std::optional<std::string> value) : name_{name} {
-    if (const char* old = std::getenv(name)) previous_ = old;
-    apply(value);
-  }
-  ~EnvGuard() { apply(previous_); }
-
- private:
-  void apply(const std::optional<std::string>& value) {
-    if (value.has_value()) {
-      ::setenv(name_, value->c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::optional<std::string> previous_;
 };
 
 std::vector<exec::Scenario> generated_scenarios() {
@@ -360,15 +337,15 @@ TEST(ObsWorkerId, ScopesNestAndRestore) {
 TEST(ObsEnv, StrictLevelParse) {
   const LevelGuard guard;
   {
-    const EnvGuard env{"SYMBAD_OBS", std::nullopt};
+    const symbad::test::EnvGuard env{"SYMBAD_OBS", nullptr};
     EXPECT_EQ(obs::resolve_level_from_env(), 1);  // unset -> default 1
   }
   for (const char* good : {"0", "1", "2"}) {
-    const EnvGuard env{"SYMBAD_OBS", std::string{good}};
+    const symbad::test::EnvGuard env{"SYMBAD_OBS", good};
     EXPECT_EQ(obs::resolve_level_from_env(), good[0] - '0');
   }
   for (const char* bad : {"garbage", "3", "-1", "1.5", ""}) {
-    const EnvGuard env{"SYMBAD_OBS", std::string{bad}};
+    const symbad::test::EnvGuard env{"SYMBAD_OBS", bad};
     EXPECT_THROW(obs::resolve_level_from_env(), std::invalid_argument)
         << "SYMBAD_OBS=" << bad;
   }

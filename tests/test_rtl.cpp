@@ -33,6 +33,16 @@ TEST(Netlist, OperandMustExist) {
   EXPECT_THROW((void)n.add_and(a, 99), std::out_of_range);
 }
 
+TEST(Netlist, CombinationalOperandMustPrecedeItsGate) {
+  // The next net is the gate being added: it does not exist yet, so no
+  // combinational gate can read a later net (a forward reference) or itself
+  // (a combinational loop). Only a flip-flop's next state closes a cycle.
+  Netlist n;
+  const Net a = n.add_input("a");
+  EXPECT_THROW((void)n.add_and(a, static_cast<Net>(n.gate_count())), std::out_of_range);
+  EXPECT_THROW((void)n.add_not(static_cast<Net>(n.gate_count())), std::out_of_range);
+}
+
 TEST(Netlist, DuplicateInputNameRejected) {
   Netlist n;
   (void)n.add_input("a");
